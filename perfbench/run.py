@@ -7,8 +7,9 @@ Run from the root of a checkout:
 
 Each workload runs in its own child process (worker.py) with the BLAS and
 OpenMP pools pinned to one thread.  With --trace 0 the result holds the
-end-to-end metrics of BENCHMARK.json, with --trace 1 its per-layer metrics
-from a run whose library calls are wrapped in spans.  Human-readable lines
+end-to-end metrics of BENCHMARK.json, with op and set-up times given at a
+nominal machine speed (speed.py); with --trace 1 its per-layer metrics from
+a run whose library calls are wrapped in spans.  Human-readable lines
 come first; the last stdout line is the JSON result.  The exit code is 0
 only when every op passed its output check.
 """
@@ -126,23 +127,34 @@ def tail(times: list[float]) -> tuple[float, float]:
 
 
 def end_to_end(res: dict, import_s: float) -> tuple[dict, list[str]]:
-    """Every end-to-end metric; the JSON result keeps those of BENCHMARK.json."""
-    times = res["op_times"]
-    tail_s, tail_pct = tail(times)
+    """Every end-to-end metric; the JSON result keeps those of BENCHMARK.json.
+
+    The op and set-up times are at nominal machine speed (see speed.py);
+    their wall-clock counterparts are printed beside them.
+    """
+    scaled, wall = res["op_scaled"], res["op_times"]
+    tail_s, tail_pct = tail(scaled)
+    wall_tail_s, _ = tail(wall)
     metrics = {
-        "op_p50_s": (statistics.median(times), "s"),
+        "op_p50_s": (statistics.median(scaled), "s"),
         "op_tail_s": (tail_s, "s"),
-        "setup_s": (statistics.median(res["setup_times"]), "s"),
-        "import_s": (import_s, "s"),
+        "setup_s": (statistics.median(res["setup_scaled"]), "s"),
         "peak_rss_mb": (res["peak_rss_mb"], "MB"),
+        "import_s": (import_s, "s"),
         "error_rate": (res["failed"] / res["attempted"], "ratio"),
+        "op_wall_p50_s": (statistics.median(wall), "s"),
+        "op_wall_tail_s": (wall_tail_s, "s"),
+        "setup_wall_s": (statistics.median(res["setup_times"]), "s"),
+        "reference_p50_s": (statistics.median(res["samples"]), "s"),
     }
-    notes = {"op_tail_s": f"p{tail_pct:.0f} of {len(times)} timed ops",
-             "setup_s": f"median of {len(res['setup_times'])} set-ups",
+    notes = {"op_tail_s": f"p{tail_pct:.0f} of {len(scaled)} timed ops",
+             "setup_s": f"median of {len(res['setup_scaled'])} set-ups",
              "import_s": f"median of {sum(IMPORT_SAMPLES)} fresh interpreters",
-             "error_rate": f"{res['failed']} of {res['attempted']} ops failed"}
+             "error_rate": f"{res['failed']} of {res['attempted']} ops failed",
+             "reference_p50_s": f"median of {len(res['samples'])} samples; "
+                                f"nominal {res['nominal_s']} s"}
     if res["atoms_per_op"]:  # verify has no atoms
-        metrics["atoms_per_s"] = (res["atoms_per_op"] * len(times) / sum(times), "atoms/s")
+        metrics["atoms_per_s"] = (res["atoms_per_op"] * len(scaled) / sum(scaled), "atoms/s")
         notes["atoms_per_s"] = f"grids {res['grids']}"
     lines = [f"  {name:<40} {value:<14.6g} {unit}" + (f"  ({notes[name]})" if name in notes else "")
              for name, (value, unit) in metrics.items()]

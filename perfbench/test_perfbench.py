@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 import checks  # noqa: E402
 import run  # noqa: E402
+import speed  # noqa: E402
 import tracer  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -220,6 +223,37 @@ def test_self_time_subtracts_children():
     assert m["quantize.countable_quantize.total_s"] == 4.0
     assert m["spaces.distance_many.rows"] == 10
     assert m["quantize.cover_rows_per_atom"] == 2.0
+
+
+def test_scale_cuts_windows_at_samples():
+    n = speed.NOMINAL_S
+    # samples at 1-2 s (2n), 5-6 s (4n) and 9-10 s (n)
+    marks = [(1.0, 2.0, 2 * n), (5.0, 6.0, 4 * n), (9.0, 10.0, n)]
+    # 2-5 s between samples of 2n and 4n: 3 s at a third of nominal speed
+    assert speed.scale([(2.0, 5.0)], marks) == [(3.0, pytest.approx(1.0))]
+    # 3-8 s holds the second sample: 2 s at 3n, then 2 s at 2.5n
+    (wall, nominal), = speed.scale([(3.0, 8.0)], marks)
+    assert wall == 4.0 and nominal == pytest.approx(2 / 3 + 2 / 2.5)
+    # past the last sample only that one applies
+    assert speed.scale([(10.0, 12.0)], marks) == [(2.0, pytest.approx(2.0))]
+
+
+def test_sampler_takes_samples_while_running(tmp_path):
+    sampler = speed.Sampler()
+    sampler.start()
+    try:
+        runner = worker.Runner(SmallRelax())
+        window = runner.setup(tmp_path, seed=5)
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 3 * speed.INTERVAL_S:
+            pass
+    finally:
+        sampler.stop()
+    assert runner.failed == 0
+    assert len(sampler.marks) >= 4
+    assert [m[0] for m in sampler.marks] == sorted(m[0] for m in sampler.marks)
+    (wall, nominal), = sampler.scale([window])
+    assert 0 < wall <= window[1] - window[0] and nominal > 0
 
 
 def test_tail_percentile():

@@ -16,6 +16,7 @@ import sys
 import time
 from pathlib import Path
 
+import speed
 from workloads import WORKLOADS
 
 
@@ -28,13 +29,24 @@ class Runner:
         self.digest: str | None = None  # the first passing op's
         self.digests: set[str] = set()
 
-    def run_op(self) -> float:
-        """One timed op, then its untimed output check."""
-        t0 = time.perf_counter()
-        raw = self.workload.op()
-        elapsed = time.perf_counter() - t0
+    def run_op(self, tracer=None) -> tuple[float, float]:
+        """One timed op, then its untimed output check; returns the op's
+        (start, end) perf_counter window.  A tracer is installed for the op
+        alone, outside the window."""
+        if tracer:
+            tracer.next_op()
+            tracer.install()
+        try:
+            t0 = time.perf_counter()
+            raw = self.workload.op()
+            t1 = time.perf_counter()
+        finally:
+            if tracer:
+                tracer.restore()
         self.attempted += 1
         problems, digest = self.workload.collect(raw)
+        problems += [f"traceback: {err.strip().splitlines()[-1]}"
+                     for rc, _out, err in raw if rc is None and err.strip()]
         self.digests.add(digest)
         if self.digest is None and not problems:
             self.digest = digest
@@ -44,25 +56,35 @@ class Runner:
         if problems:
             self.failed += 1
             self.problems += problems
-        return elapsed
+        return t0, t1
 
-    def setup(self, workdir: Path, seed: int) -> float:
-        """Input generation plus one warm-up op; returns their wall time."""
+    def setup(self, workdir: Path, seed: int) -> tuple[float, float]:
+        """Input generation plus one warm-up op; returns their window."""
         t0 = time.perf_counter()
         self.workload.setup(workdir, seed)
-        generated = time.perf_counter() - t0
-        return generated + self.run_op()
+        _start, end = self.run_op()
+        return t0, end
 
-    def loop(self, seconds: float, before_op=None) -> list[float]:
+    def loop(self, seconds: float) -> list[tuple[float, float]]:
         """Closed loop: the next op starts when the previous one is done."""
-        times = []
+        windows = []
         start = time.perf_counter()
         while True:
-            if before_op:
-                before_op()
-            times.append(self.run_op())
+            windows.append(self.run_op())
             if time.perf_counter() - start >= seconds:
-                return times
+                return windows
+
+    def traced_loop(self, seconds: float, tracer) -> tuple[list[float], list[float]]:
+        """Untraced and traced ops in turn, on the same inputs, so that both
+        kinds see the same machine; returns both kinds' op times."""
+        untraced, traced = [], []
+        start = time.perf_counter()
+        while True:
+            for times, op_tracer in ((untraced, None), (traced, tracer)):
+                t0, t1 = self.run_op(op_tracer)
+                times.append(t1 - t0)
+            if time.perf_counter() - start >= seconds:
+                return untraced, traced
 
 
 def main() -> int:
@@ -88,36 +110,31 @@ def main() -> int:
     workload = WORKLOADS[args.workload]()
     runner = Runner(workload)
     workdir = Path(args.workdir)
-    setups = 1 if args.trace else workload.setups
-    setup_times = []
-    for i in range(setups):
-        d = workdir / f"setup{i}"
-        d.mkdir(parents=True)
-        setup_times.append(runner.setup(d, args.seed))
+
+    def set_up(count: int) -> list[tuple[float, float]]:
+        windows = []
+        for i in range(count):
+            d = workdir / f"setup{i}"
+            d.mkdir(parents=True)
+            windows.append(runner.setup(d, args.seed))
+        return windows
 
     result = {
         "workload": workload.name,
         "seed": args.seed,
-        "setup_times": setup_times,
         "atoms_per_op": workload.atoms_per_op,
         "grids": workload.grids,
         "versions": {"python": sys.version.split()[0], "numpy": numpy.__version__,
                      "scipy": scipy.__version__},
     }
     if args.trace:
+        # per-layer counts and self times: no speed samples, one set-up
         from tracer import Tracer, median_metrics, metric_units, per_op_metrics
         from metriclp import verify
 
-        # untraced and traced halves on the same inputs: the overhead and
-        # the digest comparison need both
-        untraced = runner.loop(args.seconds / 2)
-        untraced_digests, runner.digests = runner.digests, set()
+        set_up(1)
         tracer = Tracer()
-        tracer.install()
-        try:
-            traced = runner.loop(args.seconds / 2, before_op=tracer.next_op)
-        finally:
-            tracer.restore()
+        untraced, traced = runner.traced_loop(args.seconds, tracer)
         check_ids = [c[0] for c in verify.CHECKS]
         units = metric_units(check_ids)
         layers = {name: [value, units[name]]
@@ -128,11 +145,27 @@ def main() -> int:
             untraced_times=untraced,
             traced_times=traced,
             layers=layers,
-            digests_match=runner.digests == untraced_digests and len(untraced_digests) == 1,
+            # every op, traced or not, gave the warm-up op's digest
+            digests_match=len(runner.digests) == 1,
             span_count=len(tracer.spans),
         )
     else:
-        result["op_times"] = runner.loop(args.seconds)
+        sampler = speed.Sampler()
+        sampler.start()
+        try:
+            setups = set_up(workload.setups)
+            ops = runner.loop(args.seconds)
+        finally:
+            sampler.stop()
+        setups, ops = sampler.scale(setups), sampler.scale(ops)
+        result.update(
+            setup_times=[wall for wall, _ in setups],
+            setup_scaled=[nominal for _, nominal in setups],
+            op_times=[wall for wall, _ in ops],
+            op_scaled=[nominal for _, nominal in ops],
+            samples=sampler.samples(),
+            nominal_s=speed.NOMINAL_S,
+        )
     result.update(
         attempted=runner.attempted,
         failed=runner.failed,
