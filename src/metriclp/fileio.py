@@ -8,6 +8,7 @@ All files are JSON objects with a "kind" discriminator:
 - kind "map": {"domain": <inline domain | {"path": relative}>, "space":
   <descriptor>, "values": [[...], ...]} -- or, for large payloads,
   "values_file": a sibling raw little-endian float64 file, atom-major.
+  Domain and sidecar paths must resolve inside the map file's directory.
 - kind "simple_map": like "map" plus integer "labels" and optional
   "base_flag" (-1 when atoms defer to the base mapping, null otherwise).
 
@@ -82,10 +83,21 @@ def _read_json(path: str | os.PathLike) -> dict:
     return obj
 
 
+def _confined(base_dir: Path, name) -> Path:
+    """The file `name` refers to, relative to `base_dir`; refuses any path
+    that resolves outside that directory."""
+    if not isinstance(name, str):
+        raise DataError(f"file reference must be a string, got {name!r}")
+    path = base_dir / name
+    if not path.resolve().is_relative_to(base_dir.resolve()):
+        raise DataError(f"{name!r} resolves outside the map file's directory")
+    return path
+
+
 def _resolve_domain(obj: dict, base_dir: Path) -> Domain:
     dom = obj.get("domain")
     if isinstance(dom, dict) and "path" in dom:
-        return load_domain(base_dir / dom["path"])
+        return load_domain(_confined(base_dir, dom["path"]))
     if isinstance(dom, dict):
         return _domain_from_payload(dom)
     raise DataError("map file lacks a domain")
@@ -108,16 +120,19 @@ def _values_to_payload(
 
 
 def _values_from_payload(obj: dict, base_dir: Path) -> np.ndarray:
-    if "values_file" in obj:
-        raw = (base_dir / obj["values_file"]).read_bytes()
-        shape = tuple(obj["values_shape"])
-        vals = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        if vals.size != int(np.prod(shape)):
-            raise DataError("sidecar length does not match the declared shape")
-        return vals.reshape(shape)
-    if "values" not in obj:
-        raise DataError("map file lacks values")
-    return np.asarray(obj["values"], dtype=np.float64)
+    try:
+        if "values_file" in obj:
+            raw = _confined(base_dir, obj["values_file"]).read_bytes()
+            shape = tuple(obj["values_shape"])
+            vals = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            if vals.size != int(np.prod(shape)):
+                raise DataError("sidecar length does not match the declared shape")
+            return vals.reshape(shape)
+        if "values" not in obj:
+            raise DataError("map file lacks values")
+        return np.asarray(obj["values"], dtype=np.float64)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed map values ({exc})") from exc
 
 
 def save_map(

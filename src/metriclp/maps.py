@@ -57,26 +57,19 @@ class MeasurableMap:
 
     @classmethod
     def constant(cls, domain: Domain, space: MetricSpace, y: Point) -> "MeasurableMap":
+        """Embed a target point as the constant mapping at it.
+
+        For finite measure the embedding scales distances by measure(M)**(1/p):
+        D_p(const_y, const_y') = d(y, y') * measure(M)**(1/p).
+        """
         payload = space.check_point(y)
         return cls(domain, space, np.tile(payload, (domain.atom_count, 1)))
-
-    def point_at(self, i: int) -> Point:
-        return Point(self.space.tag, self.values[i].copy())
 
     def copy(self) -> "MeasurableMap":
         return MeasurableMap(self.domain, self.space, self.values.copy())
 
     def __repr__(self):
         return f"MeasurableMap({self.space.tag}, atoms={self.domain.atom_count})"
-
-
-def constant_embed(domain: Domain, space: MetricSpace, y: Point) -> MeasurableMap:
-    """Embed a target point as the constant mapping at it.
-
-    For finite measure the embedding scales distances by measure(M)**(1/p):
-    D_p(const_y, const_y') = d(y, y') * measure(M)**(1/p).
-    """
-    return MeasurableMap.constant(domain, space, y)
 
 
 def _check_pair(f: MeasurableMap, g: MeasurableMap):

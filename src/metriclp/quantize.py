@@ -58,7 +58,7 @@ class ApproxReport:
     flags: dict[str, bool] = field(default_factory=dict)
 
 
-def _dedup_rows_in_order(values: Array) -> tuple[Array, Array]:
+def dedup_rows_in_order(values: Array) -> tuple[Array, Array]:
     """Distinct rows in first-occurrence order; also the inverse labels."""
     uniq, first, inverse = np.unique(
         values, axis=0, return_index=True, return_inverse=True
@@ -155,7 +155,7 @@ def countable_quantize(
 
 
 def _quantize_once(f: MeasurableMap, eps: float) -> tuple[SimpleMap, ApproxReport]:
-    table, _ = _dedup_rows_in_order(f.values)
+    table, _ = dedup_rows_in_order(f.values)
     labels = _first_cover(f.space, f.values, table, eps)
     if np.any(labels < 0):  # unreachable: each value covers itself at distance 0
         raise MetricLpError("quantization failed to cover a value")
@@ -251,7 +251,7 @@ def almost_simple_approx(
 
     # step 2: keep values inside the first n1 balls of radius R
     radius = eps / (3.0 * mu_altered ** (1.0 / p))
-    dense, _ = _dedup_rows_in_order(f.values[altered_mask])
+    dense, _ = dedup_rows_in_order(f.values[altered_mask])
     cover = _first_cover(f.space, f.values[altered_mask], dense, radius)
     alt_contrib = contrib[altered_mask]
     total_alt = float(alt_contrib.sum())
@@ -323,8 +323,7 @@ def simple_approx_sup(
             f.values[live], np.broadcast_to(center.payload, f.values[live].shape)
         ).max()
     )
-    net = f.space.epsilon_net(center, radius, eps)
-    table = np.vstack([q.payload for q in net])
+    table = f.space.epsilon_net(center, radius, eps)
     labels = _first_cover(f.space, f.values, table, eps)
     missed = labels < 0
     if missed.any():  # probe grid missed a corner of the ball: snap to nearest
@@ -341,7 +340,7 @@ def simple_approx_sup(
         achieved_error=achieved,
         range_size=out.range_size,
         altered_measure=float(np.sum(f.domain.weights[np.isfinite(f.domain.weights)])),
-        step_breakdown={"net_size": float(len(net)), "ball_radius": radius},
+        step_breakdown={"net_size": float(len(table)), "ball_radius": radius},
         flags={"net_fallback_used": bool(missed.any())},
     )
     return out, report

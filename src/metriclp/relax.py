@@ -113,24 +113,16 @@ class ContinuousField:
         return MeasurableMap(self.domain, self.space, self.values)
 
 
-def continuous_from_simple(
-    g: SimpleMap, background: Point, p: float, eps: float
-) -> ContinuousField:
-    """Continuous relaxation: geodesic transitions driven by the raw
-    distance-ratio field (order-0 smoothstep)."""
-    return _relax(g, background, p, eps, order=0)
-
-
 def smooth_from_simple(
     g: SimpleMap, background: Point, p: float, eps: float, order: int = 2
 ) -> ContinuousField:
-    """Smooth relaxation: transitions composed with an order-N smoothstep,
-    flattening N derivatives at cores and envelope boundaries.  Order 0
-    reproduces the continuous relaxation bit for bit."""
-    return _relax(g, background, p, eps, order=order)
+    """Relax a simple map on a grid domain into a continuous field.
 
-
-def _relax(g: SimpleMap, background: Point, p: float, eps: float, order: int) -> ContinuousField:
+    Transitions are composed with an order-N smoothstep, flattening N
+    derivatives at cores and envelope boundaries.  Order 0 is the
+    continuous relaxation: geodesic transitions driven by the raw
+    distance-ratio field.
+    """
     p = check_p(p)
     if math.isinf(p):
         raise MetricLpError("relaxation budgets need a finite exponent p")

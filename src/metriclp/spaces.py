@@ -11,13 +11,18 @@ Conventions
     simplex d     : d nonnegative weights summing to 1
     histogram     : one weight per grid node, nonnegative, summing to 1
     circle        : a single angle in [0, 2*pi)
+- `_distance_many` kernels take two equal-shape (m, dim) stacks and must
+  be exactly symmetric (d(a, b) and d(b, a) agree bit for bit) and give
+  exactly 0.0 on identical rows; `distance_many` adds only broadcasting.
+  The euclidean, circle, simplex and histogram kernels meet this by
+  construction; the SPD kernel canonicalizes its argument order itself.
 - Geodesics are constant speed: d(gamma(s), gamma(t)) = |s-t| * d(a, b).
   Endpoints are returned verbatim, so gamma(0) == a and gamma(1) == b hold
   bit for bit.
 - Dense sequences follow fixed dyadic refinement orders documented on each
   space; they are pure functions of k.
 - Epsilon nets are built greedily (farthest point first) over a documented
-  probe grid of the requested ball and certified by covering that grid.
+  probe grid of the requested ball and returned as (k, dim) payload arrays.
 
 Capability flags say which of geodesic / dense_sequence / epsilon_net a
 space supports.  The histogram space deliberately refuses epsilon nets:
@@ -28,7 +33,7 @@ distance, where closed balls are not compact and no finite net exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,10 +216,9 @@ class MetricSpace:
     def distance_many(self, a: Array, b: Array) -> Array:
         """Pairwise distances between rows of two (m, dim) payload stacks.
 
-        Identical rows give exactly 0.0, and each pair is evaluated in a
-        canonical argument order (lexicographic on the payload), so the
-        identity and symmetry axioms hold bit for bit even where the
-        underlying kernel is only symmetric up to rounding.
+        Rows broadcast against each other.  The kernel contract makes the
+        identity and symmetry axioms hold bit for bit: `_distance_many` is
+        exactly symmetric and returns exactly 0.0 on identical rows.
         """
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -222,15 +226,7 @@ class MetricSpace:
             a, b = np.broadcast_arrays(a, b)
         if a.shape[1] == 0:
             return np.zeros(a.shape[0])
-        swap = _lex_greater(a, b)
-        if np.any(swap):
-            a, b = a.copy(), b.copy()
-            a[swap], b[swap] = b[swap], a[swap].copy()
-        out = self._distance_many(a, b)
-        equal = (a == b).all(axis=1)
-        if np.any(equal):
-            out = np.where(equal, 0.0, out)
-        return out
+        return self._distance_many(a, b)
 
     def distance(self, a: Point, b: Point) -> float:
         pa, pb = self.check_point(a), self.check_point(b)
@@ -281,16 +277,14 @@ class MetricSpace:
             raise ValueError("k must be nonnegative")
         return self._dense_payloads(k)
 
-    def dense_sequence(self, k: int) -> list[Point]:
-        return [Point(self.tag, row) for row in self.dense_payloads(k)]
-
     def _dense_payloads(self, k: int) -> Array:
         raise NotImplementedError
 
     # -- epsilon nets ---------------------------------------------------------
 
-    def epsilon_net(self, center: Point, radius: float, eps: float) -> list[Point]:
-        """Greedy finite net whose open eps-balls cover the closed ball.
+    def epsilon_net(self, center: Point, radius: float, eps: float) -> Array:
+        """Greedy finite net, as a (k, dim) payload array, whose open
+        eps-balls cover the closed ball; row 0 is the center.
 
         Probes from the documented `probe_ball` grid are inserted
         farthest-first until every probe lies strictly within
@@ -308,19 +302,18 @@ class MetricSpace:
             raise ValueError("radius must be nonnegative")
         c = self.check_point(center)
         if radius == 0:
-            return [Point(self.tag, c.copy())]
+            return np.array([c])
         spacing = eps / NET_PROBE_FRACTION
         probes = self.probe_ball(center, radius, spacing)
-        net = [c.copy()]
+        net = [c]
         dist = self.distance_many(probes, np.broadcast_to(c, probes.shape))
         while dist.size and dist.max() >= eps - spacing:
-            idx = int(np.argmax(dist))
-            new = probes[idx].copy()
+            new = probes[int(np.argmax(dist))]
             net.append(new)
             dist = np.minimum(
                 dist, self.distance_many(probes, np.broadcast_to(new, probes.shape))
             )
-        return [Point(self.tag, row) for row in net]
+        return np.array(net)
 
     def probe_ball(self, center: Point, radius: float, spacing: float) -> Array:
         """Documented finite probe grid for the closed ball B(center, radius)."""
@@ -435,6 +428,17 @@ class SpdSpace(MetricSpace):
     def _mats(self, flat: Array) -> Array:
         return flat.reshape(flat.shape[0], self.n, self.n)
 
+    def _flat_sym(self, mats: Array) -> Array:
+        """Symmetrize a (m, n, n) stack and flatten it to (m, dim) payloads."""
+        out = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+        return out.reshape(out.shape[0], self.dim)
+
+    @staticmethod
+    def _expm_sym(s: Array) -> Array:
+        """Matrix exponential of a stack of symmetric matrices via eigh."""
+        w, v = np.linalg.eigh(s)
+        return (v * np.exp(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
+
     def _check_valid(self, flat):
         mats = self._mats(flat)
         sym_gap = np.abs(mats - np.swapaxes(mats, -1, -2)).max(initial=0.0)
@@ -474,13 +478,24 @@ class SpdSpace(MetricSpace):
         return np.linalg.eigvalsh(mid)
 
     def _distance_many(self, a, b):
+        # The pencil kernel is symmetric only up to rounding, so each pair is
+        # evaluated in lexicographic payload order and identical rows are
+        # pinned to 0.0, as the kernel contract requires.
+        swap = _lex_greater(a, b)
+        if np.any(swap):
+            a, b = a.copy(), b.copy()
+            a[swap], b[swap] = b[swap], a[swap].copy()
         nu = self._nu_spectrum(self._mats(a), self._mats(b))
         floor = EIG_CLAMP - 1.0  # pencil eigenvalues 1 + nu must stay positive
         clamped = np.maximum(nu, floor)
         moved = (clamped - nu) / np.maximum(np.abs(1.0 + nu), EIG_CLAMP)
         if moved.max(initial=0.0) > EIG_CLAMP_REL:
             raise InvalidPointError("spd distance: eigenvalue clamp exceeded tolerance")
-        return np.linalg.norm(np.log1p(clamped), axis=-1)
+        out = np.linalg.norm(np.log1p(clamped), axis=-1)
+        equal = (a == b).all(axis=1)
+        if np.any(equal):
+            out = np.where(equal, 0.0, out)
+        return out
 
     def _geodesic_many(self, a, b, t):
         am = self._mats(a)
@@ -494,9 +509,7 @@ class SpdSpace(MetricSpace):
         wm, vm = np.linalg.eigh(mid)
         wm = np.maximum(wm, EIG_CLAMP)
         powed = (vm * (wm[:, None, :] ** t[:, None, None])) @ np.swapaxes(vm, -1, -2)
-        out = sqrt_a @ powed @ sqrt_a
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
-        return out.reshape(out.shape[0], self.dim)
+        return self._flat_sym(sqrt_a @ powed @ sqrt_a)
 
     # dense sequence: dyadic coordinates in the log chart
     def _sym_from_coords(self, coords: Array) -> Array:
@@ -510,11 +523,7 @@ class SpdSpace(MetricSpace):
     def _dense_payloads(self, k):
         n_free = self.n * (self.n + 1) // 2
         coords = dyadic_tuples(n_free, k)
-        s = self._sym_from_coords(coords)
-        w, v = np.linalg.eigh(s)
-        out = (v * np.exp(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
-        return out.reshape(out.shape[0], self.dim)
+        return self._flat_sym(self._expm_sym(self._sym_from_coords(coords)))
 
     def probe_ball(self, center, radius, spacing):
         """Grid in the log chart at the center, then mapped through exp.
@@ -538,23 +547,15 @@ class SpdSpace(MetricSpace):
         coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n_free)
         s = self._sym_from_coords(coords)
         keep = np.linalg.norm(s, axis=(1, 2)) <= radius
-        s = s[keep]
-        w, v = np.linalg.eigh(s)
-        inner = (v * np.exp(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
-        out = sqrt_c[None] @ inner @ sqrt_c[None]
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
-        return out.reshape(out.shape[0], self.dim)
+        inner = self._expm_sym(s[keep])
+        return self._flat_sym(sqrt_c[None] @ inner @ sqrt_c[None])
 
     def unit_probe(self):
         return self.probe_ball(Point(self.tag, np.eye(self.n).reshape(-1)), 1.0, 0.35)
 
     def random_payloads(self, rng, m, spread=1.0):
         coords = spread * rng.standard_normal((m, self.n * (self.n + 1) // 2)) * 0.5
-        s = self._sym_from_coords(coords)
-        w, v = np.linalg.eigh(s)
-        out = (v * np.exp(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
-        return out.reshape(m, self.dim)
+        return self._flat_sym(self._expm_sym(self._sym_from_coords(coords)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import itertools
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,7 @@ from .domain import (
     outer_open_approx,
     urysohn,
 )
-from .errors import CapabilityError, MetricLpError, NonConvergenceError, SearchBudgetError
+from .errors import CapabilityError, MetricLpError, NonConvergenceError
 from .maps import (
     MeasurableMap,
     check_p,
@@ -48,7 +48,6 @@ from .maps import (
     is_member,
     is_trivial,
     pointwise_distance,
-    restrict,
 )
 from .spaces import Point, make_space
 
@@ -287,14 +286,8 @@ def build_dense_family(
     else:
         generators = [AtomSet(np.array([i]), n) for i in range(n)]
     signature = np.stack([g.mask() for g in generators], axis=1) if generators else np.zeros((n, 0), dtype=bool)
-    _, first, inverse = np.unique(
-        signature, axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    cell_ids = rank[inverse.reshape(-1)]
-    cells = [AtomSet.from_mask(cell_ids == c) for c in range(order.size)]
+    distinct, cell_ids = quantize.dedup_rows_in_order(signature)
+    cells = [AtomSet.from_mask(cell_ids == c) for c in range(distinct.shape[0])]
     values = base.space.dense_payloads(val_budget)
     return DenseFamily(domain, base.space, base, generators, cells, values)
 
@@ -523,6 +516,19 @@ def _check_space_geodesics(ctx: SuiteContext) -> dict:
     return {"worst_speed_rel": worst}
 
 
+def _covering_radii(space, probe: Array, centers: Array, counts) -> list[float]:
+    """Covering radius of `probe` by centers[:m] for each m in `counts`
+    (ascending), from one running minimum over the center rows."""
+    nearest = np.full(probe.shape[0], np.inf)
+    radii = []
+    for j in range(counts[-1]):
+        row = np.broadcast_to(centers[j], probe.shape)
+        nearest = np.minimum(nearest, space.distance_many(probe, row))
+        if j + 1 in counts:
+            radii.append(float(nearest.max()))
+    return radii
+
+
 def _check_space_dense(ctx: SuiteContext) -> dict:
     metrics = {}
     for name in SPACE_NAMES:
@@ -533,19 +539,7 @@ def _check_space_dense(ctx: SuiteContext) -> dict:
         prefix = space.dense_payloads(k)
         longer = space.dense_payloads(k + 17)
         assert np.array_equal(prefix, longer[:k]), f"{name}: enumeration not a prefix"
-        probe = space.unit_probe()
-        radii = []
-        for m in (5, 10, 20, 40):
-            chunk = prefix[:m]
-            dist = np.stack(
-                [
-                    space.distance_many(
-                        probe, np.broadcast_to(chunk[j], probe.shape)
-                    )
-                    for j in range(m)
-                ]
-            )
-            radii.append(float(dist.min(axis=0).max()))
+        radii = _covering_radii(space, space.unit_probe(), prefix, (5, 10, 20, 40))
         assert all(
             r2 <= r1 + 1e-12 for r1, r2 in zip(radii, radii[1:])
         ), f"{name}: covering radius not shrinking {radii}"
@@ -557,15 +551,9 @@ def _check_space_nets(ctx: SuiteContext) -> dict:
     space = ctx.space("euclidean2")
     center = Point(space.tag, [0.0, 0.0])
     net = space.epsilon_net(center, 1.0, 0.4)
-    table = np.vstack([q.payload for q in net])
     probes = space.probe_ball(center, 1.0, 0.05)
-    dist = np.stack(
-        [
-            space.distance_many(probes, np.broadcast_to(row, probes.shape))
-            for row in table
-        ]
-    )
-    assert float(dist.min(axis=0).max()) < 0.4, "euclidean net fails its covering"
+    (radius,) = _covering_radii(space, probes, net, (len(net),))
+    assert radius < 0.4, "euclidean net fails its covering"
     # Greedy farthest-first on the full circle: {0, pi} covers at radius
     # pi/2, so eps above pi/2 stops at 2 points; below it the third insert
     # still leaves an antipodal midpoint at distance pi/2, forcing a
@@ -860,7 +848,7 @@ def _relax_fixture_2d(ctx: SuiteContext):
 def _check_relax_continuous(ctx: SuiteContext) -> dict:
     g, z0 = _relax_fixture_2d(ctx)
     eps, p = 0.25, 1.0
-    out = relax.continuous_from_simple(g, z0, p, eps)
+    out = relax.smooth_from_simple(g, z0, p, eps, order=0)
     assert out.flags["guarantee_holds"], "budget flags raised on a sized fixture"
     assert out.achieved_error < relax.error_bound(out) <= eps
     for piece in out.pieces:
@@ -882,9 +870,13 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
     g, z0 = _relax_fixture_2d(ctx)
     eps, p = 0.25, 1.0
     smooth = relax.smooth_from_simple(g, z0, p, eps, order=2)
-    cont = relax.continuous_from_simple(g, z0, p, eps)
     order0 = relax.smooth_from_simple(g, z0, p, eps, order=0)
-    assert np.array_equal(order0.values, cont.values), "order 0 is not bit-identical"
+    for piece in order0.pieces:
+        region = piece.region.indices
+        cont = g.space.geodesic_many(
+            order0.background, piece.value, piece.transition.values[region]
+        )
+        assert np.array_equal(order0.values[region], cont), "order 0 is not bit-identical"
     assert smooth.achieved_error < eps
     for piece in smooth.pieces:
         assert piece.sup_gap <= piece.sup_gap_budget, "smooth sup budget exceeded"
@@ -905,7 +897,7 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
     cell = domain1.geometry.cell_size
     assert scan["max_boundary_first_difference"] <= 10 * cell**2, scan
     assert scan["max_boundary_second_difference"] <= 10 * cell**2, scan
-    co1 = relax.continuous_from_simple(g1, z1, 1.0, 0.2)
+    co1 = relax.smooth_from_simple(g1, z1, 1.0, 0.2, order=0)
     scan0 = relax.boundary_difference_scan(co1)
     assert (
         scan["max_boundary_second_difference"]

@@ -24,6 +24,36 @@ def flat_sym(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=np.float64).reshape(-1)
 
 
+# Map files the loader must refuse with DataError: a non-list sidecar
+# shape, ragged inline values, and a sidecar and a domain file named
+# outside the map file's directory.  `write_bad_file` puts valid targets
+# for the last two one directory up, so only the path check refuses them.
+BAD_MAP_TEXTS = [
+    '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"weights": [1.0]},'
+    ' "values_file": "side.bin", "values_shape": 5}',
+    '{"kind": "map", "space": {"space": "euclidean2"}, "domain": {"weights": [1.0, 1.0]},'
+    ' "values": [[0.0, 1.0], [2.0]]}',
+    '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"weights": [1.0]},'
+    ' "values_file": "../side.bin", "values_shape": [1, 1]}',
+    '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"path": "../dom.json"},'
+    ' "values": [[0.0]]}',
+]
+
+
+def write_bad_file(tmp_path, text):
+    """Write `text` as maps/bad.json under tmp_path, with a one-float
+    sidecar beside it and in tmp_path, and a one-atom domain in tmp_path."""
+    maps = tmp_path / "maps"
+    maps.mkdir(parents=True)
+    one = np.zeros(1, dtype="<f8").tobytes()
+    (maps / "side.bin").write_bytes(one)
+    (tmp_path / "side.bin").write_bytes(one)
+    (tmp_path / "dom.json").write_text('{"kind": "domain", "weights": [1.0], "geometry": null}')
+    path = maps / "bad.json"
+    path.write_text(text)
+    return path
+
+
 def random_pair(space, rng, n_atoms=8, weights=None):
     """Two random mappings over a shared domain."""
     domain = Domain(weights if weights is not None else rng.uniform(0.1, 2.0, n_atoms))

@@ -18,6 +18,8 @@ from metriclp import Domain, MeasurableMap, SimpleMap, make_space
 from metriclp.cli import EXIT_DATA, main
 from metriclp.fileio import load_any_map, load_map, save_map, save_simple_map
 
+from .conftest import BAD_MAP_TEXTS, write_bad_file
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -132,6 +134,15 @@ def test_distance_missing_file_is_data_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_distance_malformed_map_files_are_data_errors(pair_files, tmp_path, capsys):
+    _, good = pair_files
+    for i, text in enumerate(BAD_MAP_TEXTS):
+        bad = write_bad_file(tmp_path / f"case{i}", text)
+        code, _, err = run_cli(capsys, "distance", str(bad), str(good))
+        assert code == EXIT_DATA, (text, err)
+        assert err.startswith("error: "), (text, err)
 
 
 def test_distance_bad_exponent(pair_files, capsys):

@@ -27,6 +27,8 @@ from metriclp.fileio import (
     save_simple_map,
 )
 
+from .conftest import BAD_MAP_TEXTS, write_bad_file
+
 
 def test_domain_round_trip_exact(tmp_path, rng):
     dom = Domain(rng.uniform(0.01, 3.0, 17))
@@ -126,11 +128,11 @@ def test_load_any_map_dispatches(tmp_path, rng):
         '{"kind": "domain", "weights": "nope"}',
         '{"kind": "domain", "atoms": 5, "weights": [1.0]}',
         '{"kind": "map", "space": {"family": "euclidean", "dim": 1}}',
+        *BAD_MAP_TEXTS,
     ],
 )
 def test_malformed_inputs_raise_data_error(tmp_path, text):
-    path = tmp_path / "bad.json"
-    path.write_text(text)
+    path = write_bad_file(tmp_path, text)
     with pytest.raises(DataError):
         load_any_map(path) if "map" in text else load_domain(path)
 

@@ -21,7 +21,6 @@ from metriclp import (
     MetricLpError,
     Point,
     SimpleMap,
-    constant_embed,
     differing_support,
     distance_to_base_field,
     dp_distance,
@@ -123,8 +122,8 @@ def test_near_equivalent_tolerance():
 
 def test_constant_embed_frozen_six():
     dom = Domain(np.full(8, 0.5))  # measure 4
-    f = constant_embed(dom, E1, Point("euclidean1", [0.0]))
-    g = constant_embed(dom, E1, Point("euclidean1", [3.0]))
+    f = MeasurableMap.constant(dom, E1, Point("euclidean1", [0.0]))
+    g = MeasurableMap.constant(dom, E1, Point("euclidean1", [3.0]))
     assert dp_distance(f, g, 2.0) == pytest.approx(6.0, rel=1e-15)  # 3 * 4**(1/2)
     assert dp_distance(f, g, 1.0) == pytest.approx(12.0, rel=1e-15)
     assert dp_distance(f, g, math.inf) == 3.0  # scaling-free
@@ -135,8 +134,8 @@ def test_constant_embed_isometry_random(spaces, rng):
     mu = float(dom.weights.sum())
     for sp in spaces.values():
         y, z = sp.random_payloads(rng, 2)
-        f = constant_embed(dom, sp, Point(sp.tag, y))
-        g = constant_embed(dom, sp, Point(sp.tag, z))
+        f = MeasurableMap.constant(dom, sp, Point(sp.tag, y))
+        g = MeasurableMap.constant(dom, sp, Point(sp.tag, z))
         d = sp.distance_many(y[None], z[None])[0]
         for p in (1.0, 1.5, 2.0, 4.0):
             assert dp_distance(f, g, p) == pytest.approx(d * mu ** (1 / p), rel=1e-12)

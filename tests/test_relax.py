@@ -22,7 +22,6 @@ from metriclp import (
     SimpleMap,
     adjacent_difference_report,
     boundary_difference_scan,
-    continuous_from_simple,
     dp_distance,
     error_bound,
     fields,
@@ -102,7 +101,7 @@ def test_smoothstep_rejects_out_of_range():
 
 def test_continuous_band_exactness_and_error():
     g = band_fixture()
-    field = continuous_from_simple(g, ORIGIN1, 1.0, 0.2)
+    field = smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)
     assert field.flags["guarantee_holds"]
     assert field.achieved_error < error_bound(field) <= 0.2
     (piece,) = field.pieces
@@ -121,7 +120,7 @@ def test_continuous_two_disks_2d(rng):
     )
     table = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.55]])
     g = SimpleMap(dom, E2, labels, table)
-    field = continuous_from_simple(g, ORIGIN2, 1.0, 0.3)
+    field = smooth_from_simple(g, ORIGIN2, 1.0, 0.3, order=0)
     assert field.flags["guarantee_holds"]
     assert field.achieved_error < 0.3
     for piece in field.pieces:
@@ -136,7 +135,7 @@ def test_continuous_two_disks_2d(rng):
 
 def test_continuous_modulus_bound():
     g = band_fixture()
-    field = continuous_from_simple(g, ORIGIN1, 1.0, 0.2)
+    field = smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)
     report = adjacent_difference_report(field)
     assert report["max_ratio"] <= 1.0 + 1e-9
     assert report["max_difference"] <= report["max_bound"] * (1.0 + 1e-9)
@@ -144,7 +143,7 @@ def test_continuous_modulus_bound():
 
 def test_relaxation_error_matches_dp(rng):
     g = band_fixture()
-    field = continuous_from_simple(g, ORIGIN1, 2.0, 0.25)
+    field = smooth_from_simple(g, ORIGIN1, 2.0, 0.25, order=0)
     direct = dp_distance(g.to_map(), field.to_map(), 2.0)
     assert direct == field.achieved_error
 
@@ -152,7 +151,7 @@ def test_relaxation_error_matches_dp(rng):
 def test_background_only_map_relaxes_to_itself():
     dom = Domain.grid(1, 64)
     g = SimpleMap(dom, E1, np.zeros(64, dtype=np.int64), np.array([[0.0]]))
-    field = continuous_from_simple(g, ORIGIN1, 1.0, 0.1)
+    field = smooth_from_simple(g, ORIGIN1, 1.0, 0.1, order=0)
     assert field.achieved_error == 0.0
     assert not field.pieces
     assert np.all(field.values == 0.0)
@@ -164,10 +163,24 @@ def test_background_only_map_relaxes_to_itself():
 
 
 def test_smooth_order_zero_bit_identical_to_continuous():
-    g = band_fixture()
-    a = continuous_from_simple(g, ORIGIN1, 1.0, 0.2)
-    b = smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)
-    assert np.array_equal(a.values, b.values)
+    """Order 0 is the continuous construction: on every piece's region the
+    field is the geodesic from the background driven by the raw transition."""
+    spd2 = make_space("spd2")
+    dom = Domain.grid(2, 32)
+    centers = np.array([[0.3, 0.3], [0.7, 0.6]])
+    labels = fields.disk_labels(dom.geometry, centers, np.array([0.15, 0.2]))
+    table = np.array([[1.0, 0, 0, 1], [2.0, 0.5, 0.5, 1], [0.5, 0, 0, 3]])
+    disks = SimpleMap(dom, spd2, labels, table)
+    cases = [(band_fixture(), ORIGIN1), (disks, Point(spd2.tag, [1.0, 0, 0, 1]))]
+    for g, z0 in cases:
+        field = smooth_from_simple(g, z0, 1.0, 0.2, order=0)
+        assert field.pieces, g.space.tag
+        for piece in field.pieces:
+            region = piece.region.indices
+            cont = g.space.geodesic_many(
+                field.background, piece.value, piece.transition.values[region]
+            )
+            assert np.array_equal(field.values[region], cont), g.space.tag
 
 
 def test_smooth_order_two_meets_same_budget():
@@ -182,7 +195,7 @@ def test_smooth_order_two_meets_same_budget():
 
 def test_smooth_modulus_uses_steeper_slope():
     g = band_fixture()
-    c = continuous_from_simple(g, ORIGIN1, 1.0, 0.2)
+    c = smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)
     s = smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=2)
     rc = adjacent_difference_report(c)
     rs = adjacent_difference_report(s)
@@ -212,14 +225,14 @@ def test_boundary_scan_shape_and_consistency():
 def test_relax_rejects_sup_exponent():
     g = band_fixture(cells=64)
     with pytest.raises(MetricLpError):
-        continuous_from_simple(g, ORIGIN1, math.inf, 0.2)
+        smooth_from_simple(g, ORIGIN1, math.inf, 0.2, order=0)
 
 
 def test_relax_requires_grid_geometry():
     dom = Domain(np.ones(4))
     g = SimpleMap(dom, E1, np.zeros(4, dtype=np.int64), np.array([[0.0]]))
     with pytest.raises(GeometryError):
-        continuous_from_simple(g, ORIGIN1, 1.0, 0.2)
+        smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)
 
 
 def test_relax_requires_geodesics():
@@ -232,7 +245,7 @@ def test_relax_requires_geodesics():
     dom = Domain.grid(1, 8)
     g = SimpleMap(dom, sp, np.zeros(8, dtype=np.int64), np.array([[0.0]]))
     with pytest.raises(CapabilityError):
-        continuous_from_simple(g, Point(sp.tag, [0.0]), 1.0, 0.2)
+        smooth_from_simple(g, Point(sp.tag, [0.0]), 1.0, 0.2, order=0)
 
 
 def test_relax_rejects_base_flagged_atoms():
@@ -241,4 +254,4 @@ def test_relax_rejects_base_flagged_atoms():
         dom, E1, np.array([0, 0, -1, 0, 0, 0, 0, 0]), np.array([[0.0]]), base_flag=-1
     )
     with pytest.raises(MetricLpError):
-        continuous_from_simple(g, ORIGIN1, 1.0, 0.2)
+        smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)

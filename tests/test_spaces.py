@@ -225,13 +225,20 @@ def test_circle_net_sizes_bracket_half_pi():
 
 
 def test_distance_many_bitwise_symmetry_and_identity(spaces, rng):
-    for sp in spaces.values():
-        a = sp.random_payloads(rng, 64)
-        b = sp.random_payloads(rng, 64)
-        d_ab = sp.distance_many(a, b)
-        d_ba = sp.distance_many(b, a)
-        assert np.array_equal(d_ab, d_ba), sp.tag
-        assert np.all(sp.distance_many(a, a) == 0.0), sp.tag
+    """The kernel contract: d(a, b) and d(b, a) agree bit for bit and
+    identical rows give exactly 0, at tiny and large spreads, for rows one
+    ulp apart, and for one row broadcast against many."""
+    for sp in [*spaces.values(), make_space("spd3")]:
+        for spread in (1e-3, 1.0, 4.0):
+            a = sp.random_payloads(rng, 64, spread)
+            b = sp.random_payloads(rng, 64, spread)
+            one = a[:1]
+            for x, y in ((a, b), (a, np.nextafter(a, np.inf)), (one, b)):
+                d_xy = sp.distance_many(x, y)
+                d_yx = sp.distance_many(y, x)
+                assert np.array_equal(d_xy, d_yx), (sp.tag, spread)
+            assert np.all(sp.distance_many(a, a) == 0.0), (sp.tag, spread)
+            assert np.all(sp.distance_many(one, np.repeat(one, 8, axis=0)) == 0.0), sp.tag
 
 
 def test_geodesic_endpoints_exact(spaces, rng):
