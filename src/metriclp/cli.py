@@ -189,7 +189,7 @@ def _cmd_distance(args) -> int:
     text = json.dumps(report, indent=1)
     print(text)
     if args.out:
-        Path(args.out).write_text(text)
+        fileio.write_atomic(args.out, text)
     return EXIT_OK
 
 
@@ -277,7 +277,7 @@ def _cmd_verify(args) -> int:
     result = verify.run_theorem_suite(config)
     ledger = result.as_dict()
     if args.out:
-        Path(args.out).write_text(json.dumps(fileio.jsonable(ledger), indent=1))
+        fileio.write_atomic(args.out, json.dumps(fileio.jsonable(ledger), indent=1))
     for entry in result.entries:
         print(f"[{entry['status']:>4}] {entry['check_id']}")
     print(

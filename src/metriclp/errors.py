@@ -43,3 +43,7 @@ class NonConvergenceError(MetricLpError):
 
 class DataError(MetricLpError):
     """Malformed file content or inconsistent serialized fields."""
+
+
+class CheckFailedError(MetricLpError):
+    """A theorem-suite check found one of its invariants violated."""

@@ -14,6 +14,10 @@ All files are JSON objects with a "kind" discriminator:
 
 Floats round-trip exactly: json serializes Python floats with repr
 (shortest exact form) and numpy float64 survives the list round trip.
+
+Every file is written atomically: the bytes go to a temporary file in the
+target's directory, which then replaces the target, so a failed or
+interrupted write leaves the old file as it was.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import dataclasses
 import json
 import math
 import os
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,21 @@ from .maps import MeasurableMap, SimpleMap
 from .spaces import space_from_descriptor
 
 SIDECAR_THRESHOLD = 4096  # payload floats above which values go binary
+
+
+def write_atomic(path: str | os.PathLike, data: str | bytes) -> None:
+    """Write `data` (text is encoded as UTF-8) to `path` through a temporary
+    file in the same directory and `os.replace`; on any failure the target
+    is untouched and the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _domain_payload(domain: Domain) -> dict:
@@ -61,7 +81,7 @@ def _domain_from_payload(obj: dict) -> Domain:
 
 
 def save_domain(domain: Domain, path: str | os.PathLike) -> None:
-    Path(path).write_text(json.dumps(_domain_payload(domain), indent=1))
+    write_atomic(path, json.dumps(_domain_payload(domain), indent=1))
 
 
 def load_domain(path: str | os.PathLike) -> Domain:
@@ -110,9 +130,7 @@ def _values_to_payload(
         sidecar = values.size > SIDECAR_THRESHOLD
     if sidecar:
         name = path.name + ".values.bin"
-        (path.parent / name).write_bytes(
-            np.ascontiguousarray(values, dtype="<f8").tobytes()
-        )
+        write_atomic(path.parent / name, np.ascontiguousarray(values, dtype="<f8").tobytes())
         payload["values_file"] = name
         payload["values_shape"] = list(values.shape)
     else:
@@ -149,7 +167,7 @@ def save_map(
         {"path": str(domain_path)} if domain_path else _domain_payload(f.domain)
     )
     _values_to_payload(f.values, path, payload, sidecar)
-    path.write_text(json.dumps(payload, indent=1))
+    write_atomic(path, json.dumps(payload, indent=1))
 
 
 def load_map(path: str | os.PathLike) -> MeasurableMap:
@@ -182,7 +200,7 @@ def save_simple_map(
     payload["domain"] = (
         {"path": str(domain_path)} if domain_path else _domain_payload(g.domain)
     )
-    path.write_text(json.dumps(payload, indent=1))
+    write_atomic(path, json.dumps(payload, indent=1))
 
 
 def load_simple_map(path: str | os.PathLike) -> SimpleMap:
@@ -230,4 +248,4 @@ def jsonable(obj):
 
 
 def save_report(obj, path: str | os.PathLike) -> None:
-    Path(path).write_text(json.dumps(jsonable(obj), indent=1, default=str))
+    write_atomic(path, json.dumps(jsonable(obj), indent=1, default=str))

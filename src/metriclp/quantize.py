@@ -71,22 +71,16 @@ def dedup_rows_in_order(values: Array) -> tuple[Array, Array]:
 
 def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float) -> Array:
     """Per row of `values`, the first index of `table` strictly within
-    `radius`; -1 when none.  Chunked so the cross-distance block stays small."""
-    m, k = values.shape[0], table.shape[0]
-    out = np.full(m, -1, dtype=np.int64)
-    if m == 0 or k == 0:
-        return out
-    chunk = max(1, (1 << 22) // max(k, 1))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        block = values[lo:hi]
-        left = np.repeat(block, k, axis=0)
-        right = np.tile(table, (hi - lo, 1))
-        dist = space.distance_many(left, right).reshape(hi - lo, k)
-        covered = dist < radius
-        hit = covered.any(axis=1)
-        idx = np.argmax(covered, axis=1)
-        out[lo:hi] = np.where(hit, idx, -1)
+    `radius`; -1 when none.  Scans the table in order, comparing each row
+    only with the values no earlier row covered, and stops once all are."""
+    out = np.full(values.shape[0], -1, dtype=np.int64)
+    open_rows = np.arange(values.shape[0])
+    for j in range(table.shape[0]):
+        if open_rows.size == 0:
+            break
+        hit = space.distance_many(values[open_rows], table[j][None, :]) < radius
+        out[open_rows[hit]] = j
+        open_rows = open_rows[~hit]
     return out
 
 

@@ -20,7 +20,10 @@ Conventions
   Endpoints are returned verbatim, so gamma(0) == a and gamma(1) == b hold
   bit for bit.
 - Dense sequences follow fixed dyadic refinement orders documented on each
-  space; they are pure functions of k.
+  space; they are pure functions of k and return (k, dim) payloads, k = 0
+  included.  The dyadic grids are built as integer index arrays
+  (stars-and-bars compositions) and divided once, so every coordinate
+  j / 2**l is exact.
 - Epsilon nets are built greedily (farthest point first) over a documented
   probe grid of the requested ball and returned as (k, dim) payload arrays.
 
@@ -32,6 +35,7 @@ distance, where closed balls are not compact and no finite net exists.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,22 +94,16 @@ def dyadic_reals(k: int) -> list[float]:
     Generation 0 is {0}; generation l >= 1 lists the values j * 2**(1-l)
     with |value| <= l that are new at this generation, ordered by
     (|value|, positive before negative).  The sequence therefore starts
-    0, 1, -1, 1/2, -1/2, 3/2, -3/2, 2, -2, ...
+    0, 1, -1, 1/2, -1/2, 3/2, -3/2, 2, -2, ...  A value of generation l is
+    old exactly when j is even and |value| <= l - 1.
     """
     out = [0.0]
-    seen = {0.0}
     level = 1
     while len(out) < k:
         step = 2.0 ** (1 - level)
-        j_max = int(round(level / step))
-        fresh = []
-        for j in range(1, j_max + 1):
-            for v in (j * step, -j * step):
-                if v not in seen:
-                    seen.add(v)
-                    fresh.append(v)
-        fresh.sort(key=lambda v: (abs(v), -np.sign(v)))
-        out.extend(fresh)
+        for j in range(1, int(round(level / step)) + 1):
+            if j % 2 or j * step > level - 1:
+                out.extend((j * step, -j * step))
         level += 1
     return out[:k]
 
@@ -118,26 +116,30 @@ def dyadic_tuples(dim: int, k: int) -> Array:
     `dyadic_reals`.  The first point is always the origin.
     """
     if dim == 0:
-        return np.zeros((1, 0))
-    rows: list[tuple[int, ...]] = []
-    total = 0
-    while len(rows) < k:
-        rows.extend(_compositions(total, dim))
+        return np.zeros((min(k, 1), 0))
+    blocks = [np.zeros((0, dim), dtype=np.int64)]
+    count = total = 0
+    while count < k:
+        blocks.append(_compositions(total, dim))
+        count += len(blocks[-1])
         total += 1
-    rows = rows[:k]
-    max_idx = max(max(r) for r in rows)
-    vals = dyadic_reals(max_idx + 1)
-    return np.array([[vals[i] for i in row] for row in rows], dtype=np.float64)
+    idx = np.concatenate(blocks)[:k]
+    return np.array(dyadic_reals(int(idx.max(initial=0)) + 1))[idx]
 
 
-def _compositions(total: int, dim: int):
-    """All index tuples of length dim summing to total, lexicographic."""
-    if dim == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, dim - 1):
-            yield (head,) + rest
+def _compositions(total: int, dim: int) -> Array:
+    """All index tuples of length dim summing to total, as a (count, dim)
+    int64 array in lexicographic order (stars and bars: the bar positions
+    come out of `itertools.combinations` in lexicographic order)."""
+    slots = total + dim - 1
+    count = math.comb(slots, dim - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), dim - 1)),
+        dtype=np.int64,
+        count=count * (dim - 1),
+    ).reshape(count, dim - 1)
+    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), slots)])
+    return np.diff(edges, axis=1) - 1
 
 
 def dyadic_simplex(dim: int, k: int) -> Array:
@@ -145,24 +147,19 @@ def dyadic_simplex(dim: int, k: int) -> Array:
 
     Level l lists all weight vectors (j_1..j_dim)/2**l with integer j_i
     summing to 2**l; within a level new points are ordered lexicographically
-    by the integer tuple.  Level 0 gives the vertices.
+    by the integer tuple.  Level 0 gives the vertices.  Only the finest
+    level L needed is built: a level-L tuple first appears at level L - v,
+    where 2**v is the largest power of two dividing all its entries, so a
+    stable sort by that level lists the points in enumeration order.
     """
-    out: list[tuple[float, ...]] = []
-    seen: set[tuple[float, ...]] = set()
     level = 0
-    while len(out) < k:
-        denom = 2**level
-        for combo in _compositions(denom, dim):
-            v = tuple(j / denom for j in combo)
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-                if len(out) >= k and level > 0:
-                    break
+    while dim > 1 and math.comb(2**level + dim - 1, dim - 1) < k:
         level += 1
-        if level > 40:
-            break
-    return np.array(out[:k], dtype=np.float64)
+    grid = _compositions(2**level, dim)
+    common = np.bitwise_or.reduce(grid, axis=1)
+    # common & -common is the lowest set bit of the OR of the entries: 2**v
+    order = np.argsort(-(common & -common), kind="stable")
+    return grid[order[:k]] / 2**level
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +361,7 @@ class EuclideanSpace(MetricSpace):
         return a + t[:, None] * (b - a)
 
     def _dense_payloads(self, k):
-        return dyadic_tuples(self.dim, k) if self.dim else np.zeros((min(k, 1), 0))
+        return dyadic_tuples(self.dim, k)
 
     def probe_ball(self, center, radius, spacing):
         c = self.check_point(center)

@@ -38,7 +38,7 @@ from .domain import (
     outer_open_approx,
     urysohn,
 )
-from .errors import CapabilityError, MetricLpError, NonConvergenceError
+from .errors import CapabilityError, CheckFailedError, MetricLpError, NonConvergenceError
 from .maps import (
     MeasurableMap,
     check_p,
@@ -55,6 +55,13 @@ Array = np.ndarray
 
 FAST_GAP_SLACK = 1e-12
 CERTIFICATE_SLACK = 1e-9
+
+
+def require(cond, msg: str) -> None:
+    """Fail the running suite check unless `cond` holds.  Unlike `assert`,
+    this also runs under `python -O`, so the suite cannot pass vacuously."""
+    if not cond:
+        raise CheckFailedError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +491,13 @@ def _check_space_metric_axioms(ctx: SuiteContext) -> dict:
         d_ba = space.distance_many(b, a)
         d_ac = space.distance_many(a, c)
         d_cb = space.distance_many(c, b)
-        assert np.array_equal(d_ab, d_ba), f"{name}: symmetry not exact"
-        assert np.all(space.distance_many(a, a) == 0.0), f"{name}: identity not exact"
-        assert np.all(d_ab > 0.0), f"{name}: positivity violated"
+        require(np.array_equal(d_ab, d_ba), f"{name}: symmetry not exact")
+        require(np.all(space.distance_many(a, a) == 0.0), f"{name}: identity not exact")
+        require(np.all(d_ab > 0.0), f"{name}: positivity violated")
         slack = d_ab - (d_ac + d_cb)
         rel = float(np.max(slack / np.maximum(d_ab, 1e-300)))
         worst_tri = max(worst_tri, rel)
-        assert rel <= 1e-12, f"{name}: triangle violated by {rel:.2e} relative"
+        require(rel <= 1e-12, f"{name}: triangle violated by {rel:.2e} relative")
     return {"worst_triangle_rel": worst_tri}
 
 
@@ -504,15 +511,16 @@ def _check_space_geodesics(ctx: SuiteContext) -> dict:
         d = space.distance_many(a, b)
         ends0 = space.geodesic_many(a, b, np.zeros(40))
         ends1 = space.geodesic_many(a, b, np.ones(40))
-        assert np.array_equal(ends0, a) and np.array_equal(ends1, b), (
-            f"{name}: geodesic endpoints not verbatim"
+        require(
+            np.array_equal(ends0, a) and np.array_equal(ends1, b),
+            f"{name}: geodesic endpoints not verbatim",
         )
         for t in (0.25, 0.5, 0.75):
             mid = space.geodesic_many(a, b, np.full(40, t))
             gap = np.abs(space.distance_many(a, mid) - t * d)
             rel = float(np.max(gap / (1.0 + d)))
             worst = max(worst, rel)
-            assert rel <= 1e-9, f"{name}: geodesic speed off by {rel:.2e} at t={t}"
+            require(rel <= 1e-9, f"{name}: geodesic speed off by {rel:.2e} at t={t}")
     return {"worst_speed_rel": worst}
 
 
@@ -538,11 +546,12 @@ def _check_space_dense(ctx: SuiteContext) -> dict:
         k = 40
         prefix = space.dense_payloads(k)
         longer = space.dense_payloads(k + 17)
-        assert np.array_equal(prefix, longer[:k]), f"{name}: enumeration not a prefix"
+        require(np.array_equal(prefix, longer[:k]), f"{name}: enumeration not a prefix")
         radii = _covering_radii(space, space.unit_probe(), prefix, (5, 10, 20, 40))
-        assert all(
-            r2 <= r1 + 1e-12 for r1, r2 in zip(radii, radii[1:])
-        ), f"{name}: covering radius not shrinking {radii}"
+        require(
+            all(r2 <= r1 + 1e-12 for r1, r2 in zip(radii, radii[1:])),
+            f"{name}: covering radius not shrinking {radii}",
+        )
         metrics[f"{name}_covering_radius_40"] = radii[-1]
     return metrics
 
@@ -553,7 +562,7 @@ def _check_space_nets(ctx: SuiteContext) -> dict:
     net = space.epsilon_net(center, 1.0, 0.4)
     probes = space.probe_ball(center, 1.0, 0.05)
     (radius,) = _covering_radii(space, probes, net, (len(net),))
-    assert radius < 0.4, "euclidean net fails its covering"
+    require(radius < 0.4, "euclidean net fails its covering")
     # Greedy farthest-first on the full circle: {0, pi} covers at radius
     # pi/2, so eps above pi/2 stops at 2 points; below it the third insert
     # still leaves an antipodal midpoint at distance pi/2, forcing a
@@ -562,13 +571,13 @@ def _check_space_nets(ctx: SuiteContext) -> dict:
     circle = ctx.space("circle")
     north = Point("circle", [0.0])
     net2 = circle.epsilon_net(north, math.pi, math.pi / 2 + 0.3)
-    assert len(net2) == 2, f"circle net size {len(net2)} != 2"
+    require(len(net2) == 2, f"circle net size {len(net2)} != 2")
     net4 = circle.epsilon_net(north, math.pi, math.pi / 2 - 0.3)
-    assert len(net4) == 4, f"circle net size {len(net4)} != 4"
+    require(len(net4) == 4, f"circle net size {len(net4)} != 4")
     hist = ctx.space("histogram8")
     try:
         hist.epsilon_net(Point(hist.tag, np.full(8, 1 / 8)), 1.0, 0.1)
-        raise AssertionError("histogram accepted an epsilon net request")
+        raise CheckFailedError("histogram accepted an epsilon net request")
     except CapabilityError:
         pass
     return {
@@ -581,16 +590,16 @@ def _check_domain_measure(ctx: SuiteContext) -> dict:
     rng = ctx.rng("measure")
     domain = Domain.grid(2, 16)
     full = AtomSet.full(domain.atom_count)
-    assert abs(measure(domain, full) - 1.0) <= 1e-12
+    require(abs(measure(domain, full) - 1.0) <= 1e-12, "grid weights do not sum to one")
     mask = rng.random(domain.atom_count) < 0.5
     s1, s2 = AtomSet.from_mask(mask), AtomSet.from_mask(~mask)
     add_gap = abs(measure(domain, s1) + measure(domain, s2) - measure(domain, full))
-    assert add_gap <= 1e-12, "additivity violated"
+    require(add_gap <= 1e-12, "additivity violated")
     w = np.array([0.0, math.inf, 1.0])
     dom_inf = Domain(w)
-    assert math.isinf(measure(dom_inf, AtomSet.full(3)))
-    assert not is_purely_infinite(dom_inf)
-    assert is_purely_infinite(Domain(np.array([0.0, math.inf])))
+    require(math.isinf(measure(dom_inf, AtomSet.full(3))), "infinite atom lost")
+    require(not is_purely_infinite(dom_inf), "finite atom ignored")
+    require(is_purely_infinite(Domain(np.array([0.0, math.inf]))), "not purely infinite")
     return {"additivity_gap": add_gap}
 
 
@@ -608,24 +617,24 @@ def _check_domain_morphology(ctx: SuiteContext) -> dict:
         delta = float(rng.uniform(0.01, 0.08))
         inner = inner_closed_approx(domain, b, delta)
         outer = outer_open_approx(domain, b, delta)
-        assert inner.atoms.size > 0, "erosion emptied the core"
-        assert np.all(np.isin(inner.atoms.indices, b.indices)), "core not inside input"
-        assert np.all(np.isin(b.indices, outer.atoms.indices)), "input not inside envelope"
+        require(inner.atoms.size > 0, "erosion emptied the core")
+        require(np.all(np.isin(inner.atoms.indices, b.indices)), "core not inside input")
+        require(np.all(np.isin(b.indices, outer.atoms.indices)), "input not inside envelope")
         if not inner.over_budget:
-            assert inner.gap < delta, "erosion exceeded its measure budget"
+            require(inner.gap < delta, "erosion exceeded its measure budget")
         if not outer.over_budget:
-            assert outer.gap < delta, "dilation exceeded its measure budget"
+            require(outer.gap < delta, "dilation exceeded its measure budget")
         trans = urysohn(domain, inner.atoms, outer.atoms)
         vals = trans.values
-        assert np.all(vals[inner.atoms.indices] == 1.0), "transition not 1 on the core"
+        require(np.all(vals[inner.atoms.indices] == 1.0), "transition not 1 on the core")
         outside = AtomSet.full(domain.atom_count).difference(outer.atoms)
-        assert np.all(vals[outside.indices] == 0.0), "transition not 0 outside"
-        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        require(np.all(vals[outside.indices] == 0.0), "transition not 0 outside")
+        require(np.all((vals >= 0.0) & (vals <= 1.0)), "transition leaves [0, 1]")
         left, right = face_adjacent_pairs(domain.geometry)
         diffs = np.abs(vals[left] - vals[right])
         bound = domain.geometry.cell_size / trans.gap_width + 1e-12
         worst_urysohn = max(worst_urysohn, float(diffs.max() - bound))
-        assert diffs.max() <= bound, "transition modulus violated"
+        require(diffs.max() <= bound, "transition modulus violated")
     return {"worst_urysohn_slack": worst_urysohn}
 
 
@@ -638,21 +647,21 @@ def _check_lp_metric(ctx: SuiteContext) -> dict:
         f, g, h = (fields.random_map(domain, space, rng) for _ in range(3))
         for p in (1.0, 1.7, 2.0, 4.0, math.inf):
             d_fg = dp_distance(f, g, p)
-            assert d_fg == dp_distance(g, f, p), "D_p symmetry not exact"
-            assert dp_distance(f, f, p) == 0.0
+            require(d_fg == dp_distance(g, f, p), "D_p symmetry not exact")
+            require(dp_distance(f, f, p) == 0.0, "D_p identity not exact")
             slack = d_fg - (dp_distance(f, h, p) + dp_distance(h, g, p))
             rel = slack / max(d_fg, 1e-300)
             worst = max(worst, rel)
-            assert rel <= 1e-12, f"D_{p} triangle violated by {rel:.2e}"
+            require(rel <= 1e-12, f"D_{p} triangle violated by {rel:.2e}")
         twin = MeasurableMap(domain, space, f.values.copy())
         twin.values[-1] = g.values[-1]  # zero-weight atom may differ freely
-        assert equivalent(f, twin)
+        require(equivalent(f, twin), "null-set change broke equivalence")
         for p in (1.0, 2.0, math.inf):
-            assert dp_distance(f, twin, p) == 0.0
+            require(dp_distance(f, twin, p) == 0.0, "D_p nonzero on equivalent maps")
         other = MeasurableMap(domain, space, f.values.copy())
         other.values[0] = g.values[0]
-        assert not equivalent(f, other)
-        assert dp_distance(f, other, 2.0) > 0.0
+        require(not equivalent(f, other), "weighted change kept equivalence")
+        require(dp_distance(f, other, 2.0) > 0.0, "D_2 zero on inequivalent maps")
     return {"worst_triangle_rel": float(worst)}
 
 
@@ -672,8 +681,10 @@ def _check_lp_embedding(ctx: SuiteContext) -> dict:
             want = mu ** (1.0 / p) * d
             rel = abs(got - want) / want
             worst = max(worst, rel)
-            assert rel <= 1e-12
-        assert abs(dp_distance(fa, fb, math.inf) - d) <= 1e-12 * d
+            require(rel <= 1e-12, f"D_{p} embedding off by {rel:.2e} relative")
+        require(
+            abs(dp_distance(fa, fb, math.inf) - d) <= 1e-12 * d, "D_inf embedding not isometric"
+        )
     return {"worst_embedding_rel": float(worst)}
 
 
@@ -691,7 +702,7 @@ def _check_lp_holder_base(ctx: SuiteContext) -> dict:
             rhs = dp_distance(f, g, q) * 1.0 ** (1 / p - 1 / q)
             rel = (lhs - rhs) / max(rhs, 1e-300)
             worst_h = max(worst_h, rel)
-            assert rel <= 1e-12, "Hoelder inclusion violated"
+            require(rel <= 1e-12, "Hoelder inclusion violated")
         for p in (1.0, 2.0, 4.0):
             lhs = dp_distance(f, h2, p) ** p
             rhs = 2.0 ** (p - 1) * (
@@ -699,7 +710,7 @@ def _check_lp_holder_base(ctx: SuiteContext) -> dict:
             )
             rel = (lhs - rhs) / max(rhs, 1e-300)
             worst_b = max(worst_b, rel)
-            assert rel <= 1e-12, "base-invariance bound violated"
+            require(rel <= 1e-12, "base-invariance bound violated")
     return {"worst_holder_rel": float(worst_h), "worst_base_rel": float(worst_b)}
 
 
@@ -707,14 +718,15 @@ def _check_lp_triviality_support(ctx: SuiteContext) -> dict:
     rng = ctx.rng("trivial")
     space = ctx.space("euclidean2")
     dom_pinf = Domain(np.array([0.0, math.inf, math.inf, 0.0]))
-    assert is_trivial(dom_pinf, space)
+    require(is_trivial(dom_pinf, space), "purely infinite domain not trivial")
     h = fields.random_map(dom_pinf, space, rng)
     f = MeasurableMap(dom_pinf, space, h.values.copy())
     f.values[0] = f.values[0] + 5.0  # zero-weight atom
     for p in (1.0, 2.0, 4.0):
-        assert is_member(f, h, p) and dp_distance(f, h, p) == 0.0
-    assert not is_trivial(Domain.grid(1, 4), space)
-    assert is_trivial(Domain.grid(1, 4), make_space("simplex1"))
+        require(is_member(f, h, p) and dp_distance(f, h, p) == 0.0, "null-set change visible")
+    require(not is_trivial(Domain.grid(1, 4), space), "finite grid domain trivial")
+    one_point = make_space("simplex1")
+    require(is_trivial(Domain.grid(1, 4), one_point), "one-point target not trivial")
 
     domain = Domain(np.concatenate([[0.0], ctx.rng("supw").uniform(0.01, 2.0, 40)]))
     f = fields.random_map(domain, space, rng)
@@ -724,18 +736,18 @@ def _check_lp_triviality_support(ctx: SuiteContext) -> dict:
     d = pointwise_distance(f, h2)
     live = (d > 0) & (domain.weights > 0)
     for (nlev, mlev), atoms in pieces.items():
-        assert not seen[atoms.indices].any(), "support pieces overlap"
+        require(not seen[atoms.indices].any(), "support pieces overlap")
         seen[atoms.indices] = True
-        assert math.isfinite(measure(domain, atoms))
+        require(math.isfinite(measure(domain, atoms)), "support piece of infinite measure")
         for x in atoms.indices:
-            assert d[x] > 1.0 / nlev
-            assert nlev == 1 or d[x] <= 1.0 / (nlev - 1)
+            require(d[x] > 1.0 / nlev, "deviation level too fine")
+            require(nlev == 1 or d[x] <= 1.0 / (nlev - 1), "deviation level not minimal")
             base_d = space.distance_many(
                 h2.values[x][None], space.dense_payloads(1)[0][None]
             )[0]
-            assert base_d <= mlev, "base-boundedness level misses the target-side value"
-            assert base_d > mlev - 1 or mlev == 0, "base-boundedness level is not minimal"
-    assert np.array_equal(np.nonzero(seen)[0], np.nonzero(live)[0])
+            require(base_d <= mlev, "base-boundedness level misses the target-side value")
+            require(base_d > mlev - 1 or mlev == 0, "base-boundedness level is not minimal")
+    require(np.array_equal(np.nonzero(seen)[0], np.nonzero(live)[0]), "pieces miss the support")
     return {"n_pieces": len(pieces)}
 
 
@@ -746,13 +758,13 @@ def _check_approx_countable(ctx: SuiteContext) -> dict:
     f = fields.smooth_field(domain, space, rng)
     eps = 0.2
     simple, report = quantize.countable_quantize(f, eps)
-    assert report.achieved_error < eps
-    assert simple.range_size <= domain.atom_count
+    require(report.achieved_error < eps, "sup error over budget")
+    require(simple.range_size <= domain.atom_count, "range larger than the domain")
     half = AtomSet.from_mask(np.arange(domain.atom_count) < domain.atom_count // 2)
     out2, rep2 = quantize.countable_quantize(
         f, eps, pieces=[half, half.complement()], p=2.0
     )
-    assert rep2.achieved_error < eps
+    require(rep2.achieved_error < eps, "sigma-finite error over budget")
     return {"sup_error": report.achieved_error, "sigma_error": rep2.achieved_error}
 
 
@@ -769,9 +781,9 @@ def _check_approx_almost_simple(ctx: SuiteContext) -> dict:
         for p in (1.0, 2.0):
             eps = 0.3
             simple, report = quantize.almost_simple_approx(f, h, p, eps)
-            assert report.achieved_error < eps, f"{name} p={p}: error too large"
+            require(report.achieved_error < eps, f"{name} p={p}: error too large")
             for step, err in report.step_breakdown.items():
-                assert err < eps / 3, f"{name} p={p}: {step} overspent"
+                require(err < eps / 3, f"{name} p={p}: {step} overspent")
             metrics[f"{name}_p{p}_error"] = report.achieved_error
             metrics[f"{name}_p{p}_range"] = report.range_size
     return metrics
@@ -787,7 +799,7 @@ def _check_approx_sup_net(ctx: SuiteContext) -> dict:
         h = MeasurableMap.constant(domain, space, Point(space.tag, f.values[0].copy()))
         eps = 0.25
         simple, report = quantize.simple_approx_sup(f, h, eps)
-        assert report.achieved_error < eps
+        require(report.achieved_error < eps, f"{name}: sup error over budget")
         metrics[f"{name}_error"] = report.achieved_error
     hist = ctx.space("histogram8")
     rng = ctx.rng("supnet-hist")
@@ -796,7 +808,7 @@ def _check_approx_sup_net(ctx: SuiteContext) -> dict:
     h = MeasurableMap.constant(domain, hist, Point(hist.tag, f.values[0].copy()))
     try:
         quantize.simple_approx_sup(f, h, 0.25)
-        raise AssertionError("histogram target accepted a sup quantization")
+        raise CheckFailedError("histogram target accepted a sup quantization")
     except CapabilityError:
         pass
     return metrics
@@ -807,12 +819,13 @@ def _check_approx_orthonormal(ctx: SuiteContext) -> dict:
     metrics = {}
     for n, k in ((4, 3), (6, 2), (6, 5)):
         rep = quantize.orthonormal_lower_bound(n, k)
-        assert rep.min_max_error >= floor - 1e-12
-        assert abs(rep.min_max_error - rep.pigeonhole_bound) <= 1e-12
+        require(rep.min_max_error >= floor - 1e-12, "error below sqrt(2)/2")
+        gap = abs(rep.min_max_error - rep.pigeonhole_bound)
+        require(gap <= 1e-12, "optimum off the pigeonhole bound")
         d_inf = dp_distance(rep.mapping, rep.best_map.to_map(), math.inf)
-        assert abs(d_inf - rep.min_max_error) <= 1e-12
+        require(abs(d_inf - rep.min_max_error) <= 1e-12, "best map misses its error")
         metrics[f"minmax_{n}_{k}"] = rep.min_max_error
-    assert quantize.orthonormal_lower_bound(4, 4).min_max_error == 0.0
+    require(quantize.orthonormal_lower_bound(4, 4).min_max_error == 0.0, "k = n not exact")
     return metrics
 
 
@@ -820,16 +833,16 @@ def _check_approx_divergence(ctx: SuiteContext) -> dict:
     const_seq, k_seq = [], []
     for n in (64, 128, 256, 512, 1024):
         rep = quantize.divergence_fixture("unbounded_base", n, 2.0, 3)
-        assert rep.best_k_error <= rep.best_constant_error + 1e-12
+        require(rep.best_k_error <= rep.best_constant_error + 1e-12, "k values worse than one")
         const_seq.append(rep.best_constant_error)
         k_seq.append(rep.best_k_error)
-    assert all(a < b for a, b in zip(const_seq, const_seq[1:])), const_seq
-    assert all(a < b for a, b in zip(k_seq, k_seq[1:])), k_seq
+    require(all(a < b for a, b in zip(const_seq, const_seq[1:])), f"{const_seq}")
+    require(all(a < b for a, b in zip(k_seq, k_seq[1:])), f"{k_seq}")
     exp_seq = []
     for t in (1, 2, 3, 4, 5):
         rep = quantize.divergence_fixture("exponential_base", t, 1.0, 3)
         exp_seq.append(rep.best_k_error)
-    assert all(a < b for a, b in zip(exp_seq, exp_seq[1:])), exp_seq
+    require(all(a < b for a, b in zip(exp_seq, exp_seq[1:])), f"{exp_seq}")
     return {"unbounded_last": const_seq[-1], "exponential_last": exp_seq[-1]}
 
 
@@ -849,20 +862,24 @@ def _check_relax_continuous(ctx: SuiteContext) -> dict:
     g, z0 = _relax_fixture_2d(ctx)
     eps, p = 0.25, 1.0
     out = relax.smooth_from_simple(g, z0, p, eps, order=0)
-    assert out.flags["guarantee_holds"], "budget flags raised on a sized fixture"
-    assert out.achieved_error < relax.error_bound(out) <= eps
+    require(out.flags["guarantee_holds"], "budget flags raised on a sized fixture")
+    require(out.achieved_error < relax.error_bound(out) <= eps, "error over its bound")
     for piece in out.pieces:
         core_vals = out.values[piece.core.indices]
-        assert np.array_equal(
-            core_vals, np.tile(piece.value, (piece.core.size, 1))
-        ), "core values not exact"
+        require(
+            np.array_equal(core_vals, np.tile(piece.value, (piece.core.size, 1))),
+            "core values not exact",
+        )
     covered = np.zeros(g.domain.atom_count, dtype=bool)
     for piece in out.pieces:
         covered[piece.region.indices] = True
     outside = out.values[~covered]
-    assert np.array_equal(outside, np.tile(out.background, (outside.shape[0], 1)))
+    require(
+        np.array_equal(outside, np.tile(out.background, (outside.shape[0], 1))),
+        "background not exact outside the regions",
+    )
     report = relax.adjacent_difference_report(out)
-    assert report["max_ratio"] <= 1.0 + 1e-9, report
+    require(report["max_ratio"] <= 1.0 + 1e-9, f"{report}")
     return {"error": out.achieved_error, "modulus_ratio": report["max_ratio"]}
 
 
@@ -876,14 +893,14 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
         cont = g.space.geodesic_many(
             order0.background, piece.value, piece.transition.values[region]
         )
-        assert np.array_equal(order0.values[region], cont), "order 0 is not bit-identical"
-    assert smooth.achieved_error < eps
+        require(np.array_equal(order0.values[region], cont), "order 0 is not bit-identical")
+    require(smooth.achieved_error < eps, "smooth error over budget")
     for piece in smooth.pieces:
-        assert piece.sup_gap <= piece.sup_gap_budget, "smooth sup budget exceeded"
+        require(piece.sup_gap <= piece.sup_gap_budget, "smooth sup budget exceeded")
     t = np.array([0.25])
-    assert float(relax.smoothstep(t, 2)[0]) == 0.103515625
-    assert relax.smoothstep_max_slope(1) == 1.5
-    assert relax.smoothstep_max_slope(2) == 1.875
+    require(float(relax.smoothstep(t, 2)[0]) == 0.103515625, "smoothstep value")
+    require(relax.smoothstep_max_slope(1) == 1.5, "smoothstep slope, order 1")
+    require(relax.smoothstep_max_slope(2) == 1.875, "smoothstep slope, order 2")
 
     space1 = ctx.space("euclidean1")
     domain1 = Domain.grid(1, 2**16)
@@ -895,14 +912,14 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
     sm1 = relax.smooth_from_simple(g1, z1, 1.0, 0.2, order=2)
     scan = relax.boundary_difference_scan(sm1)
     cell = domain1.geometry.cell_size
-    assert scan["max_boundary_first_difference"] <= 10 * cell**2, scan
-    assert scan["max_boundary_second_difference"] <= 10 * cell**2, scan
+    require(scan["max_boundary_first_difference"] <= 10 * cell**2, f"{scan}")
+    require(scan["max_boundary_second_difference"] <= 10 * cell**2, f"{scan}")
     co1 = relax.smooth_from_simple(g1, z1, 1.0, 0.2, order=0)
     scan0 = relax.boundary_difference_scan(co1)
-    assert (
-        scan["max_boundary_second_difference"]
-        < scan0["max_boundary_second_difference"]
-    ), "smoothstep did not flatten the boundary"
+    require(
+        scan["max_boundary_second_difference"] < scan0["max_boundary_second_difference"],
+        "smoothstep did not flatten the boundary",
+    )
     return {
         "error": smooth.achieved_error,
         "boundary_d2": scan["max_boundary_second_difference"],
@@ -920,13 +937,13 @@ def _check_riesz_fischer(ctx: SuiteContext) -> dict:
             spec, known = geodesic_cauchy_fixture(domain, space, rng, p=2.0)
             result = riesz_fischer_limit(spec)
             gap = dp_distance(result.limit, known, 2.0)
-            assert gap <= result.residual + 1e-9, "limit far from the known target"
+            require(gap <= result.residual + 1e-9, "limit far from the known target")
             worst = max(worst, gap)
             for n, measured, bound in result.certificates:
-                assert measured <= bound
+                require(measured <= bound, "tail certificate over its bound")
     try:
         riesz_fischer_limit(incomplete_fixture())
-        raise AssertionError("incomplete fixture produced a limit")
+        raise CheckFailedError("incomplete fixture produced a limit")
     except NonConvergenceError:
         pass
     space = ctx.space("euclidean1")
@@ -936,10 +953,10 @@ def _check_riesz_fischer(ctx: SuiteContext) -> dict:
         for j in range(40)
     ]
     picks = fast_subsequence(slow, 1.0)
-    assert len(picks) >= 4
+    require(len(picks) >= 4, "fast subsequence too short")
     for k in range(len(picks) - 1):
         gap = dp_distance(slow[picks[k]], slow[picks[k + 1]], 1.0)
-        assert gap <= 2.0 ** -(k + 1) + FAST_GAP_SLACK
+        require(gap <= 2.0 ** -(k + 1) + FAST_GAP_SLACK, "fast subsequence gap too large")
     return {"worst_limit_gap": worst, "fast_subsequence_len": len(picks)}
 
 
@@ -949,17 +966,19 @@ def _check_separability(ctx: SuiteContext) -> dict:
     rng = ctx.rng("separability")
     h = MeasurableMap.constant(domain, space, Point(space.tag, [0.0]))
     family = build_dense_family(h, gen_levels=4, val_budget=5)
-    assert family.n_cells == 16, "generators failed to isolate the cells"
+    require(family.n_cells == 16, "generators failed to isolate the cells")
     native_pairs = ((2, 1), (9, 3))
     native = member_from_pairs(family, native_pairs)
     probe = separability_probe(native, family, 2.0, 0.05)
-    assert probe.found and probe.distance == 0.0
-    assert probe.pairs == native_pairs, probe.pairs
+    require(probe.found and probe.distance == 0.0, "native member not recovered")
+    require(probe.pairs == native_pairs, f"{probe.pairs}")
 
     f = fields.smooth_field(domain, space, rng, spread=0.4)
     fam_fine = build_dense_family(h, gen_levels=4, val_budget=64)
     rep = separability_probe(f, fam_fine, 2.0, 0.05)
-    assert rep.found and rep.distance is not None and rep.distance < 0.05
+    require(
+        rep.found and rep.distance is not None and rep.distance < 0.05, "no member within eps"
+    )
 
     small_dom = Domain.grid(1, 4)
     h_small = MeasurableMap.constant(small_dom, space, Point(space.tag, [0.0]))
@@ -970,10 +989,10 @@ def _check_separability(ctx: SuiteContext) -> dict:
         eps = float(rng_t.uniform(0.2, 0.8))
         fast = separability_probe(target, fam_small, 2.0, eps)
         slow = separability_probe(target, fam_small, 2.0, eps, exhaustive=True)
-        assert fast.found == slow.found
+        require(fast.found == slow.found, "probe and enumeration disagree")
         if fast.found:
-            assert fast.pairs == slow.pairs, (fast.pairs, slow.pairs)
-            assert abs(fast.distance - slow.distance) <= 1e-12
+            require(fast.pairs == slow.pairs, f"{fast.pairs} != {slow.pairs}")
+            require(abs(fast.distance - slow.distance) <= 1e-12, "probe distances disagree")
     return {"native_distance": probe.distance, "quantized_distance": rep.distance}
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import metriclp
-from metriclp import Domain, MeasurableMap, SimpleMap, make_space
+from metriclp import Domain, MeasurableMap, SimpleMap, make_space, verify
 from metriclp.cli import EXIT_DATA, main
 from metriclp.fileio import load_any_map, load_map, save_map, save_simple_map
 
@@ -346,6 +346,36 @@ def test_verify_mutation_hook_fails(capsys):
     assert last_json(stdout)["all_pass"] is False
 
 
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that must import the metriclp
+    this process imported, whatever its cwd and however PYTHONPATH was given."""
+    src = str(Path(metriclp.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def failed_check_ids(ledger: dict) -> list[str]:
+    return [e["check_id"] for e in ledger["entries"] if e["status"] == "fail"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # injected fault -> NaN noise
+def test_verify_mutation_fails_the_same_checks_under_optimize(tmp_path):
+    """The suite checks do not rest on `assert`: python -O, which strips
+    asserts, fails the same checks on the injected fault."""
+    mutation = "negate_euclidean_distance"
+    plain = verify.run_theorem_suite(verify.SuiteConfig(seed=0, mutations=(mutation,)))
+    ledger_path = tmp_path / "ledger.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "metriclp", "verify", "--seed", "0",
+         "--mutate", mutation, "--out", str(ledger_path)],
+        capture_output=True, text=True, timeout=300, env=child_env(),
+    )
+    assert proc.returncode == 3, proc.stderr
+    optimized = failed_check_ids(json.loads(ledger_path.read_text()))
+    assert optimized == failed_check_ids(plain.as_dict())
+    assert len(optimized) == 8
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------
@@ -388,15 +418,10 @@ def test_console_script_smoke(pair_files):
     a, b = pair_files
     script = shutil.which("metriclp")
     command = [script] if script else [sys.executable, "-m", "metriclp"]
-    # The child must import the metriclp this process imported, whatever
-    # its cwd and however PYTHONPATH was given.
-    src = str(Path(metriclp.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
 
     def run(*argv):
         return subprocess.run(
-            [*command, *argv], capture_output=True, text=True, timeout=120, env=env,
+            [*command, *argv], capture_output=True, text=True, timeout=120, env=child_env(),
         )
 
     proc = run("distance", str(a), str(b), "--p", "2")

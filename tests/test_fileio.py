@@ -16,6 +16,7 @@ from metriclp import (
     equivalent,
     make_space,
 )
+from metriclp import fileio
 from metriclp.fileio import (
     jsonable,
     load_any_map,
@@ -24,6 +25,7 @@ from metriclp.fileio import (
     load_simple_map,
     save_domain,
     save_map,
+    save_report,
     save_simple_map,
 )
 
@@ -163,3 +165,28 @@ def test_jsonable_handles_reports(rng):
     blob = jsonable(report)
     text = json.dumps(blob)  # must not raise
     assert isinstance(json.loads(text), dict)
+
+
+def test_failed_replace_keeps_old_files_and_leaves_no_temporary(tmp_path, rng, monkeypatch):
+    sp = make_space("euclidean2")
+    dom = Domain(np.ones(3000))  # 6000 floats: the values go to a sidecar
+    old = MeasurableMap(dom, sp, sp.random_payloads(rng, 3000))
+    save_map(old, tmp_path / "m.json")
+    save_report({"error": 0.25}, tmp_path / "r.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["m.json", "m.json.values.bin", "r.json"]
+
+    def broken_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(fileio.os, "replace", broken_replace)
+    new = MeasurableMap(dom, sp, sp.random_payloads(rng, 3000))
+    with pytest.raises(OSError, match="replace failed"):
+        save_map(new, tmp_path / "m.json")
+    with pytest.raises(OSError, match="replace failed"):
+        save_report({"error": 0.5}, tmp_path / "r.json")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    save_map(new, tmp_path / "m.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    assert np.array_equal(load_map(tmp_path / "m.json").values, new.values)

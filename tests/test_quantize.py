@@ -36,7 +36,7 @@ from metriclp import (
     orthonormal_lower_bound,
     simple_approx_sup,
 )
-from metriclp.quantize import _best_k_error
+from metriclp.quantize import _best_k_error, _first_cover
 
 E1 = make_space("euclidean1")
 
@@ -147,6 +147,42 @@ def test_almost_simple_rejects_infinite_p(rng):
     f = line_map(dom, [0.0, 1.0])
     with pytest.raises(MetricLpError):
         almost_simple_approx(f, f, math.inf, 0.5)
+
+
+def brute_first_cover(space, values, table, radius):
+    """Reference first cover: the full pairwise distance block, then the
+    first column strictly under the radius, else -1."""
+    m, k = values.shape[0], table.shape[0]
+    if m == 0 or k == 0:
+        return np.full(m, -1)
+    left = np.repeat(values, k, axis=0)
+    right = np.tile(table, (m, 1))
+    covered = space.distance_many(left, right).reshape(m, k) < radius
+    return np.where(covered.any(axis=1), covered.argmax(axis=1), -1)
+
+
+@pytest.mark.parametrize("name", ["euclidean2", "spd2", "simplex3", "circle"])
+def test_first_cover_matches_brute_force(name, rng):
+    sp = make_space(name)
+    spread = sp.random_payloads(rng, 60)
+    centers = sp.random_payloads(rng, 4)
+    # clustered: short geodesic steps from four centers, with exact repeats
+    clustered = sp.geodesic_many(
+        centers[rng.integers(0, 4, 60)], spread, rng.uniform(0.0, 0.05, 60)
+    )
+    clustered[40:] = clustered[:20]
+    cases = [(spread[:40], spread[20:]), (clustered, clustered[::3]), (clustered, spread[:10])]
+    for values, table in cases:
+        block = sp.distance_many(np.repeat(values, len(table), axis=0), np.tile(table, (len(values), 1)))
+        # the last radius is the exact distance of value 1 to table row 0,
+        # which must not count as a cover
+        radii = [*np.quantile(block, [0.02, 0.2, 0.6]), block[len(table)]]
+        for radius in radii:
+            got = _first_cover(sp, values, table, radius)
+            assert np.array_equal(got, brute_first_cover(sp, values, table, radius)), radius
+        assert got[1] != 0
+        assert np.array_equal(_first_cover(sp, values, table[:0], 1.0), np.full(len(values), -1))
+        assert _first_cover(sp, values[:0], table, 1.0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

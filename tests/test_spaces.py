@@ -6,13 +6,14 @@ existed; derivations are restated next to each assertion.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from metriclp import CapabilityError, InvalidPointError, Point, make_space
-from metriclp.spaces import dyadic_simplex, space_from_descriptor
+from metriclp.spaces import dyadic_simplex, dyadic_tuples, space_from_descriptor
 
 from .conftest import SPACE_NAMES, flat_sym
 
@@ -174,6 +175,28 @@ def test_dyadic_simplex_prefix():
     assert np.all(pts >= 0) and np.allclose(pts.sum(axis=1), 1.0)
 
 
+def test_dyadic_enumeration_order_frozen():
+    # level 0: the vertices in lexicographic order of the integer tuples;
+    # level 1 adds the three edge midpoints, level 2 starts with the new
+    # quarter points (0,1,3)/4, (0,3,1)/4, (1,0,3)/4, (1,1,2)/4
+    assert dyadic_simplex(3, 10).tolist() == [
+        [0, 0, 1], [0, 1, 0], [1, 0, 0],
+        [0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0],
+        [0, 0.25, 0.75], [0, 0.75, 0.25], [0.25, 0, 0.75], [0.25, 0.25, 0.5],
+    ]
+    for k in (1, 2, 7):
+        assert dyadic_simplex(1, k).tolist() == [[1.0]]
+    # digests of the raw float64 bytes of the level-10 simplex3 grid (the
+    # benchmark's sup probe), the histogram8 unit probe and a 6-D prefix
+    frozen = [
+        (dyadic_simplex(3, 525825), "8c4d9f0ab94d62e3dcb7b822825c3971419826a66cc21d8f251298935ba9af86"),
+        (dyadic_simplex(8, 245157), "3653a0148b00a4d20900030495f8f6f4804a9b0733698d5307e0b4ee4315eaa2"),
+        (dyadic_tuples(6, 57), "256192d59fc867a04c0fecff29f503c2a99893fecfda570e4612b76482044014"),
+    ]
+    for arr, digest in frozen:
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, arr.shape
+
+
 # ---------------------------------------------------------------------------
 # histograms under 1-Wasserstein
 # ---------------------------------------------------------------------------
@@ -271,6 +294,9 @@ def test_dense_sequences_are_stable_prefixes(spaces):
         small = sp.dense_payloads(4)
         big = sp.dense_payloads(9)
         assert np.array_equal(big[:4], small), sp.tag
+        empty = sp.dense_payloads(0)
+        assert empty.shape == (0, sp.dim), sp.tag
+        assert np.array_equal(big[:0], empty), sp.tag
 
 
 def test_euclidean_dense_prefix_frozen():
