@@ -16,7 +16,6 @@ import numpy as np
 
 from metriclp import Domain, MeasurableMap, fields, make_space
 from metriclp.quantize import almost_simple_approx
-from metriclp.spaces import Point
 
 
 def main() -> None:
@@ -33,7 +32,7 @@ def main() -> None:
     domain = Domain.grid(2, args.grid)
     rng = np.random.default_rng(args.seed)
     f = fields.smooth_field(domain, space, rng)
-    base = MeasurableMap.constant(domain, space, Point(space.tag, f.values[0].copy()))
+    base = MeasurableMap.constant(domain, space, f.values[0])
 
     rows = []
     print(f"{args.space} field on {args.grid}x{args.grid}, p={args.p:g}")

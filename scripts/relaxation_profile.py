@@ -16,7 +16,6 @@ import numpy as np
 
 from metriclp import Domain, SimpleMap, fields, make_space
 from metriclp.relax import adjacent_difference_report, error_bound, smooth_from_simple
-from metriclp.spaces import Point
 
 
 def main() -> None:
@@ -33,7 +32,7 @@ def main() -> None:
     b2 = fields.band_labels(domain.geometry, 0.7, 0.08)
     labels = np.where(b1 == 1, 1, np.where(b2 == 1, 2, 0))
     g = SimpleMap(domain, space, labels, np.array([[0.0], [1.0], [-0.5]]))
-    background = Point(space.tag, [0.0])
+    background = [0.0]
 
     curves = {}
     for order in (0, 1, 2):

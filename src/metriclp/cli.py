@@ -27,7 +27,7 @@ from . import fields, fileio, quantize, relax, verify
 from .domain import Domain
 from .errors import MetricLpError
 from .maps import MeasurableMap, SimpleMap, dp_distance
-from .spaces import Point, make_space
+from .spaces import make_space
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,12 +57,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return len(sizes), sizes[0]
 
 
-def _parse_point(space, text: str) -> Point:
+def _parse_point(text: str) -> np.ndarray:
+    """A JSON list of numbers as a flat payload; the space that takes it
+    checks its length and values."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad point JSON {text!r}") from exc
-    return Point(space.tag, np.asarray(payload, dtype=np.float64).reshape(-1))
+        return np.asarray(json.loads(text), dtype=np.float64).reshape(-1)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad point JSON {text!r}: expected a flat list of numbers") from exc
 
 
 def _parse_p(text: str) -> float:
@@ -151,7 +152,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "constant":
         if not args.value:
             raise UsageError("--kind constant needs --value")
-        f = MeasurableMap.constant(domain, space, _parse_point(space, args.value))
+        f = MeasurableMap.constant(domain, space, _parse_point(args.value))
     else:  # piecewise -> a simple map
         labels = fields.voronoi_labels(domain.geometry, args.regions, rng)
         g = fields.simple_from_labels(domain, space, labels, rng=rng, spread=args.spread)
@@ -197,9 +198,7 @@ def _load_base(args, f: MeasurableMap) -> MeasurableMap:
     if args.base:
         return _as_map(fileio.load_any_map(args.base))
     if args.base_value:
-        return MeasurableMap.constant(
-            f.domain, f.space, _parse_point(f.space, args.base_value)
-        )
+        return MeasurableMap.constant(f.domain, f.space, _parse_point(args.base_value))
     raise UsageError("this mode needs --base or --base-value")
 
 
@@ -231,13 +230,12 @@ def _cmd_continuify(args) -> int:
     g = fileio.load_any_map(args.map)
     if not isinstance(g, SimpleMap):
         raise MetricLpError("continuify needs a simple-map file")
-    space = g.space
     if args.background:
-        z0 = _parse_point(space, args.background)
+        z0 = _parse_point(args.background)
     else:
         if g.value_table.shape[0] == 0:
             raise MetricLpError("empty value table and no --background")
-        z0 = Point(space.tag, g.value_table[0].copy())
+        z0 = g.value_table[0]
     p = _parse_p(args.p)
     out_field = relax.smooth_from_simple(g, z0, p, args.eps, order=args.order)
     out = _out_path(args, "relaxed-field.json")

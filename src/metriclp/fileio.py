@@ -123,12 +123,8 @@ def _resolve_domain(obj: dict, base_dir: Path) -> Domain:
     raise DataError("map file lacks a domain")
 
 
-def _values_to_payload(
-    values: np.ndarray, path: Path, payload: dict, sidecar: bool | None
-) -> None:
-    if sidecar is None:
-        sidecar = values.size > SIDECAR_THRESHOLD
-    if sidecar:
+def _values_to_payload(values: np.ndarray, path: Path, payload: dict) -> None:
+    if values.size > SIDECAR_THRESHOLD:
         name = path.name + ".values.bin"
         write_atomic(path.parent / name, np.ascontiguousarray(values, dtype="<f8").tobytes())
         payload["values_file"] = name
@@ -157,7 +153,6 @@ def save_map(
     f: MeasurableMap,
     path: str | os.PathLike,
     domain_path: str | os.PathLike | None = None,
-    sidecar: bool | None = None,
 ) -> None:
     """Write a mapping; `domain_path` references an already-saved domain
     file (relative to the map file) instead of inlining the domain."""
@@ -166,7 +161,7 @@ def save_map(
     payload["domain"] = (
         {"path": str(domain_path)} if domain_path else _domain_payload(f.domain)
     )
-    _values_to_payload(f.values, path, payload, sidecar)
+    _values_to_payload(f.values, path, payload)
     write_atomic(path, json.dumps(payload, indent=1))
 
 
@@ -175,6 +170,10 @@ def load_map(path: str | os.PathLike) -> MeasurableMap:
     obj = _read_json(path)
     if obj.get("kind") != "map":
         raise DataError(f"{path}: expected a map file")
+    return _map_from_obj(obj, path)
+
+
+def _map_from_obj(obj: dict, path: Path) -> MeasurableMap:
     domain = _resolve_domain(obj, path.parent)
     try:
         space = space_from_descriptor(obj["space"])
@@ -208,6 +207,10 @@ def load_simple_map(path: str | os.PathLike) -> SimpleMap:
     obj = _read_json(path)
     if obj.get("kind") != "simple_map":
         raise DataError(f"{path}: expected a simple-map file")
+    return _simple_map_from_obj(obj, path)
+
+
+def _simple_map_from_obj(obj: dict, path: Path) -> SimpleMap:
     domain = _resolve_domain(obj, path.parent)
     try:
         space = space_from_descriptor(obj["space"])
@@ -219,12 +222,14 @@ def load_simple_map(path: str | os.PathLike) -> SimpleMap:
 
 
 def load_any_map(path: str | os.PathLike) -> MeasurableMap | SimpleMap:
+    """Load a map or simple-map file, parsing it once."""
+    path = Path(path)
     obj = _read_json(path)
     kind = obj.get("kind")
     if kind == "map":
-        return load_map(path)
+        return _map_from_obj(obj, path)
     if kind == "simple_map":
-        return load_simple_map(path)
+        return _simple_map_from_obj(obj, path)
     raise DataError(f"{path}: unsupported kind {kind!r}")
 
 

@@ -11,7 +11,11 @@ D_inf is the maximum pointwise distance over atoms of positive weight
 (zero-weight atoms are null and never contribute to any D_p).
 
 Atoms are reduced in ascending index order with numpy's pairwise summation
-over a contiguous buffer, so distances are reproducible bit for bit.
+over a contiguous buffer, so distances are reproducible bit for bit.  When
+the sum overflows, or d**p or w * d**p comes out zero or subnormal on an
+atom of positive weight and distance, the sum is taken instead over those
+atoms with distances divided by their maximum (a scaled p-norm), so D_p
+stays finite and is 0 only for equivalent mappings.
 
 Two mappings are equivalent when their payloads agree exactly on every
 positive-weight atom; `near_equivalent` offers a 1e-12 tolerance variant
@@ -27,11 +31,12 @@ import numpy as np
 
 from .domain import AtomSet, Domain, is_purely_infinite, measure
 from .errors import DimensionMismatchError, DomainMismatchError, MetricLpError
-from .spaces import MetricSpace, Point
+from .spaces import MetricSpace
 
 Array = np.ndarray
 
 NEAR_EQ_TOL = 1e-12
+TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 def check_p(p: float) -> float:
@@ -56,8 +61,9 @@ class MeasurableMap:
         self.values = values
 
     @classmethod
-    def constant(cls, domain: Domain, space: MetricSpace, y: Point) -> "MeasurableMap":
-        """Embed a target point as the constant mapping at it.
+    def constant(cls, domain: Domain, space: MetricSpace, y: Array) -> "MeasurableMap":
+        """Embed a target point, given as one payload row, as the constant
+        mapping at it.
 
         For finite measure the embedding scales distances by measure(M)**(1/p):
         D_p(const_y, const_y') = d(y, y') * measure(M)**(1/p).
@@ -95,9 +101,19 @@ def dp_distance(f: MeasurableMap, g: MeasurableMap, p: float) -> float:
     inf_w = np.isinf(w)
     if np.any(inf_w & (d > 0)):
         return math.inf
-    contrib = np.where(inf_w, 0.0, w) * d**p
+    w = np.where(inf_w, 0.0, w)
+    d = np.where(w > 0, d, 0.0)  # null and infinite-weight atoms add nothing
+    with np.errstate(over="ignore"):
+        powed = d**p
+        contrib = w * powed
     total = float(np.sum(np.ascontiguousarray(contrib)))
-    return total ** (1.0 / p)
+    live = d > 0
+    if total != math.inf and not np.any(np.minimum(powed, contrib)[live] < TINY):
+        return total ** (1.0 / p)
+    # Scaled p-norm (Blue 1978): the plain sum overflowed or lost a live
+    # term, so divide the distances by their maximum before the power.
+    scale = float(d.max())
+    return scale * float(np.sum(w * (d / scale) ** p)) ** (1.0 / p)
 
 
 def is_member(f: MeasurableMap, h: MeasurableMap, p: float) -> bool:

@@ -40,7 +40,7 @@ from .maps import (
     pointwise_distance,
     restrict,
 )
-from .spaces import EuclideanSpace, MetricSpace, Point
+from .spaces import EuclideanSpace, MetricSpace
 
 Array = np.ndarray
 
@@ -311,11 +311,9 @@ def simple_approx_sup(
         out = SimpleMap(f.domain, f.space, labels, np.zeros((0, f.space.dim)), BASE_LABEL)
         return out, ApproxReport(math.inf, eps, 0.0, 0, 0.0)
     center_idx = int(np.nonzero(live)[0][0])
-    center = Point(f.space.tag, f.values[center_idx].copy())
+    center = f.values[center_idx]
     radius = float(
-        f.space.distance_many(
-            f.values[live], np.broadcast_to(center.payload, f.values[live].shape)
-        ).max()
+        f.space.distance_many(f.values[live], np.broadcast_to(center, f.values[live].shape)).max()
     )
     table = f.space.epsilon_net(center, radius, eps)
     labels = _first_cover(f.space, f.values, table, eps)

@@ -41,7 +41,7 @@ from .domain import (
 )
 from .errors import CapabilityError, GeometryError, MetricLpError
 from .maps import MeasurableMap, SimpleMap, check_p, dp_distance
-from .spaces import MetricSpace, Point
+from .spaces import MetricSpace
 
 Array = np.ndarray
 
@@ -114,7 +114,7 @@ class ContinuousField:
 
 
 def smooth_from_simple(
-    g: SimpleMap, background: Point, p: float, eps: float, order: int = 2
+    g: SimpleMap, background: Array, p: float, eps: float, order: int = 2
 ) -> ContinuousField:
     """Relax a simple map on a grid domain into a continuous field.
 

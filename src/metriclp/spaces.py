@@ -5,7 +5,8 @@ as (atoms, payload_dim) arrays and distances evaluated in batch.
 
 Conventions
 -----------
-- A point is a pair (space tag, payload).  Payload layouts:
+- A point is a flat float64 payload of length `dim`; a stack of points is
+  an (m, dim) array.  Payload layouts:
     euclidean d   : the d coordinates
     spd n         : row-major n x n symmetric positive-definite matrix
     simplex d     : d nonnegative weights summing to 1
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,27 +51,6 @@ TWO_PI = 2.0 * math.pi
 # radius, and greedy insertion stops once every probe is strictly covered.
 NET_PROBE_FRACTION = 8
 NET_PROBE_CAP = 2_000_000
-
-
-@dataclass(eq=False)
-class Point:
-    """A single element of a target space: tag plus flat payload."""
-
-    space: str
-    payload: Array
-
-    def __post_init__(self):
-        self.payload = np.asarray(self.payload, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(self.payload)):
-            raise InvalidPointError("payload entries must be finite")
-
-    def __eq__(self, other):
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.payload, other.payload)
-
-    def __repr__(self):
-        return f"Point({self.space!r}, {np.array2string(self.payload, precision=6)})"
 
 
 def _lex_greater(a: Array, b: Array) -> Array:
@@ -171,7 +150,7 @@ class MetricSpace:
     """Shared behaviour for all concrete targets.
 
     Subclasses implement `_distance_many` and friends on stacked payload
-    arrays; the scalar Point API wraps those.
+    arrays; a single point is one payload row.
     """
 
     tag: str = "abstract"
@@ -198,10 +177,9 @@ class MetricSpace:
     def _check_valid(self, flat: Array) -> None:
         """Space-specific payload constraints; flat is (m, dim)."""
 
-    def check_point(self, p: Point) -> Array:
-        if p.space != self.tag:
-            raise DimensionMismatchError(f"point tagged {p.space!r} in space {self.tag!r}")
-        return self.check_payload(p.payload)
+    def check_point(self, payload: Array) -> Array:
+        """Validate a single payload, flattened to shape (dim,)."""
+        return self.check_payload(np.asarray(payload, dtype=np.float64).reshape(-1))
 
     @property
     def single_point(self) -> bool:
@@ -224,10 +202,6 @@ class MetricSpace:
         if a.shape[1] == 0:
             return np.zeros(a.shape[0])
         return self._distance_many(a, b)
-
-    def distance(self, a: Point, b: Point) -> float:
-        pa, pb = self.check_point(a), self.check_point(b)
-        return float(self.distance_many(pa[None, :], pb[None, :])[0])
 
     def _distance_many(self, a: Array, b: Array) -> Array:
         raise NotImplementedError
@@ -255,13 +229,6 @@ class MetricSpace:
             out[at1] = b[at1]
         return out
 
-    def geodesic_point(self, a: Point, b: Point, t: float) -> Point:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("geodesic parameter must lie in [0, 1]")
-        pa, pb = self.check_point(a), self.check_point(b)
-        out = self.geodesic_many(pa[None, :], pb[None, :], np.array([t]))[0]
-        return Point(self.tag, out)
-
     def _geodesic_many(self, a: Array, b: Array, t: Array) -> Array:
         raise NotImplementedError
 
@@ -279,7 +246,7 @@ class MetricSpace:
 
     # -- epsilon nets ---------------------------------------------------------
 
-    def epsilon_net(self, center: Point, radius: float, eps: float) -> Array:
+    def epsilon_net(self, center: Array, radius: float, eps: float) -> Array:
         """Greedy finite net, as a (k, dim) payload array, whose open
         eps-balls cover the closed ball; row 0 is the center.
 
@@ -301,7 +268,7 @@ class MetricSpace:
         if radius == 0:
             return np.array([c])
         spacing = eps / NET_PROBE_FRACTION
-        probes = self.probe_ball(center, radius, spacing)
+        probes = self.probe_ball(c, radius, spacing)
         net = [c]
         dist = self.distance_many(probes, np.broadcast_to(c, probes.shape))
         while dist.size and dist.max() >= eps - spacing:
@@ -312,8 +279,9 @@ class MetricSpace:
             )
         return np.array(net)
 
-    def probe_ball(self, center: Point, radius: float, spacing: float) -> Array:
-        """Documented finite probe grid for the closed ball B(center, radius)."""
+    def probe_ball(self, center: Array, radius: float, spacing: float) -> Array:
+        """Documented finite probe grid for the closed ball B(center, radius);
+        `center` is a validated (dim,) payload."""
         raise CapabilityError(f"{self.tag}: no probe grid")
 
     # -- misc -----------------------------------------------------------------
@@ -364,16 +332,15 @@ class EuclideanSpace(MetricSpace):
         return dyadic_tuples(self.dim, k)
 
     def probe_ball(self, center, radius, spacing):
-        c = self.check_point(center)
         h = spacing / math.sqrt(self.dim)
         n_axis = int(math.ceil(2 * radius / h)) + 1
         if n_axis**self.dim > NET_PROBE_CAP:
             raise CapabilityError(
                 f"{self.tag}: probe grid would need {n_axis}^{self.dim} nodes"
             )
-        axes = [np.linspace(c[i] - radius, c[i] + radius, n_axis) for i in range(self.dim)]
+        axes = [np.linspace(ci - radius, ci + radius, n_axis) for ci in center]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        keep = np.linalg.norm(grid - c, axis=1) <= radius
+        keep = np.linalg.norm(grid - center, axis=1) <= radius
         return grid[keep]
 
     def unit_probe(self):
@@ -529,8 +496,7 @@ class SpdSpace(MetricSpace):
         is shrunk by the hyperbolic comparison factor sinh(r')/r' with
         r' = radius / sqrt(2) to keep the image grid fine enough.
         """
-        c = self.check_point(center)
-        cm = c.reshape(self.n, self.n)
+        cm = center.reshape(self.n, self.n)
         wc, vc = np.linalg.eigh(cm)
         sqrt_c = (vc * np.sqrt(wc)) @ vc.T
         n_free = self.n * (self.n + 1) // 2
@@ -548,7 +514,7 @@ class SpdSpace(MetricSpace):
         return self._flat_sym(sqrt_c[None] @ inner @ sqrt_c[None])
 
     def unit_probe(self):
-        return self.probe_ball(Point(self.tag, np.eye(self.n).reshape(-1)), 1.0, 0.35)
+        return self.probe_ball(np.eye(self.n).reshape(-1), 1.0, 0.35)
 
     def random_payloads(self, rng, m, spread=1.0):
         coords = spread * rng.standard_normal((m, self.n * (self.n + 1) // 2)) * 0.5
@@ -629,7 +595,6 @@ class SimplexSpace(MetricSpace):
         Neighbouring level-l grid points are at Fisher-Rao distance at most
         pi * sqrt(2) * 2**(-l/2), which picks the level.
         """
-        c = self.check_point(center)
         level = max(0, math.ceil(2 * math.log2(math.pi * math.sqrt(2) / spacing)))
         count = math.comb(2**level + self.dim - 1, self.dim - 1)
         while count > NET_PROBE_CAP and level > 0:
@@ -638,7 +603,7 @@ class SimplexSpace(MetricSpace):
         if count > NET_PROBE_CAP:
             raise CapabilityError(f"{self.tag}: probe grid too large")
         grid = dyadic_simplex(self.dim, count)
-        d = self.distance_many(grid, np.broadcast_to(c, grid.shape))
+        d = self.distance_many(grid, np.broadcast_to(center, grid.shape))
         return grid[d <= radius]
 
     def unit_probe(self):
@@ -760,7 +725,7 @@ class CircleSpace(MetricSpace):
         return np.array(out[:k])[:, None]
 
     def probe_ball(self, center, radius, spacing):
-        c = float(self.check_point(center)[0])
+        c = float(center[0])
         span = min(radius, math.pi)
         m = int(math.ceil(2 * span / spacing)) + 1
         ang = np.mod(np.linspace(c - span, c + span, m), TWO_PI)

@@ -49,7 +49,7 @@ from .maps import (
     is_trivial,
     pointwise_distance,
 )
-from .spaces import Point, make_space
+from .spaces import make_space
 
 Array = np.ndarray
 
@@ -212,7 +212,7 @@ def incomplete_fixture() -> CauchySequenceSpec:
             v = math.floor(alpha * 2**n) / 2**n
         else:
             v = high if n % 2 else low
-        return MeasurableMap.constant(domain, space, Point(space.tag, [v]))
+        return MeasurableMap.constant(domain, space, [v])
 
     return CauchySequenceSpec(p=2.0, prefix=[term(n) for n in range(1, 13)], generator=term)
 
@@ -558,7 +558,7 @@ def _check_space_dense(ctx: SuiteContext) -> dict:
 
 def _check_space_nets(ctx: SuiteContext) -> dict:
     space = ctx.space("euclidean2")
-    center = Point(space.tag, [0.0, 0.0])
+    center = np.zeros(2)
     net = space.epsilon_net(center, 1.0, 0.4)
     probes = space.probe_ball(center, 1.0, 0.05)
     (radius,) = _covering_radii(space, probes, net, (len(net),))
@@ -569,14 +569,14 @@ def _check_space_nets(ctx: SuiteContext) -> dict:
     # fourth -- greedy never returns 3 here.  Margins of 0.3 keep both
     # assertions clear of the probe-grid spacing (~eps/4).
     circle = ctx.space("circle")
-    north = Point("circle", [0.0])
+    north = [0.0]
     net2 = circle.epsilon_net(north, math.pi, math.pi / 2 + 0.3)
     require(len(net2) == 2, f"circle net size {len(net2)} != 2")
     net4 = circle.epsilon_net(north, math.pi, math.pi / 2 - 0.3)
     require(len(net4) == 4, f"circle net size {len(net4)} != 4")
     hist = ctx.space("histogram8")
     try:
-        hist.epsilon_net(Point(hist.tag, np.full(8, 1 / 8)), 1.0, 0.1)
+        hist.epsilon_net(np.full(8, 1 / 8), 1.0, 0.1)
         raise CheckFailedError("histogram accepted an epsilon net request")
     except CapabilityError:
         pass
@@ -672,9 +672,8 @@ def _check_lp_embedding(ctx: SuiteContext) -> dict:
     for mu in (0.5, 1.0, 4.0):
         domain = Domain(np.full(16, mu / 16))
         pts = space.random_payloads(rng, 2)
-        a, b = Point(space.tag, pts[0]), Point(space.tag, pts[1])
-        fa = MeasurableMap.constant(domain, space, a)
-        fb = MeasurableMap.constant(domain, space, b)
+        fa = MeasurableMap.constant(domain, space, pts[0])
+        fb = MeasurableMap.constant(domain, space, pts[1])
         d = space.distance_many(pts[0][None], pts[1][None])[0]
         for p in (1.0, 2.0, 4.0):
             got = dp_distance(fa, fb, p)
@@ -775,9 +774,7 @@ def _check_approx_almost_simple(ctx: SuiteContext) -> dict:
         rng = ctx.rng(f"almost-{name}")
         domain = Domain.grid(2, 24)
         f = fields.smooth_field(domain, space, rng)
-        h = MeasurableMap.constant(
-            domain, space, Point(space.tag, space.random_payloads(rng, 1)[0])
-        )
+        h = MeasurableMap.constant(domain, space, space.random_payloads(rng, 1)[0])
         for p in (1.0, 2.0):
             eps = 0.3
             simple, report = quantize.almost_simple_approx(f, h, p, eps)
@@ -796,7 +793,7 @@ def _check_approx_sup_net(ctx: SuiteContext) -> dict:
         rng = ctx.rng(f"supnet-{name}")
         domain = Domain.grid(2, 12)
         f = fields.smooth_field(domain, space, rng)
-        h = MeasurableMap.constant(domain, space, Point(space.tag, f.values[0].copy()))
+        h = MeasurableMap.constant(domain, space, f.values[0])
         eps = 0.25
         simple, report = quantize.simple_approx_sup(f, h, eps)
         require(report.achieved_error < eps, f"{name}: sup error over budget")
@@ -805,7 +802,7 @@ def _check_approx_sup_net(ctx: SuiteContext) -> dict:
     rng = ctx.rng("supnet-hist")
     domain = Domain.grid(2, 6)
     f = fields.random_map(domain, hist, rng)
-    h = MeasurableMap.constant(domain, hist, Point(hist.tag, f.values[0].copy()))
+    h = MeasurableMap.constant(domain, hist, f.values[0])
     try:
         quantize.simple_approx_sup(f, h, 0.25)
         raise CheckFailedError("histogram target accepted a sup quantization")
@@ -854,7 +851,7 @@ def _relax_fixture_2d(ctx: SuiteContext):
     )
     table = np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.45]])
     g = fields.simple_from_labels(domain, space, labels, table)
-    z0 = Point(space.tag, [0.0, 0.0])
+    z0 = [0.0, 0.0]
     return g, z0
 
 
@@ -908,7 +905,7 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
     g1 = fields.simple_from_labels(
         domain1, space1, labels1, np.array([[0.0], [1.0]])
     )
-    z1 = Point(space1.tag, [0.0])
+    z1 = [0.0]
     sm1 = relax.smooth_from_simple(g1, z1, 1.0, 0.2, order=2)
     scan = relax.boundary_difference_scan(sm1)
     cell = domain1.geometry.cell_size
@@ -949,7 +946,7 @@ def _check_riesz_fischer(ctx: SuiteContext) -> dict:
     space = ctx.space("euclidean1")
     domain = Domain(np.full(4, 0.25))
     slow = [
-        MeasurableMap.constant(domain, space, Point("euclidean1", [1.0 / (j + 1)]))
+        MeasurableMap.constant(domain, space, [1.0 / (j + 1)])
         for j in range(40)
     ]
     picks = fast_subsequence(slow, 1.0)
@@ -964,7 +961,7 @@ def _check_separability(ctx: SuiteContext) -> dict:
     space = ctx.space("euclidean1")
     domain = Domain.grid(1, 16)
     rng = ctx.rng("separability")
-    h = MeasurableMap.constant(domain, space, Point(space.tag, [0.0]))
+    h = MeasurableMap.constant(domain, space, [0.0])
     family = build_dense_family(h, gen_levels=4, val_budget=5)
     require(family.n_cells == 16, "generators failed to isolate the cells")
     native_pairs = ((2, 1), (9, 3))
@@ -981,7 +978,7 @@ def _check_separability(ctx: SuiteContext) -> dict:
     )
 
     small_dom = Domain.grid(1, 4)
-    h_small = MeasurableMap.constant(small_dom, space, Point(space.tag, [0.0]))
+    h_small = MeasurableMap.constant(small_dom, space, [0.0])
     fam_small = build_dense_family(h_small, gen_levels=2, val_budget=3)
     for trial in range(3):
         rng_t = ctx.rng(f"sep-oracle-{trial}")

@@ -40,7 +40,6 @@ from metriclp.relax import (
     error_bound,
     smooth_from_simple,
 )
-from metriclp.spaces import Point
 from metriclp.verify import (
     build_dense_family,
     geodesic_cauchy_fixture,
@@ -138,8 +137,8 @@ def test_criterion_02_constant_embedding_isometry():
         for mu in (0.5, 1.0, 4.0):
             dom = Domain(np.full(16, mu / 16))
             for i in range(pairs_per_space):
-                fa = MeasurableMap.constant(dom, sp, Point(sp.tag, P[i].copy()))
-                fb = MeasurableMap.constant(dom, sp, Point(sp.tag, Q[i].copy()))
+                fa = MeasurableMap.constant(dom, sp, P[i])
+                fb = MeasurableMap.constant(dom, sp, Q[i])
                 for p in FINITE_P:
                     got = dp_distance(fa, fb, p)
                     want = mu ** (1.0 / p) * d[i]
@@ -161,7 +160,7 @@ def test_criterion_03_almost_simple_density():
     for name in ("spd2", "simplex3"):
         sp = make_space(name)
         f = fields.smooth_field(dom, sp, np.random.default_rng([33, hash(name) % 2**32]))
-        h = MeasurableMap.constant(dom, sp, Point(sp.tag, f.values[0].copy()))
+        h = MeasurableMap.constant(dom, sp, f.values[0])
         for p in (1.0, 2.0):
             for eps in (0.5, 0.1, 0.02):
                 g, rep = almost_simple_approx(f, h, p, eps)
@@ -186,7 +185,7 @@ def test_criterion_04_sup_density_and_refusal():
     for name in ("circle", "euclidean2"):
         sp = make_space(name)
         f = fields.smooth_field(dom, sp, np.random.default_rng([44, hash(name) % 2**32]))
-        h = MeasurableMap.constant(dom, sp, Point(sp.tag, f.values[0].copy()))
+        h = MeasurableMap.constant(dom, sp, f.values[0])
         for eps in (0.3, 0.1):
             g, rep = simple_approx_sup(f, h, eps)
             assert rep.achieved_error < eps, (name, eps)
@@ -194,7 +193,7 @@ def test_criterion_04_sup_density_and_refusal():
             assert g.range_size <= rep.step_breakdown["net_size"]
     sp = make_space("histogram8")
     f = fields.smooth_field(dom, sp, np.random.default_rng(44))
-    h = MeasurableMap.constant(dom, sp, Point(sp.tag, f.values[0].copy()))
+    h = MeasurableMap.constant(dom, sp, f.values[0])
     with pytest.raises(CapabilityError):
         simple_approx_sup(f, h, 0.3)
 
@@ -253,7 +252,7 @@ def two_band_fixture(cells: int = 4096):
     b2 = fields.band_labels(geo, 0.675, 0.075)
     labels = np.where(b1 == 1, 1, np.where(b2 == 1, 2, 0))
     table = np.array([[0.0], [0.4], [-0.4]])
-    return SimpleMap(dom, sp, labels, table), Point(sp.tag, [0.0])
+    return SimpleMap(dom, sp, labels, table), np.array([0.0])
 
 
 def five_disk_fixture(cells: int = 128):
@@ -263,7 +262,7 @@ def five_disk_fixture(cells: int = 128):
     labels = fields.disk_labels(dom.geometry, centers, np.full(5, 0.08))
     ang = 2 * np.pi * np.arange(5) / 5
     table = np.vstack([[0.0, 0.0], 0.4 * np.stack([np.cos(ang), np.sin(ang)], axis=1)])
-    return SimpleMap(dom, sp, labels, table), Point(sp.tag, [0.0, 0.0])
+    return SimpleMap(dom, sp, labels, table), np.array([0.0, 0.0])
 
 
 def check_relaxation(field, g, z0, eps, p=1.0):
@@ -280,7 +279,7 @@ def check_relaxation(field, g, z0, eps, p=1.0):
     outside = ~in_any_region
     assert np.array_equal(
         field.values[outside],
-        np.broadcast_to(z0.payload, field.values[outside].shape),
+        np.broadcast_to(z0, field.values[outside].shape),
     )  # background exact
     report = adjacent_difference_report(field)
     assert report["max_ratio"] <= 1.0 + 1e-9
@@ -323,7 +322,7 @@ def test_criterion_08_boundary_flatness():
     dom = Domain.grid(1, cells)
     labels = fields.band_labels(dom.geometry, 0.5, 0.09)
     g = SimpleMap(dom, sp, labels, np.array([[0.0], [1.0]]))
-    field = smooth_from_simple(g, Point(sp.tag, [0.0]), 1.0, 0.2, order=2)
+    field = smooth_from_simple(g, np.array([0.0]), 1.0, 0.2, order=2)
     scan = boundary_difference_scan(field)
     cap = 10.0 * scan["cell_size"] ** 2
     assert scan["max_boundary_first_difference"] <= cap
@@ -365,7 +364,7 @@ def test_criterion_10_separability_probe():
     maps are found exactly at distance zero."""
     sp = make_space("euclidean1")
     dom = Domain.grid(1, 16)
-    h = MeasurableMap.constant(dom, sp, Point(sp.tag, [0.0]))
+    h = MeasurableMap.constant(dom, sp, np.array([0.0]))
     family = build_dense_family(h, gen_levels=4, val_budget=64)
     assert family.n_cells == 16
 

@@ -264,6 +264,45 @@ def test_continuify_rejects_plain_map(tmp_path, capsys, rng):
 
 
 # ---------------------------------------------------------------------------
+# point flags
+# ---------------------------------------------------------------------------
+
+
+def point_flag_argv(tmp_path, rng, flag: str) -> list[str]:
+    """A euclidean1 command line that takes `flag`, its value left off."""
+    if flag == "--value":
+        return ["gen", "--kind", "constant", "--space", "euclidean1", "--grid", "4",
+                "--out", str(tmp_path / "c.json")]
+    if flag == "--background":
+        return ["continuify", str(make_band_simple(tmp_path)), "--eps", "0.3",
+                "--out", str(tmp_path / "r.json")]
+    f = MeasurableMap(Domain(np.ones(4)), make_space("euclidean1"), rng.normal(size=(4, 1)))
+    save_map(f, tmp_path / "f.json")
+    return ["quantize", str(tmp_path / "f.json"), "--mode", "almost-simple", "--eps", "0.5",
+            "--out", str(tmp_path / "q.json")]
+
+
+POINT_FLAGS = ["--base-value", "--background", "--value"]
+
+
+@pytest.mark.parametrize("flag", POINT_FLAGS)
+@pytest.mark.parametrize("text", ['"abc"', "[[1,0],[0]]", '[1,0,0,"x"]', '{"a":1}'])
+def test_point_flag_not_a_flat_number_list_is_usage_error(tmp_path, capsys, rng, flag, text):
+    code, _, err = run_cli(capsys, *point_flag_argv(tmp_path, rng, flag), flag, text)
+    assert code == 1
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", POINT_FLAGS)
+@pytest.mark.parametrize("text", ["[NaN]", "[Infinity]", "[1, 2]"])
+def test_point_flag_non_finite_or_wrong_length_is_data_error(tmp_path, capsys, rng, flag, text):
+    code, _, err = run_cli(capsys, *point_flag_argv(tmp_path, rng, flag), flag, text)
+    assert code == EXIT_DATA
+    assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
 # config file defaults
 # ---------------------------------------------------------------------------
 
@@ -429,3 +468,27 @@ def test_console_script_smoke(pair_files):
     assert json.loads(proc.stdout)["distances"]["2"] == 5.0
     missing = run("distance", str(a.parent / "missing.json"), str(b))
     assert missing.returncode == EXIT_DATA, missing.stderr
+
+
+# ---------------------------------------------------------------------------
+# demo scripts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("quantization_report.py", ["--grid", "8", "--eps", "0.5"]),
+        ("relaxation_profile.py", ["--cells", "256", "--csv-out", "{tmp}/profile.csv"]),
+    ],
+)
+def test_demo_script_runs(tmp_path, script, args):
+    """The scripts import the public API, so a removed name breaks them."""
+    path = Path(metriclp.__file__).parents[2] / "scripts" / script
+    argv = [a.format(tmp=tmp_path) for a in args]
+    proc = subprocess.run(
+        [sys.executable, str(path), *argv],
+        capture_output=True, text=True, timeout=300, env=child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -19,7 +19,6 @@ from metriclp import (
     DomainMismatchError,
     MeasurableMap,
     MetricLpError,
-    Point,
     SimpleMap,
     differing_support,
     distance_to_base_field,
@@ -108,6 +107,23 @@ def test_dp_zero_iff_equivalent(spaces, rng):
         assert equivalent(f, twin) and not equivalent(f, other)
 
 
+@pytest.mark.filterwarnings("error")
+def test_dp_large_p_tiny_distance_stays_positive():
+    """d**200 underflows at d = 1e-3; the scaled sum keeps D_p = d."""
+    dom = Domain(np.ones(1))
+    f, g = line_map(dom, [0.0]), line_map(dom, [1e-3])
+    assert not equivalent(f, g)
+    assert dp_distance(f, g, 200.0) == pytest.approx(1e-3, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dp_large_p_huge_distance_stays_finite():
+    """d**400 overflows at d = 10; the scaled sum gives D_p = d, silently."""
+    dom = Domain(np.ones(1))
+    f, g = line_map(dom, [0.0]), line_map(dom, [10.0])
+    assert dp_distance(f, g, 400.0) == pytest.approx(10.0, rel=1e-15)
+
+
 def test_near_equivalent_tolerance():
     dom = Domain(np.array([1.0]))
     f = line_map(dom, [0.0])
@@ -122,8 +138,8 @@ def test_near_equivalent_tolerance():
 
 def test_constant_embed_frozen_six():
     dom = Domain(np.full(8, 0.5))  # measure 4
-    f = MeasurableMap.constant(dom, E1, Point("euclidean1", [0.0]))
-    g = MeasurableMap.constant(dom, E1, Point("euclidean1", [3.0]))
+    f = MeasurableMap.constant(dom, E1, np.array([0.0]))
+    g = MeasurableMap.constant(dom, E1, np.array([3.0]))
     assert dp_distance(f, g, 2.0) == pytest.approx(6.0, rel=1e-15)  # 3 * 4**(1/2)
     assert dp_distance(f, g, 1.0) == pytest.approx(12.0, rel=1e-15)
     assert dp_distance(f, g, math.inf) == 3.0  # scaling-free
@@ -134,8 +150,8 @@ def test_constant_embed_isometry_random(spaces, rng):
     mu = float(dom.weights.sum())
     for sp in spaces.values():
         y, z = sp.random_payloads(rng, 2)
-        f = MeasurableMap.constant(dom, sp, Point(sp.tag, y))
-        g = MeasurableMap.constant(dom, sp, Point(sp.tag, z))
+        f = MeasurableMap.constant(dom, sp, y)
+        g = MeasurableMap.constant(dom, sp, z)
         d = sp.distance_many(y[None], z[None])[0]
         for p in (1.0, 1.5, 2.0, 4.0):
             assert dp_distance(f, g, p) == pytest.approx(d * mu ** (1 / p), rel=1e-12)

@@ -68,6 +68,44 @@ def test_dp_metric_axioms(name, seed, p, n):
     assert dp_distance(f, twin, p) == 0.0 and equivalent(f, twin)
 
 
+# One atom: its kind, log10 of its pointwise distance, and its weight.  A
+# "live" atom has positive weight and distance, an "equal" one positive
+# weight and distance 0, a "null" one weight 0 and a positive distance,
+# an "infinite" one infinite weight and distance 0.
+DP_ATOM = st.tuples(
+    st.sampled_from(["live", "live", "live", "equal", "null", "infinite"]),
+    st.floats(-6.0, 3.0),
+    st.floats(0.01, 100.0),
+)
+
+
+def log_sum_exp_dp(w, d, p):
+    """D_p through logs: exp((1/p) log sum exp(log w + p log d)) over the
+    atoms of positive weight and distance, free of over- and underflow."""
+    live = (w > 0) & (d > 0)
+    if not live.any():
+        return 0.0
+    logs = np.log(w[live]) + p * np.log(d[live])
+    top = float(logs.max())
+    return math.exp((top + math.log(math.fsum(np.exp(logs - top)))) / p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no over- or underflow noise
+@given(p=st.floats(1.0, 1e3), atoms=st.lists(DP_ATOM, min_size=1, max_size=6))
+def test_dp_matches_log_sum_exp_over_wide_spreads(p, atoms):
+    kinds, log_d, weights = zip(*atoms)
+    sp = make_space("euclidean1")
+    offsets = [10.0**x if k in ("live", "null") else 0.0 for k, x in zip(kinds, log_d)]
+    w = [{"null": 0.0, "infinite": math.inf}.get(k, x) for k, x in zip(kinds, weights)]
+    dom = Domain(np.array(w))
+    f = MeasurableMap(dom, sp, np.zeros((len(atoms), 1)))
+    g = MeasurableMap(dom, sp, np.array(offsets)[:, None])
+    got = dp_distance(f, g, p)
+    want = log_sum_exp_dp(dom.weights, sp.distance_many(f.values, g.values), p)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert (got == 0.0) == equivalent(f, g)
+
+
 @given(name=SPACE, seed=SEEDS, p=P_ALL, n=st.integers(2, 8))
 def test_restrict_is_a_contraction(name, seed, p, n):
     dom, sp, (f, g) = random_maps(name, seed, n, 2)

@@ -18,7 +18,6 @@ from metriclp import (
     Domain,
     GeometryError,
     MetricLpError,
-    Point,
     SimpleMap,
     adjacent_difference_report,
     boundary_difference_scan,
@@ -33,8 +32,8 @@ from metriclp import (
 
 E1 = make_space("euclidean1")
 E2 = make_space("euclidean2")
-ORIGIN1 = Point("euclidean1", [0.0])
-ORIGIN2 = Point("euclidean2", [0.0, 0.0])
+ORIGIN1 = np.array([0.0])
+ORIGIN2 = np.array([0.0, 0.0])
 
 
 def band_fixture(cells=512, half_width=0.12, y=1.0):
@@ -171,7 +170,7 @@ def test_smooth_order_zero_bit_identical_to_continuous():
     labels = fields.disk_labels(dom.geometry, centers, np.array([0.15, 0.2]))
     table = np.array([[1.0, 0, 0, 1], [2.0, 0.5, 0.5, 1], [0.5, 0, 0, 3]])
     disks = SimpleMap(dom, spd2, labels, table)
-    cases = [(band_fixture(), ORIGIN1), (disks, Point(spd2.tag, [1.0, 0, 0, 1]))]
+    cases = [(band_fixture(), ORIGIN1), (disks, np.array([1.0, 0, 0, 1]))]
     for g, z0 in cases:
         field = smooth_from_simple(g, z0, 1.0, 0.2, order=0)
         assert field.pieces, g.space.tag
@@ -245,7 +244,7 @@ def test_relax_requires_geodesics():
     dom = Domain.grid(1, 8)
     g = SimpleMap(dom, sp, np.zeros(8, dtype=np.int64), np.array([[0.0]]))
     with pytest.raises(CapabilityError):
-        smooth_from_simple(g, Point(sp.tag, [0.0]), 1.0, 0.2, order=0)
+        smooth_from_simple(g, np.array([0.0]), 1.0, 0.2, order=0)
 
 
 def test_relax_rejects_base_flagged_atoms():

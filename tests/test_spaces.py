@@ -12,7 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from metriclp import CapabilityError, InvalidPointError, Point, make_space
+from metriclp import (
+    CapabilityError,
+    DimensionMismatchError,
+    Domain,
+    InvalidPointError,
+    MeasurableMap,
+    SimpleMap,
+    make_space,
+    smooth_from_simple,
+)
 from metriclp.spaces import dyadic_simplex, dyadic_tuples, space_from_descriptor
 
 from .conftest import SPACE_NAMES, flat_sym
@@ -214,7 +223,7 @@ def test_histogram_dirac_transport():
 def test_histogram_refuses_epsilon_net():
     sp = make_space("histogram8")
     with pytest.raises(CapabilityError):
-        sp.epsilon_net(Point(sp.tag, np.full(8, 1.0 / 8.0)), 1.0, 0.1)
+        sp.epsilon_net(np.full(8, 1.0 / 8.0), 1.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +246,7 @@ def test_circle_net_sizes_bracket_half_pi():
     dominate the probe-grid spacing (~eps/4).
     """
     sp = make_space("circle")
-    north = Point("circle", [0.0])
+    north = np.array([0.0])
     assert len(sp.epsilon_net(north, math.pi, math.pi / 2 + 0.3)) == 2
     assert len(sp.epsilon_net(north, math.pi, math.pi / 2 - 0.3)) == 4
 
@@ -285,6 +294,25 @@ def test_geodesic_constant_speed(spaces, rng):
             mid = sp.geodesic_many(a, b, np.full(8, t))
             left = sp.distance_many(a, mid)
             np.testing.assert_allclose(left, t * total, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "payload, error",
+    [([0.0, 0.0], DimensionMismatchError), ([math.nan], InvalidPointError),
+     ([math.inf], InvalidPointError)],
+)
+def test_single_payload_entry_points_refuse_bad_payloads(payload, error):
+    """A target point is one payload row; a row of the wrong length or with
+    a non-finite entry is refused by every entry point that takes one."""
+    sp = make_space("euclidean1")
+    dom = Domain.grid(1, 8)
+    g = SimpleMap(dom, sp, np.arange(8) % 2, np.array([[0.0], [1.0]]))
+    with pytest.raises(error):
+        MeasurableMap.constant(dom, sp, payload)
+    with pytest.raises(error):
+        sp.epsilon_net(payload, 1.0, 0.5)
+    with pytest.raises(error):
+        smooth_from_simple(g, payload, 1.0, 0.5)
 
 
 def test_dense_sequences_are_stable_prefixes(spaces):
