@@ -58,12 +58,21 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _parse_point(text: str) -> np.ndarray:
-    """A JSON list of numbers as a flat payload; the space that takes it
-    checks its length and values."""
+    """A flat JSON list of numbers as a payload; the space that takes it
+    checks its length and values.  Scalars, nested lists, booleans and
+    null are usage errors."""
     try:
-        return np.asarray(json.loads(text), dtype=np.float64).reshape(-1)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad point JSON {text!r}: expected a flat list of numbers") from exc
+        items = json.loads(text)
+    except ValueError:
+        items = None
+    if isinstance(items, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in items
+    ):
+        try:
+            return np.asarray(items, dtype=np.float64)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise UsageError(f"bad point JSON {text!r}: expected a flat list of numbers")
 
 
 def _parse_p(text: str) -> float:

@@ -46,6 +46,11 @@ Array = np.ndarray
 
 STEP_SEARCH_CAP = 10**6
 
+# First-cover scan: pairs per `distance_many` call, and the relative slack of
+# its triangle-inequality band (rounding in the kernels is far below it).
+COVER_BLOCK_PAIRS = 1 << 16
+COVER_SLACK_REL = 1e-6
+
 
 @dataclass
 class ApproxReport:
@@ -71,16 +76,62 @@ def dedup_rows_in_order(values: Array) -> tuple[Array, Array]:
 
 def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float) -> Array:
     """Per row of `values`, the first index of `table` strictly within
-    `radius`; -1 when none.  Scans the table in order, comparing each row
-    only with the values no earlier row covered, and stops once all are."""
-    out = np.full(values.shape[0], -1, dtype=np.int64)
-    open_rows = np.arange(values.shape[0])
-    for j in range(table.shape[0]):
-        if open_rows.size == 0:
-            break
-        hit = space.distance_many(values[open_rows], table[j][None, :]) < radius
-        out[open_rows[hit]] = j
-        open_rows = open_rows[~hit]
+    `radius`; -1 when none.
+
+    A pivot-banded ordered scan (LAESA-style pruning with one pivot, table
+    row 0).  Every value and table row is measured against the pivot, and
+    the values are sorted by that distance.  By the triangle inequality a
+    value v can lie within `radius` of row t only if
+    |d(v, p) - d(t, p)| < radius, so each row is compared only with the
+    still-uncovered values whose pivot distance falls in the band
+    d(t, p) +- (radius + slack), found by `searchsorted`.  The slack,
+    COVER_SLACK_REL times the radius plus the largest pivot distances, is
+    far above the kernels' rounding, so no pair that would test `< radius` is pruned;
+    every accept is decided by an exact `distance_many` call, and the
+    result is the one of a full scan.  Rows go in blocks of doubling
+    length, each block one call of at most COVER_BLOCK_PAIRS pairs unless
+    a single row's band is larger; covered values leave the scan, which
+    stops once none is left.
+    """
+    m, k = values.shape[0], table.shape[0]
+    out = np.full(m, -1, dtype=np.int64)
+    if m == 0 or k == 0:
+        return out
+    d_val = space.distance_many(values, table[0][None, :])
+    d_tab = space.distance_many(table, table[0][None, :])
+    hit = d_val < radius  # the pivot is table row 0: these pairs are exact
+    out[hit] = 0
+    reach = radius + COVER_SLACK_REL * (radius + float(d_val.max()) + float(d_tab.max()))
+    if not math.isfinite(reach):
+        d_val = np.zeros(m)
+        d_tab = np.zeros(k)
+        reach = math.inf
+    order = np.flatnonzero(~hit)
+    order = order[np.argsort(d_val[order], kind="stable")]
+    keys = d_val[order]
+    j, block = 1, 1
+    while j < k and order.size:
+        rows = np.arange(j, min(j + block, k))
+        lo = np.searchsorted(keys, d_tab[rows] - reach, side="left")
+        hi = np.searchsorted(keys, d_tab[rows] + reach, side="right")
+        counts = hi - lo
+        # the longest prefix of rows within the pair budget, at least one row
+        n_rows = max(1, int(np.searchsorted(np.cumsum(counts), COVER_BLOCK_PAIRS, side="right")))
+        rows, lo, counts = rows[:n_rows], lo[:n_rows], counts[:n_rows]
+        j, block = j + n_rows, 2 * n_rows
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        starts = np.cumsum(counts) - counts
+        pos = np.arange(total) + np.repeat(lo - starts, counts)
+        val_idx = order[pos]
+        tab_idx = np.repeat(rows, counts)
+        hit = space.distance_many(values[val_idx], table[tab_idx]) < radius
+        # pairs run in ascending row order, so a value's first hit is its cover
+        covered, first = np.unique(val_idx[hit], return_index=True)
+        out[covered] = tab_idx[hit][first]
+        still_open = out[order] < 0
+        order, keys = order[still_open], keys[still_open]
     return out
 
 
@@ -149,8 +200,8 @@ def countable_quantize(
 
 
 def _quantize_once(f: MeasurableMap, eps: float) -> tuple[SimpleMap, ApproxReport]:
-    table, _ = dedup_rows_in_order(f.values)
-    labels = _first_cover(f.space, f.values, table, eps)
+    table, inverse = dedup_rows_in_order(f.values)
+    labels = _first_cover(f.space, table, table, eps)[inverse]
     if np.any(labels < 0):  # unreachable: each value covers itself at distance 0
         raise MetricLpError("quantization failed to cover a value")
     used = labels.max(initial=-1) + 1
@@ -245,8 +296,8 @@ def almost_simple_approx(
 
     # step 2: keep values inside the first n1 balls of radius R
     radius = eps / (3.0 * mu_altered ** (1.0 / p))
-    dense, _ = dedup_rows_in_order(f.values[altered_mask])
-    cover = _first_cover(f.space, f.values[altered_mask], dense, radius)
+    dense, inverse = dedup_rows_in_order(f.values[altered_mask])
+    cover = _first_cover(f.space, dense, dense, radius)[inverse]
     alt_contrib = contrib[altered_mask]
     total_alt = float(alt_contrib.sum())
     cover_for_sort = np.where(cover < 0, dense.shape[0], cover)
@@ -316,15 +367,16 @@ def simple_approx_sup(
         f.space.distance_many(f.values[live], np.broadcast_to(center, f.values[live].shape)).max()
     )
     table = f.space.epsilon_net(center, radius, eps)
-    labels = _first_cover(f.space, f.values, table, eps)
+    distinct, inverse = dedup_rows_in_order(f.values)
+    labels = _first_cover(f.space, distinct, table, eps)
     missed = labels < 0
     if missed.any():  # probe grid missed a corner of the ball: snap to nearest
-        for i in np.nonzero(missed)[0]:
-            dist = f.space.distance_many(
-                np.broadcast_to(f.values[i], table.shape), table
-            )
-            labels[i] = int(np.argmin(dist))
-    out = SimpleMap(f.domain, f.space, labels, table)
+        lost = distinct[missed]
+        dist = f.space.distance_many(
+            np.repeat(lost, len(table), axis=0), np.tile(table, (len(lost), 1))
+        )
+        labels[missed] = np.argmin(dist.reshape(len(lost), len(table)), axis=1)
+    out = SimpleMap(f.domain, f.space, labels[inverse], table)
     achieved = dp_distance(f, out.to_map(), math.inf)
     report = ApproxReport(
         p=math.inf,

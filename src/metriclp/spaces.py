@@ -27,6 +27,10 @@ Conventions
   j / 2**l is exact.
 - Epsilon nets are built greedily (farthest point first) over a documented
   probe grid of the requested ball and returned as (k, dim) payload arrays.
+  Each probe remembers its nearest net point; after an insertion only the
+  probes the triangle inequality cannot rule out are measured again
+  (Elkan's bound, with a slack far above kernel rounding), so the net is
+  the one a full rescan of every probe would give, bit for bit.
 
 Capability flags say which of geodesic / dense_sequence / epsilon_net a
 space supports.  The histogram space deliberately refuses epsilon nets:
@@ -36,7 +40,6 @@ distance, where closed balls are not compact and no finite net exists.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -51,6 +54,9 @@ TWO_PI = 2.0 * math.pi
 # radius, and greedy insertion stops once every probe is strictly covered.
 NET_PROBE_FRACTION = 8
 NET_PROBE_CAP = 2_000_000
+# Relative slack of the triangle-inequality skips in `epsilon_net`: rounding
+# in the distance kernels is orders of magnitude below it.
+NET_SLACK_REL = 1e-6
 
 
 def _lex_greater(a: Array, b: Array) -> Array:
@@ -108,17 +114,35 @@ def dyadic_tuples(dim: int, k: int) -> Array:
 
 def _compositions(total: int, dim: int) -> Array:
     """All index tuples of length dim summing to total, as a (count, dim)
-    int64 array in lexicographic order (stars and bars: the bar positions
-    come out of `itertools.combinations` in lexicographic order)."""
-    slots = total + dim - 1
-    count = math.comb(slots, dim - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), dim - 1)),
-        dtype=np.int64,
-        count=count * (dim - 1),
-    ).reshape(count, dim - 1)
-    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), slots)])
-    return np.diff(edges, axis=1) - 1
+    int64 array in lexicographic order.
+
+    Built one column at a time: each prefix with r units left expands, in
+    place and in ascending order, into r + 1 children taking 0..r of them,
+    so prefixes stay lexicographic; the last column takes what is left.
+    """
+    rest = np.array([total], dtype=np.int64)
+    cols: list[Array] = []
+    for _ in range(dim - 1):
+        counts = rest + 1
+        parent = np.repeat(np.arange(rest.size), counts)
+        take = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = [c[parent] for c in cols]
+        cols.append(take)
+        rest = rest[parent] - take
+    cols.append(rest)
+    return np.stack(cols, axis=1)
+
+
+def _level_key(grid: Array) -> Array:
+    """Stable-sort key listing level-L dyadic tuples in enumeration order.
+
+    A tuple first appears at level L - v, where 2**v is the largest power
+    of two dividing all its entries; the key is -2**v, so a stable argsort
+    puts earlier levels first and keeps lexicographic order within one.
+    """
+    common = np.bitwise_or.reduce(grid, axis=1)
+    # common & -common is the lowest set bit of the OR of the entries: 2**v
+    return -(common & -common)
 
 
 def dyadic_simplex(dim: int, k: int) -> Array:
@@ -127,17 +151,13 @@ def dyadic_simplex(dim: int, k: int) -> Array:
     Level l lists all weight vectors (j_1..j_dim)/2**l with integer j_i
     summing to 2**l; within a level new points are ordered lexicographically
     by the integer tuple.  Level 0 gives the vertices.  Only the finest
-    level L needed is built: a level-L tuple first appears at level L - v,
-    where 2**v is the largest power of two dividing all its entries, so a
-    stable sort by that level lists the points in enumeration order.
+    level L needed is built, then stable-sorted by `_level_key`.
     """
     level = 0
     while dim > 1 and math.comb(2**level + dim - 1, dim - 1) < k:
         level += 1
     grid = _compositions(2**level, dim)
-    common = np.bitwise_or.reduce(grid, axis=1)
-    # common & -common is the lowest set bit of the OR of the entries: 2**v
-    order = np.argsort(-(common & -common), kind="stable")
+    order = np.argsort(_level_key(grid), kind="stable")
     return grid[order[:k]] / 2**level
 
 
@@ -255,6 +275,15 @@ class MetricSpace:
         eps - spacing of the net; the grids place every ball point within
         `spacing` of a probe, so the whole ball ends up strictly within
         eps of the net, not just the probes.
+
+        Each probe keeps its distance to the net and the index of the net
+        point attaining it.  A new net point can only bring a probe closer
+        when d(new, near) < 2 * dist, by the triangle inequality, so only
+        those probes are measured again (Elkan's bound).  The test adds a
+        slack of NET_SLACK_REL times the ball's scale, far above the
+        kernels' rounding, so no probe whose distance would drop is
+        skipped: the distances, and with them the farthest-first choices
+        and the net, are the same as with a full rescan after each insert.
         """
         if not self.has_epsilon_net:
             raise CapabilityError(
@@ -271,12 +300,17 @@ class MetricSpace:
         probes = self.probe_ball(c, radius, spacing)
         net = [c]
         dist = self.distance_many(probes, np.broadcast_to(c, probes.shape))
+        near = np.zeros(dist.size, dtype=np.int64)
+        slack = NET_SLACK_REL * (2.0 * radius + eps)
         while dist.size and dist.max() >= eps - spacing:
             new = probes[int(np.argmax(dist))]
+            to_net = self.distance_many(np.array(net), new[None, :])
+            cand = np.flatnonzero(to_net[near] < 2.0 * dist + slack)
+            d_new = self.distance_many(probes[cand], new[None, :])
+            closer = d_new < dist[cand]
+            dist[cand[closer]] = d_new[closer]
+            near[cand[closer]] = len(net)
             net.append(new)
-            dist = np.minimum(
-                dist, self.distance_many(probes, np.broadcast_to(new, probes.shape))
-            )
         return np.array(net)
 
     def probe_ball(self, center: Array, radius: float, spacing: float) -> Array:
@@ -593,7 +627,11 @@ class SimplexSpace(MetricSpace):
         """Dyadic simplex grid at a level fine enough for the requested spacing.
 
         Neighbouring level-l grid points are at Fisher-Rao distance at most
-        pi * sqrt(2) * 2**(-l/2), which picks the level.
+        pi * sqrt(2) * 2**(-l/2), which picks the level.  The probes are the
+        grid points inside the ball, in `dyadic_simplex` order: the
+        lexicographic grid is filtered first and only the survivors are
+        sorted by level, so no integer copy of the whole grid is held while
+        the distances are computed.
         """
         level = max(0, math.ceil(2 * math.log2(math.pi * math.sqrt(2) / spacing)))
         count = math.comb(2**level + self.dim - 1, self.dim - 1)
@@ -602,9 +640,11 @@ class SimplexSpace(MetricSpace):
             count = math.comb(2**level + self.dim - 1, self.dim - 1)
         if count > NET_PROBE_CAP:
             raise CapabilityError(f"{self.tag}: probe grid too large")
-        grid = dyadic_simplex(self.dim, count)
-        d = self.distance_many(grid, np.broadcast_to(center, grid.shape))
-        return grid[d <= radius]
+        grid = _compositions(2**level, self.dim) / 2**level
+        grid = grid[self.distance_many(grid, np.broadcast_to(center, grid.shape)) <= radius]
+        # scaling by 2**level is exact: it gives back the survivors' integer tuples
+        key = _level_key((grid * 2**level).astype(np.int64))
+        return grid[np.argsort(key, kind="stable")]
 
     def unit_probe(self):
         return dyadic_simplex(self.dim, math.comb(2**5 + self.dim - 1, self.dim - 1))

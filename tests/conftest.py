@@ -24,6 +24,15 @@ def flat_sym(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=np.float64).reshape(-1)
 
 
+def ill_conditioned_spd(sp, rng, m, cond_lo=1e6, cond_hi=1e8):
+    """m random SPD payloads whose condition numbers lie in [cond_lo, cond_hi]."""
+    q, _ = np.linalg.qr(rng.standard_normal((m, sp.n, sp.n)))
+    log_cond = rng.uniform(np.log(cond_lo), np.log(cond_hi), m)
+    w = np.exp(np.linspace(-0.5, 0.5, sp.n)[None, :] * log_cond[:, None])
+    mats = (q * w[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return sp.check_payload(sp._flat_sym(mats))
+
+
 # Map files the loader must refuse with DataError: a non-list sidecar
 # shape, ragged inline values, and a sidecar and a domain file named
 # outside the map file's directory.  `write_bad_file` puts valid targets

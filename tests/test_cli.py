@@ -286,7 +286,11 @@ POINT_FLAGS = ["--base-value", "--background", "--value"]
 
 
 @pytest.mark.parametrize("flag", POINT_FLAGS)
-@pytest.mark.parametrize("text", ['"abc"', "[[1,0],[0]]", '[1,0,0,"x"]', '{"a":1}'])
+@pytest.mark.parametrize(
+    "text",
+    ['"abc"', "[[1,0],[0]]", '[1,0,0,"x"]', '{"a":1}', "true", "3", "null", "[[1,0],[0,1]]",
+     "[true]", "[null]"],
+)
 def test_point_flag_not_a_flat_number_list_is_usage_error(tmp_path, capsys, rng, flag, text):
     code, _, err = run_cli(capsys, *point_flag_argv(tmp_path, rng, flag), flag, text)
     assert code == 1

@@ -20,6 +20,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metriclp import (
     BASE_LABEL,
@@ -36,7 +38,10 @@ from metriclp import (
     orthonormal_lower_bound,
     simple_approx_sup,
 )
-from metriclp.quantize import _best_k_error, _first_cover
+from metriclp import quantize
+from metriclp.quantize import _best_k_error, _first_cover, dedup_rows_in_order
+
+from .conftest import ill_conditioned_spd
 
 E1 = make_space("euclidean1")
 
@@ -163,7 +168,19 @@ def brute_first_cover(space, values, table, radius):
 
 @pytest.mark.parametrize("name", ["euclidean2", "spd2", "simplex3", "circle"])
 def test_first_cover_matches_brute_force(name, rng):
-    sp = make_space(name)
+    check_first_cover_cases(make_space(name), rng)
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+@pytest.mark.parametrize("name", ["euclidean2", "spd2", "simplex3", "circle"])
+def test_first_cover_matches_brute_force_in_small_blocks(name, budget, rng, monkeypatch):
+    """Pair budgets below one row's band (1) or spanning a few rows (7)."""
+    monkeypatch.setattr(quantize, "COVER_BLOCK_PAIRS", budget)
+    check_first_cover_cases(make_space(name), rng)
+
+
+def check_first_cover_cases(sp, rng):
+    """Spread, clustered and tie cases against `brute_first_cover`."""
     spread = sp.random_payloads(rng, 60)
     centers = sp.random_payloads(rng, 4)
     # clustered: short geodesic steps from four centers, with exact repeats
@@ -183,6 +200,114 @@ def test_first_cover_matches_brute_force(name, rng):
         assert got[1] != 0
         assert np.array_equal(_first_cover(sp, values, table[:0], 1.0), np.full(len(values), -1))
         assert _first_cover(sp, values[:0], table, 1.0).shape == (0,)
+
+
+def test_first_cover_with_overflowing_distances():
+    """Pivot distances that overflow to inf make the band useless; the
+    scan then compares every open value and still matches brute force."""
+    sp = make_space("euclidean1")
+    values = np.array([[1e308], [-1e308], [0.0], [5.0]])
+    table = np.array([[-1e308], [1e308], [4.0]])
+    with np.errstate(over="ignore"):  # the norm squares 1e308 to inf
+        for radius in (math.inf, 2.0):
+            got = _first_cover(sp, values, table, radius)
+            assert np.array_equal(got, brute_first_cover(sp, values, table, radius)), radius
+        # 0.0 is at distance inf from both 1e308 rows, so row 2 covers it
+        assert _first_cover(sp, values, table, math.inf).tolist() == [1, 0, 2, 2]
+
+
+COVER_SPACES = ["euclidean2", "euclidean3", "spd2", "spd3", "simplex3", "histogram8", "circle"]
+
+
+@given(
+    name=st.sampled_from(COVER_SPACES),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 40),
+    k=st.integers(0, 16),
+    ill=st.booleans(),
+)
+def test_first_cover_property(name, seed, m, k, ill):
+    """The pivot-banded scan equals the full distance block on clustered
+    values with exact repeats, ill-conditioned SPD values (cond 1e6-1e8)
+    and radii equal to exact pair distances, or one ulp above them."""
+    sp = make_space(name)
+    rng = np.random.default_rng(seed)
+    if ill and name.startswith("spd"):
+        pool = ill_conditioned_spd(sp, rng, 6)
+    else:
+        pool = sp.random_payloads(rng, 6, float(rng.choice([1e-3, 1.0])))
+    n = m + k
+    mixed = sp.geodesic_many(
+        pool[rng.integers(0, 6, n)], pool[rng.integers(0, 6, n)], rng.uniform(0.0, 1.0, n)
+    )
+    if n > 1:  # exact repeats, inside and across the two stacks
+        dup = rng.integers(0, n, n // 3)
+        mixed[rng.integers(0, n, n // 3)] = mixed[dup]
+    values, table = mixed[:m], mixed[m:]
+    radii = [float(rng.uniform(0.0, 2.0))]
+    if m and k:
+        block = sp.distance_many(np.repeat(values, k, axis=0), np.tile(table, (m, 1)))
+        exact = float(block[rng.integers(0, block.size)])
+        radii += [exact, float(np.nextafter(exact, np.inf)), *np.quantile(block, [0.1, 0.5])]
+    for radius in radii:
+        got = _first_cover(sp, values, table, radius)
+        assert np.array_equal(got, brute_first_cover(sp, values, table, radius)), radius
+
+
+def test_quantizers_on_repeated_values_match_brute_force(rng):
+    """Covering only the distinct rows and mapping the labels back gives
+    the labels of a cover of every atom."""
+    spd = make_space("spd2")
+    dom = Domain(np.full(60, 1.0 / 60))
+    values = spd.random_payloads(rng, 12, 0.8)[rng.integers(0, 12, 60)]
+    f = MeasurableMap(dom, spd, values)
+    simple, _ = countable_quantize(f, 0.5)
+    table, _ = dedup_rows_in_order(values)
+    assert np.array_equal(simple.labels, brute_first_cover(spd, values, table, 0.5))
+
+    # a base 100 * I puts every value at distance >= 1 from it, so step 1
+    # reverts nothing: the altered measure is 1 and the step-2 radius eps / 3
+    h = MeasurableMap.constant(dom, spd, 100.0 * np.eye(2).reshape(-1))
+    eps = 1.2
+    simple, _ = almost_simple_approx(f, h, 2.0, eps)
+    ref = brute_first_cover(spd, values, table, eps / 3.0)
+    n1 = simple.value_table.shape[0]
+    assert np.array_equal(simple.value_table, table[:n1])
+    assert np.array_equal(simple.labels, np.where((ref >= 0) & (ref < n1), ref, BASE_LABEL))
+
+    plane = make_space("euclidean2")
+    values = plane.random_payloads(rng, 9)[rng.integers(0, 9, 60)]
+    f = MeasurableMap(dom, plane, values)
+    h = MeasurableMap.constant(dom, plane, np.zeros(2))
+    simple, report = simple_approx_sup(f, h, 0.4)
+    assert not report.flags["net_fallback_used"]
+    radius = float(plane.distance_many(values, values[0][None, :]).max())
+    net = plane.epsilon_net(values[0], radius, 0.4)
+    assert np.array_equal(simple.value_table, net)
+    assert np.array_equal(simple.labels, brute_first_cover(plane, values, net, 0.4))
+
+
+def test_sup_fallback_snaps_missed_atoms_to_nearest(rng, monkeypatch):
+    """A net too sparse to cover the range: covered atoms keep their first
+    cover, and each missed atom takes its nearest net point, ties to the
+    lowest index."""
+    plane = make_space("euclidean2")
+    dom = Domain(np.ones(50))
+    values = plane.random_payloads(rng, 25)[rng.integers(0, 25, 50)]
+    f = MeasurableMap(dom, plane, values)
+    h = MeasurableMap.constant(dom, plane, np.zeros(2))
+    # three net points, the last two equal so ties are exercised
+    sparse = np.array([values[0], [1.0, 1.0], [1.0, 1.0]])
+    monkeypatch.setattr(plane, "epsilon_net", lambda center, radius, eps: sparse)
+    simple, report = simple_approx_sup(f, h, 0.3)
+    assert report.flags["net_fallback_used"]
+    want = brute_first_cover(plane, values, sparse, 0.3)
+    assert np.any(want < 0) and np.any(want >= 0)
+    for i in np.flatnonzero(want < 0):
+        dist = plane.distance_many(np.broadcast_to(values[i], sparse.shape), sparse)
+        want[i] = int(np.argmin(dist))
+    assert np.array_equal(simple.labels, want)
+    assert np.array_equal(simple.value_table, sparse)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ existed; derivations are restated next to each assertion.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -22,9 +23,15 @@ from metriclp import (
     make_space,
     smooth_from_simple,
 )
-from metriclp.spaces import dyadic_simplex, dyadic_tuples, space_from_descriptor
+from metriclp.spaces import (
+    NET_PROBE_FRACTION,
+    _compositions,
+    dyadic_simplex,
+    dyadic_tuples,
+    space_from_descriptor,
+)
 
-from .conftest import SPACE_NAMES, flat_sym
+from .conftest import SPACE_NAMES, flat_sym, ill_conditioned_spd
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +213,16 @@ def test_dyadic_enumeration_order_frozen():
         assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, arr.shape
 
 
+def test_compositions_match_stars_and_bars():
+    """Reference: the index tuples summing to `total`, filtered from the
+    full product, which itertools lists in lexicographic order."""
+    for total in range(6):
+        for dim in range(1, 5):
+            want = [t for t in itertools.product(range(total + 1), repeat=dim) if sum(t) == total]
+            got = _compositions(total, dim)
+            assert got.dtype == np.int64 and got.tolist() == [list(t) for t in want], (total, dim)
+
+
 # ---------------------------------------------------------------------------
 # histograms under 1-Wasserstein
 # ---------------------------------------------------------------------------
@@ -251,9 +268,58 @@ def test_circle_net_sizes_bracket_half_pi():
     assert len(sp.epsilon_net(north, math.pi, math.pi / 2 - 0.3)) == 4
 
 
+def test_epsilon_nets_frozen():
+    """sha256 of the raw float64 bytes of nets built by a full rescan of
+    every probe after each insertion; the skip rule must keep them.
+
+    The simplex3 ball is the one the benchmark's sup quantize call nets
+    (seed 0); its probe grid is pinned too.
+    """
+    simplex, spd, plane = make_space("simplex3"), make_space("spd2"), make_space("euclidean2")
+    center, radius = np.array([0.3, 0.5, 0.2]), 0.3379997830345756
+    frozen = [
+        (simplex.epsilon_net(center, radius, 0.1), (37, 3),
+         "64f56af026c91032e87231c4a6fd6043ce99c44cc05b40c354b5da22171cfb09"),
+        (simplex.probe_ball(center, radius, 0.1 / NET_PROBE_FRACTION), (62275, 3),
+         "1c1d729e0cd900fafa030095d4883a78784aa3c248cabf574b734aaba07f8293"),
+        (spd.epsilon_net(np.eye(2).reshape(-1), 1.0, 0.4), (97, 4),
+         "141ad6a1d2b1159776cce4f72ccdfc2370e4feafe3ab90649547f41c0e8c4d33"),
+        (plane.epsilon_net(np.array([0.25, -0.5]), 2.5, 0.5), (69, 2),
+         "8074f84f34e1685385ea6cf23c3fa5e29e4b66ca7286a80e9ed155512a2df081"),
+        (plane.epsilon_net(np.array([0.25, -0.5]), 2.5, 0.2), (418, 2),
+         "12bbe883dc9c0b222492c1c2e9a936518d1a1e8df88465742cf30bdaa0f519c9"),
+    ]
+    for arr, shape, digest in frozen:
+        assert arr.shape == shape
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, shape
+
+
 # ---------------------------------------------------------------------------
 # cross-space wrapper behaviour
 # ---------------------------------------------------------------------------
+
+
+def test_distance_many_is_batch_independent(spaces, rng):
+    """A pair's distance is the same computed alone, inside a shuffled
+    batch and with one side broadcast: the pruned searches (first cover,
+    nets) rely on it to reproduce a full scan bit for bit."""
+    spd3 = make_space("spd3")
+    extra = [(spd3, None), (make_space("euclidean2"), None),
+             (spaces["spd2"], ill_conditioned_spd), (spd3, ill_conditioned_spd)]
+    for sp, draw in [*((sp, None) for sp in spaces.values()), *extra]:
+        for spread in (1e-3, 1.0):
+            if draw is None:
+                a, b = sp.random_payloads(rng, 40, spread), sp.random_payloads(rng, 40, spread)
+            else:
+                a, b = draw(sp, rng, 40), draw(sp, rng, 40)
+            batch = sp.distance_many(a, b)
+            perm = rng.permutation(40)
+            assert np.array_equal(sp.distance_many(a[perm], b[perm]), batch[perm]), sp.tag
+            for i in range(40):
+                assert sp.distance_many(a[i:i + 1], b[i:i + 1])[0] == batch[i], (sp.tag, i)
+            one = sp.distance_many(a, b[0][None, :])
+            assert np.array_equal(one[perm], sp.distance_many(a[perm], np.tile(b[0], (40, 1))))
+            assert one[0] == batch[0], sp.tag
 
 
 def test_distance_many_bitwise_symmetry_and_identity(spaces, rng):
