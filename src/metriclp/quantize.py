@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .domain import AtomSet, Domain, measure
 from .errors import MetricLpError, SearchBudgetError
@@ -498,58 +497,43 @@ def _divergence_grid(kind: str, refinement: int, p: float) -> tuple[Array, Array
     raise MetricLpError(f"unknown divergence kind {kind!r}")
 
 
-def _best_constant_error(w: Array, h: Array, p: float) -> float:
-    lo, hi = float(h.min()), float(h.max())
-    if lo == hi:
-        return 0.0
-    res = optimize.minimize_scalar(
-        lambda c: float(np.sum(w * np.abs(h - c) ** p)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.fun) ** (1.0 / p)
+def _best_errors(w: Array, h: Array, p: float, k: int) -> Array:
+    """Best D_p error of a map with at most 1, 2, ..., k values, for p in {1, 2}.
 
-
-def _segment_costs(w: Array, h: Array, j: int, p: float) -> Array:
-    """Cost of clustering sorted points i..j-1 onto one value, for all i < j."""
-    cw = np.concatenate([[0.0], np.cumsum(w)])
-    cwh = np.concatenate([[0.0], np.cumsum(w * h)])
-    i = np.arange(j)
-    if p == 2:
-        cwh2 = np.concatenate([[0.0], np.cumsum(w * h * h)])
-        seg_w = cw[j] - cw[i]
-        seg_wh = cwh[j] - cwh[i]
-        seg_wh2 = cwh2[j] - cwh2[i]
-        # prefix-sum cancellation can dip a zero-variance segment slightly
-        # negative; clamp so the final root stays real
-        return np.maximum(seg_wh2 - seg_wh**2 / seg_w, 0.0)
-    if p == 1:
-        half = (cw[i] + cw[j]) / 2.0
-        t = np.searchsorted(cw, half, side="left")
-        t = np.clip(t, i + 1, j) - 1  # index of the weighted median point
-        med = h[t]
-        left = med * (cw[t + 1] - cw[i]) - (cwh[t + 1] - cwh[i])
-        right = (cwh[j] - cwh[t + 1]) - med * (cw[j] - cw[t + 1])
-        return np.maximum(left + right, 0.0)
-    raise MetricLpError("best-k clustering supports p in {1, 2}")
-
-
-def _best_k_error(w: Array, h: Array, p: float, k: int) -> float:
+    Sorted-point DP over segment ends j, one pass: each j's segment costs
+    (all i < j onto one value, the weighted mean for p = 2 and the weighted
+    median for p = 1) come from prefix sums built once and serve every
+    layer.  Layer 1 is the exact best constant.
+    """
     order = np.argsort(h, kind="stable")
     w, h = w[order], h[order]
     n = h.size
-    prev = np.full(n + 1, np.inf)
-    prev[0] = 0.0
-    for _layer in range(k):
-        best = np.full(n + 1, np.inf)
-        best[0] = 0.0
-        for j in range(1, n + 1):
-            seg = _segment_costs(w, h, j, p)
-            best[j] = float(np.min(prev[:j] + seg))
+    cw = np.concatenate([[0.0], np.cumsum(w)])
+    cwh = np.concatenate([[0.0], np.cumsum(w * h)])
+    cwh2 = np.concatenate([[0.0], np.cumsum(w * h * h)])
+    # err[l, j]: best cost of sorted points 0..j-1 with at most l values
+    err = np.full((k + 1, n + 1), np.inf)
+    err[:, 0] = 0.0
+    for j in range(1, n + 1):
+        i = np.arange(j)
+        if p == 2:
+            seg_w = cw[j] - cw[i]
+            seg_wh = cwh[j] - cwh[i]
+            seg_wh2 = cwh2[j] - cwh2[i]
+            # prefix-sum cancellation can dip a zero-variance segment slightly
+            # negative; clamp so the final root stays real
+            seg = np.maximum(seg_wh2 - seg_wh**2 / seg_w, 0.0)
+        else:
+            half = (cw[i] + cw[j]) / 2.0
+            t = np.searchsorted(cw, half, side="left")
+            t = np.clip(t, i + 1, j) - 1  # index of the weighted median point
+            med = h[t]
+            left = med * (cw[t + 1] - cw[i]) - (cwh[t + 1] - cwh[i])
+            right = (cwh[j] - cwh[t + 1]) - med * (cw[j] - cw[t + 1])
+            seg = np.maximum(left + right, 0.0)
         # "at most k" values: a layer may decline to open a new segment
-        prev = np.minimum(best, prev)
-    return float(prev[n]) ** (1.0 / p)
+        err[1:, j] = np.minimum.accumulate(np.min(err[:k, :j] + seg, axis=1))
+    return err[1:, n] ** (1.0 / p)
 
 
 def divergence_fixture(kind: str, refinement: int, p: float, k_values: int = 3) -> DivergenceReport:
@@ -564,14 +548,17 @@ def divergence_fixture(kind: str, refinement: int, p: float, k_values: int = 3) 
     not blow-up).
     """
     p = check_p(p)
-    if math.isinf(p):
-        raise MetricLpError("divergence fixtures are for finite p")
+    if p not in (1.0, 2.0):
+        raise MetricLpError("divergence fixtures support p in {1, 2}")
+    if k_values < 1:
+        raise MetricLpError("k_values must be positive")
     w, h = _divergence_grid(kind, refinement, p)
+    errors = _best_errors(w, h, p, k_values)
     return DivergenceReport(
         kind=kind,
         refinement=refinement,
         p=p,
         k_values=k_values,
-        best_constant_error=_best_constant_error(w, h, p),
-        best_k_error=_best_k_error(w, h, p, k_values),
+        best_constant_error=float(errors[0]),
+        best_k_error=float(errors[-1]),
     )

@@ -334,6 +334,15 @@ class MetricSpace:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+def _axis_nodes(tag: str, radius: float, h: float) -> int:
+    """Nodes per axis of a probe grid of step h over [-radius, radius]; a
+    ball whose count is no finite float (e.g. an infinite radius) is refused."""
+    cells = 2 * radius / h if h > 0 else math.inf
+    if not math.isfinite(cells):
+        raise CapabilityError(f"{tag}: probe grid for radius {radius} cannot be sized")
+    return int(math.ceil(cells)) + 1
+
+
 # ---------------------------------------------------------------------------
 # Euclidean R^d
 # ---------------------------------------------------------------------------
@@ -367,7 +376,7 @@ class EuclideanSpace(MetricSpace):
 
     def probe_ball(self, center, radius, spacing):
         h = spacing / math.sqrt(self.dim)
-        n_axis = int(math.ceil(2 * radius / h)) + 1
+        n_axis = _axis_nodes(self.tag, radius, h)
         if n_axis**self.dim > NET_PROBE_CAP:
             raise CapabilityError(
                 f"{self.tag}: probe grid would need {n_axis}^{self.dim} nodes"
@@ -535,9 +544,12 @@ class SpdSpace(MetricSpace):
         sqrt_c = (vc * np.sqrt(wc)) @ vc.T
         n_free = self.n * (self.n + 1) // 2
         rp = radius / math.sqrt(2)
-        factor = math.sinh(rp) / rp if rp > 1e-9 else 1.0
+        try:
+            factor = math.sinh(rp) / rp if rp > 1e-9 else 1.0
+        except OverflowError:  # the step underflows to 0: the grid cannot be sized
+            factor = math.inf
         h = spacing / factor / math.sqrt(2)  # off-diagonal coords count twice
-        n_axis = int(math.ceil(2 * radius / h)) + 1
+        n_axis = _axis_nodes(self.tag, radius, h)
         if n_axis**n_free > NET_PROBE_CAP:
             raise CapabilityError(f"spd{self.n}: probe grid too large ({n_axis}^{n_free})")
         axes = [np.linspace(-radius, radius, n_axis)] * n_free

@@ -547,12 +547,9 @@ def _check_space_dense(ctx: SuiteContext) -> dict:
         prefix = space.dense_payloads(k)
         longer = space.dense_payloads(k + 17)
         require(np.array_equal(prefix, longer[:k]), f"{name}: enumeration not a prefix")
-        radii = _covering_radii(space, space.unit_probe(), prefix, (5, 10, 20, 40))
-        require(
-            all(r2 <= r1 + 1e-12 for r1, r2 in zip(radii, radii[1:])),
-            f"{name}: covering radius not shrinking {radii}",
-        )
-        metrics[f"{name}_covering_radius_40"] = radii[-1]
+        r5, r40 = _covering_radii(space, space.unit_probe(), prefix, (5, 40))
+        require(r40 < r5, f"{name}: covering radius not shrinking ({r5} -> {r40})")
+        metrics[f"{name}_covering_radius_40"] = r40
     return metrics
 
 
@@ -830,7 +827,7 @@ def _check_approx_divergence(ctx: SuiteContext) -> dict:
     const_seq, k_seq = [], []
     for n in (64, 128, 256, 512, 1024):
         rep = quantize.divergence_fixture("unbounded_base", n, 2.0, 3)
-        require(rep.best_k_error <= rep.best_constant_error + 1e-12, "k values worse than one")
+        require(rep.best_k_error <= rep.best_constant_error, "k values worse than one")
         const_seq.append(rep.best_constant_error)
         k_seq.append(rep.best_k_error)
     require(all(a < b for a, b in zip(const_seq, const_seq[1:])), f"{const_seq}")

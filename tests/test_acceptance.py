@@ -233,7 +233,7 @@ def test_criterion_06_divergence_fixtures():
         errors = []
         for r in refinements:
             rep = divergence_fixture(kind, r, p)
-            assert rep.best_k_error <= rep.best_constant_error * (1 + REL)
+            assert rep.best_k_error <= rep.best_constant_error
             errors.append(rep.best_k_error)
         diffs = np.diff(errors)
         assert np.all(diffs > 0.0), (kind, p, errors)

@@ -206,6 +206,21 @@ def test_quantize_almost_simple_requires_base(tmp_path, capsys, rng):
     assert code == 1 and "base" in err
 
 
+def test_quantize_sup_refuses_an_unbounded_ball(tmp_path):
+    """Values 1e308 and -1e308 put the range in a ball of infinite radius:
+    its probe grid cannot be sized, which is a refusal, not a traceback."""
+    sp = make_space("euclidean1")
+    f = MeasurableMap(Domain(np.ones(3)), sp, np.array([[1e308], [-1e308], [0.0]]))
+    save_map(f, tmp_path / "f.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "metriclp", "quantize", str(tmp_path / "f.json"),
+         "--mode", "sup", "--eps", "0.5", "--base", str(tmp_path / "f.json")],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # continuify
 # ---------------------------------------------------------------------------
@@ -417,6 +432,18 @@ def test_verify_mutation_fails_the_same_checks_under_optimize(tmp_path):
     optimized = failed_check_ids(json.loads(ledger_path.read_text()))
     assert optimized == failed_check_ids(plain.as_dict())
     assert len(optimized) == 8
+
+
+def test_import_leaves_scipy_optimize_out():
+    """No library path needs scipy.optimize, so importing metriclp does not
+    pay for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, metriclp; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

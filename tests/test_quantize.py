@@ -39,7 +39,7 @@ from metriclp import (
     simple_approx_sup,
 )
 from metriclp import quantize
-from metriclp.quantize import _best_k_error, _first_cover, dedup_rows_in_order
+from metriclp.quantize import _best_errors, _divergence_grid, _first_cover, dedup_rows_in_order
 
 from .conftest import ill_conditioned_spd
 
@@ -413,6 +413,66 @@ def test_divergence_rejects_sup_norm():
         divergence_fixture("unbounded_base", 8, math.inf)
 
 
+def test_divergence_rejects_p_outside_one_and_two_and_k_below_one():
+    with pytest.raises(MetricLpError, match="p in"):
+        divergence_fixture("unbounded_base", 8, 1.5)
+    with pytest.raises(MetricLpError, match="k_values"):
+        divergence_fixture("unbounded_base", 8, 2.0, 0)
+
+
+# best_k_error (k = 3) of the verify suite's ten fixtures and criterion 06's
+# grids: exact reprs of the earlier one-layer-at-a-time DP, kept bit for bit
+DIVERGENCE_BEST_K = {
+    ("unbounded_base", 64, 2.0): "0.5665252621590953",
+    ("unbounded_base", 128, 2.0): "0.7068892717614922",
+    ("unbounded_base", 256, 2.0): "0.8318363837571324",
+    ("unbounded_base", 512, 2.0): "0.9580254474674054",
+    ("unbounded_base", 1024, 2.0): "1.088108829772873",
+    ("unbounded_base", 2048, 2.0): "1.2145151600684985",
+    ("unbounded_base", 64, 1.0): "1.8115013789974428",
+    ("unbounded_base", 128, 1.0): "2.377710141260624",
+    ("unbounded_base", 256, 1.0): "2.9759721734059412",
+    ("unbounded_base", 512, 1.0): "3.600861487756421",
+    ("unbounded_base", 1024, 1.0): "4.244786678959207",
+    ("exponential_base", 1, 1.0): "0.10262005652979139",
+    ("exponential_base", 2, 1.0): "0.26589468860876264",
+    ("exponential_base", 3, 1.0): "0.40187973511078057",
+    ("exponential_base", 4, 1.0): "0.49814426796725253",
+    ("exponential_base", 5, 1.0): "0.5612738785307958",
+    ("exponential_base", 6, 1.0): "0.6016789970619154",
+}
+
+
+def test_divergence_best_k_error_pinned():
+    for (kind, r, p), want in DIVERGENCE_BEST_K.items():
+        assert repr(divergence_fixture(kind, r, p, 3).best_k_error) == want, (kind, r, p)
+
+
+def reference_constant_error(w, h, p):
+    """Best constant error from the weighted mean (p = 2) or the weighted
+    median (p = 1), summed exactly with math.fsum."""
+    order = np.argsort(h, kind="stable")
+    w, h = w[order], h[order]
+    if p == 2:
+        c = math.fsum(w * h) / math.fsum(w)
+        return math.sqrt(math.fsum(w * (h - c) ** 2))
+    cw = np.cumsum(w)
+    med = h[int(np.searchsorted(cw, cw[-1] / 2.0))]
+    return math.fsum(w * np.abs(h - med))
+
+
+@pytest.mark.parametrize(
+    "kind, r, p",
+    [*DIVERGENCE_BEST_K, ("exponential_base", 64, 1.0)],
+)
+def test_divergence_best_constant_is_the_exact_minimum(kind, r, p):
+    """Layer 1 is the weighted mean or median cost, not a bracketing search
+    stopped at a tolerance (which sat 2e-12 high on exponential r = 64)."""
+    want = reference_constant_error(*_divergence_grid(kind, r, p), p)
+    got = divergence_fixture(kind, r, p, 1).best_constant_error
+    assert abs(got - want) <= 4e-15 * want
+
+
 def test_best_k_dp_agrees_with_exhaustive_splits(rng):
     """Exhaustive split enumeration as an independent oracle for the DP."""
 
@@ -443,6 +503,8 @@ def test_best_k_dp_agrees_with_exhaustive_splits(rng):
         w = rng.uniform(0.1, 2.0, n)
         h = rng.normal(0.0, 1.0, n)
         for p in (1.0, 2.0):
-            got = _best_k_error(w.copy(), h.copy(), p, k)
-            want = brute(w, h, p, k)
-            assert got == pytest.approx(want, abs=2e-7)
+            got = _best_errors(w.copy(), h.copy(), p, k)
+            assert got.shape == (k,)
+            for layer in range(1, k + 1):
+                want = brute(w, h, p, layer)
+                assert got[layer - 1] == pytest.approx(want, abs=2e-7)

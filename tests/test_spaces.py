@@ -268,6 +268,31 @@ def test_circle_net_sizes_bracket_half_pi():
     assert len(sp.epsilon_net(north, math.pi, math.pi / 2 - 0.3)) == 4
 
 
+@pytest.mark.parametrize(
+    "name, center, radius",
+    [
+        ("euclidean1", [0.0], math.inf),
+        ("spd2", [1.0, 0.0, 0.0, 1.0], math.inf),
+        # sinh(1100 / sqrt(2)) overflows a float
+        ("spd2", [1.0, 0.0, 0.0, 1.0], 1100.0),
+    ],
+)
+def test_net_refuses_a_ball_whose_grid_cannot_be_sized(name, center, radius):
+    with pytest.raises(CapabilityError, match="cannot be sized"):
+        make_space(name).epsilon_net(np.array(center), radius, 0.5)
+
+
+@pytest.mark.parametrize(
+    "name, center", [("circle", [1.0]), ("simplex3", [0.3, 0.5, 0.2])]
+)
+def test_net_of_an_infinite_ball_is_a_net_of_the_whole_space(name, center):
+    """A bounded space's infinite ball is the whole space, so its net is finite."""
+    sp = make_space(name)
+    net = sp.epsilon_net(np.array(center), math.inf, 0.5)
+    assert 1 < len(net) < 100
+    assert np.array_equal(net, sp.epsilon_net(np.array(center), 2 * math.pi, 0.5))
+
+
 def test_epsilon_nets_frozen():
     """sha256 of the raw float64 bytes of nets built by a full rescan of
     every probe after each insertion; the skip rule must keep them.

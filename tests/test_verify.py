@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from metriclp import (
+    CheckFailedError,
     Domain,
     MeasurableMap,
     MetricLpError,
@@ -16,6 +17,8 @@ from metriclp import (
     equivalent,
     make_space,
 )
+from metriclp import verify
+from metriclp.spaces import CircleSpace
 from metriclp.verify import (
     CauchySequenceSpec,
     build_dense_family,
@@ -198,3 +201,17 @@ def test_probe_rejects_sup_exponent(rng):
     fam = make_family(rng)
     with pytest.raises(MetricLpError):
         separability_probe(fam.base, fam, math.inf, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# suite checks that must be able to fail
+# ---------------------------------------------------------------------------
+
+
+def test_dense_sequences_check_fails_on_a_sequence_that_does_not_spread(monkeypatch):
+    """A "dense" sequence repeating one point never shrinks its covering
+    radius; the check must notice, not accept a radius that merely does not grow."""
+    ctx = verify.SuiteContext(verify.SuiteConfig(seed=0))
+    monkeypatch.setattr(CircleSpace, "_dense_payloads", lambda self, k: np.zeros((k, 1)))
+    with pytest.raises(CheckFailedError, match="circle: covering radius not shrinking"):
+        verify._check_space_dense(ctx)
