@@ -39,6 +39,13 @@ class GridGeometry:
     dim: int
     cells_per_axis: int
 
+    def __post_init__(self):
+        for name in ("dim", "cells_per_axis"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise GeometryError(f"grid {name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
+
     @property
     def cell_size(self) -> float:
         return 1.0 / self.cells_per_axis
@@ -69,6 +76,7 @@ class Domain:
             cell_measure = geometry.cell_size**geometry.dim
             if not np.allclose(w, cell_measure, rtol=1e-12, atol=0):
                 raise GeometryError("grid atoms must all weigh cell_size**dim")
+            w = np.full(w.size, cell_measure)
         self.weights = w
         self.geometry = geometry
 

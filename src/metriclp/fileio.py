@@ -2,9 +2,11 @@
 
 All files are JSON objects with a "kind" discriminator:
 
-- kind "domain": {"atoms": n, "weights": [...], "geometry":
-  {"dim": d, "cells_per_axis": k} | null}.  Weights may contain Infinity
-  (the JSON extension emitted and accepted by the json module).
+- kind "domain": {"atoms": n, "weights": [...], "geometry": null}, or for
+  a grid {"atoms": n, "geometry": {"dim": d, "cells_per_axis": k}}, whose
+  weights all equal cell_size**dim and are not stored (older files list
+  them; they still load).  Weights may contain Infinity (the JSON
+  extension emitted and accepted by the json module).
 - kind "map": {"domain": <inline domain | {"path": relative}>, "space":
   <descriptor>, "values": [[...], ...]} -- or, for large payloads,
   "values_file": a sibling raw little-endian float64 file, atom-major.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import secrets
 from pathlib import Path
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import Domain, GridGeometry
-from .errors import DataError
+from .errors import DataError, GeometryError
 from .maps import MeasurableMap, SimpleMap
 from .spaces import space_from_descriptor
 
@@ -56,39 +57,53 @@ def write_atomic(path: str | os.PathLike, data: str | bytes) -> None:
 
 def _domain_payload(domain: Domain) -> dict:
     geo = domain.geometry
-    return {
-        "kind": "domain",
-        "atoms": domain.atom_count,
-        "weights": [float(w) for w in domain.weights],
-        "geometry": None
-        if geo is None
-        else {"dim": geo.dim, "cells_per_axis": geo.cells_per_axis},
-    }
+    if geo is None:
+        return {"kind": "domain", "atoms": domain.atom_count,
+                "weights": [float(w) for w in domain.weights], "geometry": None}
+    return {"kind": "domain", "atoms": domain.atom_count,
+            "geometry": {"dim": geo.dim, "cells_per_axis": geo.cells_per_axis}}
 
 
-def _domain_from_payload(obj: dict) -> Domain:
+def _domain_from_payload(obj: dict, rows: int | None = None) -> Domain:
+    """The domain a payload describes; a grid whose size differs from `rows`
+    (the map's atom count, when given) is refused before it is built."""
     try:
-        weights = np.asarray(obj["weights"], dtype=np.float64)
         geo = obj.get("geometry")
         geometry = (
             None if geo is None else GridGeometry(geo["dim"], geo["cells_per_axis"])
         )
-        if "atoms" in obj and obj["atoms"] != weights.size:
-            raise DataError("atom count does not match the weight list")
-        return Domain(weights, geometry)
-    except (KeyError, TypeError, ValueError) as exc:
+        if "weights" in obj:
+            weights = np.asarray(obj["weights"], dtype=np.float64)
+            if "atoms" in obj and obj["atoms"] != weights.size:
+                raise DataError("atom count does not match the weight list")
+            return Domain(weights, geometry)
+        if geometry is None:
+            raise DataError("domain has neither weights nor grid geometry")
+        k, dim = geometry.cells_per_axis, geometry.dim
+        # k**dim > rows once dim > rows.bit_length() (k >= 2; k == 1 gives 1),
+        # so the capped power decides the comparison without a huge integer.
+        if rows is not None and k ** min(dim, rows.bit_length() + 1) != rows:
+            raise DataError(f"a grid of {k}**{dim} cells does not match the map's {rows} atoms")
+        if obj.get("atoms", k**dim) != k**dim:
+            raise DataError("atom count does not match the grid geometry")
+        return Domain.grid(dim, k)
+    except (KeyError, TypeError, ValueError, GeometryError) as exc:
         raise DataError(f"malformed domain payload: {exc}") from exc
 
 
 def save_domain(domain: Domain, path: str | os.PathLike) -> None:
-    write_atomic(path, json.dumps(_domain_payload(domain), indent=1))
+    write_atomic(path, json.dumps(_domain_payload(domain)))
 
 
-def load_domain(path: str | os.PathLike) -> Domain:
+def _read_domain_file(path: str | os.PathLike) -> dict:
     obj = _read_json(path)
     if obj.get("kind") != "domain":
         raise DataError(f"{path}: expected a domain file")
-    return _domain_from_payload(obj)
+    return obj
+
+
+def load_domain(path: str | os.PathLike) -> Domain:
+    return _domain_from_payload(_read_domain_file(path))
 
 
 def _read_json(path: str | os.PathLike) -> dict:
@@ -114,12 +129,12 @@ def _confined(base_dir: Path, name) -> Path:
     return path
 
 
-def _resolve_domain(obj: dict, base_dir: Path) -> Domain:
+def _resolve_domain(obj: dict, base_dir: Path, rows: int) -> Domain:
     dom = obj.get("domain")
     if isinstance(dom, dict) and "path" in dom:
-        return load_domain(_confined(base_dir, dom["path"]))
+        dom = _read_domain_file(_confined(base_dir, dom["path"]))
     if isinstance(dom, dict):
-        return _domain_from_payload(dom)
+        return _domain_from_payload(dom, rows)
     raise DataError("map file lacks a domain")
 
 
@@ -149,20 +164,12 @@ def _values_from_payload(obj: dict, base_dir: Path) -> np.ndarray:
         raise DataError(f"malformed map values ({exc})") from exc
 
 
-def save_map(
-    f: MeasurableMap,
-    path: str | os.PathLike,
-    domain_path: str | os.PathLike | None = None,
-) -> None:
-    """Write a mapping; `domain_path` references an already-saved domain
-    file (relative to the map file) instead of inlining the domain."""
+def save_map(f: MeasurableMap, path: str | os.PathLike) -> None:
     path = Path(path)
-    payload: dict = {"kind": "map", "space": f.space.descriptor()}
-    payload["domain"] = (
-        {"path": str(domain_path)} if domain_path else _domain_payload(f.domain)
-    )
+    payload: dict = {"kind": "map", "space": f.space.descriptor(),
+                     "domain": _domain_payload(f.domain)}
     _values_to_payload(f.values, path, payload)
-    write_atomic(path, json.dumps(payload, indent=1))
+    write_atomic(path, json.dumps(payload))
 
 
 def load_map(path: str | os.PathLike) -> MeasurableMap:
@@ -174,32 +181,25 @@ def load_map(path: str | os.PathLike) -> MeasurableMap:
 
 
 def _map_from_obj(obj: dict, path: Path) -> MeasurableMap:
-    domain = _resolve_domain(obj, path.parent)
+    values = _values_from_payload(obj, path.parent)
+    domain = _resolve_domain(obj, path.parent, len(values) if values.ndim else 1)
     try:
         space = space_from_descriptor(obj["space"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad space descriptor ({exc})") from exc
-    values = _values_from_payload(obj, path.parent)
     return MeasurableMap(domain, space, values)
 
 
-def save_simple_map(
-    g: SimpleMap,
-    path: str | os.PathLike,
-    domain_path: str | os.PathLike | None = None,
-) -> None:
-    path = Path(path)
-    payload: dict = {
+def save_simple_map(g: SimpleMap, path: str | os.PathLike) -> None:
+    payload = {
         "kind": "simple_map",
         "space": g.space.descriptor(),
         "labels": [int(v) for v in g.labels],
         "values": [[float(v) for v in row] for row in g.value_table],
         "base_flag": g.base_flag,
+        "domain": _domain_payload(g.domain),
     }
-    payload["domain"] = (
-        {"path": str(domain_path)} if domain_path else _domain_payload(g.domain)
-    )
-    write_atomic(path, json.dumps(payload, indent=1))
+    write_atomic(path, json.dumps(payload))
 
 
 def load_simple_map(path: str | os.PathLike) -> SimpleMap:
@@ -211,10 +211,10 @@ def load_simple_map(path: str | os.PathLike) -> SimpleMap:
 
 
 def _simple_map_from_obj(obj: dict, path: Path) -> SimpleMap:
-    domain = _resolve_domain(obj, path.parent)
     try:
-        space = space_from_descriptor(obj["space"])
         labels = np.asarray(obj["labels"], dtype=np.int64)
+        domain = _resolve_domain(obj, path.parent, labels.size)
+        space = space_from_descriptor(obj["space"])
         table = np.asarray(obj["values"], dtype=np.float64).reshape(-1, space.dim)
         return SimpleMap(domain, space, labels, table, obj.get("base_flag"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -247,8 +247,6 @@ def jsonable(obj):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return obj  # json emits Infinity, accepted on reload
     return obj
 
 

@@ -46,6 +46,14 @@ BAD_MAP_TEXTS = [
     ' "values_file": "../side.bin", "values_shape": [1, 1]}',
     '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"path": "../dom.json"},'
     ' "values": [[0.0]]}',
+    '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"atoms": 2,'
+    ' "geometry": {"dim": 1, "cells_per_axis": 1}}, "values": [[0.0]]}',
+    '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"geometry":'
+    ' {"dim": 2, "cells_per_axis": 4}}, "values": [[0.0]]}',
+    '{"kind": "simple_map", "space": {"space": "euclidean1"}, "domain": {"geometry":'
+    ' {"dim": 1, "cells_per_axis": 3}}, "labels": [0, 0], "values": [[0.0]]}',
+    '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"atoms": 1},'
+    ' "values": [[0.0]]}',
 ]
 
 

@@ -145,6 +145,57 @@ def test_distance_malformed_map_files_are_data_errors(pair_files, tmp_path, caps
         assert err.startswith("error: "), (text, err)
 
 
+@pytest.mark.parametrize("layout", ["geometry", "weights"])
+@pytest.mark.parametrize(
+    "geometry",
+    [{"dim": 2, "cells_per_axis": 0}, {"dim": 0, "cells_per_axis": 4},
+     {"dim": True, "cells_per_axis": 1}, {"dim": 2, "cells_per_axis": 2.0},
+     {"dim": 1, "cells_per_axis": -3}, {"dim": "2", "cells_per_axis": 4}],
+)
+def test_distance_refuses_malformed_grid_geometry(tmp_path, capsys, layout, geometry):
+    domain = {"geometry": geometry} if layout == "geometry" else {"weights": [], "geometry": geometry}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"kind": "map", "space": {"space": "euclidean1"}, "domain": domain, "values": []}
+    ))
+    code, _, err = run_cli(capsys, "distance", str(path), str(path))
+    assert code == EXIT_DATA, err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_distance_refuses_a_grid_claim_larger_than_its_values(tmp_path):
+    """A geometry-only domain lets a 200-byte file claim a 10^6 x 10^6 grid.
+    The readers compare the claim with the map's rows before building any
+    weights; the child runs under an address-space limit, so a regression
+    ends in MemoryError instead of taking the host's memory."""
+    huge = {"kind": "domain", "atoms": 10**12, "geometry": {"dim": 2, "cells_per_axis": 10**6}}
+    space = {"space": "euclidean1"}
+    files = {
+        "dom.json": huge,
+        "map.json": {"kind": "map", "space": space, "domain": huge, "values": [[0.0]]},
+        "simple.json": {"kind": "simple_map", "space": space, "domain": huge,
+                        "labels": [0], "values": [[0.0]], "base_flag": None},
+        "ref.json": {"kind": "map", "space": space, "domain": {"path": "dom.json"},
+                     "values": [[0.0]]},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from metriclp.cli import main\n"
+        "print([main(['distance', path, path]) for path in sys.argv[1:]])\n"
+    )
+    maps = [str(tmp_path / name) for name in ("map.json", "simple.json", "ref.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *maps],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([EXIT_DATA] * 3)
+    assert proc.stderr.count("error: ") == 3 and "Traceback" not in proc.stderr
+
+
 def test_distance_bad_exponent(pair_files, capsys):
     a, b = pair_files
     code, _, err = run_cli(capsys, "distance", str(a), str(b), "--p", "banana")

@@ -15,6 +15,7 @@ from metriclp import (
     AtomSet,
     Domain,
     GeometryError,
+    GridGeometry,
     MetricLpError,
     face_adjacent_pairs,
     inner_closed_approx,
@@ -51,6 +52,34 @@ def test_grid_weights_are_cell_measures():
     assert dom.coordinates()[0] == pytest.approx([1 / 8, 1 / 8])
     with pytest.raises(GeometryError):
         Domain(np.full(16, 0.5), dom.geometry)  # wrong cell weights
+
+
+def test_grid_weights_are_stored_exactly():
+    """Weights within the tolerance of cell_size**dim are stored as the
+    exact cell measure, so a grid's geometry alone records its measure."""
+    exact = Domain.grid(2, 3)
+    nudged = np.nextafter(np.nextafter(exact.weights, 1.0), 1.0)
+    nudged[::2] = np.nextafter(exact.weights[::2], 0.0)
+    assert not np.array_equal(nudged, exact.weights)
+    dom = Domain(nudged, exact.geometry)
+    assert dom.weights.tobytes() == exact.weights.tobytes()
+    assert dom.same_as(exact)
+
+
+@pytest.mark.parametrize(
+    "dim, cells", [(2, 0), (0, 4), (1, -2), (True, 4), (2, False), (2.0, 4), (2, 4.0), ("2", 4)]
+)
+def test_grid_geometry_refuses_non_positive_integers(dim, cells):
+    with pytest.raises(GeometryError):
+        GridGeometry(dim, cells)
+    with pytest.raises(GeometryError):
+        Domain.grid(dim, cells)
+
+
+def test_grid_geometry_takes_numpy_integers():
+    geo = GridGeometry(np.int64(2), np.int32(4))
+    assert geo == GridGeometry(2, 4)
+    assert type(geo.dim) is int and type(geo.cells_per_axis) is int
 
 
 def test_measure_and_infinite_sets():

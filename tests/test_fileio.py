@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from metriclp.fileio import (
 )
 
 from .conftest import BAD_MAP_TEXTS, write_bad_file
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_domain_round_trip_exact(tmp_path, rng):
@@ -84,12 +87,58 @@ def test_map_with_domain_reference(tmp_path, rng):
     dom = Domain(np.ones(5))
     save_domain(dom, tmp_path / "dom.json")
     f = MeasurableMap(dom, sp, sp.random_payloads(rng, 5))
-    save_map(f, tmp_path / "f.json", domain_path="dom.json")
+    save_map(f, tmp_path / "f.json")
     raw = json.loads((tmp_path / "f.json").read_text())
-    assert raw["domain"] == {"path": "dom.json"}
+    raw["domain"] = {"path": "dom.json"}  # the writers always inline the domain
+    (tmp_path / "f.json").write_text(json.dumps(raw))
+    assert json.loads((tmp_path / "f.json").read_text())["domain"] == {"path": "dom.json"}
     back = load_map(tmp_path / "f.json")
     assert np.array_equal(back.domain.weights, dom.weights)
     assert np.array_equal(back.values, f.values)
+
+
+def test_grid_domain_is_stored_as_its_geometry(tmp_path, rng):
+    sp = make_space("euclidean2")
+    dom = Domain.grid(2, 256)
+    f = MeasurableMap(dom, sp, rng.normal(size=(dom.atom_count, 2)))
+    save_map(f, tmp_path / "f.json")
+    text = (tmp_path / "f.json").read_text()
+    assert len(text.encode()) < 1024
+    assert json.loads(text)["domain"] == {
+        "kind": "domain", "atoms": 65536, "geometry": {"dim": 2, "cells_per_axis": 256}
+    }
+    back = load_map(tmp_path / "f.json")
+    assert back.domain.geometry == dom.geometry
+    assert back.domain.weights.tobytes() == dom.weights.tobytes()
+    assert back.values.tobytes() == f.values.tobytes()
+
+
+def test_legacy_grid_files_load_unchanged(tmp_path):
+    """Files written before grid domains were stored as their geometry list
+    every weight; they load bit for bit and are re-saved without them."""
+    raw_map = json.loads((DATA / "legacy_grid_map.json").read_text())
+    raw_simple = json.loads((DATA / "legacy_grid_simple_map.json").read_text())
+    f = load_map(DATA / "legacy_grid_map.json")
+    g = load_simple_map(DATA / "legacy_grid_simple_map.json")
+    for back, raw in ((f, raw_map), (g, raw_simple)):
+        legacy = np.array(raw["domain"]["weights"])
+        assert back.domain.weights.tobytes() == legacy.tobytes()
+        assert back.domain.weights.tobytes() == Domain.grid(2, 4).weights.tobytes()
+        assert back.domain.geometry == Domain.grid(2, 4).geometry
+    assert f.values.tobytes() == np.array(raw_map["values"]).tobytes()
+    assert np.array_equal(g.labels, raw_simple["labels"])
+    assert g.value_table.tobytes() == np.array(raw_simple["values"]).tobytes()
+    assert g.base_flag == -1
+
+    save_map(f, tmp_path / "f.json")
+    save_simple_map(g, tmp_path / "g.json")
+    for name in ("f.json", "g.json"):
+        assert "weights" not in json.loads((tmp_path / name).read_text())["domain"]
+    f2, g2 = load_map(tmp_path / "f.json"), load_simple_map(tmp_path / "g.json")
+    assert f2.values.tobytes() == f.values.tobytes()
+    assert f2.domain.weights.tobytes() == f.domain.weights.tobytes()
+    assert np.array_equal(g2.labels, g.labels) and g2.base_flag == g.base_flag
+    assert g2.value_table.tobytes() == g.value_table.tobytes()
 
 
 def test_simple_map_round_trip(tmp_path):
@@ -131,6 +180,9 @@ def test_load_any_map_dispatches(tmp_path, rng):
         '{"kind": "domain", "atoms": 5, "weights": [1.0]}',
         '{"kind": "map", "space": {"family": "euclidean", "dim": 1}}',
         *BAD_MAP_TEXTS,
+        '{"kind": "domain", "atoms": 15, "geometry": {"dim": 2, "cells_per_axis": 4}}',
+        '{"kind": "domain", "atoms": 3, "geometry": null}',
+        '{"kind": "domain", "geometry": {"dim": 2, "cells_per_axis": 0}}',
     ],
 )
 def test_malformed_inputs_raise_data_error(tmp_path, text):
