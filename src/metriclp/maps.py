@@ -93,8 +93,24 @@ def pointwise_distance(f: MeasurableMap, g: MeasurableMap) -> Array:
 def dp_distance(f: MeasurableMap, g: MeasurableMap, p: float) -> float:
     """The D_p distance between two mappings over the same domain."""
     p = check_p(p)
-    d = pointwise_distance(f, g)
-    w = f.domain.weights
+    return dp_from_pointwise(pointwise_distance(f, g), f.domain.weights, p)
+
+
+def dp_from_pointwise(d: Array, weights: Array, p: float) -> float:
+    """D_p from the pointwise distances d(f(x), g(x)), one per atom, and
+    the atom weights.
+
+    The vector does not depend on p: a caller that wants several exponents
+    evaluates the ground metric once and reduces the same vector per p,
+    with the same bits as `dp_distance` at each p.
+    """
+    p = check_p(p)
+    d = np.asarray(d, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if d.ndim != 1 or d.shape != w.shape:
+        raise DimensionMismatchError(
+            f"need one distance per weight, got {d.shape} and {w.shape}"
+        )
     if math.isinf(p):
         live = w > 0
         return float(d[live].max()) if live.any() else 0.0

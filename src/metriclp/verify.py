@@ -526,15 +526,27 @@ def _check_space_geodesics(ctx: SuiteContext) -> dict:
 
 def _covering_radii(space, probe: Array, centers: Array, counts) -> list[float]:
     """Covering radius of `probe` by centers[:m] for each m in `counts`
-    (ascending), from one running minimum over the center rows."""
-    nearest = np.full(probe.shape[0], np.inf)
-    radii = []
-    for j in range(counts[-1]):
-        row = np.broadcast_to(centers[j], probe.shape)
-        nearest = np.minimum(nearest, space.distance_many(probe, row))
-        if j + 1 in counts:
-            radii.append(float(nearest.max()))
-    return radii
+    (ascending).
+
+    The probe goes in blocks of b rows, each paired with all k =
+    counts[-1] centers in one `distance_many` call of at most
+    quantize.COVER_BLOCK_PAIRS pairs (one row when k alone exceeds it);
+    a running minimum along the (b, k) block's columns then gives each
+    probe's distance to centers[:m] in column m - 1.  The minimum is exact,
+    so the radii are those of a running minimum over the center rows.
+    """
+    k = counts[-1]
+    cols = np.asarray(counts) - 1
+    block = max(1, min(probe.shape[0], quantize.COVER_BLOCK_PAIRS // k))
+    tiled = np.tile(centers[:k], (block, 1))
+    radii = np.full(len(counts), -np.inf)
+    for start in range(0, probe.shape[0], block):
+        rows = probe[start : start + block]
+        b = rows.shape[0]
+        d = space.distance_many(np.repeat(rows, k, 0), tiled[: b * k])
+        nearest = np.minimum.accumulate(d.reshape(b, k), axis=1)
+        radii = np.maximum(radii, nearest[:, cols].max(axis=0))
+    return radii.tolist()
 
 
 def _check_space_dense(ctx: SuiteContext) -> dict:

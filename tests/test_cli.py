@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,9 +15,18 @@ import numpy as np
 import pytest
 
 import metriclp
-from metriclp import Domain, MeasurableMap, SimpleMap, make_space, verify
+from metriclp import (
+    Domain,
+    MeasurableMap,
+    SimpleMap,
+    dp_distance,
+    make_space,
+    pointwise_distance,
+    verify,
+)
 from metriclp.cli import EXIT_DATA, main
 from metriclp.fileio import load_any_map, load_map, save_map, save_simple_map
+from metriclp.spaces import MetricSpace
 
 from .conftest import BAD_MAP_TEXTS, write_bad_file
 
@@ -200,6 +210,72 @@ def test_distance_bad_exponent(pair_files, capsys):
     a, b = pair_files
     code, _, err = run_cli(capsys, "distance", str(a), str(b), "--p", "banana")
     assert code == 1 and "usage error" in err
+
+
+def test_distance_report_keys_never_collide(pair_files, capsys):
+    """Each exponent keeps its own key: the `:g` form where it reads back as
+    the exponent, its repr where `:g` would round it onto another one."""
+    a, b = pair_files
+    code, stdout, _ = run_cli(
+        capsys, "distance", str(a), str(b), "--p", "1,1.0000001,2.5000004,1.5,400,inf",
+    )
+    assert code == 0
+    keys = list(json.loads(stdout)["distances"])
+    assert keys == ["1", "1.0000001", "2.5000004", "1.5", "400", "inf"]
+
+
+def test_distance_checks_every_exponent_before_reading_files(tmp_path, capsys):
+    missing = str(tmp_path / "no.json")
+    code, _, err = run_cli(capsys, "distance", missing, missing, "--p", "2,0.5")
+    assert code == EXIT_DATA
+    assert err == "error: p must satisfy 1 <= p <= inf\n"
+
+
+DISTANCE_TARGETS = [("euclidean3", 16), ("spd2", 16), ("simplex3", 16),
+                    ("histogram8", 16), ("circle", 16), ("spd3", 8)]
+DISTANCE_EXPONENTS = (1.0, 1.5, 2.0, 4.0, 400.0, math.inf)
+
+
+@pytest.mark.parametrize("target,n", DISTANCE_TARGETS)
+def test_distance_reduces_one_pointwise_pass_per_exponent(tmp_path, capsys, monkeypatch, target, n):
+    """`distance` evaluates the ground metric once for all exponents, and each
+    value is the one `dp_distance` gives at that exponent, bit for bit."""
+    files = []
+    for seed, side in enumerate("ab"):
+        path = tmp_path / f"{side}.json"
+        code, _, err = run_cli(capsys, "gen", "--kind", "random", "--space", target,
+                               "--grid", f"{n}x{n}", "--seed", str(seed), "--spread", "0.1",
+                               "--out", str(path))
+        assert code == 0, err
+        files.append(str(path))
+    calls = []
+    original = MetricSpace.distance_many
+
+    def counting(self, a, b):
+        calls.append(np.shape(a))
+        return original(self, a, b)
+
+    monkeypatch.setattr(MetricSpace, "distance_many", counting)
+    code, stdout, err = run_cli(capsys, "distance", *files, "--p", "1,2,inf")
+    assert code == 0, err
+    assert calls == [(n * n, make_space(target).dim)]
+    monkeypatch.undo()
+
+    code, stdout, err = run_cli(capsys, "distance", *files, "--p", "1,1.5,2,4,400,inf")
+    assert code == 0, err
+    got = json.loads(stdout)["distances"]
+    left, right = load_map(files[0]), load_map(files[1])
+    want = {key: dp_distance(left, right, p)
+            for key, p in zip(["1", "1.5", "2", "4", "400", "inf"], DISTANCE_EXPONENTS)}
+    assert got == want  # float equality: bit for bit on finite values
+    # p = 400 takes the scaled (Blue 1978) path: some live term w * d**400
+    # falls below the normal range (--spread 0.1 keeps d small on every target)
+    d = pointwise_distance(left, right)
+    live = d > 0
+    assert live.any()
+    with np.errstate(under="ignore"):
+        terms = left.domain.weights[live] * d[live] ** 400.0
+    assert np.any(terms < np.finfo(np.float64).tiny)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

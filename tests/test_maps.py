@@ -15,6 +15,7 @@ import pytest
 from metriclp import (
     BASE_LABEL,
     AtomSet,
+    DimensionMismatchError,
     Domain,
     DomainMismatchError,
     MeasurableMap,
@@ -23,6 +24,7 @@ from metriclp import (
     differing_support,
     distance_to_base_field,
     dp_distance,
+    dp_from_pointwise,
     equivalent,
     is_member,
     is_trivial,
@@ -81,6 +83,23 @@ def test_dp_rejects_bad_p():
         dp_distance(f, f, 0.5)
     with pytest.raises(MetricLpError):
         dp_distance(f, f, math.nan)
+
+
+def test_dp_from_pointwise_is_dp_distance_on_the_pointwise_vector():
+    """One pointwise vector reduced at each p gives dp_distance's bits,
+    including the infinite-weight, null-atom and scaled-fallback paths."""
+    dom = Domain(np.array([0.0, 0.25, math.inf, 1.0, 2.0]))
+    f = line_map(dom, [9.0, 1e-3, 4.0, 0.0, 2.0])
+    for g in (line_map(dom, [0.0, 0.0, 4.0, 1e-200, -1.0]),
+              line_map(dom, [0.0, 0.0, 4.0, 3.0, 1e150]),
+              line_map(dom, [0.0, 0.0, 4.5, 3.0, 1.0])):
+        d = pointwise_distance(f, g)
+        for p in (1, 1.5, 2.0, 4.0, 400.0, math.inf):
+            assert dp_from_pointwise(d, dom.weights, p) == dp_distance(f, g, p)
+    with pytest.raises(MetricLpError):
+        dp_from_pointwise(d, dom.weights, 0.5)
+    with pytest.raises(DimensionMismatchError):
+        dp_from_pointwise(d[:-1], dom.weights, 2.0)
 
 
 def test_dp_domain_mismatch():

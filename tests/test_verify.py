@@ -215,3 +215,44 @@ def test_dense_sequences_check_fails_on_a_sequence_that_does_not_spread(monkeypa
     monkeypatch.setattr(CircleSpace, "_dense_payloads", lambda self, k: np.zeros((k, 1)))
     with pytest.raises(CheckFailedError, match="circle: covering radius not shrinking"):
         verify._check_space_dense(ctx)
+
+
+# ---------------------------------------------------------------------------
+# covering radii
+# ---------------------------------------------------------------------------
+
+
+def running_min_radii(space, probe, centers, counts):
+    nearest = np.full(probe.shape[0], np.inf)
+    radii = []
+    for j in range(counts[-1]):
+        row = np.broadcast_to(centers[j], probe.shape)
+        nearest = np.minimum(nearest, space.distance_many(probe, row))
+        if j + 1 in counts:
+            radii.append(float(nearest.max()))
+    return radii
+
+
+@pytest.mark.parametrize("budget", [1, 7, None])
+def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
+    """The blocked covering pass gives the radii of a running minimum over
+    the centers exactly, for one-row blocks, blocks with a short tail and
+    the default pair budget."""
+    cases = []
+    for name in SPACE_NAMES:
+        space = make_space(name)
+        probe = space.unit_probe()
+        if budget is not None:
+            # small budgets make one call per few rows: thin histogram8's
+            # 245,157-row probe to about 600 rows
+            probe = probe[:: max(1, probe.shape[0] // 600)]
+        centers = space.dense_payloads(40)
+        cases += [(space, probe, centers, counts) for counts in ((5, 40), (1,), (3, 7))]
+    plane = make_space("euclidean2")
+    net = plane.epsilon_net(np.zeros(2), 1.0, 0.4)
+    cases.append((plane, plane.probe_ball(np.zeros(2), 1.0, 0.05), net, (len(net),)))
+    if budget is not None:
+        monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", budget)
+    for space, probe, centers, counts in cases:
+        got = verify._covering_radii(space, probe, centers, counts)
+        assert got == running_min_radii(space, probe, centers, counts), (space.tag, counts)
