@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 import zlib
 from dataclasses import dataclass
@@ -525,27 +526,55 @@ def _check_space_geodesics(ctx: SuiteContext) -> dict:
 
 
 def _covering_radii(space, probe: Array, centers: Array, counts) -> list[float]:
-    """Covering radius of `probe` by centers[:m] for each m in `counts`
-    (ascending).
+    """Covering radius of `probe` by centers[:m] for each m in `counts`:
+    the directed Hausdorff distance max_x min_{c in centers[:m]} d(x, c).
 
-    The probe goes in blocks of b rows, each paired with all k =
-    counts[-1] centers in one `distance_many` call of at most
-    quantize.COVER_BLOCK_PAIRS pairs (one row when k alone exceeds it);
-    a running minimum along the (b, k) block's columns then gives each
-    probe's distance to centers[:m] in column m - 1.  The minimum is exact,
-    so the radii are those of a running minimum over the center rows.
+    `counts` must be strictly ascending, each between 1 and len(centers);
+    anything else raises ValueError.
+
+    The probe goes in blocks of quantize.COVER_BLOCK_PAIRS // k rows (k =
+    counts[-1]; one row when k alone exceeds the budget).  Inside a block
+    the centers are taken in column chunks ending at every count and at
+    every power of two below k, one `distance_many` call per chunk, and
+    each row keeps its running minimum.  A chunk ending at a count folds
+    the largest running minimum into that count's radius.  After each
+    chunk the rows whose running minimum is at or below the smallest radius
+    of the counts still pending are dropped (early break, Taha & Hanbury
+    2015): that radius is attained by a probe row, and a dropped row's
+    minimum can only fall further, so no radius changes.  A NaN running
+    minimum is never dropped, so a NaN distance the pass evaluates still
+    reaches the radius.  Every kernel is row-wise, so with NaN-free
+    distances the radii are bit for bit those of a running minimum over
+    all probe rows and centers.
     """
+    counts = [operator.index(m) for m in counts]
+    if not counts or counts[0] < 1 or counts[-1] > len(centers) or np.any(np.diff(counts) <= 0):
+        raise ValueError(f"covering counts {counts} must ascend strictly within 1..{len(centers)}")
     k = counts[-1]
-    cols = np.asarray(counts) - 1
-    block = max(1, min(probe.shape[0], quantize.COVER_BLOCK_PAIRS // k))
-    tiled = np.tile(centers[:k], (block, 1))
+    ends = sorted(set(counts) | {1 << i for i in range(k.bit_length()) if 1 << i < k})
+    block = max(1, quantize.COVER_BLOCK_PAIRS // k)
     radii = np.full(len(counts), -np.inf)
     for start in range(0, probe.shape[0], block):
         rows = probe[start : start + block]
-        b = rows.shape[0]
-        d = space.distance_many(np.repeat(rows, k, 0), tiled[: b * k])
-        nearest = np.minimum.accumulate(d.reshape(b, k), axis=1)
-        radii = np.maximum(radii, nearest[:, cols].max(axis=0))
+        run = np.full(rows.shape[0], np.inf)
+        lo = pending = 0
+        for hi in ends:
+            c = hi - lo
+            d = space.distance_many(
+                np.repeat(rows, c, 0), np.tile(centers[lo:hi], (rows.shape[0], 1))
+            )
+            run = np.minimum(run, d.reshape(-1, c).min(axis=1))
+            lo = hi
+            if hi == counts[pending]:
+                radii[pending] = np.maximum(radii[pending], run.max())
+                pending += 1
+                if pending == len(counts):
+                    break
+            keep = ~(run <= radii[pending:].min())
+            if not keep.all():
+                rows, run = rows[keep], run[keep]
+                if rows.shape[0] == 0:
+                    break
     return radii.tolist()
 
 

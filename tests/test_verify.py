@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from metriclp import (
     make_space,
 )
 from metriclp import verify
-from metriclp.spaces import CircleSpace
+from metriclp.spaces import CircleSpace, MetricSpace
 from metriclp.verify import (
     CauchySequenceSpec,
     build_dense_family,
@@ -233,11 +234,30 @@ def running_min_radii(space, probe, centers, counts):
     return radii
 
 
+def with_kernel(space, post):
+    """A copy of `space` whose distance_many returns post(a, b, d)."""
+    wrapped = copy.copy(space)
+    wrapped.distance_many = lambda a, b: post(a, b, space.distance_many(a, b))
+    return wrapped
+
+
+def nan_at(x, c):
+    """Kernel wrapper that turns the one pair (x, c) into NaN."""
+
+    def post(a, b, d):
+        d = d.copy()
+        d[(a == x).all(axis=1) & (b == c).all(axis=1)] = np.nan
+        return d
+
+    return post
+
+
 @pytest.mark.parametrize("budget", [1, 7, None])
 def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
-    """The blocked covering pass gives the radii of a running minimum over
+    """The pruned covering pass gives the radii of a running minimum over
     the centers exactly, for one-row blocks, blocks with a short tail and
-    the default pair budget."""
+    the default pair budget; also on tied radii, a shuffled probe, negated
+    distances and a NaN injected early, late or in the last block."""
     cases = []
     for name in SPACE_NAMES:
         space = make_space(name)
@@ -251,8 +271,58 @@ def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
     plane = make_space("euclidean2")
     net = plane.epsilon_net(np.zeros(2), 1.0, 0.4)
     cases.append((plane, plane.probe_ball(np.zeros(2), 1.0, 0.05), net, (len(net),)))
+    # the head of histogram8's dyadic probe: r5 = 0.5 once, r40 = 0.25 on
+    # six rows, and several default-budget blocks to prune across
+    hist = make_space("histogram8")
+    probe = hist.unit_probe()[: 400 if budget is not None else 5000]
+    centers = hist.dense_payloads(40)
+    assert running_min_radii(hist, probe, centers, (5, 40)) == [0.5, 0.25]
+    shuffled = probe[np.random.default_rng(0).permutation(probe.shape[0])]
+    hard = [
+        (hist, probe, centers),
+        (hist, shuffled, centers),
+        (with_kernel(hist, lambda a, b, d: -d), probe, centers),
+        (with_kernel(hist, nan_at(probe[0], centers[0])), probe, centers),
+        (with_kernel(hist, nan_at(probe[0], centers[38])), probe, centers),
+        (with_kernel(hist, nan_at(probe[-1], centers[0])), probe, centers),
+    ]
+    cases += [(space, probe, centers, (5, 40)) for space, probe, centers in hard]
     if budget is not None:
         monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", budget)
     for space, probe, centers, counts in cases:
         got = verify._covering_radii(space, probe, centers, counts)
-        assert got == running_min_radii(space, probe, centers, counts), (space.tag, counts)
+        want = running_min_radii(space, probe, centers, counts)
+        np.testing.assert_array_equal(got, want, err_msg=f"{space.tag} {counts}")
+    nan_radii = [running_min_radii(space, p, c, (5, 40)) for space, p, c in hard[3:]]
+    assert np.isnan(nan_radii).tolist() == [[True, True], [False, True], [True, True]]
+
+
+@pytest.mark.parametrize(
+    "counts, n_centers, n_probe",
+    [((0, 5), 40, 64), ((40,), 1, 1), ((5, 5), 40, 64), ((40, 5), 40, 64), ((), 40, 64)],
+)
+def test_covering_radii_refuse_counts_they_cannot_serve(counts, n_centers, n_probe):
+    """Counts must ascend strictly within 1..len(centers): count 0 would
+    read column -1, and a one-row probe would broadcast one center as if
+    it were 40."""
+    circle = make_space("circle")
+    probe = circle.unit_probe()[:n_probe]
+    centers = circle.dense_payloads(40)[:n_centers]
+    with pytest.raises(ValueError, match="covering counts"):
+        verify._covering_radii(circle, probe, centers, counts)
+
+
+def test_dense_sequence_check_prunes_the_covering_pass(monkeypatch):
+    """The dense-sequence check evaluates under 3M distance rows at seed 0
+    (the full probe x 40 centers table is about 9.84M)."""
+    rows = []
+    inner = MetricSpace.distance_many
+
+    def counting(self, a, b):
+        d = inner(self, a, b)
+        rows.append(d.shape[0])
+        return d
+
+    monkeypatch.setattr(MetricSpace, "distance_many", counting)
+    verify._check_space_dense(verify.SuiteContext(verify.SuiteConfig(seed=0)))
+    assert 0 < sum(rows) < 3_000_000
