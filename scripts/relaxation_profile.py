@@ -44,7 +44,7 @@ def main() -> None:
             f"max adjacent step {rep['max_difference']:.3e} "
             f"<= {rep['max_bound']:.3e}, guarantee={field.flags['guarantee_holds']}"
         )
-        curves[f"order{order}"] = field.values.ravel()
+        curves[f"order{order}"] = field.map.values.ravel()
 
     xs = (np.arange(args.cells) + 0.5) * domain.geometry.cell_size
     with open(args.csv_out, "w", newline="") as fh:

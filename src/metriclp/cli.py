@@ -154,7 +154,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--suite", default="all", choices=["all"])
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", help="write the JSON ledger here")
-    p_ver.add_argument("--mutate", help="fault-injection hook (testing the harness)")
+    p_ver.add_argument("--mutate", choices=verify.MUTATIONS,
+                       help="fault-injection hook (testing the harness)")
     return parser
 
 
@@ -265,7 +266,7 @@ def _cmd_continuify(args) -> int:
     p = _parse_p(args.p)
     out_field = relax.smooth_from_simple(g, z0, p, args.eps, order=args.order)
     out = _out_path(args, "relaxed-field.json")
-    fileio.save_map(out_field.to_map(), out)
+    fileio.save_map(out_field.map, out)
     summary = {
         "written": str(out),
         "order": args.order,
@@ -281,7 +282,7 @@ def _cmd_continuify(args) -> int:
             {
                 "label": piece.label,
                 "lipschitz": piece.lipschitz,
-                "gap_width": piece.transition.gap_width,
+                "gap_width": piece.gap_width,
                 "core_atoms": piece.core.size,
                 "region_atoms": piece.region.size,
                 "sup_gap": piece.sup_gap,
@@ -297,7 +298,10 @@ def _cmd_continuify(args) -> int:
 
 def _cmd_verify(args) -> int:
     mutations = (args.mutate,) if args.mutate else ()
-    config = verify.SuiteConfig(seed=args.seed, mutations=mutations)
+    try:
+        config = verify.SuiteConfig(seed=args.seed, mutations=mutations)
+    except ValueError as exc:  # a --config default is not checked against choices
+        raise UsageError(str(exc)) from exc
     result = verify.run_theorem_suite(config)
     ledger = result.as_dict()
     if args.out:

@@ -418,9 +418,7 @@ def _partitions_into_at_most(items: list[int], k: int):
             yield part + [[head]]
 
 
-def orthonormal_lower_bound(
-    n_directions: int, k_values: int, trunc_dim: int | None = None
-) -> OrthonormalBoundReport:
+def orthonormal_lower_bound(n_directions: int, k_values: int) -> OrthonormalBoundReport:
     """Best possible sup error of any k-valued map against n orthonormal values.
 
     The mapping sends interval-shaped atoms of growing weight 1, 2, ..., n
@@ -435,12 +433,9 @@ def orthonormal_lower_bound(
         raise MetricLpError("n_directions must be in [2, 12] for brute force")
     if k_values < 1:
         raise MetricLpError("k_values must be positive")
-    dim = trunc_dim if trunc_dim is not None else n_directions
-    if dim < n_directions:
-        raise MetricLpError("truncation must keep all used directions")
-    space = EuclideanSpace(dim)
+    space = EuclideanSpace(n_directions)
     domain = Domain(np.arange(1, n_directions + 1, dtype=np.float64))
-    values = np.eye(n_directions, dim)
+    values = np.eye(n_directions)
     mapping = MeasurableMap(domain, space, values)
 
     best = math.inf
@@ -452,7 +447,7 @@ def orthonormal_lower_bound(
             best_partition = part
     assert best_partition is not None
     labels = np.zeros(n_directions, dtype=np.int64)
-    table = np.zeros((len(best_partition), dim))
+    table = np.zeros((len(best_partition), n_directions))
     for j, block in enumerate(best_partition):
         labels[block] = j
         table[j] = values[block].mean(axis=0)

@@ -31,8 +31,6 @@ import numpy as np
 
 from .domain import (
     AtomSet,
-    Domain,
-    TransitionField,
     face_adjacent_pairs,
     inner_closed_approx,
     measure,
@@ -40,8 +38,7 @@ from .domain import (
     urysohn,
 )
 from .errors import CapabilityError, GeometryError, MetricLpError
-from .maps import MeasurableMap, SimpleMap, check_p, dp_distance
-from .spaces import MetricSpace
+from .maps import BASE_LABEL, MeasurableMap, SimpleMap, check_p, dp_distance
 
 Array = np.ndarray
 
@@ -85,10 +82,10 @@ def smoothstep_max_slope(order: int) -> float:
 class RelaxPiece:
     label: int
     value: Array
-    level_set: AtomSet
     core: AtomSet
     region: AtomSet
-    transition: TransitionField
+    transition: Array      # raw transition values on the region, in region.indices order
+    gap_width: float       # distance from the core to the region's complement
     lipschitz: float       # geodesic length d(background, value)
     inner_over_budget: bool
     outer_over_budget: bool
@@ -98,19 +95,14 @@ class RelaxPiece:
 
 @dataclass
 class ContinuousField:
-    domain: Domain
-    space: MetricSpace
+    map: MeasurableMap     # the relaxed field, validated once when built
     background: Array
     order: int
-    values: Array
     pieces: list[RelaxPiece]
     p: float
     target_eps: float
     achieved_error: float
     flags: dict[str, bool] = field(default_factory=dict)
-
-    def to_map(self) -> MeasurableMap:
-        return MeasurableMap(self.domain, self.space, self.values)
 
 
 def smooth_from_simple(
@@ -133,7 +125,7 @@ def smooth_from_simple(
         raise GeometryError("relaxation needs a grid domain")
     if not g.space.has_geodesic:
         raise CapabilityError(f"{g.space.tag}: relaxation needs geodesics")
-    if bool(np.any(g.labels == -1)):
+    if bool(np.any(g.labels == BASE_LABEL)):
         raise MetricLpError("materialize base atoms before relaxing")
     z0 = g.space.check_point(background)
     n_atoms = domain.atom_count
@@ -141,33 +133,25 @@ def smooth_from_simple(
     # level sets of non-background values, in ascending label order
     piece_labels = [
         lab
-        for lab in range(g.value_table.shape[0])
-        if np.any(g.labels == lab) and not np.array_equal(g.value_table[lab], z0)
+        for lab in np.unique(g.labels).tolist()
+        if not np.array_equal(g.value_table[lab], z0)
     ]
     k = len(piece_labels)
     values = np.tile(z0, (n_atoms, 1))
     if k == 0:
-        achieved = dp_distance(
-            g.to_map(), MeasurableMap(domain, g.space, values), p
-        )
-        return ContinuousField(
-            domain, g.space, z0, order, values, [], p, eps, achieved
-        )
+        out_map = MeasurableMap(domain, g.space, values)
+        achieved = dp_distance(g.to_map(), out_map, p)
+        return ContinuousField(out_map, z0, order, [], p, eps, achieved)
 
-    lips = {
-        lab: float(
-            g.space.distance_many(z0[None, :], g.value_table[lab][None, :])[0]
-        )
-        for lab in piece_labels
-    }
-    reach = max(lips.values())
+    lips = g.space.distance_many(z0[None, :], g.value_table[piece_labels]).tolist()
+    reach = max(lips)
     delta = (eps / (2.0 * k ** (1.0 / p) * reach)) ** p
 
     foreground = np.isin(g.labels, piece_labels)
     claimed = np.zeros(n_atoms, dtype=bool)
     pieces: list[RelaxPiece] = []
     any_inner_over = any_outer_over = False
-    for lab in piece_labels:
+    for lab, lip in zip(piece_labels, lips):
         b_mask = g.labels == lab
         b = AtomSet.from_mask(b_mask)
         inner = inner_closed_approx(domain, b, delta)
@@ -179,11 +163,7 @@ def smooth_from_simple(
         trans = urysohn(domain, inner.atoms, region)
         t_raw = trans.values[region.indices]
         s_vals = np.asarray(smoothstep(t_raw, order))
-        lip = lips[lab]
-        m = region.size
-        values[region.indices] = g.space.geodesic_many(
-            np.tile(z0, (m, 1)), np.tile(g.value_table[lab], (m, 1)), s_vals
-        )
+        values[region.indices] = g.space.geodesic_many(z0, g.value_table[lab], s_vals)
         zone = region.difference(inner.atoms)
         mu_zone = measure(domain, zone)
         if order == 0 or lip == 0.0 or mu_zone == 0.0:
@@ -194,10 +174,10 @@ def smooth_from_simple(
             RelaxPiece(
                 label=lab,
                 value=g.value_table[lab].copy(),
-                level_set=b,
                 core=inner.atoms,
                 region=region,
-                transition=trans,
+                transition=t_raw,
+                gap_width=trans.gap_width,
                 lipschitz=lip,
                 inner_over_budget=inner.over_budget,
                 outer_over_budget=outer.over_budget,
@@ -211,11 +191,9 @@ def smooth_from_simple(
     out_map = MeasurableMap(domain, g.space, values)
     achieved = dp_distance(g.to_map(), out_map, p)
     return ContinuousField(
-        domain=domain,
-        space=g.space,
+        map=out_map,
         background=z0,
         order=order,
-        values=values,
         pieces=pieces,
         p=p,
         target_eps=eps,
@@ -245,7 +223,8 @@ def adjacent_difference_report(field_out: ContinuousField) -> dict[str, float]:
     bound, and the maximal observed/bound ratio (bound 0 forces
     difference 0).
     """
-    domain = field_out.domain
+    out = field_out.map
+    domain = out.domain
     if domain.geometry is None:
         raise GeometryError("modulus scan needs a grid domain")
     cell = domain.geometry.cell_size
@@ -253,14 +232,12 @@ def adjacent_difference_report(field_out: ContinuousField) -> dict[str, float]:
     per_atom = np.zeros(domain.atom_count)
     piece_of = np.full(domain.atom_count, -1, dtype=np.int64)
     for j, piece in enumerate(field_out.pieces):
-        gap = piece.transition.gap_width
+        gap = piece.gap_width
         step = 0.0 if math.isinf(gap) else slope * piece.lipschitz * cell / gap
         per_atom[piece.region.indices] = step
         piece_of[piece.region.indices] = j
     left, right = face_adjacent_pairs(domain.geometry)
-    dist = field_out.space.distance_many(
-        field_out.values[left], field_out.values[right]
-    )
+    dist = out.space.distance_many(out.values[left], out.values[right])
     same = piece_of[left] == piece_of[right]
     bound = np.where(
         same, np.maximum(per_atom[left], per_atom[right]), per_atom[left] + per_atom[right]
@@ -283,12 +260,12 @@ def boundary_difference_scan(field_out: ContinuousField) -> dict[str, float]:
     transition is steep by design, so the global maxima are reported
     separately for context.
     """
-    domain = field_out.domain
-    geo = domain.geometry
+    out = field_out.map
+    geo = out.domain.geometry
     if geo is None or geo.dim != 1:
         raise GeometryError("difference scan needs a 1-D grid domain")
-    vals = field_out.values
-    if field_out.space.dim != 1:
+    vals = out.values
+    if out.space.dim != 1:
         raise MetricLpError("difference scan expects a 1-dimensional payload")
     n = geo.cells_per_axis
     v = vals.reshape(n)

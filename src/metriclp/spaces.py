@@ -795,9 +795,9 @@ class CircleSpace(MetricSpace):
 # ---------------------------------------------------------------------------
 
 
-def make_space(name: str, grid: Array | None = None) -> MetricSpace:
+def make_space(name: str) -> MetricSpace:
     """Build a space from a compact name: euclidean2, spd3, simplex3,
-    histogram8 (uniform grid on [0, 1] unless `grid` is given), circle."""
+    histogram8 (uniform grid on [0, 1]), circle."""
     name = name.strip().lower()
     if name == "circle":
         return CircleSpace()
@@ -805,8 +805,6 @@ def make_space(name: str, grid: Array | None = None) -> MetricSpace:
         if name.startswith(prefix) and name[len(prefix):].isdigit():
             return cls(int(name[len(prefix):]))
     if name.startswith("histogram"):
-        if grid is not None:
-            return HistogramSpace(grid)
         k = int(name[len("histogram"):])
         return HistogramSpace(np.linspace(0.0, 1.0, k))
     raise ValueError(f"unknown space name {name!r}")

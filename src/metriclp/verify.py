@@ -56,6 +56,8 @@ Array = np.ndarray
 
 FAST_GAP_SLACK = 1e-12
 CERTIFICATE_SLACK = 1e-9
+MAX_PULL = 64            # terms riesz_fischer_limit may pull past the stored prefix
+MEMBER_CAP = 200_000     # members the exhaustive separability probe may walk
 
 
 def require(cond, msg: str) -> None:
@@ -136,9 +138,7 @@ class RieszFischerResult:
     certificates: list[tuple[int, float, float]]  # (n, measured, bound)
 
 
-def riesz_fischer_limit(
-    spec: CauchySequenceSpec, tol: float = 1e-10, max_pull: int = 64
-) -> RieszFischerResult:
+def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = 1e-10) -> RieszFischerResult:
     """Certified limit of a fast Cauchy sequence.
 
     Pulls terms until the schedule residual 2**-(m-1) (the worst possible
@@ -158,7 +158,7 @@ def riesz_fischer_limit(
     target_m = max(len(maps), int(math.ceil(-math.log2(tol))) + 1)
     pulls = 0
     while len(maps) < target_m:
-        if spec.generator is None or pulls >= max_pull:
+        if spec.generator is None or pulls >= MAX_PULL:
             raise NonConvergenceError(
                 f"cannot certify a limit: residual 2**-(m-1) with m={len(maps)} "
                 f"terms exceeds tol={tol} and no further terms are available"
@@ -340,12 +340,11 @@ def separability_probe(
     p: float,
     eps: float,
     exhaustive: bool = False,
-    member_cap: int = 200_000,
 ) -> ProbeReport:
     """First family member at D_p distance strictly below eps from f.
 
     `exhaustive=True` literally walks the enumeration (the oracle path,
-    capped at member_cap members).  The default path computes per-cell
+    capped at MEMBER_CAP members).  The default path computes per-cell
     alteration costs and walks cell combinations / value tuples with an
     exact best-completion bound, visiting candidates in the same order as
     the enumeration and returning the same first solution.
@@ -357,7 +356,7 @@ def separability_probe(
         raise MetricLpError("eps must be positive")
     if exhaustive:
         scanned = 0
-        for pairs, member in enumerate_members(family, member_cap):
+        for pairs, member in enumerate_members(family, MEMBER_CAP):
             scanned += 1
             dist = dp_distance(f, member, p)
             if dist < eps:
@@ -436,10 +435,18 @@ def separability_probe(
 # ---------------------------------------------------------------------------
 
 
+MUTATIONS = ("negate_euclidean_distance",)  # fault-injection hooks (testing the harness)
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 0
     mutations: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        unknown = sorted(set(self.mutations) - set(MUTATIONS))
+        if unknown:
+            raise ValueError(f"unknown mutations {unknown}; known: {list(MUTATIONS)}")
 
 
 @dataclass
@@ -900,7 +907,7 @@ def _check_relax_continuous(ctx: SuiteContext) -> dict:
     require(out.flags["guarantee_holds"], "budget flags raised on a sized fixture")
     require(out.achieved_error < relax.error_bound(out) <= eps, "error over its bound")
     for piece in out.pieces:
-        core_vals = out.values[piece.core.indices]
+        core_vals = out.map.values[piece.core.indices]
         require(
             np.array_equal(core_vals, np.tile(piece.value, (piece.core.size, 1))),
             "core values not exact",
@@ -908,7 +915,7 @@ def _check_relax_continuous(ctx: SuiteContext) -> dict:
     covered = np.zeros(g.domain.atom_count, dtype=bool)
     for piece in out.pieces:
         covered[piece.region.indices] = True
-    outside = out.values[~covered]
+    outside = out.map.values[~covered]
     require(
         np.array_equal(outside, np.tile(out.background, (outside.shape[0], 1))),
         "background not exact outside the regions",
@@ -925,10 +932,8 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
     order0 = relax.smooth_from_simple(g, z0, p, eps, order=0)
     for piece in order0.pieces:
         region = piece.region.indices
-        cont = g.space.geodesic_many(
-            order0.background, piece.value, piece.transition.values[region]
-        )
-        require(np.array_equal(order0.values[region], cont), "order 0 is not bit-identical")
+        cont = g.space.geodesic_many(order0.background, piece.value, piece.transition)
+        require(np.array_equal(order0.map.values[region], cont), "order 0 is not bit-identical")
     require(smooth.achieved_error < eps, "smooth error over budget")
     for piece in smooth.pieces:
         require(piece.sup_gap <= piece.sup_gap_budget, "smooth sup budget exceeded")

@@ -269,17 +269,17 @@ def check_relaxation(field, g, z0, eps, p=1.0):
     assert field.flags["guarantee_holds"]
     assert field.achieved_error < eps
     assert field.achieved_error <= error_bound(field) <= eps * 2 ** (1 / p - 1)
-    assert field.achieved_error == dp_distance(field.to_map(), g.to_map(), p)
+    assert field.achieved_error == dp_distance(field.map, g.to_map(), p)
     in_any_region = np.zeros(g.domain.atom_count, dtype=bool)
     for piece in field.pieces:
         in_any_region[piece.region.indices] = True
         want = g.value_table[piece.label]
-        got = field.values[piece.core.indices]
+        got = field.map.values[piece.core.indices]
         assert np.array_equal(got, np.broadcast_to(want, got.shape))  # cores exact
     outside = ~in_any_region
     assert np.array_equal(
-        field.values[outside],
-        np.broadcast_to(z0, field.values[outside].shape),
+        field.map.values[outside],
+        np.broadcast_to(z0, field.map.values[outside].shape),
     )  # background exact
     report = adjacent_difference_report(field)
     assert report["max_ratio"] <= 1.0 + 1e-9
@@ -308,10 +308,8 @@ def test_criterion_08_smooth_relaxation(eps):
         order0 = smooth_from_simple(g, z0, 1.0, eps, order=0)
         for piece in order0.pieces:
             region = piece.region.indices
-            cont = g.space.geodesic_many(
-                order0.background, piece.value, piece.transition.values[region]
-            )
-            assert np.array_equal(order0.values[region], cont)
+            cont = g.space.geodesic_many(order0.background, piece.value, piece.transition)
+            assert np.array_equal(order0.map.values[region], cont)
 
 
 def test_criterion_08_boundary_flatness():

@@ -531,6 +531,18 @@ def test_verify_mutation_hook_fails(capsys):
     assert last_json(stdout)["all_pass"] is False
 
 
+def test_verify_refuses_unknown_mutation(tmp_path, capsys):
+    """A misspelled fault name is a usage error, not a silent clean run."""
+    code, stdout, stderr = run_cli(
+        capsys, "verify", "--seed", "0", "--mutate", "negate_euclidian_distance"
+    )
+    assert code == 1 and "usage error" in stderr and stdout == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mutate": "negate_euclidian_distance"}))
+    code, stdout, stderr = run_cli(capsys, "--config", str(cfg), "verify", "--seed", "0")
+    assert code == 1 and "negate_euclidian_distance" in stderr and stdout == ""
+
+
 def child_env() -> dict[str, str]:
     """Environment for a child interpreter that must import the metriclp
     this process imported, whatever its cwd and however PYTHONPATH was given."""

@@ -28,6 +28,7 @@ from metriclp import (
     smooth_from_simple,
     smoothstep,
     smoothstep_max_slope,
+    urysohn,
 )
 
 E1 = make_space("euclidean1")
@@ -105,11 +106,11 @@ def test_continuous_band_exactness_and_error():
     assert field.achieved_error < error_bound(field) <= 0.2
     (piece,) = field.pieces
     # exact target value on the eroded core, exact background outside
-    assert np.all(field.values[piece.core.indices] == 1.0)
+    assert np.all(field.map.values[piece.core.indices] == 1.0)
     outside = piece.region.complement()
-    assert np.all(field.values[outside.indices] == 0.0)
+    assert np.all(field.map.values[outside.indices] == 0.0)
     # the transition stays inside [z0, y] on the geodesic
-    assert np.all((field.values >= 0.0) & (field.values <= 1.0))
+    assert np.all((field.map.values >= 0.0) & (field.map.values <= 1.0))
 
 
 def test_continuous_two_disks_2d(rng):
@@ -124,12 +125,12 @@ def test_continuous_two_disks_2d(rng):
     assert field.achieved_error < 0.3
     for piece in field.pieces:
         assert np.all(
-            field.values[piece.core.indices] == g.value_table[piece.label]
+            field.map.values[piece.core.indices] == g.value_table[piece.label]
         )
     covered = np.zeros(dom.atom_count, dtype=bool)
     for piece in field.pieces:
         covered[piece.region.indices] = True
-    assert np.all(field.values[~covered] == 0.0)
+    assert np.all(field.map.values[~covered] == 0.0)
 
 
 def test_continuous_modulus_bound():
@@ -143,7 +144,7 @@ def test_continuous_modulus_bound():
 def test_relaxation_error_matches_dp(rng):
     g = band_fixture()
     field = smooth_from_simple(g, ORIGIN1, 2.0, 0.25, order=0)
-    direct = dp_distance(g.to_map(), field.to_map(), 2.0)
+    direct = dp_distance(g.to_map(), field.map, 2.0)
     assert direct == field.achieved_error
 
 
@@ -153,7 +154,26 @@ def test_background_only_map_relaxes_to_itself():
     field = smooth_from_simple(g, ORIGIN1, 1.0, 0.1, order=0)
     assert field.achieved_error == 0.0
     assert not field.pieces
-    assert np.all(field.values == 0.0)
+    assert np.all(field.map.values == 0.0)
+
+
+def test_piece_state_is_region_local(rng):
+    """Each piece keeps its transition on its own region only: the per-piece
+    arrays together stay within a few grids, not pieces x grid."""
+    dom = Domain.grid(2, 64)
+    labels = fields.voronoi_labels(dom.geometry, 64, rng)
+    g = fields.simple_from_labels(dom, E2, labels, rng=rng)
+    field = smooth_from_simple(g, ORIGIN2, 1.0, 0.2, order=0)
+    assert len(field.pieces) == 64
+    total = 0
+    for piece in field.pieces:
+        assert piece.transition.shape == (piece.region.size,)
+        trans = urysohn(dom, piece.core, piece.region)
+        assert np.array_equal(piece.transition, trans.values[piece.region.indices])
+        assert piece.gap_width == trans.gap_width
+        arrays = (piece.value, piece.core.indices, piece.region.indices, piece.transition)
+        total += sum(a.nbytes for a in arrays)
+    assert total <= 4 * dom.atom_count * 8
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +196,8 @@ def test_smooth_order_zero_bit_identical_to_continuous():
         assert field.pieces, g.space.tag
         for piece in field.pieces:
             region = piece.region.indices
-            cont = g.space.geodesic_many(
-                field.background, piece.value, piece.transition.values[region]
-            )
-            assert np.array_equal(field.values[region], cont), g.space.tag
+            cont = g.space.geodesic_many(field.background, piece.value, piece.transition)
+            assert np.array_equal(field.map.values[region], cont), g.space.tag
 
 
 def test_smooth_order_two_meets_same_budget():
@@ -187,8 +205,8 @@ def test_smooth_order_two_meets_same_budget():
     field = smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=2)
     assert field.achieved_error < 0.2
     (piece,) = field.pieces
-    assert np.all(field.values[piece.core.indices] == 1.0)
-    assert np.all(field.values[piece.region.complement().indices] == 0.0)
+    assert np.all(field.map.values[piece.core.indices] == 1.0)
+    assert np.all(field.map.values[piece.region.complement().indices] == 0.0)
     assert piece.sup_gap <= piece.sup_gap_budget
 
 

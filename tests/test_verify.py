@@ -326,3 +326,12 @@ def test_dense_sequence_check_prunes_the_covering_pass(monkeypatch):
     monkeypatch.setattr(MetricSpace, "distance_many", counting)
     verify._check_space_dense(verify.SuiteContext(verify.SuiteConfig(seed=0)))
     assert 0 < sum(rows) < 3_000_000
+
+
+def test_suite_config_refuses_unknown_mutations():
+    """Only the named fault hooks exist; any other name would run the clean
+    suite and prove nothing."""
+    assert verify.SuiteConfig(mutations=verify.MUTATIONS).mutations == verify.MUTATIONS
+    for bad in (("negate_euclidian_distance",), ("negate_euclidean_distance", "x"), ("",)):
+        with pytest.raises(ValueError, match="unknown mutations"):
+            verify.SuiteConfig(seed=0, mutations=bad)
