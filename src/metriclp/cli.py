@@ -186,12 +186,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _as_map(obj) -> MeasurableMap:
-    if isinstance(obj, SimpleMap):
-        return obj.to_map()
-    return obj
-
-
 def _p_key(p: float) -> str:
     """Report key of an exponent: its `:g` form when that reads back as p
     ("1", "1.5", "inf"), else its repr, so distinct exponents never share a key."""
@@ -203,8 +197,8 @@ def _cmd_distance(args) -> int:
     exponents = [check_p(_parse_p(tok)) for tok in str(args.p).split(",") if tok.strip()]
     if not exponents:
         raise UsageError("no exponents given")
-    left = _as_map(fileio.load_any_map(args.left))
-    right = _as_map(fileio.load_any_map(args.right))
+    left = fileio.load_any_map(args.left)
+    right = fileio.load_any_map(args.right)
     # d(f(x), g(x)) does not depend on p: one ground-metric pass serves all
     d = pointwise_distance(left, right)
     report = {
@@ -221,16 +215,16 @@ def _cmd_distance(args) -> int:
     return EXIT_OK
 
 
-def _load_base(args, f: MeasurableMap) -> MeasurableMap:
+def _load_base(args, f: MeasurableMap | SimpleMap) -> MeasurableMap | SimpleMap:
     if args.base:
-        return _as_map(fileio.load_any_map(args.base))
+        return fileio.load_any_map(args.base)
     if args.base_value:
         return MeasurableMap.constant(f.domain, f.space, _parse_point(args.base_value))
     raise UsageError("this mode needs --base or --base-value")
 
 
 def _cmd_quantize(args) -> int:
-    f = _as_map(fileio.load_any_map(args.map))
+    f = fileio.load_any_map(args.map)
     p = _parse_p(args.p)
     if args.mode == "countable":
         simple, report = quantize.countable_quantize(f, args.eps)
@@ -277,6 +271,10 @@ def _cmd_continuify(args) -> int:
         "flags": out_field.flags,
     }
     print(json.dumps(summary))
+    if not out_field.flags["guarantee_holds"]:
+        flagged = sum(p.inner_over_budget or p.outer_over_budget for p in out_field.pieces)
+        print(f"warning: {flagged} of {len(out_field.pieces)} pieces raised a budget flag;"
+              " the D_p error bound is not guaranteed", file=sys.stderr)
     if args.report:
         pieces = [
             {
@@ -298,11 +296,7 @@ def _cmd_continuify(args) -> int:
 
 def _cmd_verify(args) -> int:
     mutations = (args.mutate,) if args.mutate else ()
-    try:
-        config = verify.SuiteConfig(seed=args.seed, mutations=mutations)
-    except ValueError as exc:  # a --config default is not checked against choices
-        raise UsageError(str(exc)) from exc
-    result = verify.run_theorem_suite(config)
+    result = verify.run_theorem_suite(verify.SuiteConfig(seed=args.seed, mutations=mutations))
     ledger = result.as_dict()
     if args.out:
         fileio.write_atomic(args.out, json.dumps(fileio.jsonable(ledger), indent=1))
@@ -329,13 +323,20 @@ def _subcommand_parsers(parser: argparse.ArgumentParser):
 
 
 def _apply_config_defaults(parser: _Parser, defaults: dict) -> None:
-    # Subparsers parse into a fresh namespace that overwrites the parent's,
-    # so defaults must be pushed into every subparser, and a default makes
-    # a required flag optional.
+    # argparse types only string defaults and never checks them against
+    # `choices`: other values go in as JSON text, choices are checked here,
+    # and null keeps the built-in default.  Subparsers parse into a fresh
+    # namespace that overwrites the parent's, so defaults go into every
+    # subparser, and make a required flag optional.
+    texts = {k.replace("-", "_"): v if isinstance(v, str) else json.dumps(v)
+             for k, v in defaults.items() if v is not None}
     for target in _subcommand_parsers(parser):
-        target.set_defaults(**defaults)
+        target.set_defaults(**texts)
         for action in target._actions:
-            if action.dest in defaults and getattr(action, "required", False):
+            if action.dest in texts:
+                if action.choices is not None and texts[action.dest] not in action.choices:
+                    raise UsageError(f"config key {action.dest!r}: {texts[action.dest]!r}"
+                                     f" is not one of {list(action.choices)}")
                 action.required = False
 
 
@@ -363,9 +364,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise MetricLpError(f"cannot load config {config_path}: {exc}") from exc
             if not isinstance(defaults, dict):
                 raise MetricLpError("config must be a JSON object of flag defaults")
-            _apply_config_defaults(
-                parser, {k.replace("-", "_"): v for k, v in defaults.items()}
-            )
+            _apply_config_defaults(parser, defaults)
         args = parser.parse_args(argv)
         handler = {
             "gen": _cmd_gen,

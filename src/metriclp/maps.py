@@ -20,6 +20,9 @@ stays finite and is 0 only for equivalent mappings.
 Two mappings are equivalent when their payloads agree exactly on every
 positive-weight atom; `near_equivalent` offers a 1e-12 tolerance variant
 for callers that quantify over computed values.
+
+The D_p helpers (`pointwise_distance`, `dp_distance`, `is_member`, `equivalent`)
+read only `domain`, `space` and `values`, which `SimpleMap` carries too.
 """
 
 from __future__ import annotations
@@ -78,19 +81,19 @@ class MeasurableMap:
         return f"MeasurableMap({self.space.tag}, atoms={self.domain.atom_count})"
 
 
-def _check_pair(f: MeasurableMap, g: MeasurableMap):
+def _check_pair(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap):
     if f.space.tag != g.space.tag:
         raise DimensionMismatchError(f"spaces differ: {f.space.tag} vs {g.space.tag}")
     if not f.domain.same_as(g.domain):
         raise DomainMismatchError("mappings live on different domains")
 
 
-def pointwise_distance(f: MeasurableMap, g: MeasurableMap) -> Array:
+def pointwise_distance(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap) -> Array:
     _check_pair(f, g)
     return f.space.distance_many(f.values, g.values)
 
 
-def dp_distance(f: MeasurableMap, g: MeasurableMap, p: float) -> float:
+def dp_distance(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap, p: float) -> float:
     """The D_p distance between two mappings over the same domain."""
     p = check_p(p)
     return dp_from_pointwise(pointwise_distance(f, g), f.domain.weights, p)
@@ -132,12 +135,12 @@ def dp_from_pointwise(d: Array, weights: Array, p: float) -> float:
     return scale * float(np.sum(w * (d / scale) ** p)) ** (1.0 / p)
 
 
-def is_member(f: MeasurableMap, h: MeasurableMap, p: float) -> bool:
+def is_member(f: MeasurableMap | SimpleMap, h: MeasurableMap | SimpleMap, p: float) -> bool:
     """Whether f lies at finite D_p distance from the base mapping h."""
     return math.isfinite(dp_distance(f, h, p))
 
 
-def equivalent(f: MeasurableMap, g: MeasurableMap) -> bool:
+def equivalent(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap) -> bool:
     """Exact payload equality on every atom of positive weight."""
     _check_pair(f, g)
     live = f.domain.weights > 0
@@ -226,25 +229,23 @@ class SimpleMap:
     def base_atoms(self) -> AtomSet:
         return AtomSet.from_mask(self.labels == BASE_LABEL)
 
-    def to_map(self, h: MeasurableMap | None = None) -> MeasurableMap:
-        """Expand labels through the value table into a full mapping."""
+    @property
+    def values(self) -> Array:
+        """The per-atom payloads, gathered from the checked value table afresh
+        on each read, so writing to the result changes nothing."""
+        if np.any(self.labels == BASE_LABEL):
+            raise MetricLpError("base-flagged atoms need the base mapping")
+        return self.value_table[self.labels]
+
+    def to_map(self, h: MeasurableMap | SimpleMap | None = None) -> MeasurableMap:
+        """The expanded mapping; base-flagged atoms take the values of `h`."""
         base = self.labels == BASE_LABEL
-        if base.any():
-            if h is None:
-                raise MetricLpError("base-flagged atoms need the base mapping")
-            if not h.domain.same_as(self.domain):
-                raise DomainMismatchError("base mapping domain mismatch")
-            # gather through 0 on base atoms: -1 must never index the table,
-            # which may even be empty for an all-base map
-            safe = np.where(base, 0, self.labels)
-            if self.value_table.shape[0]:
-                expanded = self.value_table[safe]
-            else:
-                expanded = np.zeros((self.labels.size, self.space.dim))
-            values = np.where(base[:, None], h.values, expanded)
-        else:
-            values = self.value_table[self.labels]
-        return MeasurableMap(self.domain, self.space, np.ascontiguousarray(values))
+        if h is None or not base.any():
+            return MeasurableMap(self.domain, self.space, self.values)
+        _check_pair(self, h)
+        values = np.array(h.values)
+        values[~base] = self.value_table[self.labels[~base]]
+        return MeasurableMap(self.domain, self.space, values)
 
     def __repr__(self):
         return f"SimpleMap({self.space.tag}, atoms={self.domain.atom_count}, k={self.range_size})"

@@ -186,7 +186,7 @@ def countable_quantize(
         raise MetricLpError("pieces must cover the domain")
     table = np.vstack(tables) if tables else np.zeros((0, f.space.dim))
     out = SimpleMap(f.domain, f.space, labels, table)
-    achieved = dp_distance(f, out.to_map(), p)
+    achieved = dp_distance(f, out, p)
     report = ApproxReport(
         p=p,
         target_eps=eps,
@@ -205,7 +205,7 @@ def _quantize_once(f: MeasurableMap, eps: float) -> tuple[SimpleMap, ApproxRepor
         raise MetricLpError("quantization failed to cover a value")
     used = labels.max(initial=-1) + 1
     out = SimpleMap(f.domain, f.space, labels, table[:used])
-    achieved = dp_distance(f, out.to_map(), math.inf)
+    achieved = dp_distance(f, out, math.inf)
     report = ApproxReport(
         p=math.inf,
         target_eps=eps,
@@ -281,7 +281,7 @@ def almost_simple_approx(
         out = SimpleMap(
             f.domain, f.space, labels, np.zeros((0, f.space.dim)), base_flag=BASE_LABEL
         )
-        achieved = dp_distance(f, out.to_map(h), p)
+        achieved = dp_distance(f, h, p)  # every atom takes h's value
         report = ApproxReport(
             p=p,
             target_eps=eps,
@@ -376,7 +376,7 @@ def simple_approx_sup(
         )
         labels[missed] = np.argmin(dist.reshape(len(lost), len(table)), axis=1)
     out = SimpleMap(f.domain, f.space, labels[inverse], table)
-    achieved = dp_distance(f, out.to_map(), math.inf)
+    achieved = dp_distance(f, out, math.inf)
     report = ApproxReport(
         p=math.inf,
         target_eps=eps,

@@ -140,7 +140,7 @@ def smooth_from_simple(
     values = np.tile(z0, (n_atoms, 1))
     if k == 0:
         out_map = MeasurableMap(domain, g.space, values)
-        achieved = dp_distance(g.to_map(), out_map, p)
+        achieved = dp_distance(g, out_map, p)
         return ContinuousField(out_map, z0, order, [], p, eps, achieved)
 
     lips = g.space.distance_many(z0[None, :], g.value_table[piece_labels]).tolist()
@@ -189,7 +189,7 @@ def smooth_from_simple(
         any_outer_over |= outer.over_budget
 
     out_map = MeasurableMap(domain, g.space, values)
-    achieved = dp_distance(g.to_map(), out_map, p)
+    achieved = dp_distance(g, out_map, p)
     return ContinuousField(
         map=out_map,
         background=z0,

@@ -864,7 +864,7 @@ def _check_approx_orthonormal(ctx: SuiteContext) -> dict:
         require(rep.min_max_error >= floor - 1e-12, "error below sqrt(2)/2")
         gap = abs(rep.min_max_error - rep.pigeonhole_bound)
         require(gap <= 1e-12, "optimum off the pigeonhole bound")
-        d_inf = dp_distance(rep.mapping, rep.best_map.to_map(), math.inf)
+        d_inf = dp_distance(rep.mapping, rep.best_map, math.inf)
         require(abs(d_inf - rep.min_max_error) <= 1e-12, "best map misses its error")
         metrics[f"minmax_{n}_{k}"] = rep.min_max_error
     require(quantize.orthonormal_lower_bound(4, 4).min_max_error == 0.0, "k = n not exact")

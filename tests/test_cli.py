@@ -395,6 +395,59 @@ def test_continuify_smooth_order(tmp_path, capsys):
     assert last_json(stdout)["order"] == 2
 
 
+def test_continuify_warns_when_the_bound_is_not_guaranteed(tmp_path, capsys):
+    """A run that raises a budget flag says so on stderr; stdout and the
+    exit code are those of any run."""
+    code, stdout, err = run_cli(
+        capsys, "continuify", str(make_band_simple(tmp_path)), "--background", "[0.0]",
+        "--p", "1", "--eps", "0.3", "--out", str(tmp_path / "band.json"),
+    )
+    assert code == 0 and last_json(stdout)["flags"]["guarantee_holds"] and err == ""
+    pw, report = tmp_path / "pw.json", tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "gen", "--kind", "piecewise", "--space", "euclidean1",
+                           "--grid", "32x32", "--regions", "16", "--out", str(pw))
+    assert code == 0, err
+    code, stdout, err = run_cli(
+        capsys, "continuify", str(pw), "--background", "[0.0]", "--p", "1", "--eps", "0.5",
+        "--out", str(tmp_path / "r.json"), "--report", str(report),
+    )
+    assert code == 0
+    assert last_json(stdout)["flags"]["guarantee_holds"] is False
+    pieces = json.loads(report.read_text())["pieces"]
+    flagged = sum(p["inner_over_budget"] or p["outer_over_budget"] for p in pieces)
+    assert 0 < flagged
+    assert err.count("\n") == 1
+    assert f"{flagged} of {len(pieces)} pieces" in err and "not guaranteed" in err
+
+
+def test_relax_pipeline_checks_two_full_grids(tmp_path, capsys, monkeypatch):
+    """gen piecewise -> continuify -> distance checks the relaxed field's
+    rows twice (built, then loaded); the simple map is measured through its
+    checked value table, never expanded into a second checked map."""
+    n = 64 * 64
+    piecewise, relaxed = tmp_path / "pw.json", tmp_path / "relaxed.json"
+    argvs = [
+        ["gen", "--kind", "piecewise", "--space", "spd2", "--grid", "64x64", "--regions", "8",
+         "--out", str(piecewise)],
+        ["continuify", str(piecewise), "--background", "[1,0,0,1]", "--p", "1", "--eps", "0.5",
+         "--order", "2", "--out", str(relaxed)],
+        ["distance", str(relaxed), str(piecewise), "--p", "1,2,inf"],
+    ]
+    rows = []
+    original = MetricSpace.check_payload
+
+    def counting(self, arr):
+        rows.append(np.size(arr) // self.dim)
+        return original(self, arr)
+
+    monkeypatch.setattr(MetricSpace, "check_payload", counting)
+    for argv in argvs:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    assert rows.count(n) == 2
+    assert 2 * n <= sum(rows) < 3 * n
+
+
 def test_continuify_rejects_plain_map(tmp_path, capsys, rng):
     sp = make_space("euclidean1")
     f = MeasurableMap(Domain.grid(1, 8), sp, rng.normal(size=(8, 1)))
@@ -494,6 +547,45 @@ def test_config_can_satisfy_required_flag(tmp_path, capsys, rng):
     )
     assert code == 0
     assert last_json(stdout)["target_eps"] == 0.4
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ({"kind": "banana"}, ["gen", "--space", "euclidean1", "--grid", "8"]),
+        ({"mode": "banana"}, ["quantize", "{map}", "--eps", "0.5"]),
+    ],
+)
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys, rng, config, argv):
+    """A config value meets its flag's choices, as the flag itself would."""
+    f = MeasurableMap(Domain(np.ones(4)), make_space("euclidean1"), rng.normal(size=(4, 1)))
+    save_map(f, tmp_path / "f.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    argv = [arg.format(map=tmp_path / "f.json") for arg in argv]
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), *argv, "--out", str(out))
+    key = next(iter(config))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith("usage error: ") and repr(key) in err and "banana" in err
+
+
+def test_config_values_go_through_their_flag_types(tmp_path, capsys):
+    """Non-string config values reach a flag as their JSON text, so a list
+    is a point, a number is parsed by the flag's type, and a value the type
+    refuses is a usage error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "constant", "value": [1.0, 2.0], "grid": 4}))
+    out = tmp_path / "c.json"
+    code, _, err = run_cli(capsys, "--config", str(cfg), "gen", "--out", str(out))
+    assert code == 0, err
+    assert np.array_equal(load_map(out).values, np.tile([1.0, 2.0], (4, 1)))
+    cfg.write_text(json.dumps({"kind": "random", "seed": True}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "gen", "--out", str(out))
+    assert code == 1 and "--seed" in err
+    cfg.write_text(json.dumps({"kind": None}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "gen", "--out", str(out))
+    assert code == 1 and "--kind" in err  # null leaves the flag required
 
 
 def test_config_must_be_object(tmp_path, capsys):

@@ -229,6 +229,38 @@ def test_simple_map_expansion_and_base_flag():
         g.to_map()  # base atoms present but no base mapping given
 
 
+@pytest.mark.parametrize("name", ["euclidean2", "spd2", "simplex3"])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_simple_map_is_measured_as_its_expansion(rng, name, p):
+    """A simple map reads as the map it expands to: same D_p bits."""
+    space = make_space(name)
+    domain = Domain(rng.uniform(0.1, 2.0, 64))
+    f = MeasurableMap(domain, space, space.random_payloads(rng, 64))
+    g = SimpleMap(domain, space, rng.integers(0, 5, 64), space.random_payloads(rng, 5))
+    assert np.array_equal(g.values, g.to_map().values)
+    assert dp_distance(f, g, p) == dp_distance(f, g.to_map(), p)
+    assert dp_distance(g, f, p) == dp_distance(g.to_map(), f, p)
+    assert is_member(g, f, p) and equivalent(g, g.to_map())
+
+
+def test_simple_map_values_are_a_fresh_gather_and_refuse_base_atoms():
+    dom = Domain(np.ones(3))
+    g = SimpleMap(dom, E1, np.array([0, 1, 0]), np.array([[1.0], [2.0]]))
+    g.values[:] = 7.0
+    assert np.array_equal(g.values.ravel(), [1.0, 2.0, 1.0])
+    flagged = SimpleMap(dom, E1, np.array([0, BASE_LABEL, 0]), np.array([[1.0]]), BASE_LABEL)
+    with pytest.raises(MetricLpError) as from_map:
+        flagged.to_map()
+    with pytest.raises(MetricLpError) as from_values:
+        flagged.values
+    assert str(from_values.value) == str(from_map.value)
+    with pytest.raises(MetricLpError):
+        dp_distance(flagged, g, 1.0)
+    circle = SimpleMap(dom, make_space("circle"), flagged.labels, [[1.0]], BASE_LABEL)
+    with pytest.raises(DimensionMismatchError):  # a base from another space
+        circle.to_map(line_map(dom, [2.0, 2.0, 2.0]))
+
+
 def test_simple_map_validation():
     dom = Domain(np.ones(2))
     with pytest.raises(MetricLpError):
