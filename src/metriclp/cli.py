@@ -327,10 +327,16 @@ def _apply_config_defaults(parser: _Parser, defaults: dict) -> None:
     # `choices`: other values go in as JSON text, choices are checked here,
     # and null keeps the built-in default.  Subparsers parse into a fresh
     # namespace that overwrites the parent's, so defaults go into every
-    # subparser, and make a required flag optional.
+    # subparser, and make a required flag optional.  A key no subcommand
+    # knows is refused; keys of other subcommands are fine.
+    parsers = list(_subcommand_parsers(parser))
+    dests = {action.dest for target in parsers for action in target._actions}
+    unknown = [k for k in defaults if k.replace("-", "_") not in dests]
+    if unknown:
+        raise UsageError(f"config key {unknown[0]!r} names no flag")
     texts = {k.replace("-", "_"): v if isinstance(v, str) else json.dumps(v)
              for k, v in defaults.items() if v is not None}
-    for target in _subcommand_parsers(parser):
+    for target in parsers:
         target.set_defaults(**texts)
         for action in target._actions:
             if action.dest in texts:

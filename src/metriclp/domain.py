@@ -222,7 +222,7 @@ def inner_closed_approx(domain: Domain, b: AtomSet, delta: float) -> MorphologyR
     erosion would blow the budget the input is returned unchanged, with
     `over_budget` recording that no genuine margin was affordable.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise MetricLpError("delta must be positive")
     mask = _grid_mask(domain, b)
     if b.size == 0 or mask.all():
@@ -252,7 +252,7 @@ def outer_open_approx(domain: Domain, c: AtomSet, delta: float) -> MorphologyRes
     measure >= delta the smallest dilation is still returned, flagged
     `over_budget`.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise MetricLpError("delta must be positive")
     mask = _grid_mask(domain, c)
     if c.size == 0 or mask.all():

@@ -43,10 +43,7 @@ def smooth_field(
     a smooth scalar speed field."""
     t = smooth_scalar(domain, rng)
     anchors = space.random_payloads(rng, 2, spread)
-    n = domain.atom_count
-    values = space.geodesic_many(
-        np.tile(anchors[0], (n, 1)), np.tile(anchors[1], (n, 1)), t
-    )
+    values = space.geodesic_many(anchors[0:1], anchors[1:2], t)
     return MeasurableMap(domain, space, values)
 
 

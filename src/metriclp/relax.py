@@ -118,7 +118,7 @@ def smooth_from_simple(
     p = check_p(p)
     if math.isinf(p):
         raise MetricLpError("relaxation budgets need a finite exponent p")
-    if eps <= 0:
+    if not eps > 0:
         raise MetricLpError("eps must be positive")
     domain = g.domain
     if domain.geometry is None:

@@ -18,8 +18,9 @@ Conventions
   The euclidean, circle, simplex and histogram kernels meet this by
   construction; the SPD kernel canonicalizes its argument order itself.
 - Geodesics are constant speed: d(gamma(s), gamma(t)) = |s-t| * d(a, b).
-  Endpoints are returned verbatim, so gamma(0) == a and gamma(1) == b hold
-  bit for bit.
+  Endpoint rows and times broadcast against each other, so one endpoint
+  pair serves any number of times.  Endpoints are returned verbatim, so
+  gamma(0) == a and gamma(1) == b hold bit for bit.
 - Dense sequences follow fixed dyadic refinement orders documented on each
   space; they are pure functions of k and return (k, dim) payloads, k = 0
   included.  The dyadic grids are built as integer index arrays
@@ -229,24 +230,17 @@ class MetricSpace:
     # -- geodesics ----------------------------------------------------------
 
     def geodesic_many(self, a: Array, b: Array, t: Array) -> Array:
-        """Constant-speed geodesic points for stacked endpoints and times."""
+        """Constant-speed geodesic points; endpoint rows and times broadcast
+        against each other, so one endpoint pair serves any number of times."""
         if not self.has_geodesic:
             raise CapabilityError(f"{self.tag}: no geodesic capability")
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        a, b = np.broadcast_arrays(a, b)
-        if a.shape[0] == 1 and t.shape[0] > 1:
-            a = np.broadcast_to(a, (t.shape[0], a.shape[1]))
-            b = np.broadcast_to(b, (t.shape[0], b.shape[1]))
         out = self._geodesic_many(a, b, t)
-        # endpoint times reproduce the inputs verbatim
-        at0 = t == 0.0
-        at1 = t == 1.0
-        if np.any(at0):
-            out[at0] = a[at0]
-        if np.any(at1):
-            out[at1] = b[at1]
+        # endpoint times reproduce the inputs verbatim, written in place
+        np.copyto(out, a, where=(t == 0.0)[:, None])
+        np.copyto(out, b, where=(t == 1.0)[:, None])
         return out
 
     def _geodesic_many(self, a: Array, b: Array, t: Array) -> Array:
@@ -289,7 +283,7 @@ class MetricSpace:
             raise CapabilityError(
                 f"{self.tag}: no epsilon-net capability (closed balls are not compact)"
             )
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
@@ -617,19 +611,14 @@ class SimplexSpace(MetricSpace):
     def _geodesic_many(self, a, b, t):
         u = np.sqrt(np.maximum(a, 0.0))
         v = np.sqrt(np.maximum(b, 0.0))
-        cos = np.clip((u * v).sum(axis=-1), -1.0, 1.0)
-        theta = np.arccos(cos)
-        out = np.empty_like(u)
-        tiny = theta < 1e-15
-        if np.any(tiny):
-            out[tiny] = a[tiny]
-        rest = ~tiny
-        if np.any(rest):
-            th = theta[rest][:, None]
-            tt = t[rest][:, None]
-            g = (np.sin((1 - tt) * th) * u[rest] + np.sin(tt * th) * v[rest]) / np.sin(th)
+        th = np.arccos(np.clip((u * v).sum(axis=-1, keepdims=True), -1.0, 1.0))
+        tt = t[:, None]
+        # coincident endpoints divide by sin(0); those rows are replaced by a
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = (np.sin((1 - tt) * th) * u + np.sin(tt * th) * v) / np.sin(th)
             sq = g * g
-            out[rest] = sq / sq.sum(axis=-1, keepdims=True)
+            out = sq / sq.sum(axis=-1, keepdims=True)
+        np.copyto(out, a, where=th < 1e-15)
         return out
 
     def _dense_payloads(self, k):

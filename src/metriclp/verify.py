@@ -352,7 +352,7 @@ def separability_probe(
     p = check_p(p)
     if math.isinf(p):
         raise MetricLpError("the probe needs a finite exponent p")
-    if eps <= 0:
+    if not eps > 0:
         raise MetricLpError("eps must be positive")
     if exhaustive:
         scanned = 0

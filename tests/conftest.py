@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import metriclp
 from metriclp import Domain, MeasurableMap, make_space
 
 settings.register_profile(
@@ -15,6 +19,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that must import the metriclp
+    this process imported, whatever its cwd and however PYTHONPATH was given."""
+    src = str(Path(metriclp.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
 
 SPACE_NAMES = ["euclidean3", "spd2", "simplex3", "histogram8", "circle"]
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import importlib.metadata
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -28,7 +27,7 @@ from metriclp.cli import EXIT_DATA, main
 from metriclp.fileio import load_any_map, load_map, save_map, save_simple_map
 from metriclp.spaces import MetricSpace
 
-from .conftest import BAD_MAP_TEXTS, write_bad_file
+from .conftest import BAD_MAP_TEXTS, child_env, write_bad_file
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +347,29 @@ def test_quantize_sup_refuses_an_unbounded_ball(tmp_path):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["continuify", "{simple}"],
+        ["quantize", "{map}", "--mode", "countable"],
+        ["quantize", "{map}", "--mode", "almost-simple", "--base", "{map}"],
+        ["quantize", "{map}", "--mode", "sup", "--base", "{map}"],
+    ],
+    ids=["continuify", "countable", "almost-simple", "sup"],
+)
+def test_nan_budget_is_refused(tmp_path, capsys, rng, argv):
+    """NaN passes an `eps <= 0` test; each budget check refuses it as not
+    positive, before any construction can trip over it."""
+    f = MeasurableMap(Domain(np.ones(16)), make_space("euclidean1"), rng.normal(size=(16, 1)))
+    save_map(f, tmp_path / "f.json")
+    simple = make_band_simple(tmp_path)
+    argv = [a.format(map=tmp_path / "f.json", simple=simple) for a in argv]
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(capsys, *argv, "--eps", "nan", "--out", str(out))
+    assert code == EXIT_DATA and stdout == "" and not out.exists()
+    assert "must be positive" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # continuify
 # ---------------------------------------------------------------------------
@@ -588,6 +610,32 @@ def test_config_values_go_through_their_flag_types(tmp_path, capsys):
     assert code == 1 and "--kind" in err  # null leaves the flag required
 
 
+def test_config_key_naming_no_flag_is_usage_error(tmp_path, capsys):
+    """A misspelled key is refused by name, not dropped: gen would
+    otherwise run with seed 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sead": 5, "kind": "random", "grid": "4"}))
+    out = tmp_path / "a.json"
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), "gen", "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith("usage error: ") and "'sead'" in err
+
+
+def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys, rng):
+    """One config file serves several subcommands: quantize takes its eps
+    and leaves the seed, a gen and verify flag, alone."""
+    f = MeasurableMap(Domain(np.ones(16)), make_space("euclidean1"), rng.normal(size=(16, 1)))
+    save_map(f, tmp_path / "f.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.5, "seed": 3}))
+    code, stdout, err = run_cli(
+        capsys, "--config", str(cfg), "quantize", str(tmp_path / "f.json"),
+        "--out", str(tmp_path / "q.json"),
+    )
+    assert code == 0, err
+    assert last_json(stdout)["target_eps"] == 0.5
+
+
 def test_config_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1,2]")
@@ -633,14 +681,6 @@ def test_verify_refuses_unknown_mutation(tmp_path, capsys):
     cfg.write_text(json.dumps({"mutate": "negate_euclidian_distance"}))
     code, stdout, stderr = run_cli(capsys, "--config", str(cfg), "verify", "--seed", "0")
     assert code == 1 and "negate_euclidian_distance" in stderr and stdout == ""
-
-
-def child_env() -> dict[str, str]:
-    """Environment for a child interpreter that must import the metriclp
-    this process imported, whatever its cwd and however PYTHONPATH was given."""
-    src = str(Path(metriclp.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=pythonpath)
 
 
 def failed_check_ids(ledger: dict) -> list[str]:
@@ -730,27 +770,3 @@ def test_console_script_smoke(pair_files):
     assert json.loads(proc.stdout)["distances"]["2"] == 5.0
     missing = run("distance", str(a.parent / "missing.json"), str(b))
     assert missing.returncode == EXIT_DATA, missing.stderr
-
-
-# ---------------------------------------------------------------------------
-# demo scripts
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("quantization_report.py", ["--grid", "8", "--eps", "0.5"]),
-        ("relaxation_profile.py", ["--cells", "256", "--csv-out", "{tmp}/profile.csv"]),
-    ],
-)
-def test_demo_script_runs(tmp_path, script, args):
-    """The scripts import the public API, so a removed name breaks them."""
-    path = Path(metriclp.__file__).parents[2] / "scripts" / script
-    argv = [a.format(tmp=tmp_path) for a in args]
-    proc = subprocess.run(
-        [sys.executable, str(path), *argv],
-        capture_output=True, text=True, timeout=300, env=child_env(), cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()

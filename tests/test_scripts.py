@@ -1,29 +1,29 @@
 """Smoke tests for the demo scripts under scripts/: each runs to exit 0
-on a small input and writes what it promises."""
+on a small input and writes what it promises.  The scripts import the
+public API, so a removed name breaks them."""
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import metriclp
+from .conftest import child_env
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    src = str(Path(metriclp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+def run_script(cwd: Path, name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script from a scratch working directory, so it leaves nothing in
+    the checkout, with the PYTHONPATH this process was given kept."""
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=child_env(), cwd=cwd,
     )
 
 
-def test_quantization_report_runs():
-    proc = run_script("quantization_report.py", "--grid", "16", "--eps", "0.5")
+def test_quantization_report_runs(tmp_path):
+    proc = run_script(tmp_path, "quantization_report.py", "--grid", "16", "--eps", "0.5")
     assert proc.returncode == 0, proc.stderr
     assert "spd2 field on 16x16" in proc.stdout
     assert "step1=" in proc.stdout
@@ -31,7 +31,7 @@ def test_quantization_report_runs():
 
 def test_relaxation_profile_writes_its_csv(tmp_path):
     csv_out = tmp_path / "profile.csv"
-    proc = run_script("relaxation_profile.py", "--cells", "256", "--csv-out", str(csv_out))
+    proc = run_script(tmp_path, "relaxation_profile.py", "--cells", "256", "--csv-out", str(csv_out))
     assert proc.returncode == 0, proc.stderr
     lines = csv_out.read_text().splitlines()
     assert lines[0] == "x,input,order0,order1,order2"

@@ -387,6 +387,74 @@ def test_geodesic_constant_speed(spaces, rng):
             np.testing.assert_allclose(left, t * total, rtol=1e-9, atol=1e-12)
 
 
+GEODESIC_SPACES = ["euclidean1", "euclidean2", "euclidean3", "spd2", "spd3", "simplex3",
+                   "histogram8", "circle"]
+
+
+def _endpoint_pairs(sp, rng):
+    """Random endpoint pairs, plus coincident simplex endpoints and an
+    antipodal circle pair (the kernels' special cases)."""
+    a = sp.random_payloads(rng, 3)
+    pairs = [(a[0], a[1]), (a[2], sp.random_payloads(rng, 1)[0])]
+    if sp.tag.startswith("simplex"):
+        pairs.append((a[0], a[0].copy()))
+    if sp.tag == "circle":
+        pairs.append((np.array([0.5]), np.array([0.5 + math.pi])))
+    return pairs
+
+
+@pytest.mark.parametrize("name", GEODESIC_SPACES)
+def test_geodesic_one_endpoint_row_equals_tiled_rows(name, rng):
+    """One endpoint pair against R times gives the bits of the same pair
+    tiled R times, and the t = 0 and t = 1 rows are a and b verbatim."""
+    sp = make_space(name)
+    t = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 4094)])
+    rng.shuffle(t)
+    for a, b in _endpoint_pairs(sp, rng):
+        one = sp.geodesic_many(a[None, :], b[None, :], t)
+        tiled = sp.geodesic_many(np.tile(a, (t.size, 1)), np.tile(b, (t.size, 1)), t)
+        assert one.shape == (t.size, sp.dim)
+        assert np.array_equal(one, tiled), name
+        assert np.array_equal(one[t == 0.0], a[None, :]), name
+        assert np.array_equal(one[t == 1.0], b[None, :]), name
+        assert np.all(np.isfinite(one)), name
+
+
+@pytest.mark.parametrize("name", GEODESIC_SPACES)
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+def test_geodesic_one_time_serves_every_endpoint_row(name, t, rng):
+    """A single time broadcasts against stacked endpoints: one row per pair,
+    equal to the per-row times."""
+    sp = make_space(name)
+    a = sp.random_payloads(rng, 6)
+    b = sp.random_payloads(rng, 6)
+    out = sp.geodesic_many(a, b, np.array([t]))
+    assert out.shape == (6, sp.dim)
+    assert np.array_equal(out, sp.geodesic_many(a, b, np.full(6, t))), name
+    if t == 0.0:
+        assert np.array_equal(out, a)
+    if t == 1.0:
+        assert np.array_equal(out, b)
+
+
+def test_spd_geodesic_decomposes_one_endpoint_pair_once(monkeypatch, rng):
+    """One spd2 endpoint pair over many times is decomposed as one pair:
+    every eigh call sees a (1, 2, 2) stack, not one matrix per time."""
+    sp = make_space("spd2")
+    z0, v = sp.random_payloads(rng, 2)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    out = sp.geodesic_many(z0, v, np.linspace(0.0, 1.0, 1000))
+    assert out.shape == (1000, 4)
+    assert shapes and set(shapes) == {(1, 2, 2)}
+
+
 @pytest.mark.parametrize(
     "payload, error",
     [([0.0, 0.0], DimensionMismatchError), ([math.nan], InvalidPointError),
