@@ -224,8 +224,8 @@ def _load_base(args, f: MeasurableMap | SimpleMap) -> MeasurableMap | SimpleMap:
 
 
 def _cmd_quantize(args) -> int:
+    p = check_p(_parse_p(args.p))  # every mode refuses a bad --p, used or not
     f = fileio.load_any_map(args.map)
-    p = _parse_p(args.p)
     if args.mode == "countable":
         simple, report = quantize.countable_quantize(f, args.eps)
     elif args.mode == "almost-simple":

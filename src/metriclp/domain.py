@@ -96,8 +96,9 @@ class Domain:
         return self.geometry.coordinates()
 
     def same_as(self, other: "Domain") -> bool:
-        return self.atom_count == other.atom_count and np.array_equal(
-            self.weights, other.weights
+        return self is other or (
+            self.atom_count == other.atom_count
+            and np.array_equal(self.weights, other.weights)
         )
 
     def __repr__(self):

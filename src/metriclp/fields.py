@@ -58,9 +58,9 @@ def random_map(
 
 def voronoi_labels(geometry: GridGeometry, n_regions: int, rng: np.random.Generator) -> Array:
     """Labels 0..n_regions-1 by nearest random seed cell (Euclidean)."""
-    if n_regions < 1:
-        raise MetricLpError("n_regions must be positive")
     n = geometry.cells_per_axis**geometry.dim
+    if not 1 <= n_regions <= n:
+        raise MetricLpError(f"n_regions must be between 1 and the {n} grid cells, got {n_regions}")
     coords = geometry.coordinates()
     seeds = coords[rng.choice(n, size=n_regions, replace=False)]
     dist2 = ((coords[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)

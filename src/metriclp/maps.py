@@ -99,21 +99,26 @@ def dp_distance(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap, p: f
     return dp_from_pointwise(pointwise_distance(f, g), f.domain.weights, p)
 
 
-def dp_from_pointwise(d: Array, weights: Array, p: float) -> float:
+def dp_from_pointwise(d: Array, weights: Array, p: float) -> float | Array:
     """D_p from the pointwise distances d(f(x), g(x)), one per atom, and
     the atom weights.
 
     The vector does not depend on p: a caller that wants several exponents
     evaluates the ground metric once and reduces the same vector per p,
     with the same bits as `dp_distance` at each p.
+
+    `d` may also be an (m, atoms) stack of such vectors, one per map pair;
+    the result is then m values, each with the bits of the call on its row.
     """
     p = check_p(p)
     d = np.asarray(d, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if d.ndim != 1 or d.shape != w.shape:
+    if d.ndim not in (1, 2) or d.shape[-1:] != w.shape:
         raise DimensionMismatchError(
             f"need one distance per weight, got {d.shape} and {w.shape}"
         )
+    if d.ndim == 2:
+        return _dp_rows(d, w, p)
     if math.isinf(p):
         live = w > 0
         return float(d[live].max()) if live.any() else 0.0
@@ -133,6 +138,33 @@ def dp_from_pointwise(d: Array, weights: Array, p: float) -> float:
     # term, so divide the distances by their maximum before the power.
     scale = float(d.max())
     return scale * float(np.sum(w * (d / scale) ** p)) ** (1.0 / p)
+
+
+def _dp_rows(d: Array, w: Array, p: float) -> Array:
+    """`dp_from_pointwise` on each row of an (m, atoms) stack.
+
+    The power, the weighted sum and the lost-term test run on the whole
+    stack: numpy sums each row of a C-contiguous stack as it sums the row
+    alone.  The root stays a Python `**` per row, since `np.power` differs
+    from it in the last bit on some inputs.  Rows that need the scaled
+    fallback, p = inf and infinite weights take the one-row path.
+    """
+    out = np.empty(d.shape[0])
+    slow = np.ones(d.shape[0], dtype=bool)
+    if not (math.isinf(p) or np.isinf(w).any()):
+        live_d = np.where(w > 0, d, 0.0)
+        with np.errstate(over="ignore"):
+            powed = live_d**p
+            contrib = w * powed
+        total = np.ascontiguousarray(contrib).sum(axis=1)
+        lost = ((np.minimum(powed, contrib) < TINY) & (live_d > 0)).any(axis=1)
+        slow = (total == math.inf) | lost
+        root = 1.0 / p
+        for i in np.flatnonzero(~slow):
+            out[i] = float(total[i]) ** root
+    for i in np.flatnonzero(slow):
+        out[i] = dp_from_pointwise(d[i], w, p)
+    return out
 
 
 def is_member(f: MeasurableMap | SimpleMap, h: MeasurableMap | SimpleMap, p: float) -> bool:

@@ -158,8 +158,11 @@ def dyadic_simplex(dim: int, k: int) -> Array:
     while dim > 1 and math.comb(2**level + dim - 1, dim - 1) < k:
         level += 1
     grid = _compositions(2**level, dim)
-    order = np.argsort(_level_key(grid), kind="stable")
-    return grid[order[:k]] / 2**level
+    rows = grid.take(np.argsort(_level_key(grid), kind="stable")[:k], axis=0)
+    del grid  # keep at most two grid-sized arrays alive
+    out = rows.astype(np.float64)
+    out /= 2**level
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +688,7 @@ class HistogramSpace(MetricSpace):
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValueError("histogram grid must be strictly increasing")
         self.grid = grid
+        self._spacing = np.diff(grid).tolist()
         self.dim = grid.size
         self.tag = f"histogram{self.dim}"
 
@@ -703,8 +707,20 @@ class HistogramSpace(MetricSpace):
     def _distance_many(self, a, b):
         if self.dim == 1:
             return np.zeros(a.shape[0])
-        cdf_gap = np.abs(np.cumsum(a - b, axis=-1))[:, :-1]
-        return (cdf_gap * np.diff(self.grid)).sum(axis=-1)
+        if self.dim > 8:
+            # numpy sums eight or more terms pairwise: keep its reduction
+            cdf_gap = np.abs(np.cumsum(a - b, axis=-1))[:, :-1]
+            return (cdf_gap * np.diff(self.grid)).sum(axis=-1)
+        # One running CDF gap per column.  np.cumsum is sequential and numpy
+        # sums fewer than eight terms left to right, so these are the bits
+        # of the formula above, at well under half its cost.
+        diff = (a - b).T
+        gap = diff[0].copy()
+        out = np.abs(gap) * self._spacing[0]
+        for j in range(1, self.dim - 1):
+            gap += diff[j]
+            out += np.abs(gap) * self._spacing[j]
+        return out
 
     def _geodesic_many(self, a, b, t):
         return a + t[:, None] * (b - a)

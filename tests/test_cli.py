@@ -83,6 +83,19 @@ def test_gen_piecewise_writes_simple_map(tmp_path, capsys):
     assert 1 <= g.range_size <= 3
 
 
+@pytest.mark.parametrize("regions", ["100000", "9", "0"])
+def test_gen_refuses_region_counts_the_grid_cannot_hold(tmp_path, capsys, regions):
+    """An 8-cell grid holds 1..8 Voronoi regions; more would need seed
+    cells that do not exist."""
+    out = tmp_path / "g.json"
+    code, stdout, err = run_cli(
+        capsys, "gen", "--kind", "piecewise", "--regions", regions, "--grid", "8",
+        "--out", str(out),
+    )
+    assert code in (1, 2) and stdout == "" and not out.exists()
+    assert "n_regions" in err and "Traceback" not in err
+
+
 def test_gen_deterministic_per_seed(tmp_path, capsys):
     outs = []
     for name in ("r1.json", "r2.json"):
@@ -368,6 +381,30 @@ def test_nan_budget_is_refused(tmp_path, capsys, rng, argv):
     code, stdout, err = run_cli(capsys, *argv, "--eps", "nan", "--out", str(out))
     assert code == EXIT_DATA and stdout == "" and not out.exists()
     assert "must be positive" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "countable"],
+        ["--mode", "almost-simple", "--base", "{map}"],
+        ["--mode", "sup", "--base-value", "[0]"],
+    ],
+    ids=["countable", "almost-simple", "sup"],
+)
+@pytest.mark.parametrize("p", ["nan", "0.5"])
+def test_quantize_refuses_a_bad_exponent_in_every_mode(tmp_path, capsys, rng, argv, p):
+    """`--p` is checked in every mode, also where the mode does not read it."""
+    f = MeasurableMap(Domain(np.ones(16)), make_space("euclidean1"), rng.normal(size=(16, 1)))
+    save_map(f, tmp_path / "f.json")
+    argv = [a.format(map=tmp_path / "f.json") for a in argv]
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(
+        capsys, "quantize", str(tmp_path / "f.json"), *argv,
+        "--eps", "0.5", "--p", p, "--out", str(out),
+    )
+    assert code == EXIT_DATA and stdout == "" and not out.exists()
+    assert "1 <= p <= inf" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,56 @@ def test_dp_from_pointwise_is_dp_distance_on_the_pointwise_vector():
         dp_from_pointwise(d[:-1], dom.weights, 2.0)
 
 
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("m", [0, 1, 35])
+def test_dp_from_pointwise_row_stack_is_each_row_bit_for_bit(rng, m):
+    """An (m, atoms) stack of pointwise vectors reduces to m values, each
+    with the bits of the one-row call.  Row scales cover the batched sum,
+    subnormal terms and overflow (both on the scaled fallback); weights
+    cover null atoms and an infinite weight; p = inf takes the max."""
+    n = 12
+    scales = np.resize([1.0, 1e-170, 5e-324, 1e160, 1e300, 1e-3], m)[:, None]
+    d = rng.exponential(size=(m, n)) * scales
+    d[rng.random((m, n)) < 0.2] = 0.0
+    d[::2, 3] = 0.0  # these rows stay finite under the infinite weight below
+    for w in (
+        rng.uniform(0.05, 0.15, n),
+        np.where(np.arange(n) % 4 == 0, 0.0, rng.uniform(0.5, 2.0, n)),
+        np.where(np.arange(n) == 3, math.inf, rng.uniform(0.5, 2.0, n)),
+    ):
+        for p in (1.0, 2.0, 3.0, 7.5, math.inf):
+            want = np.array([dp_from_pointwise(row, w, p) for row in d], dtype=np.float64)
+            for stack in (d, np.asfortranarray(d)):
+                got = dp_from_pointwise(stack, w, p)
+                assert got.shape == (m,)
+                assert np.array_equal(bits(got), bits(want)), (p, w)
+
+
+def test_dp_from_pointwise_row_stack_is_dp_distance_per_pair(spaces, rng):
+    """Stacking the pointwise vectors of several map pairs gives each
+    pair's `dp_distance`, the path the Riesz-Fischer check measures by."""
+    dom = Domain(rng.uniform(0.05, 0.15, 12))
+    for sp in spaces.values():
+        fs = [MeasurableMap(dom, sp, sp.random_payloads(rng, 12)) for _ in range(6)]
+        gs = [MeasurableMap(dom, sp, sp.random_payloads(rng, 12, 1e-3)) for _ in range(6)]
+        d = np.stack([pointwise_distance(f, g) for f, g in zip(fs, gs)])
+        for p in (1.0, 2.0, 7.5, math.inf):
+            want = [dp_distance(f, g, p) for f, g in zip(fs, gs)]
+            assert dp_from_pointwise(d, dom.weights, p).tolist() == want, (sp.tag, p)
+
+
+def test_dp_from_pointwise_refuses_mismatched_stacks():
+    w = np.ones(4)
+    for d in (np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros(()), np.zeros(3)):
+        with pytest.raises(DimensionMismatchError):
+            dp_from_pointwise(d, w, 2.0)
+    with pytest.raises(MetricLpError):
+        dp_from_pointwise(np.zeros((3, 4)), w, math.nan)
+
+
 def test_dp_domain_mismatch():
     f = line_map(Domain(np.array([1.0, 1.0])), [0.0, 0.0])
     g = line_map(Domain(np.array([1.0, 2.0])), [0.0, 0.0])

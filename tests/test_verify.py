@@ -124,6 +124,74 @@ def test_incomplete_target_raises_documented_error():
         riesz_fischer_limit(spec, tol=1e-10)
 
 
+def test_incomplete_target_stalls_at_index_20():
+    """The batched gap pass reports the first gap over its budget: the
+    fixture's grid rationals are 1e-6 apart from term 20 on."""
+    with pytest.raises(NonConvergenceError) as info:
+        riesz_fischer_limit(incomplete_fixture())
+    assert str(info.value) == (
+        "gap 1.000e-06 at index 20 exceeds the fast schedule 2**-20 = 9.537e-07; "
+        "the sequence stalled before a limit could be certified"
+    )
+
+
+def test_riesz_fischer_pulls_at_most_max_pull_terms():
+    """A residual below 2**-90 needs 91 terms; six are stored and at most
+    MAX_PULL more may be pulled, so the limit is refused at m = 70."""
+    pulled = []
+    dom = Domain(np.ones(1))
+
+    def term(n):
+        pulled.append(n)
+        return const_map(dom, 1.0 - 2.0 ** (-(n - 1)))
+
+    spec = CauchySequenceSpec(p=2.0, prefix=[term(n) for n in range(1, 7)], generator=term)
+    pulled.clear()
+    with pytest.raises(NonConvergenceError) as info:
+        riesz_fischer_limit(spec, tol=2.0**-90)
+    assert str(info.value) == (
+        "cannot certify a limit: residual 2**-(m-1) with m=70 terms exceeds "
+        f"tol={2.0**-90} and no further terms are available"
+    )
+    assert pulled == list(range(7, 7 + verify.MAX_PULL))
+    spec.generator = None
+    with pytest.raises(NonConvergenceError, match="with m=6 terms"):
+        riesz_fischer_limit(spec)
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_geodesic_fixture_terms_are_one_by_one_geodesics(name, rng):
+    """Stacked terms and terms past the stack are the points each term's
+    own `geodesic_many` call gives, so a tighter tolerance certifies too."""
+    sp = make_space(name)
+    dom = Domain(rng.uniform(0.05, 0.15, 12))
+    spec, known = geodesic_cauchy_fixture(dom, sp, rng, 2.0)
+    start = spec.term(1).values  # t = 0 returns the start rows verbatim
+    for n in (1, 2, 7, 35, 36, 44):
+        t = np.full(12, 1.0 - 2.0 ** (-(n - 1)))
+        assert np.array_equal(spec.term(n).values, sp.geodesic_many(start, known.values, t))
+    res = riesz_fischer_limit(spec, tol=1e-13)
+    assert res.n_terms == 45
+    assert dp_distance(res.limit, known, 2.0) <= res.residual + 1e-9
+
+
+def test_riesz_fischer_check_batches_its_distances(monkeypatch):
+    """Gaps and certificates go through one `distance_many` call per
+    sequence: the check makes under 400 calls (one per map pair would be
+    about 3,600)."""
+    calls = []
+    inner = MetricSpace.distance_many
+
+    def counting(self, a, b):
+        calls.append(len(a))
+        return inner(self, a, b)
+
+    monkeypatch.setattr(MetricSpace, "distance_many", counting)
+    metrics = verify._check_riesz_fischer(verify.SuiteContext(verify.SuiteConfig(seed=0)))
+    assert metrics["fast_subsequence_len"] >= 4
+    assert 0 < len(calls) <= 400
+
+
 # ---------------------------------------------------------------------------
 # countable dense families and the separability probe
 # ---------------------------------------------------------------------------
