@@ -117,54 +117,49 @@ def dp_from_pointwise(d: Array, weights: Array, p: float) -> float | Array:
         raise DimensionMismatchError(
             f"need one distance per weight, got {d.shape} and {w.shape}"
         )
-    if d.ndim == 2:
-        return _dp_rows(d, w, p)
+    if d.ndim == 1:
+        return float(_dp_rows(d[None, :], w, p)[0])
+    return _dp_rows(d, w, p)
+
+
+def _dp_rows(d: Array, w: Array, p: float) -> Array:
+    """D_p of each row of an (m, atoms) stack of pointwise distances.
+
+    numpy sums each row of a C-contiguous stack as it sums the row alone,
+    so a row's value does not depend on the rows stacked with it.  The root
+    is a Python `**` per row: `np.power` differs from it in the last bit on
+    some inputs.
+    """
     if math.isinf(p):
         live = w > 0
-        return float(d[live].max()) if live.any() else 0.0
+        return d[:, live].max(axis=1) if live.any() else np.zeros(d.shape[0])
     inf_w = np.isinf(w)
-    if np.any(inf_w & (d > 0)):
-        return math.inf
+    infinite = (inf_w & (d > 0)).any(axis=1)
     w = np.where(inf_w, 0.0, w)
     d = np.where(w > 0, d, 0.0)  # null and infinite-weight atoms add nothing
     with np.errstate(over="ignore"):
         powed = d**p
         contrib = w * powed
-    total = float(np.sum(np.ascontiguousarray(contrib)))
-    live = d > 0
-    if total != math.inf and not np.any(np.minimum(powed, contrib)[live] < TINY):
-        return total ** (1.0 / p)
-    # Scaled p-norm (Blue 1978): the plain sum overflowed or lost a live
-    # term, so divide the distances by their maximum before the power.
+        totals = np.ascontiguousarray(contrib).sum(axis=1)
+    lost = ((np.minimum(powed, contrib) < TINY) & (d > 0)).any(axis=1)
+    scaled = (totals == math.inf) | lost
+    out = np.empty(d.shape[0])
+    for i, total in enumerate(totals.tolist()):
+        if infinite[i]:
+            out[i] = math.inf
+        elif scaled[i]:
+            out[i] = _scaled_dp(d[i], w, p)
+        else:
+            out[i] = total ** (1.0 / p)
+    return out
+
+
+def _scaled_dp(d: Array, w: Array, p: float) -> float:
+    """Scaled p-norm (Blue 1978) of one row, for when the plain sum
+    overflowed or lost a live term: divide the distances by their maximum
+    before the power."""
     scale = float(d.max())
     return scale * float(np.sum(w * (d / scale) ** p)) ** (1.0 / p)
-
-
-def _dp_rows(d: Array, w: Array, p: float) -> Array:
-    """`dp_from_pointwise` on each row of an (m, atoms) stack.
-
-    The power, the weighted sum and the lost-term test run on the whole
-    stack: numpy sums each row of a C-contiguous stack as it sums the row
-    alone.  The root stays a Python `**` per row, since `np.power` differs
-    from it in the last bit on some inputs.  Rows that need the scaled
-    fallback, p = inf and infinite weights take the one-row path.
-    """
-    out = np.empty(d.shape[0])
-    slow = np.ones(d.shape[0], dtype=bool)
-    if not (math.isinf(p) or np.isinf(w).any()):
-        live_d = np.where(w > 0, d, 0.0)
-        with np.errstate(over="ignore"):
-            powed = live_d**p
-            contrib = w * powed
-        total = np.ascontiguousarray(contrib).sum(axis=1)
-        lost = ((np.minimum(powed, contrib) < TINY) & (live_d > 0)).any(axis=1)
-        slow = (total == math.inf) | lost
-        root = 1.0 / p
-        for i in np.flatnonzero(~slow):
-            out[i] = float(total[i]) ** root
-    for i in np.flatnonzero(slow):
-        out[i] = dp_from_pointwise(d[i], w, p)
-    return out
 
 
 def is_member(f: MeasurableMap | SimpleMap, h: MeasurableMap | SimpleMap, p: float) -> bool:

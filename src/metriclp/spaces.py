@@ -707,13 +707,10 @@ class HistogramSpace(MetricSpace):
     def _distance_many(self, a, b):
         if self.dim == 1:
             return np.zeros(a.shape[0])
-        if self.dim > 8:
-            # numpy sums eight or more terms pairwise: keep its reduction
-            cdf_gap = np.abs(np.cumsum(a - b, axis=-1))[:, :-1]
-            return (cdf_gap * np.diff(self.grid)).sum(axis=-1)
-        # One running CDF gap per column.  np.cumsum is sequential and numpy
-        # sums fewer than eight terms left to right, so these are the bits
-        # of the formula above, at well under half its cost.
+        # One running CDF gap per column, summed left to right.  Up to eight
+        # nodes these are the bits of (|cumsum(a - b)|[:, :-1] * diff(grid))
+        # .sum(-1), since numpy sums fewer than eight terms left to right,
+        # at under half its cost.
         diff = (a - b).T
         gap = diff[0].copy()
         out = np.abs(gap) * self._spacing[0]

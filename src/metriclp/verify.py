@@ -59,7 +59,6 @@ Array = np.ndarray
 FAST_GAP_SLACK = 1e-12
 CERTIFICATE_SLACK = 1e-9
 MAX_PULL = 64            # terms riesz_fischer_limit may pull past the stored prefix
-LIMIT_TOL = 1e-10        # riesz_fischer_limit's default residual tolerance
 MEMBER_CAP = 200_000     # members the exhaustive separability probe may walk
 
 
@@ -113,11 +112,6 @@ def _dp_pairs(fs: list[MeasurableMap], gs: list[MeasurableMap], p: float) -> Arr
     return dp_from_pointwise(d, fs[0].domain.weights, p)
 
 
-def _terms_for(tol: float) -> int:
-    """Terms m whose schedule residual 2**-(m-1) is at most `tol`."""
-    return int(math.ceil(-math.log2(tol))) + 1
-
-
 def is_fast_cauchy(spec: CauchySequenceSpec) -> bool:
     """Check the 2**-n gap schedule on the stored prefix."""
     gaps = _dp_pairs(spec.prefix[:-1], spec.prefix[1:], spec.p)
@@ -158,7 +152,7 @@ class RieszFischerResult:
     certificates: list[tuple[int, float, float]]  # (n, measured, bound)
 
 
-def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = LIMIT_TOL) -> RieszFischerResult:
+def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = 1e-10) -> RieszFischerResult:
     """Certified limit of a fast Cauchy sequence.
 
     Pulls terms until the schedule residual 2**-(m-1) (the worst possible
@@ -169,8 +163,11 @@ def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = LIMIT_TOL) -> Rie
     fast schedule before stabilizing -- the observable trace of a missing
     limit -- and raises NonConvergenceError for the first such gap.
 
-    All pulls (at most MAX_PULL) happen first; the gaps, then the
-    certificates, are each measured in one batched pass.
+    Terms are pulled in blocks that double the sequence, at most MAX_PULL
+    in all, and each block's gaps are measured in one batched pass before
+    the next block is pulled, so a stalled sequence is pulled at most to
+    twice the index of its first bad gap.  The certificates are measured
+    in one batched pass too.
     """
     p = check_p(spec.p)
     maps = list(spec.prefix)
@@ -178,19 +175,19 @@ def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = LIMIT_TOL) -> Rie
         raise MetricLpError("need at least one stored term")
     if not is_fast_cauchy(spec):
         raise MetricLpError("stored prefix violates the fast gap schedule")
-    target_m = max(len(maps), _terms_for(tol))
-    stored = len(maps)
-    if spec.generator is not None:
-        last = min(target_m, stored + MAX_PULL)
-        maps += [spec.term(n) for n in range(stored + 1, last + 1)]
-    gaps = _dp_pairs(maps[stored - 1 : -1], maps[stored:], p)
-    for k, gap in enumerate(gaps.tolist(), stored):
-        if gap > 2.0**-k + FAST_GAP_SLACK:
-            raise NonConvergenceError(
-                f"gap {gap:.3e} at index {k} exceeds the fast schedule "
-                f"2**-{k} = {2.0 ** -k:.3e}; the sequence stalled before a "
-                "limit could be certified"
-            )
+    target_m = max(len(maps), int(math.ceil(-math.log2(tol))) + 1)
+    last = len(maps) if spec.generator is None else min(target_m, len(maps) + MAX_PULL)
+    while len(maps) < last:
+        held = len(maps)
+        maps += [spec.term(n) for n in range(held + 1, min(2 * held, last) + 1)]
+        gaps = _dp_pairs(maps[held - 1 : -1], maps[held:], p)
+        for k, gap in enumerate(gaps.tolist(), held):
+            if gap > 2.0**-k + FAST_GAP_SLACK:
+                raise NonConvergenceError(
+                    f"gap {gap:.3e} at index {k} exceeds the fast schedule "
+                    f"2**-{k} = {2.0 ** -k:.3e}; the sequence stalled before a "
+                    "limit could be certified"
+                )
     if len(maps) < target_m:
         raise NonConvergenceError(
             f"cannot certify a limit: residual 2**-(m-1) with m={len(maps)} "
@@ -246,11 +243,7 @@ def geodesic_cauchy_fixture(
 ) -> tuple[CauchySequenceSpec, MeasurableMap]:
     """Fast Cauchy sequence sliding along per-atom geodesics, plus its
     known limit.  Per-atom geodesic lengths are clipped to 0.9 and the
-    domain measure is at most 1, so gaps are at most 0.9 * 2**-n.
-
-    The terms `riesz_fischer_limit` needs at its default tolerance come
-    from one `geodesic_many` call; later terms are computed one by one,
-    with the same bits, since geodesic kernels are row-wise."""
+    domain measure is at most 1, so gaps are at most 0.9 * 2**-n."""
     n_atoms = domain.atom_count
     start = space.random_payloads(rng, n_atoms)
     raw = space.random_payloads(rng, n_atoms)
@@ -258,20 +251,9 @@ def geodesic_cauchy_fixture(
     shrink = np.minimum(1.0, 0.9 / np.maximum(lengths, 1e-12))
     target = space.geodesic_many(start, raw, shrink)
 
-    def time_of(n: int) -> float:
-        return 1.0 - 2.0 ** (-(n - 1))
-
-    n_stacked = _terms_for(LIMIT_TOL)
-    stack = space.geodesic_many(
-        np.tile(start, (n_stacked, 1)),
-        np.tile(target, (n_stacked, 1)),
-        np.repeat([time_of(n) for n in range(1, n_stacked + 1)], n_atoms),
-    ).reshape(n_stacked, n_atoms, -1)
-
     def term(n: int) -> MeasurableMap:
-        if n <= n_stacked:
-            return MeasurableMap(domain, space, stack[n - 1].copy())
-        vals = space.geodesic_many(start, target, np.full(n_atoms, time_of(n)))
+        t = 1.0 - 2.0 ** (-(n - 1))
+        vals = space.geodesic_many(start, target, np.full(n_atoms, t))
         return MeasurableMap(domain, space, vals)
 
     spec = CauchySequenceSpec(p=p, prefix=[term(n) for n in range(1, 7)], generator=term)

@@ -244,10 +244,13 @@ def w1_cumsum(grid, a, b):
     return (cdf_gap * np.diff(grid)).sum(axis=-1)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 12, 33])
 def test_histogram_kernel_matches_the_cumsum_formula(dim, rng):
-    """Bit for bit, on uniform and uneven grids, for smooth, sparse and
-    Dirac weights; dim 12 sums eight or more terms, numpy's pairwise case."""
+    """On uniform and uneven grids, for smooth, sparse and Dirac weights:
+    bit for bit up to eight nodes, where numpy sums the row left to right;
+    from nine nodes numpy sums pairwise, so the two orders of the same
+    nonnegative terms agree to 2 * dim ulps of the result.  Symmetry and
+    identity are exact at every size."""
     uneven = np.cumsum(rng.uniform(1e-3, 3.0, dim))
     for sp in (make_space(f"histogram{dim}"), space_from_descriptor(
             {"space": f"histogram{dim}", "grid": uneven.tolist()})):
@@ -256,7 +259,11 @@ def test_histogram_kernel_matches_the_cumsum_formula(dim, rng):
         for a, b in ((rng.dirichlet(np.ones(dim), 500), sparse), (diracs, sparse),
                      (diracs, np.eye(dim)[rng.integers(dim, size=500)])):
             got = sp.distance_many(a, b)
-            assert np.array_equal(got, w1_cumsum(sp.grid, a, b)), sp.grid
+            want = w1_cumsum(sp.grid, a, b)
+            if dim <= 8:
+                assert np.array_equal(got, want), sp.grid
+            else:
+                np.testing.assert_allclose(got, want, rtol=2 * dim * np.finfo(float).eps, atol=0)
             assert np.array_equal(sp.distance_many(b, a), got)
             assert np.all(sp.distance_many(a, a) == 0.0)
 

@@ -126,13 +126,25 @@ def test_incomplete_target_raises_documented_error():
 
 def test_incomplete_target_stalls_at_index_20():
     """The batched gap pass reports the first gap over its budget: the
-    fixture's grid rationals are 1e-6 apart from term 20 on."""
+    fixture's grid rationals are 1e-6 apart from term 20 on.  Twelve terms
+    are stored, so the first block pulls terms 13-24 and no block after it
+    is pulled."""
+    spec = incomplete_fixture()
+    pulled = []
+    inner = spec.generator
+
+    def counting(n):
+        pulled.append(n)
+        return inner(n)
+
+    spec.generator = counting
     with pytest.raises(NonConvergenceError) as info:
-        riesz_fischer_limit(incomplete_fixture())
+        riesz_fischer_limit(spec)
     assert str(info.value) == (
         "gap 1.000e-06 at index 20 exceeds the fast schedule 2**-20 = 9.537e-07; "
         "the sequence stalled before a limit could be certified"
     )
+    assert pulled == list(range(13, 25))
 
 
 def test_riesz_fischer_pulls_at_most_max_pull_terms():
@@ -160,25 +172,33 @@ def test_riesz_fischer_pulls_at_most_max_pull_terms():
 
 
 @pytest.mark.parametrize("name", SPACE_NAMES)
-def test_geodesic_fixture_terms_are_one_by_one_geodesics(name, rng):
-    """Stacked terms and terms past the stack are the points each term's
-    own `geodesic_many` call gives, so a tighter tolerance certifies too."""
+def test_riesz_fischer_batched_certificates_are_dp_distance_bits(name, rng):
+    """On every space, a tighter tolerance pulls terms 7-45 once each, in
+    order, over three blocks, and every batched certificate has the bits
+    of its own `dp_distance` against the limit."""
     sp = make_space(name)
     dom = Domain(rng.uniform(0.05, 0.15, 12))
     spec, known = geodesic_cauchy_fixture(dom, sp, rng, 2.0)
-    start = spec.term(1).values  # t = 0 returns the start rows verbatim
-    for n in (1, 2, 7, 35, 36, 44):
-        t = np.full(12, 1.0 - 2.0 ** (-(n - 1)))
-        assert np.array_equal(spec.term(n).values, sp.geodesic_many(start, known.values, t))
+    terms = dict(enumerate(spec.prefix, 1))
+    inner = spec.generator
+
+    def recording(n):
+        assert n not in terms
+        terms[n] = inner(n)
+        return terms[n]
+
+    spec.generator = recording
     res = riesz_fischer_limit(spec, tol=1e-13)
-    assert res.n_terms == 45
+    assert res.n_terms == 45 and list(terms) == list(range(1, 46))
+    for n, measured, _ in res.certificates:
+        assert measured == dp_distance(terms[n], res.limit, 2.0), n
     assert dp_distance(res.limit, known, 2.0) <= res.residual + 1e-9
 
 
 def test_riesz_fischer_check_batches_its_distances(monkeypatch):
-    """Gaps and certificates go through one `distance_many` call per
-    sequence: the check makes under 400 calls (one per map pair would be
-    about 3,600)."""
+    """Each pulled block's gaps, and all certificates, go through one
+    `distance_many` call: the check makes at most 400 calls (one per map
+    pair would be about 3,600)."""
     calls = []
     inner = MetricSpace.distance_many
 
