@@ -154,8 +154,6 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--suite", default="all", choices=["all"])
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", help="write the JSON ledger here")
-    p_ver.add_argument("--mutate", choices=verify.MUTATIONS,
-                       help="fault-injection hook (testing the harness)")
     return parser
 
 
@@ -295,8 +293,7 @@ def _cmd_continuify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    mutations = (args.mutate,) if args.mutate else ()
-    result = verify.run_theorem_suite(verify.SuiteConfig(seed=args.seed, mutations=mutations))
+    result = verify.run_theorem_suite(args.seed)
     ledger = result.as_dict()
     if args.out:
         fileio.write_atomic(args.out, json.dumps(fileio.jsonable(ledger), indent=1))

@@ -212,12 +212,16 @@ def load_simple_map(path: str | os.PathLike) -> SimpleMap:
 
 def _simple_map_from_obj(obj: dict, path: Path) -> SimpleMap:
     try:
-        labels = np.asarray(obj["labels"], dtype=np.int64)
+        raw = obj["labels"]
+        # np.asarray would read 1.5 as 1 and true as 1
+        if not isinstance(raw, list) or set(map(type, raw)) - {int}:
+            raise DataError(f"{path}: simple-map labels must be a list of integers")
+        labels = np.asarray(raw, dtype=np.int64)
         domain = _resolve_domain(obj, path.parent, labels.size)
         space = space_from_descriptor(obj["space"])
         table = np.asarray(obj["values"], dtype=np.float64).reshape(-1, space.dim)
         return SimpleMap(domain, space, labels, table, obj.get("base_flag"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed simple map ({exc})") from exc
 
 

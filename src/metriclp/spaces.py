@@ -291,7 +291,7 @@ class MetricSpace:
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         c = self.check_point(center)
-        if radius == 0:
+        if radius == 0 or self.single_point:
             return np.array([c])
         spacing = eps / NET_PROBE_FRACTION
         probes = self.probe_ball(c, radius, spacing)
@@ -781,7 +781,9 @@ class CircleSpace(MetricSpace):
     def probe_ball(self, center, radius, spacing):
         c = float(center[0])
         span = min(radius, math.pi)
-        m = int(math.ceil(2 * span / spacing)) + 1
+        m = _axis_nodes(self.tag, span, spacing)
+        if m > NET_PROBE_CAP:
+            raise CapabilityError(f"{self.tag}: probe grid would need {m} nodes")
         ang = np.mod(np.linspace(c - span, c + span, m), TWO_PI)
         return ang[:, None]
 

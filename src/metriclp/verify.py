@@ -452,20 +452,6 @@ def separability_probe(
 # ---------------------------------------------------------------------------
 
 
-MUTATIONS = ("negate_euclidean_distance",)  # fault-injection hooks (testing the harness)
-
-
-@dataclass
-class SuiteConfig:
-    seed: int = 0
-    mutations: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        unknown = sorted(set(self.mutations) - set(MUTATIONS))
-        if unknown:
-            raise ValueError(f"unknown mutations {unknown}; known: {list(MUTATIONS)}")
-
-
 @dataclass
 class SuiteResult:
     entries: list[dict]
@@ -486,20 +472,11 @@ class SuiteResult:
 
 
 class SuiteContext:
-    def __init__(self, config: SuiteConfig):
-        self.config = config
+    def __init__(self, seed: int):
+        self.seed = seed
 
     def rng(self, tag: str) -> np.random.Generator:
-        return np.random.default_rng([self.config.seed, zlib.crc32(tag.encode())])
-
-    def space(self, name: str):
-        space = make_space(name)
-        if "negate_euclidean_distance" in self.config.mutations and name.startswith(
-            "euclidean"
-        ):
-            orig = space._distance_many
-            space._distance_many = lambda a, b: -orig(a, b)
-        return space
+        return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
 
 
 SPACE_NAMES = ["euclidean3", "spd2", "simplex3", "histogram8", "circle"]
@@ -508,7 +485,7 @@ SPACE_NAMES = ["euclidean3", "spd2", "simplex3", "histogram8", "circle"]
 def _check_space_metric_axioms(ctx: SuiteContext) -> dict:
     worst_tri = 0.0
     for name in SPACE_NAMES:
-        space = ctx.space(name)
+        space = make_space(name)
         rng = ctx.rng(f"axioms-{name}")
         x = space.random_payloads(rng, 120)
         a, b, c = x[0::3], x[1::3], x[2::3]
@@ -529,7 +506,7 @@ def _check_space_metric_axioms(ctx: SuiteContext) -> dict:
 def _check_space_geodesics(ctx: SuiteContext) -> dict:
     worst = 0.0
     for name in SPACE_NAMES:
-        space = ctx.space(name)
+        space = make_space(name)
         rng = ctx.rng(f"geodesic-{name}")
         a = space.random_payloads(rng, 40)
         b = space.random_payloads(rng, 40)
@@ -605,7 +582,7 @@ def _covering_radii(space, probe: Array, centers: Array, counts) -> list[float]:
 def _check_space_dense(ctx: SuiteContext) -> dict:
     metrics = {}
     for name in SPACE_NAMES:
-        space = ctx.space(name)
+        space = make_space(name)
         if not space.has_dense_sequence:
             continue
         k = 40
@@ -619,7 +596,7 @@ def _check_space_dense(ctx: SuiteContext) -> dict:
 
 
 def _check_space_nets(ctx: SuiteContext) -> dict:
-    space = ctx.space("euclidean2")
+    space = make_space("euclidean2")
     center = np.zeros(2)
     net = space.epsilon_net(center, 1.0, 0.4)
     probes = space.probe_ball(center, 1.0, 0.05)
@@ -630,13 +607,13 @@ def _check_space_nets(ctx: SuiteContext) -> dict:
     # still leaves an antipodal midpoint at distance pi/2, forcing a
     # fourth -- greedy never returns 3 here.  Margins of 0.3 keep both
     # assertions clear of the probe-grid spacing (~eps/4).
-    circle = ctx.space("circle")
+    circle = make_space("circle")
     north = [0.0]
     net2 = circle.epsilon_net(north, math.pi, math.pi / 2 + 0.3)
     require(len(net2) == 2, f"circle net size {len(net2)} != 2")
     net4 = circle.epsilon_net(north, math.pi, math.pi / 2 - 0.3)
     require(len(net4) == 4, f"circle net size {len(net4)} != 4")
-    hist = ctx.space("histogram8")
+    hist = make_space("histogram8")
     try:
         hist.epsilon_net(np.full(8, 1 / 8), 1.0, 0.1)
         raise CheckFailedError("histogram accepted an epsilon net request")
@@ -682,6 +659,12 @@ def _check_domain_morphology(ctx: SuiteContext) -> dict:
         require(inner.atoms.size > 0, "erosion emptied the core")
         require(np.all(np.isin(inner.atoms.indices, b.indices)), "core not inside input")
         require(np.all(np.isin(b.indices, outer.atoms.indices)), "input not inside envelope")
+        # b's cells within one Chebyshev step of the complement: the least
+        # erosion removes them, so the flag is raised exactly when they cost
+        # the whole budget
+        near_out = outer_open_approx(domain, b.complement(), delta).atoms
+        ring = measure(domain, b.intersection(near_out))
+        require(inner.over_budget == (ring >= delta), "erosion flag disagrees with its ring")
         if not inner.over_budget:
             require(inner.gap < delta, "erosion exceeded its measure budget")
         if not outer.over_budget:
@@ -704,7 +687,7 @@ def _check_lp_metric(ctx: SuiteContext) -> dict:
     domain = Domain(np.concatenate([ctx.rng("lpw").uniform(0.01, 1.0, 30), [0.0, 0.0]]))
     worst = 0.0
     for name in ("euclidean2", "simplex3"):
-        space = ctx.space(name)
+        space = make_space(name)
         rng = ctx.rng(f"lp-{name}")
         f, g, h = (fields.random_map(domain, space, rng) for _ in range(3))
         for p in (1.0, 1.7, 2.0, 4.0, math.inf):
@@ -729,7 +712,7 @@ def _check_lp_metric(ctx: SuiteContext) -> dict:
 
 def _check_lp_embedding(ctx: SuiteContext) -> dict:
     rng = ctx.rng("embed")
-    space = ctx.space("euclidean3")
+    space = make_space("euclidean3")
     worst = 0.0
     for mu in (0.5, 1.0, 4.0):
         domain = Domain(np.full(16, mu / 16))
@@ -752,7 +735,7 @@ def _check_lp_embedding(ctx: SuiteContext) -> dict:
 def _check_lp_holder_base(ctx: SuiteContext) -> dict:
     rng = ctx.rng("holder")
     domain = Domain.grid(1, 64)
-    space = ctx.space("euclidean2")
+    space = make_space("euclidean2")
     worst_h = worst_b = 0.0
     for _ in range(20):
         f = fields.random_map(domain, space, rng)
@@ -777,7 +760,7 @@ def _check_lp_holder_base(ctx: SuiteContext) -> dict:
 
 def _check_lp_triviality_support(ctx: SuiteContext) -> dict:
     rng = ctx.rng("trivial")
-    space = ctx.space("euclidean2")
+    space = make_space("euclidean2")
     dom_pinf = Domain(np.array([0.0, math.inf, math.inf, 0.0]))
     require(is_trivial(dom_pinf, space), "purely infinite domain not trivial")
     h = fields.random_map(dom_pinf, space, rng)
@@ -815,7 +798,7 @@ def _check_lp_triviality_support(ctx: SuiteContext) -> dict:
 def _check_approx_countable(ctx: SuiteContext) -> dict:
     rng = ctx.rng("countable")
     domain = Domain.grid(2, 16)
-    space = ctx.space("euclidean2")
+    space = make_space("euclidean2")
     f = fields.smooth_field(domain, space, rng)
     eps = 0.2
     simple, report = quantize.countable_quantize(f, eps)
@@ -832,7 +815,7 @@ def _check_approx_countable(ctx: SuiteContext) -> dict:
 def _check_approx_almost_simple(ctx: SuiteContext) -> dict:
     metrics = {}
     for name in ("spd2", "simplex3"):
-        space = ctx.space(name)
+        space = make_space(name)
         rng = ctx.rng(f"almost-{name}")
         domain = Domain.grid(2, 24)
         f = fields.smooth_field(domain, space, rng)
@@ -851,7 +834,7 @@ def _check_approx_almost_simple(ctx: SuiteContext) -> dict:
 def _check_approx_sup_net(ctx: SuiteContext) -> dict:
     metrics = {}
     for name in ("euclidean2", "circle"):
-        space = ctx.space(name)
+        space = make_space(name)
         rng = ctx.rng(f"supnet-{name}")
         domain = Domain.grid(2, 12)
         f = fields.smooth_field(domain, space, rng)
@@ -860,7 +843,7 @@ def _check_approx_sup_net(ctx: SuiteContext) -> dict:
         simple, report = quantize.simple_approx_sup(f, h, eps)
         require(report.achieved_error < eps, f"{name}: sup error over budget")
         metrics[f"{name}_error"] = report.achieved_error
-    hist = ctx.space("histogram8")
+    hist = make_space("histogram8")
     rng = ctx.rng("supnet-hist")
     domain = Domain.grid(2, 6)
     f = fields.random_map(domain, hist, rng)
@@ -905,8 +888,8 @@ def _check_approx_divergence(ctx: SuiteContext) -> dict:
     return {"unbounded_last": const_seq[-1], "exponential_last": exp_seq[-1]}
 
 
-def _relax_fixture_2d(ctx: SuiteContext):
-    space = ctx.space("euclidean2")
+def _relax_fixture_2d():
+    space = make_space("euclidean2")
     domain = Domain.grid(2, 48)
     labels = fields.disk_labels(
         domain.geometry, np.array([[0.3, 0.3], [0.7, 0.65]]), np.array([0.12, 0.15])
@@ -918,7 +901,7 @@ def _relax_fixture_2d(ctx: SuiteContext):
 
 
 def _check_relax_continuous(ctx: SuiteContext) -> dict:
-    g, z0 = _relax_fixture_2d(ctx)
+    g, z0 = _relax_fixture_2d()
     eps, p = 0.25, 1.0
     out = relax.smooth_from_simple(g, z0, p, eps, order=0)
     require(out.flags["guarantee_holds"], "budget flags raised on a sized fixture")
@@ -943,7 +926,7 @@ def _check_relax_continuous(ctx: SuiteContext) -> dict:
 
 
 def _check_relax_smooth(ctx: SuiteContext) -> dict:
-    g, z0 = _relax_fixture_2d(ctx)
+    g, z0 = _relax_fixture_2d()
     eps, p = 0.25, 1.0
     smooth = relax.smooth_from_simple(g, z0, p, eps, order=2)
     order0 = relax.smooth_from_simple(g, z0, p, eps, order=0)
@@ -959,7 +942,7 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
     require(relax.smoothstep_max_slope(1) == 1.5, "smoothstep slope, order 1")
     require(relax.smoothstep_max_slope(2) == 1.875, "smoothstep slope, order 2")
 
-    space1 = ctx.space("euclidean1")
+    space1 = make_space("euclidean1")
     domain1 = Domain.grid(1, 2**16)
     labels1 = fields.band_labels(domain1.geometry, 0.5, 0.09)
     g1 = fields.simple_from_labels(
@@ -987,7 +970,7 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
 def _check_riesz_fischer(ctx: SuiteContext) -> dict:
     worst = 0.0
     for name in SPACE_NAMES:
-        space = ctx.space(name)
+        space = make_space(name)
         domain = Domain(np.full(12, 1.0 / 12))
         for trial in range(10):
             rng = ctx.rng(f"riesz-{name}-{trial}")
@@ -1003,7 +986,7 @@ def _check_riesz_fischer(ctx: SuiteContext) -> dict:
         raise CheckFailedError("incomplete fixture produced a limit")
     except NonConvergenceError:
         pass
-    space = ctx.space("euclidean1")
+    space = make_space("euclidean1")
     domain = Domain(np.full(4, 0.25))
     slow = [
         MeasurableMap.constant(domain, space, [1.0 / (j + 1)])
@@ -1018,7 +1001,7 @@ def _check_riesz_fischer(ctx: SuiteContext) -> dict:
 
 
 def _check_separability(ctx: SuiteContext) -> dict:
-    space = ctx.space("euclidean1")
+    space = make_space("euclidean1")
     domain = Domain.grid(1, 16)
     rng = ctx.rng("separability")
     h = MeasurableMap.constant(domain, space, [0.0])
@@ -1152,10 +1135,9 @@ CHECKS: list[tuple[str, str, Callable[[SuiteContext], dict]]] = [
 ]
 
 
-def run_theorem_suite(config: SuiteConfig | None = None) -> SuiteResult:
+def run_theorem_suite(seed: int = 0) -> SuiteResult:
     """Run every bundled check; one ledger entry per check, pass iff all pass."""
-    config = config or SuiteConfig()
-    ctx = SuiteContext(config)
+    ctx = SuiteContext(seed)
     entries = []
     t0 = time.perf_counter()
     for check_id, statement, fn in CHECKS:
@@ -1173,4 +1155,4 @@ def run_theorem_suite(config: SuiteConfig | None = None) -> SuiteResult:
                 "metrics": metrics,
             }
         )
-    return SuiteResult(entries, config.seed, time.perf_counter() - t0)
+    return SuiteResult(entries, seed, time.perf_counter() - t0)

@@ -67,6 +67,13 @@ BAD_MAP_TEXTS = [
     ' {"dim": 1, "cells_per_axis": 3}}, "labels": [0, 0], "values": [[0.0]]}',
     '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"atoms": 1},'
     ' "values": [[0.0]]}',
+    # labels that are not int64s: a float or a boolean would be read as 1
+    '{"kind": "simple_map", "space": {"space": "euclidean2"}, "domain": {"weights": [1.0]},'
+    ' "labels": [1.5], "values": [[0.0, 0.0], [3.0, 4.0]]}',
+    '{"kind": "simple_map", "space": {"space": "euclidean2"}, "domain": {"weights": [1.0]},'
+    ' "labels": [true], "values": [[0.0, 0.0], [3.0, 4.0]]}',
+    '{"kind": "simple_map", "space": {"space": "euclidean2"}, "domain": {"weights": [1.0]},'
+    ' "labels": [1180591620717411303424], "values": [[0.0, 0.0], [3.0, 4.0]]}',
 ]
 
 

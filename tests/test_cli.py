@@ -21,6 +21,7 @@ from metriclp import (
     dp_distance,
     make_space,
     pointwise_distance,
+    spaces,
     verify,
 )
 from metriclp.cli import EXIT_DATA, main
@@ -28,6 +29,7 @@ from metriclp.fileio import load_any_map, load_map, save_map, save_simple_map
 from metriclp.spaces import MetricSpace
 
 from .conftest import BAD_MAP_TEXTS, child_env, write_bad_file
+from .test_mutants import FAULTS_BY_NAME, install
 
 
 def run_cli(capsys, *argv):
@@ -358,6 +360,21 @@ def test_quantize_sup_refuses_an_unbounded_ball(tmp_path):
     )
     assert proc.returncode == EXIT_DATA, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_quantize_sup_refuses_a_circle_grid_past_the_probe_cap(tmp_path, capsys, monkeypatch):
+    """A circle whose probe grid would pass NET_PROBE_CAP is refused with
+    exit 2, as euclidean2 is; the cap is lowered so the old path, which
+    built the grid anyway, stays small."""
+    monkeypatch.setattr(spaces, "NET_PROBE_CAP", 1000)
+    f = MeasurableMap(Domain(np.ones(2)), make_space("circle"), np.array([[0.5], [2.0]]))
+    save_map(f, tmp_path / "f.json")
+    code, stdout, err = run_cli(
+        capsys, "quantize", str(tmp_path / "f.json"), "--mode", "sup", "--eps", "0.01",
+        "--base-value", "[0.5]",
+    )
+    assert code == EXIT_DATA and stdout == ""
+    assert "probe grid would need" in err
 
 
 @pytest.mark.parametrize(
@@ -699,47 +716,57 @@ def test_verify_passes_and_writes_ledger(tmp_path, capsys):
     assert all(e["status"] == "pass" for e in ledger["entries"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # injected fault -> NaN noise
-def test_verify_mutation_hook_fails(capsys):
-    code, stdout, _ = run_cli(
-        capsys, "verify", "--seed", "0", "--mutate", "negate_euclidean_distance"
-    )
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # planted fault -> NaN noise
+def test_verify_fails_on_a_planted_fault(monkeypatch, capsys):
+    """`verify` exits 3 with all_pass false when a fault from the mutant
+    table is planted, and lists exactly the checks the table says it kills."""
+    fault = FAULTS_BY_NAME["negate_euclidean_distance"]
+    install(fault, monkeypatch.setattr)
+    code, stdout, _ = run_cli(capsys, "verify", "--seed", "0")
     assert code == 3
     assert last_json(stdout)["all_pass"] is False
+    failed = [line.split()[-1] for line in stdout.splitlines() if line.startswith("[fail]")]
+    assert failed == list(fault.kills)
 
 
-def test_verify_refuses_unknown_mutation(tmp_path, capsys):
-    """A misspelled fault name is a usage error, not a silent clean run."""
-    code, stdout, stderr = run_cli(
-        capsys, "verify", "--seed", "0", "--mutate", "negate_euclidian_distance"
-    )
+def test_verify_has_no_fault_flag(tmp_path, capsys):
+    """Faults are planted by tests, not by the CLI: `--mutate` and a
+    `mutate` config key are usage errors."""
+    code, stdout, stderr = run_cli(capsys, "verify", "--seed", "0", "--mutate", "x")
     assert code == 1 and "usage error" in stderr and stdout == ""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mutate": "negate_euclidian_distance"}))
+    cfg.write_text(json.dumps({"mutate": "negate_euclidean_distance"}))
     code, stdout, stderr = run_cli(capsys, "--config", str(cfg), "verify", "--seed", "0")
-    assert code == 1 and "negate_euclidian_distance" in stderr and stdout == ""
+    assert code == 1 and "'mutate'" in stderr and stdout == ""
 
 
-def failed_check_ids(ledger: dict) -> list[str]:
-    return [e["check_id"] for e in ledger["entries"] if e["status"] == "fail"]
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # injected fault -> NaN noise
-def test_verify_mutation_fails_the_same_checks_under_optimize(tmp_path):
-    """The suite checks do not rest on `assert`: python -O, which strips
-    asserts, fails the same checks on the injected fault."""
-    mutation = "negate_euclidean_distance"
-    plain = verify.run_theorem_suite(verify.SuiteConfig(seed=0, mutations=(mutation,)))
-    ledger_path = tmp_path / "ledger.json"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "metriclp", "verify", "--seed", "0",
-         "--mutate", mutation, "--out", str(ledger_path)],
-        capture_output=True, text=True, timeout=300, env=child_env(),
+def test_verify_mutation_fails_the_same_checks_under_optimize(monkeypatch):
+    """The suite checks do not rest on `assert`: a `python -O` child, which
+    strips asserts, plants the negation fault itself and fails the same
+    checks as this process does."""
+    fault = FAULTS_BY_NAME["negate_euclidean_distance"]
+    child = (
+        "import json\n"
+        "from metriclp import verify\n"
+        "from tests.test_mutants import FAULTS_BY_NAME, install\n"
+        f"install(FAULTS_BY_NAME[{fault.name!r}])\n"
+        "result = verify.run_theorem_suite(0)\n"
+        "failed = [e['check_id'] for e in result.entries if e['status'] == 'fail']\n"
+        "print(json.dumps({'debug': __debug__, 'failed': failed}))\n"
     )
-    assert proc.returncode == 3, proc.stderr
-    optimized = failed_check_ids(json.loads(ledger_path.read_text()))
-    assert optimized == failed_check_ids(plain.as_dict())
-    assert len(optimized) == 8
+    proc = subprocess.run(
+        [sys.executable, "-O", "-W", "ignore::RuntimeWarning", "-c", child],
+        capture_output=True, text=True, timeout=300, env=child_env(),
+        cwd=Path(__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimized = json.loads(proc.stdout)
+    assert optimized["debug"] is False
+    install(fault, monkeypatch.setattr)
+    with np.errstate(all="ignore"):
+        plain = verify.run_theorem_suite(0)
+    assert optimized["failed"] == [e["check_id"] for e in plain.entries if e["status"] == "fail"]
+    assert len(optimized["failed"]) == 9
 
 
 def test_import_leaves_scipy_optimize_out():

@@ -24,6 +24,7 @@ from metriclp import (
     smooth_from_simple,
 )
 from metriclp.spaces import (
+    NET_PROBE_CAP,
     NET_PROBE_FRACTION,
     _compositions,
     dyadic_simplex,
@@ -311,6 +312,20 @@ def test_circle_net_sizes_bracket_half_pi():
 def test_net_refuses_a_ball_whose_grid_cannot_be_sized(name, center, radius):
     with pytest.raises(CapabilityError, match="cannot be sized"):
         make_space(name).epsilon_net(np.array(center), radius, 0.5)
+
+
+def test_circle_probe_grid_past_the_cap_is_refused():
+    """A circle grid of 1.25 * NET_PROBE_CAP nodes is refused, as euclidean
+    and SPD grids are, before anything is allocated (a sup quantization at
+    eps 1e-9 would ask for 2.2e9 nodes)."""
+    spacing = 2 * math.pi / (1.25 * NET_PROBE_CAP)
+    with pytest.raises(CapabilityError, match="probe grid"):
+        make_space("circle").probe_ball(np.array([0.5]), math.pi, spacing)
+
+
+def test_single_point_space_net_is_its_center():
+    net = make_space("euclidean0").epsilon_net(np.zeros(0), 1.0, 0.1)
+    assert net.shape == (1, 0)
 
 
 @pytest.mark.parametrize(
