@@ -206,10 +206,9 @@ def _cmd_distance(args) -> int:
             _p_key(p): dp_from_pointwise(d, left.domain.weights, p) for p in exponents
         },
     }
-    text = json.dumps(report, indent=1)
-    print(text)
+    print(json.dumps(report, indent=1))
     if args.out:
-        fileio.write_atomic(args.out, text)
+        fileio.save_report(report, args.out)
     return EXIT_OK
 
 
@@ -294,9 +293,8 @@ def _cmd_continuify(args) -> int:
 
 def _cmd_verify(args) -> int:
     result = verify.run_theorem_suite(args.seed)
-    ledger = result.as_dict()
     if args.out:
-        fileio.write_atomic(args.out, json.dumps(fileio.jsonable(ledger), indent=1))
+        fileio.save_report(result.as_dict(), args.out)
     for entry in result.entries:
         print(f"[{entry['status']:>4}] {entry['check_id']}")
     print(

@@ -6,7 +6,8 @@ All files are JSON objects with a "kind" discriminator:
   a grid {"atoms": n, "geometry": {"dim": d, "cells_per_axis": k}}, whose
   weights all equal cell_size**dim and are not stored (older files list
   them; they still load).  Weights may contain Infinity (the JSON
-  extension emitted and accepted by the json module).
+  extension emitted and accepted by the json module).  Maps store their
+  domain inline; a domain file is read only through a {"path"} reference.
 - kind "map": {"domain": <inline domain | {"path": relative}>, "space":
   <descriptor>, "values": [[...], ...]} -- or, for large payloads,
   "values_file": a sibling raw little-endian float64 file, atom-major.
@@ -64,9 +65,9 @@ def _domain_payload(domain: Domain) -> dict:
             "geometry": {"dim": geo.dim, "cells_per_axis": geo.cells_per_axis}}
 
 
-def _domain_from_payload(obj: dict, rows: int | None = None) -> Domain:
+def _domain_from_payload(obj: dict, rows: int) -> Domain:
     """The domain a payload describes; a grid whose size differs from `rows`
-    (the map's atom count, when given) is refused before it is built."""
+    (the map's atom count) is refused before it is built."""
     try:
         geo = obj.get("geometry")
         geometry = (
@@ -82,7 +83,7 @@ def _domain_from_payload(obj: dict, rows: int | None = None) -> Domain:
         k, dim = geometry.cells_per_axis, geometry.dim
         # k**dim > rows once dim > rows.bit_length() (k >= 2; k == 1 gives 1),
         # so the capped power decides the comparison without a huge integer.
-        if rows is not None and k ** min(dim, rows.bit_length() + 1) != rows:
+        if k ** min(dim, rows.bit_length() + 1) != rows:
             raise DataError(f"a grid of {k}**{dim} cells does not match the map's {rows} atoms")
         if obj.get("atoms", k**dim) != k**dim:
             raise DataError("atom count does not match the grid geometry")
@@ -91,19 +92,11 @@ def _domain_from_payload(obj: dict, rows: int | None = None) -> Domain:
         raise DataError(f"malformed domain payload: {exc}") from exc
 
 
-def save_domain(domain: Domain, path: str | os.PathLike) -> None:
-    write_atomic(path, json.dumps(_domain_payload(domain)))
-
-
 def _read_domain_file(path: str | os.PathLike) -> dict:
     obj = _read_json(path)
     if obj.get("kind") != "domain":
         raise DataError(f"{path}: expected a domain file")
     return obj
-
-
-def load_domain(path: str | os.PathLike) -> Domain:
-    return _domain_from_payload(_read_domain_file(path))
 
 
 def _read_json(path: str | os.PathLike) -> dict:
@@ -172,14 +165,6 @@ def save_map(f: MeasurableMap, path: str | os.PathLike) -> None:
     write_atomic(path, json.dumps(payload))
 
 
-def load_map(path: str | os.PathLike) -> MeasurableMap:
-    path = Path(path)
-    obj = _read_json(path)
-    if obj.get("kind") != "map":
-        raise DataError(f"{path}: expected a map file")
-    return _map_from_obj(obj, path)
-
-
 def _map_from_obj(obj: dict, path: Path) -> MeasurableMap:
     values = _values_from_payload(obj, path.parent)
     domain = _resolve_domain(obj, path.parent, len(values) if values.ndim else 1)
@@ -200,14 +185,6 @@ def save_simple_map(g: SimpleMap, path: str | os.PathLike) -> None:
         "domain": _domain_payload(g.domain),
     }
     write_atomic(path, json.dumps(payload))
-
-
-def load_simple_map(path: str | os.PathLike) -> SimpleMap:
-    path = Path(path)
-    obj = _read_json(path)
-    if obj.get("kind") != "simple_map":
-        raise DataError(f"{path}: expected a simple-map file")
-    return _simple_map_from_obj(obj, path)
 
 
 def _simple_map_from_obj(obj: dict, path: Path) -> SimpleMap:

@@ -18,8 +18,7 @@ atoms with distances divided by their maximum (a scaled p-norm), so D_p
 stays finite and is 0 only for equivalent mappings.
 
 Two mappings are equivalent when their payloads agree exactly on every
-positive-weight atom; `near_equivalent` offers a 1e-12 tolerance variant
-for callers that quantify over computed values.
+positive-weight atom.
 
 The D_p helpers (`pointwise_distance`, `dp_distance`, `is_member`, `equivalent`)
 read only `domain`, `space` and `values`, which `SimpleMap` carries too.
@@ -28,17 +27,15 @@ read only `domain`, `space` and `values`, which `SimpleMap` carries too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AtomSet, Domain, is_purely_infinite, measure
+from .domain import AtomSet, Domain, is_purely_infinite
 from .errors import DimensionMismatchError, DomainMismatchError, MetricLpError
 from .spaces import MetricSpace
 
 Array = np.ndarray
 
-NEAR_EQ_TOL = 1e-12
 TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
@@ -73,9 +70,6 @@ class MeasurableMap:
         """
         payload = space.check_point(y)
         return cls(domain, space, np.tile(payload, (domain.atom_count, 1)))
-
-    def copy(self) -> "MeasurableMap":
-        return MeasurableMap(self.domain, self.space, self.values.copy())
 
     def __repr__(self):
         return f"MeasurableMap({self.space.tag}, atoms={self.domain.atom_count})"
@@ -174,28 +168,12 @@ def equivalent(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap) -> bo
     return bool(np.array_equal(f.values[live], g.values[live]))
 
 
-def near_equivalent(f: MeasurableMap, g: MeasurableMap, tol: float = NEAR_EQ_TOL) -> bool:
-    _check_pair(f, g)
-    live = f.domain.weights > 0
-    if not live.any():
-        return True
-    return bool(np.max(np.abs(f.values[live] - g.values[live]), initial=0.0) <= tol)
-
-
 def restrict(f: MeasurableMap, b: AtomSet) -> MeasurableMap:
     """Restriction to a sub-domain; grid geometry does not survive subsetting."""
     if b.n_atoms != f.domain.atom_count:
         raise DomainMismatchError("atom set does not match the map's domain")
     sub = Domain(f.domain.weights[b.indices])
     return MeasurableMap(sub, f.space, f.values[b.indices].copy())
-
-
-def distance_to_base_field(f: MeasurableMap, h: MeasurableMap) -> MeasurableMap:
-    """The real-valued field x -> d(f(x), h(x)) as a mapping into R^1."""
-    from .spaces import EuclideanSpace
-
-    d = pointwise_distance(f, h)
-    return MeasurableMap(f.domain, EuclideanSpace(1), d[:, None])
 
 
 def is_trivial(domain: Domain, space: MetricSpace) -> bool:
@@ -252,9 +230,6 @@ class SimpleMap:
     @property
     def range_size(self) -> int:
         return int(np.unique(self.labels[self.labels >= 0]).size)
-
-    def base_atoms(self) -> AtomSet:
-        return AtomSet.from_mask(self.labels == BASE_LABEL)
 
     @property
     def values(self) -> Array:

@@ -25,7 +25,7 @@ D_p(smooth, continuous) by eps/3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,14 @@ class ContinuousField:
     p: float
     target_eps: float
     achieved_error: float
-    flags: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        """The pieces' budget flags; a field without pieces raises none."""
+        inner = any(piece.inner_over_budget for piece in self.pieces)
+        outer = any(piece.outer_over_budget for piece in self.pieces)
+        return {"inner_over_budget": inner, "outer_over_budget": outer,
+                "guarantee_holds": not (inner or outer)}
 
 
 def smooth_from_simple(
@@ -138,19 +145,13 @@ def smooth_from_simple(
     ]
     k = len(piece_labels)
     values = np.tile(z0, (n_atoms, 1))
-    if k == 0:
-        out_map = MeasurableMap(domain, g.space, values)
-        achieved = dp_distance(g, out_map, p)
-        return ContinuousField(out_map, z0, order, [], p, eps, achieved)
-
     lips = g.space.distance_many(z0[None, :], g.value_table[piece_labels]).tolist()
-    reach = max(lips)
-    delta = (eps / (2.0 * k ** (1.0 / p) * reach)) ** p
+    # with no piece the budget is never spent
+    delta = (eps / (2.0 * k ** (1.0 / p) * max(lips))) ** p if k else 0.0
 
     foreground = np.isin(g.labels, piece_labels)
     claimed = np.zeros(n_atoms, dtype=bool)
     pieces: list[RelaxPiece] = []
-    any_inner_over = any_outer_over = False
     for lab, lip in zip(piece_labels, lips):
         b_mask = g.labels == lab
         b = AtomSet.from_mask(b_mask)
@@ -185,8 +186,6 @@ def smooth_from_simple(
                 sup_gap_budget=budget,
             )
         )
-        any_inner_over |= inner.over_budget
-        any_outer_over |= outer.over_budget
 
     out_map = MeasurableMap(domain, g.space, values)
     achieved = dp_distance(g, out_map, p)
@@ -198,11 +197,6 @@ def smooth_from_simple(
         p=p,
         target_eps=eps,
         achieved_error=achieved,
-        flags={
-            "inner_over_budget": any_inner_over,
-            "outer_over_budget": any_outer_over,
-            "guarantee_holds": not (any_inner_over or any_outer_over),
-        },
     )
 
 

@@ -690,8 +690,12 @@ def _check_lp_metric(ctx: SuiteContext) -> dict:
         space = make_space(name)
         rng = ctx.rng(f"lp-{name}")
         f, g, h = (fields.random_map(domain, space, rng) for _ in range(3))
+        d = pointwise_distance(f, g)
         for p in (1.0, 1.7, 2.0, 4.0, math.inf):
             d_fg = dp_distance(f, g, p)
+            if math.isfinite(p):
+                direct = math.fsum(domain.weights * d**p) ** (1.0 / p)
+                require(abs(d_fg - direct) <= 1e-12 * direct, f"D_{p} off its defining sum")
             require(d_fg == dp_distance(g, f, p), "D_p symmetry not exact")
             require(dp_distance(f, f, p) == 0.0, "D_p identity not exact")
             slack = d_fg - (dp_distance(f, h, p) + dp_distance(h, g, p))
@@ -875,6 +879,10 @@ def _check_approx_divergence(ctx: SuiteContext) -> dict:
     const_seq, k_seq = [], []
     for n in (64, 128, 256, 512, 1024):
         rep = quantize.divergence_fixture("unbounded_base", n, 2.0, 3)
+        # the best constant is the weighted mean: its D_2 error is h's weighted std
+        w, h = np.full(n, 1.0 / n), ((np.arange(n) + 0.5) / n) ** -0.5
+        std = math.sqrt(math.fsum(w * (h - math.fsum(w * h) / math.fsum(w)) ** 2))
+        require(abs(rep.best_constant_error - std) <= 1e-12 * std, "best constant off the std")
         require(rep.best_k_error <= rep.best_constant_error, "k values worse than one")
         const_seq.append(rep.best_constant_error)
         k_seq.append(rep.best_k_error)

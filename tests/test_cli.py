@@ -25,7 +25,7 @@ from metriclp import (
     verify,
 )
 from metriclp.cli import EXIT_DATA, main
-from metriclp.fileio import load_any_map, load_map, save_map, save_simple_map
+from metriclp.fileio import load_any_map, save_map, save_simple_map
 from metriclp.spaces import MetricSpace
 
 from .conftest import BAD_MAP_TEXTS, child_env, write_bad_file
@@ -67,7 +67,7 @@ def test_gen_smooth_writes_map(tmp_path, capsys):
     assert code == 0
     summary = last_json(stdout)
     assert summary == {"written": str(out), "kind": "map", "atoms": 256}
-    f = load_map(out)
+    f = load_any_map(out)
     assert f.values.shape == (256, 2)
     assert f.domain.geometry.cells_per_axis == 16
 
@@ -103,7 +103,7 @@ def test_gen_deterministic_per_seed(tmp_path, capsys):
     for name in ("r1.json", "r2.json"):
         run_cli(capsys, "gen", "--kind", "random", "--grid", "8x8",
                 "--seed", "7", "--out", str(tmp_path / name))
-        outs.append(load_map(tmp_path / name).values)
+        outs.append(load_any_map(tmp_path / name).values)
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -278,7 +278,7 @@ def test_distance_reduces_one_pointwise_pass_per_exponent(tmp_path, capsys, monk
     code, stdout, err = run_cli(capsys, "distance", *files, "--p", "1,1.5,2,4,400,inf")
     assert code == 0, err
     got = json.loads(stdout)["distances"]
-    left, right = load_map(files[0]), load_map(files[1])
+    left, right = load_any_map(files[0]), load_any_map(files[1])
     want = {key: dp_distance(left, right, p)
             for key, p in zip(["1", "1.5", "2", "4", "400", "inf"], DISTANCE_EXPONENTS)}
     assert got == want  # float equality: bit for bit on finite values
@@ -454,7 +454,8 @@ def test_continuify_band(tmp_path, capsys):
     assert summary["pieces"] == 1
     assert summary["achieved_error"] < summary["error_bound"] <= 0.3
     assert summary["flags"]["guarantee_holds"]
-    field = load_map(out)
+    field = load_any_map(out)
+    assert isinstance(field, MeasurableMap)
     assert field.values.min() >= 0.0 and field.values.max() <= 1.0
     report = json.loads(report_path.read_text())
     assert report["pieces"][0]["core_atoms"] > 0
@@ -494,6 +495,26 @@ def test_continuify_warns_when_the_bound_is_not_guaranteed(tmp_path, capsys):
     assert 0 < flagged
     assert err.count("\n") == 1
     assert f"{flagged} of {len(pieces)} pieces" in err and "not guaranteed" in err
+
+
+def test_continuify_one_region_has_no_piece_and_holds_its_guarantee(tmp_path, capsys):
+    """A one-region piecewise map takes the background value everywhere, so
+    no piece is relaxed; the run exits 0 and reports that its bound holds."""
+    one, out, report = tmp_path / "one.json", tmp_path / "out.json", tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "gen", "--kind", "piecewise", "--space", "spd2",
+                           "--grid", "16x16", "--regions", "1", "--out", str(one))
+    assert code == 0, err
+    code, stdout, err = run_cli(capsys, "continuify", str(one), "--p", "1", "--eps", "0.2",
+                                "--out", str(out), "--report", str(report))
+    assert code == 0 and err == ""
+    summary = last_json(stdout)
+    assert summary["pieces"] == 0 and summary["achieved_error"] == 0.0
+    assert stdout.strip().endswith(
+        '"flags": {"inner_over_budget": false, "outer_over_budget": false,'
+        ' "guarantee_holds": true}}'
+    )
+    assert np.array_equal(load_any_map(out).values, load_any_map(one).values)
+    assert json.loads(report.read_text())["pieces"] == []
 
 
 def test_relax_pipeline_checks_two_full_grids(tmp_path, capsys, monkeypatch):
@@ -655,7 +676,7 @@ def test_config_values_go_through_their_flag_types(tmp_path, capsys):
     out = tmp_path / "c.json"
     code, _, err = run_cli(capsys, "--config", str(cfg), "gen", "--out", str(out))
     assert code == 0, err
-    assert np.array_equal(load_map(out).values, np.tile([1.0, 2.0], (4, 1)))
+    assert np.array_equal(load_any_map(out).values, np.tile([1.0, 2.0], (4, 1)))
     cfg.write_text(json.dumps({"kind": "random", "seed": True}))
     code, _, err = run_cli(capsys, "--config", str(cfg), "gen", "--out", str(out))
     assert code == 1 and "--seed" in err
@@ -834,3 +855,17 @@ def test_console_script_smoke(pair_files):
     assert json.loads(proc.stdout)["distances"]["2"] == 5.0
     missing = run("distance", str(a.parent / "missing.json"), str(b))
     assert missing.returncode == EXIT_DATA, missing.stderr
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+
+def test_star_import_binds_every_exported_name():
+    """`from metriclp import *` works and binds every name in `__all__`, so a
+    stale export fails here rather than in a user's import."""
+    namespace: dict = {}
+    exec("from metriclp import *", namespace)
+    assert [name for name in metriclp.__all__ if name not in namespace] == []
+    assert len(set(metriclp.__all__)) == len(metriclp.__all__)

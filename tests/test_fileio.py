@@ -21,10 +21,6 @@ from metriclp import fileio
 from metriclp.fileio import (
     jsonable,
     load_any_map,
-    load_domain,
-    load_map,
-    load_simple_map,
-    save_domain,
     save_map,
     save_report,
     save_simple_map,
@@ -35,24 +31,28 @@ from .conftest import BAD_MAP_TEXTS, write_bad_file
 DATA = Path(__file__).parent / "data"
 
 
+def _domain_round_trip(dom: Domain, path: Path) -> Domain:
+    """The domain of a one-dimensional map on `dom` after a save and a load."""
+    f = MeasurableMap(dom, make_space("euclidean1"), np.zeros((dom.atom_count, 1)))
+    save_map(f, path)
+    return load_any_map(path).domain
+
+
 def test_domain_round_trip_exact(tmp_path, rng):
     dom = Domain(rng.uniform(0.01, 3.0, 17))
-    save_domain(dom, tmp_path / "d.json")
-    back = load_domain(tmp_path / "d.json")
+    back = _domain_round_trip(dom, tmp_path / "d.json")
     assert np.array_equal(back.weights, dom.weights)
     assert back.geometry is None
 
 
 def test_domain_round_trip_grid_and_infinite(tmp_path):
     grid = Domain.grid(2, 4)
-    save_domain(grid, tmp_path / "g.json")
-    back = load_domain(tmp_path / "g.json")
+    back = _domain_round_trip(grid, tmp_path / "g.json")
     assert back.geometry == grid.geometry
     assert np.array_equal(back.weights, grid.weights)
 
     inf_dom = Domain(np.array([1.0, math.inf, 0.5]))
-    save_domain(inf_dom, tmp_path / "i.json")
-    back = load_domain(tmp_path / "i.json")
+    back = _domain_round_trip(inf_dom, tmp_path / "i.json")
     assert math.isinf(back.weights[1])
     assert back.weights[0] == 1.0
 
@@ -62,7 +62,7 @@ def test_map_round_trip_inline(tmp_path, rng):
     dom = Domain(rng.uniform(0.1, 2.0, 9))
     f = MeasurableMap(dom, sp, sp.random_payloads(rng, 9))
     save_map(f, tmp_path / "f.json")
-    back = load_map(tmp_path / "f.json")
+    back = load_any_map(tmp_path / "f.json")
     assert back.space.descriptor() == sp.descriptor()
     assert np.array_equal(back.values, f.values)  # bit-exact floats
     assert equivalent(back, f)
@@ -77,7 +77,7 @@ def test_map_round_trip_sidecar(tmp_path, rng):
     assert (tmp_path / "big.json.values.bin").exists()
     raw = json.loads((tmp_path / "big.json").read_text())
     assert "values" not in raw and raw["values_file"] == "big.json.values.bin"
-    back = load_map(tmp_path / "big.json")
+    back = load_any_map(tmp_path / "big.json")
     assert np.array_equal(back.values, f.values)
     assert back.domain.geometry == f.domain.geometry
 
@@ -85,14 +85,16 @@ def test_map_round_trip_sidecar(tmp_path, rng):
 def test_map_with_domain_reference(tmp_path, rng):
     sp = make_space("circle")
     dom = Domain(np.ones(5))
-    save_domain(dom, tmp_path / "dom.json")
+    (tmp_path / "dom.json").write_text(
+        '{"kind": "domain", "atoms": 5, "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "geometry": null}'
+    )
     f = MeasurableMap(dom, sp, sp.random_payloads(rng, 5))
     save_map(f, tmp_path / "f.json")
     raw = json.loads((tmp_path / "f.json").read_text())
     raw["domain"] = {"path": "dom.json"}  # the writers always inline the domain
     (tmp_path / "f.json").write_text(json.dumps(raw))
     assert json.loads((tmp_path / "f.json").read_text())["domain"] == {"path": "dom.json"}
-    back = load_map(tmp_path / "f.json")
+    back = load_any_map(tmp_path / "f.json")
     assert np.array_equal(back.domain.weights, dom.weights)
     assert np.array_equal(back.values, f.values)
 
@@ -107,7 +109,7 @@ def test_grid_domain_is_stored_as_its_geometry(tmp_path, rng):
     assert json.loads(text)["domain"] == {
         "kind": "domain", "atoms": 65536, "geometry": {"dim": 2, "cells_per_axis": 256}
     }
-    back = load_map(tmp_path / "f.json")
+    back = load_any_map(tmp_path / "f.json")
     assert back.domain.geometry == dom.geometry
     assert back.domain.weights.tobytes() == dom.weights.tobytes()
     assert back.values.tobytes() == f.values.tobytes()
@@ -118,8 +120,9 @@ def test_legacy_grid_files_load_unchanged(tmp_path):
     every weight; they load bit for bit and are re-saved without them."""
     raw_map = json.loads((DATA / "legacy_grid_map.json").read_text())
     raw_simple = json.loads((DATA / "legacy_grid_simple_map.json").read_text())
-    f = load_map(DATA / "legacy_grid_map.json")
-    g = load_simple_map(DATA / "legacy_grid_simple_map.json")
+    f = load_any_map(DATA / "legacy_grid_map.json")
+    g = load_any_map(DATA / "legacy_grid_simple_map.json")
+    assert isinstance(f, MeasurableMap) and isinstance(g, SimpleMap)
     for back, raw in ((f, raw_map), (g, raw_simple)):
         legacy = np.array(raw["domain"]["weights"])
         assert back.domain.weights.tobytes() == legacy.tobytes()
@@ -134,7 +137,7 @@ def test_legacy_grid_files_load_unchanged(tmp_path):
     save_simple_map(g, tmp_path / "g.json")
     for name in ("f.json", "g.json"):
         assert "weights" not in json.loads((tmp_path / name).read_text())["domain"]
-    f2, g2 = load_map(tmp_path / "f.json"), load_simple_map(tmp_path / "g.json")
+    f2, g2 = load_any_map(tmp_path / "f.json"), load_any_map(tmp_path / "g.json")
     assert f2.values.tobytes() == f.values.tobytes()
     assert f2.domain.weights.tobytes() == f.domain.weights.tobytes()
     assert np.array_equal(g2.labels, g.labels) and g2.base_flag == g.base_flag
@@ -152,7 +155,7 @@ def test_simple_map_round_trip(tmp_path):
         base_flag=-1,
     )
     save_simple_map(g, tmp_path / "g.json")
-    back = load_simple_map(tmp_path / "g.json")
+    back = load_any_map(tmp_path / "g.json")
     assert np.array_equal(back.labels, g.labels)
     assert np.array_equal(back.value_table, g.value_table)
     assert back.base_flag == -1
@@ -168,6 +171,17 @@ def test_load_any_map_dispatches(tmp_path, rng):
     save_simple_map(g, tmp_path / "g.json")
     assert isinstance(load_any_map(tmp_path / "f.json"), MeasurableMap)
     assert isinstance(load_any_map(tmp_path / "g.json"), SimpleMap)
+
+
+def _map_referring_to(domain_path: Path) -> Path:
+    """A 16-row map file beside `domain_path` whose domain is a reference to
+    it; 16 rows match the 4 x 4 grids below, so a grid fails for its own fault."""
+    ref = domain_path.with_name("ref.json")
+    ref.write_text(json.dumps({
+        "kind": "map", "space": {"space": "euclidean1"},
+        "domain": {"path": domain_path.name}, "values": [[0.0]] * 16,
+    }))
+    return ref
 
 
 @pytest.mark.parametrize(
@@ -187,13 +201,20 @@ def test_load_any_map_dispatches(tmp_path, rng):
 )
 def test_malformed_inputs_raise_data_error(tmp_path, text):
     path = write_bad_file(tmp_path, text)
-    with pytest.raises(DataError):
-        load_any_map(path) if "map" in text else load_domain(path)
+    if "map" in text:
+        with pytest.raises(DataError):
+            load_any_map(path)
+        return
+    # any other text is read as a domain, which only a map's reference reaches
+    with pytest.raises(DataError, match="bad.json|domain|atom count"):
+        load_any_map(_map_referring_to(path))
 
 
 def test_missing_file_raises_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
-        load_domain(tmp_path / "absent.json")
+        load_any_map(tmp_path / "absent.json")
+    with pytest.raises(DataError, match="cannot read"):
+        load_any_map(_map_referring_to(tmp_path / "absent.json"))
 
 
 def test_sidecar_shape_mismatch_raises(tmp_path, rng):
@@ -204,7 +225,7 @@ def test_sidecar_shape_mismatch_raises(tmp_path, rng):
     blob = (tmp_path / "big.json.values.bin").read_bytes()
     (tmp_path / "big.json.values.bin").write_bytes(blob[:-16])
     with pytest.raises(DataError, match="sidecar"):
-        load_map(tmp_path / "big.json")
+        load_any_map(tmp_path / "big.json")
 
 
 def test_jsonable_handles_reports(rng):
@@ -241,4 +262,4 @@ def test_failed_replace_keeps_old_files_and_leaves_no_temporary(tmp_path, rng, m
     monkeypatch.undo()
     save_map(new, tmp_path / "m.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
-    assert np.array_equal(load_map(tmp_path / "m.json").values, new.values)
+    assert np.array_equal(load_any_map(tmp_path / "m.json").values, new.values)

@@ -22,14 +22,12 @@ from metriclp import (
     MetricLpError,
     SimpleMap,
     differing_support,
-    distance_to_base_field,
     dp_distance,
     dp_from_pointwise,
     equivalent,
     is_member,
     is_trivial,
     make_space,
-    near_equivalent,
     pointwise_distance,
     restrict,
 )
@@ -193,13 +191,6 @@ def test_dp_large_p_huge_distance_stays_finite():
     assert dp_distance(f, g, 400.0) == pytest.approx(10.0, rel=1e-15)
 
 
-def test_near_equivalent_tolerance():
-    dom = Domain(np.array([1.0]))
-    f = line_map(dom, [0.0])
-    g = line_map(dom, [1e-13])
-    assert near_equivalent(f, g) and not equivalent(f, g)
-
-
 # ---------------------------------------------------------------------------
 # constant embedding
 # ---------------------------------------------------------------------------
@@ -228,7 +219,7 @@ def test_constant_embed_isometry_random(spaces, rng):
 
 
 # ---------------------------------------------------------------------------
-# restriction and derived fields
+# restriction
 # ---------------------------------------------------------------------------
 
 
@@ -239,15 +230,6 @@ def test_restrict_is_contractive(rng):
     sub = AtomSet(rng.choice(12, size=5, replace=False), 12)
     for p in (1.0, 2.0, math.inf):
         assert dp_distance(restrict(f, sub), restrict(g, sub), p) <= dp_distance(f, g, p)
-
-
-def test_distance_to_base_field_values():
-    dom = Domain(np.array([1.0, 1.0]))
-    f = line_map(dom, [0.0, 2.0])
-    h = line_map(dom, [1.0, -1.0])
-    field = distance_to_base_field(f, h)
-    assert np.array_equal(field.values.ravel(), [1.0, 3.0])
-    assert np.array_equal(pointwise_distance(f, h), [1.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +253,6 @@ def test_simple_map_expansion_and_base_flag():
     table = np.array([[1.0], [2.0]])
     g = SimpleMap(dom, E1, np.array([0, 1, BASE_LABEL, 0]), table, base_flag=BASE_LABEL)
     assert g.range_size == 2
-    assert g.base_atoms() == AtomSet([2], 4)
     h = line_map(dom, [9.0, 9.0, 9.0, 9.0])
     out = g.to_map(h)
     assert np.array_equal(out.values.ravel(), [1.0, 2.0, 9.0, 1.0])

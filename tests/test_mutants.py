@@ -129,8 +129,8 @@ FAULTS = [
     ),
     Fault(
         "dp_without_root", maps, "dp_from_pointwise", _without_root,
-        ("lp.constant_embedding", "lp.holder_base_bounds", "verify.riesz_fischer",
-         "verify.separability"),
+        ("lp.metric_axioms", "lp.constant_embedding", "lp.holder_base_bounds",
+         "verify.riesz_fischer", "verify.separability"),
     ),
     Fault(
         "step_search_returns_lo", quantize, "_smallest_index",
@@ -140,6 +140,11 @@ FAULTS = [
     Fault(
         "best_errors_reversed", quantize, "_best_errors",
         lambda orig: lambda *args: orig(*args)[::-1],
+        ("approx.divergence",),
+    ),
+    Fault(
+        "best_errors_without_root", quantize, "_best_errors",
+        lambda orig: lambda w, h, p, k: orig(w, h, p, k) ** p,
         ("approx.divergence",),
     ),
 ]

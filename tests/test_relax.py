@@ -113,6 +113,21 @@ def test_continuous_band_exactness_and_error():
     assert np.all((field.map.values >= 0.0) & (field.map.values <= 1.0))
 
 
+@pytest.mark.parametrize("order", [0, 2])
+def test_background_only_map_has_no_piece_and_holds_its_guarantee(order):
+    """With every value equal to the background nothing is relaxed: the
+    field is the input, and its flags are those of a field without flags."""
+    dom = Domain.grid(1, 16)
+    g = SimpleMap(dom, E1, np.zeros(16, dtype=np.int64), np.array([[0.0]]))
+    field = smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=order)
+    assert field.pieces == [] and field.achieved_error == 0.0
+    assert np.array_equal(field.map.values, g.values)
+    assert field.flags == {
+        "inner_over_budget": False, "outer_over_budget": False, "guarantee_holds": True,
+    }
+    assert list(field.flags) == ["inner_over_budget", "outer_over_budget", "guarantee_holds"]
+
+
 def test_continuous_two_disks_2d(rng):
     dom = Domain.grid(2, 32)
     labels = fields.disk_labels(
