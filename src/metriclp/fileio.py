@@ -144,12 +144,16 @@ def _values_to_payload(values: np.ndarray, path: Path, payload: dict) -> None:
 def _values_from_payload(obj: dict, base_dir: Path) -> np.ndarray:
     try:
         if "values_file" in obj:
-            raw = _confined(base_dir, obj["values_file"]).read_bytes()
-            shape = tuple(obj["values_shape"])
-            vals = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-            if vals.size != int(np.prod(shape)):
-                raise DataError("sidecar length does not match the declared shape")
-            return vals.reshape(shape)
+            # the bytes are read once, straight into the array returned
+            with open(_confined(base_dir, obj["values_file"]), "rb") as fh:
+                shape = tuple(obj["values_shape"])
+                size = os.fstat(fh.fileno()).st_size
+                if size % 8:  # numpy's words for a ragged float64 buffer
+                    raise ValueError("buffer size must be a multiple of element size")
+                vals = np.empty(size // 8, dtype="<f8")
+                if fh.readinto(vals) != size or vals.size != int(np.prod(shape)):
+                    raise DataError("sidecar length does not match the declared shape")
+            return vals.astype(np.float64, copy=False).reshape(shape)
         if "values" not in obj:
             raise DataError("map file lacks values")
         return np.asarray(obj["values"], dtype=np.float64)

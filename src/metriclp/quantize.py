@@ -154,7 +154,7 @@ def countable_quantize(
     with the shrunken budget eps / (2**(n+1) * measure(piece))**(1/p),
     which keeps the D_p error below eps on sigma-finite decompositions.
     """
-    if not eps > 0:
+    if not 0 < eps < math.inf:
         raise MetricLpError("eps must be positive")
     if pieces is None:
         return _quantize_once(f, eps)
@@ -251,7 +251,7 @@ def almost_simple_approx(
     p = check_p(p)
     if math.isinf(p):
         raise MetricLpError("almost_simple_approx is the finite-p construction")
-    if not eps > 0:
+    if not 0 < eps < math.inf:
         raise MetricLpError("eps must be positive")
     if not is_member(f, h, p):
         raise MetricLpError("f must lie at finite D_p distance from h")
@@ -351,7 +351,7 @@ def simple_approx_sup(
     lowest index); an atom the net misses falls back to its nearest net
     point, and the measured sup error is reported either way.
     """
-    if not eps > 0:
+    if not 0 < eps < math.inf:
         raise MetricLpError("eps must be positive")
     if not is_member(f, h, math.inf):
         raise MetricLpError("f must lie at finite sup distance from h")

@@ -125,7 +125,7 @@ def smooth_from_simple(
     p = check_p(p)
     if math.isinf(p):
         raise MetricLpError("relaxation budgets need a finite exponent p")
-    if not eps > 0:
+    if not 0 < eps < math.inf:
         raise MetricLpError("eps must be positive")
     domain = g.domain
     if domain.geometry is None:
@@ -146,8 +146,16 @@ def smooth_from_simple(
     k = len(piece_labels)
     values = np.tile(z0, (n_atoms, 1))
     lips = g.space.distance_many(z0[None, :], g.value_table[piece_labels]).tolist()
-    # with no piece the budget is never spent
-    delta = (eps / (2.0 * k ** (1.0 / p) * max(lips))) ** p if k else 0.0
+    # The per-piece budget; with no piece it is never spent.  The morphology
+    # compares it only with 0 and with positive multiples of the cell
+    # measure, so a budget below the smallest positive float decides as
+    # that float, and one above the largest float as inf.
+    delta = 0.0
+    if k:
+        try:
+            delta = max((eps / (2.0 * k ** (1.0 / p) * max(lips))) ** p, math.ulp(0.0))
+        except OverflowError:
+            delta = math.inf
 
     foreground = np.isin(g.labels, piece_labels)
     claimed = np.zeros(n_atoms, dtype=bool)

@@ -403,6 +403,41 @@ class EuclideanSpace(MetricSpace):
 # relative is treated as an invalid (non-SPD) input instead.
 EIG_CLAMP = 1e-12
 EIG_CLAMP_REL = 1e-9
+# Shift of the payload check's Cholesky certificate, relative to n times the
+# largest diagonal entry: about 1e6 times the rounding it must outweigh.
+_CHOL_SHIFT_REL = 1e-8
+# Rows per pass of that certificate, so that its temporaries stay in cache.
+_CHOL_BLOCK_ROWS = 8192
+
+
+def _least_pivots(cols: Array, n: int) -> Array:
+    """Smallest Cholesky pivot of A - s I, s = EIG_CLAMP + _CHOL_SHIFT_REL *
+    n * max_i a_ii, for every matrix A of a stack; where the factorization
+    breaks down or overflows, a value that is not > 0 (a pivot <= 0, -inf
+    or nan).
+
+    cols[i * n + j] holds entry (i, j) of every matrix, and only entries
+    with i >= j are read.  Python loops over the n (n + 1) / 2 entries of
+    the factor, numpy over the stack; see `SpdSpace._check_valid` for what
+    a positive result proves.
+    """
+    with np.errstate(all="ignore"):
+        shift = cols[:: n + 1].max(axis=0) * (_CHOL_SHIFT_REL * n) + EIG_CLAMP
+        low = {}  # low[i, j]: entry (i, j), i > j, of the Cholesky factor
+        for j in range(n):
+            pivot = cols[j * (n + 1)] - shift
+            for k in range(j):
+                pivot -= low[j, k] * low[j, k]
+            # np.minimum keeps a nan pivot, and nan > 0 fails
+            least = pivot if j == 0 else np.minimum(least, pivot)
+            if j + 1 < n:
+                root = np.sqrt(pivot)
+                for i in range(j + 1, n):
+                    entry = cols[i * n + j]
+                    for k in range(j):
+                        entry = entry - low[i, k] * low[j, k]
+                    low[i, j] = entry / root
+    return least
 
 
 class SpdSpace(MetricSpace):
@@ -444,13 +479,55 @@ class SpdSpace(MetricSpace):
         return (v * np.exp(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
 
     def _check_valid(self, flat):
-        mats = self._mats(flat)
-        sym_gap = np.abs(mats - np.swapaxes(mats, -1, -2)).max(initial=0.0)
+        r"""Refuse a stack with a row that is not symmetric to 1e-12 or whose
+        smallest `eigvalsh` eigenvalue is <= EIG_CLAMP.
+
+        A column-wise Cholesky certificate (`_least_pivots`) decides every
+        row it can, and `eigvalsh` runs only on the rest (zero, indefinite,
+        ill-conditioned or overflowing rows), so no row's verdict differs
+        from that of `eigvalsh` on every row.  A is the symmetric matrix of
+        the row's lower triangle, the one `eigvalsh` reads; D is its largest
+        diagonal entry and s = EIG_CLAMP + c n D with c = _CHOL_SHIFT_REL.
+
+        A row passes when every pivot of A - s I is > 0.  Then (Demmel
+        1989; Higham, *Accuracy and Stability of Numerical Algorithms*,
+        Thm 10.3) the computed factor R satisfies R^T R = A - s I + E, where
+        E holds the rounding of the shifted diagonal and of the
+        factorization, and |E_ij| <= (n + 2) u D to first order in
+        u = 2**-53, since column i of R has squared norm about a_ii - s < D.
+        R^T R is positive semidefinite, so
+        lambda_min(A) >= s - ||E||_2 >= EIG_CLAMP + (c n - n (n + 2) u) D.
+        Here D > 0: the first pivot gives a_00 > s >= EIG_CLAMP + c n a_00.
+        An underflowed product moves E by less than 1e-300, which the
+        EIG_CLAMP part of s absorbs; an overflowed one turns a later pivot
+        into -inf or nan, which fails.  `eigvalsh` returns lambda_min(A) to
+        within O(n u) ||A||_2 <= O(n u) n D, since A is positive definite
+        and ||A||_2 <= trace(A) <= n D.  With c = 1e-8, c n exceeds both
+        rounding terms by a factor of about 1e6 for small n, so a passing
+        row's `eigvalsh` minimum is > EIG_CLAMP.
+
+        The symmetry gap is the max of |a_ij - a_ji| over all rows before
+        any eigenvalue is looked at, so a stack with both faults is refused
+        as not symmetric, with the same gap as a full-matrix difference.
+        """
+        n = self.n
+        sym_gap = 0.0
+        failed = []
+        for start in range(0, flat.shape[0], _CHOL_BLOCK_ROWS):
+            # cols[i * n + j] holds entry (i, j) of every matrix in the block
+            cols = flat[start : start + _CHOL_BLOCK_ROWS].T.copy()
+            for i in range(n):
+                for j in range(i + 1, n):
+                    sym_gap = max(sym_gap, np.abs(cols[i * n + j] - cols[j * n + i]).max())
+            least = _least_pivots(cols, n)
+            if not least.min() > 0.0:
+                failed.append(start + np.flatnonzero(~(least > 0.0)))
         if sym_gap > 1e-12:
             raise InvalidPointError(f"spd payload not symmetric (gap {sym_gap:.2e})")
-        w = np.linalg.eigvalsh(mats)
-        if w.size and w.min() <= EIG_CLAMP:
-            raise InvalidPointError("spd payload has a nonpositive eigenvalue")
+        if failed:
+            w = np.linalg.eigvalsh(self._mats(flat[np.concatenate(failed)]))
+            if w.min() <= EIG_CLAMP:
+                raise InvalidPointError("spd payload has a nonpositive eigenvalue")
 
     def _nu_spectrum(self, a: Array, b: Array) -> Array:
         """Shifted pencil spectrum: the nu with det((b - a) - nu a) = 0.

@@ -377,7 +377,7 @@ def test_quantize_sup_refuses_a_circle_grid_past_the_probe_cap(tmp_path, capsys,
     assert "probe grid would need" in err
 
 
-@pytest.mark.parametrize(
+BUDGET_ARGVS = pytest.mark.parametrize(
     "argv",
     [
         ["continuify", "{simple}"],
@@ -387,17 +387,31 @@ def test_quantize_sup_refuses_a_circle_grid_past_the_probe_cap(tmp_path, capsys,
     ],
     ids=["continuify", "countable", "almost-simple", "sup"],
 )
-def test_nan_budget_is_refused(tmp_path, capsys, rng, argv):
-    """NaN passes an `eps <= 0` test; each budget check refuses it as not
-    positive, before any construction can trip over it."""
+
+
+def assert_budget_refused(tmp_path, capsys, rng, argv, eps):
     f = MeasurableMap(Domain(np.ones(16)), make_space("euclidean1"), rng.normal(size=(16, 1)))
     save_map(f, tmp_path / "f.json")
     simple = make_band_simple(tmp_path)
     argv = [a.format(map=tmp_path / "f.json", simple=simple) for a in argv]
     out = tmp_path / "out.json"
-    code, stdout, err = run_cli(capsys, *argv, "--eps", "nan", "--out", str(out))
+    code, stdout, err = run_cli(capsys, *argv, "--eps", eps, "--out", str(out))
     assert code == EXIT_DATA and stdout == "" and not out.exists()
     assert "must be positive" in err and "Traceback" not in err
+
+
+@BUDGET_ARGVS
+def test_nan_budget_is_refused(tmp_path, capsys, rng, argv):
+    """NaN passes an `eps <= 0` test; each budget check refuses it as not
+    positive, before any construction can trip over it."""
+    assert_budget_refused(tmp_path, capsys, rng, argv, "nan")
+
+
+@BUDGET_ARGVS
+def test_infinite_budget_is_refused(tmp_path, capsys, rng, argv):
+    """An infinite eps bounds nothing, and the summary would print it as
+    `Infinity`, which strict JSON parsers reject; it is refused like NaN."""
+    assert_budget_refused(tmp_path, capsys, rng, argv, "inf")
 
 
 @pytest.mark.parametrize(
@@ -495,6 +509,28 @@ def test_continuify_warns_when_the_bound_is_not_guaranteed(tmp_path, capsys):
     assert 0 < flagged
     assert err.count("\n") == 1
     assert f"{flagged} of {len(pieces)} pieces" in err and "not guaranteed" in err
+
+
+@pytest.mark.parametrize("p, eps", [("300", "0.1"), ("1e6", "0.1"), ("400", "100")])
+def test_continuify_budget_past_the_float_range_still_relaxes(tmp_path, capsys, p, eps):
+    """At large p the per-piece budget (eps / (2 k^(1/p) R))^p leaves the
+    float range.  Below it the run still relaxes, flags its pieces over
+    budget and warns; above it nothing is over budget."""
+    pw = tmp_path / "pw.json"
+    code, _, err = run_cli(capsys, "gen", "--kind", "piecewise", "--space", "euclidean1",
+                           "--grid", "8x8", "--regions", "3", "--out", str(pw))
+    assert code == 0, err
+    code, stdout, err = run_cli(capsys, "continuify", str(pw), "--p", p, "--eps", eps,
+                                "--out", str(tmp_path / "c.json"))
+    assert code == 0, err
+    summary = last_json(stdout)
+    assert summary["pieces"] == 2
+    if float(eps) < 1.0:
+        assert summary["flags"] == {"inner_over_budget": True, "outer_over_budget": True,
+                                    "guarantee_holds": False}
+        assert "2 of 2 pieces raised a budget flag" in err
+    else:
+        assert summary["flags"]["guarantee_holds"] and err == ""
 
 
 def test_continuify_one_region_has_no_piece_and_holds_its_guarantee(tmp_path, capsys):

@@ -228,6 +228,31 @@ def test_sidecar_shape_mismatch_raises(tmp_path, rng):
         load_any_map(tmp_path / "big.json")
 
 
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda blob: blob + bytes(8), "sidecar length does not match the declared shape"),
+        (lambda blob: b"", "sidecar length does not match the declared shape"),
+        (lambda blob: blob[:-3], "buffer size must be a multiple of element size"),
+        (lambda blob: blob + bytes(5), "buffer size must be a multiple of element size"),
+    ],
+    ids=["long", "empty", "ragged-short", "ragged-long"],
+)
+def test_sidecar_of_the_wrong_size_is_refused(tmp_path, rng, cut, message):
+    """A sidecar whose byte count is not eight per declared value, or not a
+    multiple of eight at all, ends in DataError; a whole one loads into a
+    writable float64 array."""
+    f = MeasurableMap(Domain.grid(2, 48), make_space("euclidean3"), rng.normal(size=(2304, 3)))
+    save_map(f, tmp_path / "big.json")
+    side = tmp_path / "big.json.values.bin"
+    values = load_any_map(tmp_path / "big.json").values
+    assert np.array_equal(values, f.values) and values.dtype == np.float64
+    assert values.flags.writeable and values.flags.c_contiguous
+    side.write_bytes(cut(side.read_bytes()))
+    with pytest.raises(DataError, match=message):
+        load_any_map(tmp_path / "big.json")
+
+
 def test_jsonable_handles_reports(rng):
     from metriclp.quantize import countable_quantize
 

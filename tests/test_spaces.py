@@ -6,6 +6,7 @@ existed; derivations are restated next to each assertion.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -24,9 +25,12 @@ from metriclp import (
     smooth_from_simple,
 )
 from metriclp.spaces import (
+    _CHOL_BLOCK_ROWS,
+    EIG_CLAMP,
     NET_PROBE_CAP,
     NET_PROBE_FRACTION,
     _compositions,
+    _least_pivots,
     dyadic_simplex,
     dyadic_tuples,
     space_from_descriptor,
@@ -134,6 +138,141 @@ def test_spd_rejects_indefinite():
     sp = make_space("spd2")
     with pytest.raises(InvalidPointError):
         sp.check_payload(flat_sym(np.diag([1.0, -1.0]))[None])
+
+
+def _eigvalsh_check(sp, flat):
+    """The SPD payload check as an `eigvalsh` of every row: the reference
+    the certified check must agree with, verdict and message."""
+    mats = flat.reshape(-1, sp.n, sp.n)
+    sym_gap = np.abs(mats - np.swapaxes(mats, -1, -2)).max(initial=0.0)
+    if sym_gap > 1e-12:
+        raise InvalidPointError(f"spd payload not symmetric (gap {sym_gap:.2e})")
+    w = np.linalg.eigvalsh(mats)
+    if w.size and w.min() <= EIG_CLAMP:
+        raise InvalidPointError("spd payload has a nonpositive eigenvalue")
+
+
+def _verdict(check, flat):
+    """None when `check` accepts the stack, else its refusal message."""
+    try:
+        check(flat)
+    except InvalidPointError as exc:
+        return str(exc)
+    return None
+
+
+def _with_spectrum(rng, n, w):
+    """Payloads q diag(w) q^T, one per row of w, for random orthogonal q."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(w), n, n)))
+    mats = (q * w[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return (0.5 * (mats + np.swapaxes(mats, -1, -2))).reshape(len(w), n * n)
+
+
+def _boundary_payloads(n):
+    """SPD-check edge cases: smallest eigenvalue just above and below
+    EIG_CLAMP under condition numbers 1..1e312, whole matrices scaled
+    1e-300..1e300, symmetry gaps around 1e-12, zero matrices and entries
+    near 1e200."""
+    rng = np.random.default_rng(n)
+    rows = []
+    for rel in (1e-3, 1e-2, 1e-1):
+        for sign in (1.0, -1.0):
+            low = EIG_CLAMP * (1.0 + sign * rel)
+            for top in (EIG_CLAMP, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e300):
+                w = np.geomspace(low, max(top, low), n)
+                rows.append(_with_spectrum(rng, n, np.tile(w, (5, 1))))
+    base = _with_spectrum(rng, n, rng.uniform(0.5, 2.0, (3, n)))
+    indefinite = _with_spectrum(rng, n, np.tile(np.linspace(-1.0, 1.0, n), (3, 1)))
+    for exp in range(-300, 301, 6):
+        rows += [base * 10.0**exp, indefinite * 10.0**exp]
+    rows.append(np.diag(np.full(n, EIG_CLAMP)).reshape(1, -1))
+    rows.append(np.diag(np.full(n, np.nextafter(EIG_CLAMP, 1.0))).reshape(1, -1))
+    rows.append(np.zeros((2, n * n)))
+    if n > 1:
+        for gap in (0.5e-12, 0.999e-12, 1e-12, 1.001e-12, 2e-12):
+            for mats in (base, indefinite):
+                skew = mats.copy()
+                skew[:, 1] += gap
+                rows.append(skew)
+    # entries near 1e200: definite, rank one, and off-diagonals whose
+    # squares overflow in the certificate
+    eye = np.eye(n, dtype=bool)
+    for diag, off in ((2e200, 9e199), (1e200, 1e200), (1.0, 1e200), (1e200, -1e200)):
+        rows.append(np.where(eye, diag, off).reshape(1, -1))
+    rows.append(1e200 * base)
+    return np.concatenate(rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spd_check_refuses_exactly_what_eigvalsh_refuses(n):
+    """The certified check gives the verdict and message of `eigvalsh` on
+    every row, row by row, on whole stacks and on empty ones."""
+    sp = make_space(f"spd{n}")
+    reference = functools.partial(_eigvalsh_check, sp)
+    flat = _boundary_payloads(n)
+    verdicts = [_verdict(sp.check_payload, row[None]) for row in flat]
+    assert verdicts == [_verdict(reference, row[None]) for row in flat]
+    assert None in verdicts and "spd payload has a nonpositive eigenvalue" in verdicts
+    if n > 1:
+        assert any(v and "not symmetric" in v for v in verdicts)
+    good = flat[[v is None for v in verdicts]]
+    for stack in (flat, flat[::-1], good, flat[:0]):
+        assert _verdict(sp.check_payload, stack) == _verdict(reference, stack)
+
+
+def test_spd_check_verdicts_span_certificate_blocks(rng):
+    """A fault in any block of rows is found, and a symmetry gap anywhere
+    is reported before a nonpositive eigenvalue anywhere else."""
+    sp = make_space("spd2")
+    flat = sp.random_payloads(rng, 3 * _CHOL_BLOCK_ROWS + 5)
+    indefinite = np.array([1.0, 2.0, 2.0, 1.0])
+    skew = np.array([1.0, 1e-9, 0.0, 1.0])
+    for rows in ({-1: indefinite}, {3: indefinite, -2: skew}, {-2: indefinite, 5: skew}):
+        stack = flat.copy()
+        for at, row in rows.items():
+            stack[at] = row
+        assert _verdict(sp.check_payload, stack) == _verdict(
+            functools.partial(_eigvalsh_check, sp), stack
+        )
+    assert _verdict(sp.check_payload, flat) is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cholesky_certificate_never_passes_a_row_eigvalsh_refuses(n):
+    """Soundness on 20,000 random matrices per order packed around the
+    boundary: lambda_min = EIG_CLAMP * (1 +- 1e-3..1e-1) under condition
+    numbers 1, 1e3, 1e6 and 1e9."""
+    rng = np.random.default_rng(10 + n)
+    m = 20_000
+    low = EIG_CLAMP * (1.0 + rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3, -1, m))
+    cond = 10.0 ** rng.choice([0.0, 3.0, 6.0, 9.0], m)
+    flat = _with_spectrum(rng, n, np.geomspace(low, low * cond, n).T)
+    certified = _least_pivots(flat.T.copy(), n) > 0.0
+    w_min = np.linalg.eigvalsh(flat.reshape(m, n, n)).min(axis=1)
+    assert certified.sum() > m // 4
+    assert np.all(w_min[certified] > EIG_CLAMP)
+
+
+def test_spd_check_of_random_payloads_calls_no_eigvalsh(monkeypatch):
+    """Random SPD payloads are all decided by the Cholesky certificate; a
+    certificate that fell back on every row would call `eigvalsh`."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(mats):
+        calls.append(len(mats))
+        return eigvalsh(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rng = np.random.default_rng(0)
+    for name, m in (("spd2", 65_536), ("spd3", 16_384)):
+        sp = make_space(name)
+        sp.check_payload(sp.random_payloads(rng, m))
+    assert calls == []
+    with pytest.raises(InvalidPointError, match="nonpositive eigenvalue"):
+        make_space("spd2").check_payload(np.array([[1.0, 2.0, 2.0, 1.0]]))
+    assert calls == [1]
 
 
 def test_spd3_matches_2x2_block_embedding():
