@@ -115,7 +115,11 @@ class AtomSet:
     """Subset of a domain's atoms, stored as a sorted index array."""
 
     def __init__(self, indices, n_atoms: int):
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        # a fresh copy, so the set never aliases the caller's array; indices
+        # that are already strictly increasing skip the sort
+        idx = np.array(indices, dtype=np.int64).reshape(-1)
+        if not np.all(idx[1:] > idx[:-1]):
+            idx = np.unique(idx)
         if idx.size and (idx[0] < 0 or idx[-1] >= n_atoms):
             raise MetricLpError("atom index out of range")
         self.indices = idx
@@ -123,8 +127,9 @@ class AtomSet:
 
     @classmethod
     def from_mask(cls, mask: Array) -> "AtomSet":
+        """The True atoms of a mask in row-major atom order (any shape)."""
         mask = np.asarray(mask, dtype=bool)
-        return cls(np.nonzero(mask)[0], mask.size)
+        return cls(np.flatnonzero(mask), mask.size)
 
     @classmethod
     def full(cls, n_atoms: int) -> "AtomSet":
@@ -147,17 +152,21 @@ class AtomSet:
         if self.n_atoms != other.n_atoms:
             raise MetricLpError("atom sets over different domains")
 
+    # mask forms: both index arrays are sorted and unique, so a subset of
+    # either, or the nonzeros of a mask, needs no sort
     def union(self, other: "AtomSet") -> "AtomSet":
         self._check(other)
-        return AtomSet(np.union1d(self.indices, other.indices), self.n_atoms)
+        m = self.mask()
+        m[other.indices] = True
+        return AtomSet.from_mask(m)
 
     def intersection(self, other: "AtomSet") -> "AtomSet":
         self._check(other)
-        return AtomSet(np.intersect1d(self.indices, other.indices), self.n_atoms)
+        return AtomSet(self.indices[other.mask()[self.indices]], self.n_atoms)
 
     def difference(self, other: "AtomSet") -> "AtomSet":
         self._check(other)
-        return AtomSet(np.setdiff1d(self.indices, other.indices), self.n_atoms)
+        return AtomSet(self.indices[~other.mask()[self.indices]], self.n_atoms)
 
     def complement(self) -> "AtomSet":
         return AtomSet.from_mask(~self.mask())
@@ -199,15 +208,42 @@ class MorphologyResult:
     over_budget: bool    # budget could not be honoured; see op docstring
 
 
-def _grid_mask(domain: Domain, s: AtomSet) -> Array:
+def _grid(domain: Domain, *sets: AtomSet) -> GridGeometry:
     if domain.geometry is None:
         raise GeometryError("morphology needs grid geometry")
-    return s.mask().reshape(domain.geometry.shape)
+    if any(s.n_atoms != domain.atom_count for s in sets):
+        raise MetricLpError("atom set does not match domain")
+    return domain.geometry
+
+
+def _window(geometry: GridGeometry, s: AtomSet) -> tuple[slice, ...]:
+    """The bounding box of the nonempty set `s`, padded by one cell and
+    clipped to the grid.
+
+    Each transform below reads its input set only through the cells of this
+    box.  For a cell x of s, let y be a nearest cell (in the Euclidean or
+    the Chebyshev norm) of a set that the padded ring lies in, such as the
+    complement of s.  Clamping y onto the box coordinate-wise moves it no
+    farther from x, and strictly closer if y lay outside the box; the
+    clamped cell lies in that set, on the ring or at y itself.  So every
+    nearest cell lies in the box, and beyond a clipped side lies only the
+    edge of the grid, where the full-grid transforms see no cell either.
+    scipy's line scans choose among tied nearest cells by their order along
+    the line, which the box keeps, so the windowed transforms return the
+    full-grid values bit for bit (tests/test_domain.py compares them).
+    """
+    coords = np.unravel_index(s.indices, geometry.shape)
+    n = geometry.cells_per_axis
+    return tuple(slice(max(int(c.min()) - 1, 0), min(int(c.max()) + 2, n)) for c in coords)
+
+
+def _window_mask(geometry: GridGeometry, s: AtomSet, window: tuple[slice, ...]) -> Array:
+    return s.mask().reshape(geometry.shape)[window]
 
 
 def _steps_to_complement(mask: Array) -> Array:
     """Chebyshev grid-step distance from each True cell to the nearest False
-    cell; cells outside the unit cube do not count as complement."""
+    cell; cells outside the array do not count as complement."""
     padded = np.pad(mask, 1, constant_values=True)
     dist = ndimage.distance_transform_cdt(padded, metric="chessboard")
     return np.asarray(dist)[tuple(slice(1, -1) for _ in mask.shape)].astype(np.int64)
@@ -221,17 +257,18 @@ def inner_closed_approx(domain: Domain, b: AtomSet, delta: float) -> MorphologyR
     layer is never removed, so a nonempty input keeps a nonempty core.  A
     cell union is already closed in [0, 1]^dim, so when even one ring of
     erosion would blow the budget the input is returned unchanged, with
-    `over_budget` recording that no genuine margin was affordable.
+    `over_budget` recording that no genuine margin was affordable.  The
+    transform runs on b's window (`_window`).
     """
     if not delta > 0:
         raise MetricLpError("delta must be positive")
-    mask = _grid_mask(domain, b)
-    if b.size == 0 or mask.all():
+    geo = _grid(domain, b)
+    if b.size == 0 or b.size == domain.atom_count:
         return MorphologyResult(b, 0, 0.0, False)
-    steps = _steps_to_complement(mask)
-    inner = steps[mask]  # every entry >= 1
+    mask = _window_mask(geo, b, _window(geo, b))
+    inner = _steps_to_complement(mask)[mask]  # b's cells in index order, every entry >= 1
     max_step = int(inner.max())
-    cell_w = domain.geometry.cell_size**domain.geometry.dim
+    cell_w = geo.cell_size**geo.dim
     counts = np.bincount(inner, minlength=max_step + 1)
     gaps = np.cumsum(counts) * cell_w  # gaps[r] = measure removed by radius r
     r_budget = int(np.nonzero(gaps < delta)[0].max())
@@ -239,7 +276,7 @@ def inner_closed_approx(domain: Domain, b: AtomSet, delta: float) -> MorphologyR
     if radius == 0:
         over = len(gaps) > 1 and gaps[1] >= delta
         return MorphologyResult(b, 0, 0.0, bool(over))
-    keep = AtomSet.from_mask((steps > radius).reshape(-1) & b.mask())
+    keep = AtomSet(b.indices[inner > radius], b.n_atoms)
     gap = measure(domain, b) - measure(domain, keep)
     return MorphologyResult(keep, radius, gap, False)
 
@@ -251,15 +288,18 @@ def outer_open_approx(domain: Domain, c: AtomSet, delta: float) -> MorphologyRes
     inside the interior of the output (at the boundary of [0, 1]^dim the
     grid cannot grow and the containment is waived).  If that ring costs
     measure >= delta the smallest dilation is still returned, flagged
-    `over_budget`.
+    `over_budget`.  The dilation runs on c's window (`_window`), which
+    holds the whole ring.
     """
     if not delta > 0:
         raise MetricLpError("delta must be positive")
-    mask = _grid_mask(domain, c)
-    if c.size == 0 or mask.all():
+    geo = _grid(domain, c)
+    if c.size == 0 or c.size == domain.atom_count:
         return MorphologyResult(c, 0, 0.0, False)
-    grown = ndimage.binary_dilation(
-        mask, structure=np.ones((3,) * domain.geometry.dim, dtype=bool)
+    window = _window(geo, c)
+    grown = np.zeros(geo.shape, dtype=bool)
+    grown[window] = ndimage.binary_dilation(
+        _window_mask(geo, c, window), structure=np.ones((3,) * geo.dim, dtype=bool)
     )
     out = AtomSet.from_mask(grown.reshape(-1))
     gap = measure(domain, out) - measure(domain, c)
@@ -277,27 +317,30 @@ def urysohn(domain: Domain, c: AtomSet, v: AtomSet) -> TransitionField:
 
     I(x) = d(x, M\\V) / (d(x, C) + d(x, M\\V)) with Euclidean distances
     between cell centers; exactly 1 on C, exactly 0 outside V.  Adjacent
-    cells differ by at most cell_size / gap_width.
+    cells differ by at most cell_size / gap_width.  Both distance
+    transforms run on v's window (`_window`): C lies inside V, and the
+    complement of V holds the padded ring.
     """
     if domain.geometry is None:
         raise GeometryError("urysohn needs grid geometry")
+    geo = _grid(domain, c, v)
     n = domain.atom_count
     if c.size and c.difference(v).size:
         raise MetricLpError("core must be contained in the envelope")
     if c.size == 0:
         return TransitionField(np.zeros(n), math.inf)
-    cell = domain.geometry.cell_size
-    shape = domain.geometry.shape
-    c_mask = c.mask().reshape(shape)
-    v_mask = v.mask().reshape(shape)
-    d_core = ndimage.distance_transform_edt(~c_mask, sampling=cell).reshape(-1)
-    if v_mask.all():
+    if v.size == n:
         return TransitionField(np.ones(n), math.inf)
-    d_out = ndimage.distance_transform_edt(v_mask, sampling=cell).reshape(-1)
-    vals = d_out / (d_core + d_out)
-    vals[c.mask()] = 1.0
-    vals[~v.mask()] = 0.0
-    gap = float(d_out[c.indices].min())
+    window = _window(geo, v)
+    c_mask = _window_mask(geo, c, window)
+    v_mask = _window_mask(geo, v, window)
+    d_core = ndimage.distance_transform_edt(~c_mask, sampling=geo.cell_size)
+    d_out = ndimage.distance_transform_edt(v_mask, sampling=geo.cell_size)
+    gap = float(d_out[c_mask].min())
+    d_core, d_out = d_core[v_mask], d_out[v_mask]  # v's cells in index order
+    vals = np.zeros(n)
+    vals[v.indices] = d_out / (d_core + d_out)
+    vals[c.indices] = 1.0
     return TransitionField(vals, gap)
 
 

@@ -229,7 +229,7 @@ class SimpleMap:
 
     @property
     def range_size(self) -> int:
-        return int(np.unique(self.labels[self.labels >= 0]).size)
+        return int(np.count_nonzero(np.bincount(self.labels[self.labels >= 0])))
 
     @property
     def values(self) -> Array:

@@ -137,10 +137,11 @@ def smooth_from_simple(
     z0 = g.space.check_point(background)
     n_atoms = domain.atom_count
 
-    # level sets of non-background values, in ascending label order
+    # level sets of non-background values, in ascending label order (every
+    # label is >= 0 once base atoms are refused)
     piece_labels = [
         lab
-        for lab in np.unique(g.labels).tolist()
+        for lab in np.flatnonzero(np.bincount(g.labels)).tolist()
         if not np.array_equal(g.value_table[lab], z0)
     ]
     k = len(piece_labels)

@@ -516,9 +516,11 @@ class SpdSpace(MetricSpace):
         for start in range(0, flat.shape[0], _CHOL_BLOCK_ROWS):
             # cols[i * n + j] holds entry (i, j) of every matrix in the block
             cols = flat[start : start + _CHOL_BLOCK_ROWS].T.copy()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    sym_gap = max(sym_gap, np.abs(cols[i * n + j] - cols[j * n + i]).max())
+            # entries of opposite sign near the float limit overflow to a gap of inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        sym_gap = max(sym_gap, np.abs(cols[i * n + j] - cols[j * n + i]).max())
             least = _least_pivots(cols, n)
             if not least.min() > 0.0:
                 failed.append(start + np.flatnonzero(~(least > 0.0)))

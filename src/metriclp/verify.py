@@ -914,7 +914,17 @@ def _check_relax_continuous(ctx: SuiteContext) -> dict:
     out = relax.smooth_from_simple(g, z0, p, eps, order=0)
     require(out.flags["guarantee_holds"], "budget flags raised on a sized fixture")
     require(out.achieved_error < relax.error_bound(out) <= eps, "error over its bound")
+    direct = math.fsum(g.domain.weights * pointwise_distance(g, out.map))
+    require(abs(out.achieved_error - direct) <= 1e-12 * direct, "error off its defining sum")
+    # each piece's transition zone is its eroded shell plus its grabbed ring,
+    # each under the per-piece budget delta = (eps / (2 k^(1/p) R))^p
+    table = g.value_table[np.flatnonzero(np.bincount(g.labels))]
+    lifts = g.space.distance_many(np.tile(z0, (len(table), 1)), table)
+    k, radius = int(np.count_nonzero(lifts)), float(lifts.max())
+    delta = (eps / (2.0 * k ** (1.0 / p) * radius)) ** p
     for piece in out.pieces:
+        zone = measure(g.domain, piece.region.difference(piece.core))
+        require(zone < 2.0 * delta, "transition zone over twice the piece budget")
         core_vals = out.map.values[piece.core.indices]
         require(
             np.array_equal(core_vals, np.tile(piece.value, (piece.core.size, 1))),

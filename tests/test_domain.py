@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from metriclp import (
     AtomSet,
@@ -239,9 +240,203 @@ def test_morphology_requires_geometry():
         inner_closed_approx(dom, AtomSet([1], 4), 0.5)
 
 
+def test_morphology_refuses_sets_of_another_domain():
+    dom = Domain.grid(1, 8)
+    for s in (AtomSet.full(8), AtomSet([], 8)):
+        other = AtomSet(s.indices, 9)
+        with pytest.raises(MetricLpError, match="does not match domain"):
+            inner_closed_approx(dom, other, 0.5)
+        with pytest.raises(MetricLpError, match="does not match domain"):
+            outer_open_approx(dom, other, 0.5)
+    with pytest.raises(MetricLpError, match="does not match domain"):
+        urysohn(dom, AtomSet([0], 9), AtomSet.full(9))
+
+
 def test_face_adjacent_pairs_count():
     # d * n^(d-1) * (n-1) shared faces on an n^d grid
     geo = Domain.grid(2, 4).geometry
     left, right = face_adjacent_pairs(geo)
     assert left.size == 2 * 4 * 3
     assert np.all(left != right)
+
+
+# ---------------------------------------------------------------------------
+# atom-set contract
+# ---------------------------------------------------------------------------
+
+
+def test_atom_set_sorts_and_dedupes_any_input():
+    assert np.array_equal(AtomSet([5, 1, 3, 1, 5], 8).indices, [1, 3, 5])
+    assert np.array_equal(AtomSet(np.array([[4, 0], [4, 2]]), 8).indices, [0, 2, 4])
+    assert np.array_equal(AtomSet([[0, 1], [2, 3]], 8).indices, [0, 1, 2, 3])
+    assert np.array_equal(AtomSet([2, 2], 8).indices, [2])
+    assert np.array_equal(AtomSet(3, 8).indices, [3])
+    assert AtomSet([], 8).indices.dtype == np.int64
+    for bad in ([8], [-1, 2], [0, 1, 8], [[0], [9]]):
+        with pytest.raises(MetricLpError, match="out of range"):
+            AtomSet(bad, 8)
+
+
+def test_atom_set_from_a_grid_shaped_mask_is_row_major():
+    mask = np.eye(3, dtype=bool)
+    assert AtomSet.from_mask(mask) == AtomSet([0, 4, 8], 9)
+    assert AtomSet.from_mask(mask.reshape(-1)) == AtomSet([0, 4, 8], 9)
+
+
+def test_atom_set_never_aliases_its_input():
+    for idx in (np.array([0, 2, 5]), np.array([5, 0, 2]), np.array([0, 2, 5], dtype=np.int32)):
+        s = AtomSet(idx, 8)
+        before = s.indices.copy()
+        idx[0] = 7
+        assert np.array_equal(s.indices, before)
+        assert not np.shares_memory(s.indices, idx)
+
+
+def test_atom_set_algebra_matches_numpy_set_routines(rng):
+    n = 300
+    for _ in range(20):
+        a_idx, b_idx = (rng.choice(n, rng.integers(0, n), replace=False) for _ in range(2))
+        a, b = AtomSet(a_idx, n), AtomSet(b_idx, n)
+        assert np.array_equal(a.union(b).indices, np.union1d(a_idx, b_idx))
+        assert np.array_equal(a.intersection(b).indices, np.intersect1d(a_idx, b_idx))
+        assert np.array_equal(a.difference(b).indices, np.setdiff1d(a_idx, b_idx))
+        with pytest.raises(MetricLpError):
+            a.union(AtomSet(b_idx, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# windowed morphology against the full-grid transforms
+# ---------------------------------------------------------------------------
+# The oracle below is the morphology as it ran before the transforms were
+# windowed: every scipy transform on the whole grid.  The windowed library
+# must match it bit for bit.
+
+
+def _full_steps(mask):
+    padded = np.pad(mask, 1, constant_values=True)
+    dist = ndimage.distance_transform_cdt(padded, metric="chessboard")
+    return np.asarray(dist)[tuple(slice(1, -1) for _ in mask.shape)].astype(np.int64)
+
+
+def full_grid_inner(domain, b, delta):
+    mask = b.mask().reshape(domain.geometry.shape)
+    if b.size == 0 or mask.all():
+        return b, 0, 0.0, False
+    steps = _full_steps(mask)
+    inner = steps[mask]
+    max_step = int(inner.max())
+    cell_w = domain.geometry.cell_size**domain.geometry.dim
+    gaps = np.cumsum(np.bincount(inner, minlength=max_step + 1)) * cell_w
+    radius = min(int(np.nonzero(gaps < delta)[0].max()), max_step - 1)
+    if radius == 0:
+        return b, 0, 0.0, bool(len(gaps) > 1 and gaps[1] >= delta)
+    keep = AtomSet.from_mask((steps > radius).reshape(-1) & b.mask())
+    return keep, radius, measure(domain, b) - measure(domain, keep), False
+
+
+def full_grid_outer(domain, c, delta):
+    mask = c.mask().reshape(domain.geometry.shape)
+    if c.size == 0 or mask.all():
+        return c, 0, 0.0, False
+    grown = ndimage.binary_dilation(mask, structure=np.ones((3,) * domain.geometry.dim, dtype=bool))
+    out = AtomSet.from_mask(grown.reshape(-1))
+    gap = measure(domain, out) - measure(domain, c)
+    return out, 1, gap, bool(gap >= delta)
+
+
+def full_grid_urysohn(domain, c, v):
+    n = domain.atom_count
+    if c.size == 0:
+        return np.zeros(n), math.inf
+    cell, shape = domain.geometry.cell_size, domain.geometry.shape
+    c_mask, v_mask = c.mask().reshape(shape), v.mask().reshape(shape)
+    d_core = ndimage.distance_transform_edt(~c_mask, sampling=cell).reshape(-1)
+    if v_mask.all():
+        return np.ones(n), math.inf
+    d_out = ndimage.distance_transform_edt(v_mask, sampling=cell).reshape(-1)
+    vals = d_out / (d_core + d_out)
+    vals[c.mask()] = 1.0
+    vals[~v.mask()] = 0.0
+    return vals, float(d_out[c.indices].min())
+
+
+def window_mask(kind, dim, n, rng):
+    """A cell set on the n**dim grid, as a flat boolean mask."""
+    shape = (n,) * dim
+    centers = (np.indices(shape).reshape(dim, -1).T + 0.5) / n
+    if kind == "random":
+        return rng.random(n**dim) < 0.3
+    if kind == "scattered":
+        mask = np.zeros(n**dim, dtype=bool)
+        mask[rng.choice(n**dim, 6, replace=False)] = True
+        return mask
+    if kind == "nonconvex":  # two far blobs joined by a bent band
+        a, b = rng.uniform(0.1, 0.3, dim), rng.uniform(0.7, 0.9, dim)
+        blob = lambda c, r: np.linalg.norm(centers - c, axis=1) < r  # noqa: E731
+        bend = (np.abs(centers[:, 0] - a[0]) < 0.04) | (np.abs(centers[:, -1] - b[-1]) < 0.04)
+        return blob(a, 0.12) | blob(b, 0.09) | bend & (centers <= b + 0.05).all(axis=1)
+    if kind == "holed":
+        r = np.linalg.norm(centers - rng.uniform(0.35, 0.65, dim), axis=1)
+        return (r < 0.3) & (r > 0.12)
+    if kind == "edges":  # a slab on the low face of axis 0 plus the high corner
+        mask = centers[:, 0] < 0.2
+        mask[-1] = True
+        return mask
+    if kind == "corners":
+        mask = np.zeros(n**dim, dtype=bool)
+        mask[[0, n**dim - 1]] = True
+        return mask
+    if kind == "single":
+        mask = np.zeros(n**dim, dtype=bool)
+        mask[rng.integers(n**dim)] = True
+        return mask
+    if kind == "all_but_one":
+        mask = np.ones(n**dim, dtype=bool)
+        mask[rng.integers(n**dim)] = False
+        return mask
+    raise ValueError(kind)
+
+
+WINDOW_KINDS = ["random", "scattered", "nonconvex", "holed", "edges", "corners", "single",
+                "all_but_one"]
+WINDOW_GRIDS = [(1, 97), (1, 100), (1, 256), (2, 97), (2, 100), (2, 256), (3, 12), (3, 25)]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim, n", WINDOW_GRIDS, ids=[f"{d}d{n}" for d, n in WINDOW_GRIDS])
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_windowed_morphology_matches_full_grid(kind, dim, n):
+    rng = np.random.default_rng([dim, n, WINDOW_KINDS.index(kind)])
+    dom = Domain.grid(dim, n)
+    b = AtomSet.from_mask(window_mask(kind, dim, n, rng))
+    assert b.size
+    cell_w = dom.geometry.cell_size**dim
+    deltas = [cell_w * f for f in (0.5, 1.5, 12.5)] + [measure(dom, b) * f for f in (0.1, 0.5, 2)]
+    cores = []
+    for delta in deltas:
+        got = inner_closed_approx(dom, b, delta)
+        want = full_grid_inner(dom, b, delta)
+        assert_same_bits(got.atoms.indices, want[0].indices)
+        assert (got.radius, got.gap, got.over_budget) == want[1:]
+        assert type(got.gap) is type(want[2])
+        cores.append(got.atoms)
+        got = outer_open_approx(dom, b, delta)
+        want = full_grid_outer(dom, b, delta)
+        assert_same_bits(got.atoms.indices, want[0].indices)
+        assert (got.radius, got.gap, got.over_budget) == want[1:]
+    # transitions from a core to its input and from the input to its envelope,
+    # the way relax pairs them, and from scattered cells of the input
+    envelope = outer_open_approx(dom, b, 1.0).atoms
+    sample = b.indices[rng.random(b.size) < 0.2]
+    pairs = [(core, b) for core in cores] + [(b, envelope), (AtomSet(sample, b.n_atoms), b),
+                                             (AtomSet(b.indices[:1], b.n_atoms), envelope)]
+    for c, v in pairs:
+        got = urysohn(dom, c, v)
+        vals, gap = full_grid_urysohn(dom, c, v)
+        assert_same_bits(got.values, vals)
+        assert got.gap_width == gap

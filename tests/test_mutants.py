@@ -69,6 +69,12 @@ def _flag_never_set(orig):
     return lambda *args: dataclasses.replace(orig(*args), over_budget=False)
 
 
+def _whole_grid_envelope(orig):
+    def outer_open_approx(dom, c, delta):
+        return dataclasses.replace(orig(dom, c, delta), atoms=domain.AtomSet.full(dom.atom_count))
+    return outer_open_approx
+
+
 def _sqrt_transition(orig):
     def urysohn(*args):
         field = orig(*args)
@@ -123,6 +129,18 @@ FAULTS = [
         _flag_never_set,
         ("domain.morphology",),
     ),
+    # the relax fixture's erosion is capped by its deepest layer, not by its
+    # budget, so only the morphology check sees four times the budget
+    Fault(
+        "inner_closed_approx_four_times_budget", domain, "inner_closed_approx",
+        lambda orig: lambda dom, b, delta: orig(dom, b, 4 * delta),
+        ("domain.morphology",),
+    ),
+    Fault(
+        "outer_open_approx_returns_whole_grid", domain, "outer_open_approx",
+        _whole_grid_envelope,
+        ("domain.morphology", "relax.continuous", "relax.smooth"),
+    ),
     Fault(
         "urysohn_sqrt_transition", domain, "urysohn", _sqrt_transition,
         ("domain.morphology", "relax.continuous", "relax.smooth"),
@@ -131,6 +149,12 @@ FAULTS = [
         "dp_without_root", maps, "dp_from_pointwise", _without_root,
         ("lp.metric_axioms", "lp.constant_embedding", "lp.holder_base_bounds",
          "verify.riesz_fischer", "verify.separability"),
+    ),
+    Fault(
+        "dp_halved", maps, "dp_from_pointwise",
+        lambda orig: lambda d, weights, p: 0.5 * orig(d, weights, p),
+        ("lp.metric_axioms", "lp.constant_embedding", "approx.orthonormal_bound",
+         "relax.continuous", "verify.separability"),
     ),
     Fault(
         "step_search_returns_lo", quantize, "_smallest_index",

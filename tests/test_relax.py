@@ -191,6 +191,29 @@ def test_piece_state_is_region_local(rng):
     assert total <= 4 * dom.atom_count * 8
 
 
+def test_relaxation_sorts_no_index_set(rng, monkeypatch):
+    """Atom sets built from masks and from subsets of sorted sets are sorted
+    already, and the piece labels come from a bincount: a relaxation that
+    sorted them again would call `np.unique`, which hashes."""
+    dom = Domain.grid(2, 64)
+    g = fields.simple_from_labels(dom, E2, fields.voronoi_labels(dom.geometry, 8, rng), rng=rng)
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    # the set routines call the implementation module's binding
+    monkeypatch.setattr(np.lib._arraysetops_impl, "unique", spy)
+    field = smooth_from_simple(g, ORIGIN2, 1.0, 0.2, order=0)
+    assert len(field.pieces) == 8
+    assert calls == []
+    np.union1d([1], [0])
+    assert calls == [2]
+
+
 # ---------------------------------------------------------------------------
 # smooth relaxation
 # ---------------------------------------------------------------------------

@@ -275,6 +275,15 @@ def test_spd_check_of_random_payloads_calls_no_eigvalsh(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", [[1.0, 1e308, -1e308, 1.0], [1.0, -1.7e308, 1.7e308, 1.0]])
+def test_spd_symmetry_gap_past_the_float_range_is_refused_quietly(row):
+    """A gap a_ij - a_ji that overflows is refused as not symmetric, with
+    gap inf, and prints no overflow warning."""
+    with pytest.raises(InvalidPointError, match=r"not symmetric \(gap inf\)"):
+        make_space("spd2").check_payload(np.array([row]))
+
+
 def test_spd3_matches_2x2_block_embedding():
     sp2, sp3 = make_space("spd2"), make_space("spd3")
     a2, b2 = np.diag([2.0, 0.5]), np.diag([1.0, 3.0])
