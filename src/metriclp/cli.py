@@ -160,7 +160,10 @@ def build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     dim, per_axis = _parse_grid(args.grid)
     domain = Domain.grid(dim, per_axis)
-    space = make_space(args.space)
+    try:
+        space = make_space(args.space)
+    except ValueError as exc:  # an unknown name, or a size no space has
+        raise UsageError(f"bad space {args.space!r}: {exc}") from exc
     rng = np.random.default_rng(args.seed)
     if args.kind == "smooth":
         f = fields.smooth_field(domain, space, rng, args.spread)
@@ -239,6 +242,9 @@ def _cmd_quantize(args) -> int:
         "range_size": report.range_size,
     }
     print(json.dumps(summary))
+    if not report.achieved_error < report.target_eps:
+        print(f"warning: achieved_error {report.achieved_error!r} is not below"
+              f" eps {report.target_eps!r}", file=sys.stderr)
     if args.report:
         fileio.save_report(report, args.report)
     return EXIT_OK

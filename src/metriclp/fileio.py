@@ -200,7 +200,9 @@ def _simple_map_from_obj(obj: dict, path: Path) -> SimpleMap:
         labels = np.asarray(raw, dtype=np.int64)
         domain = _resolve_domain(obj, path.parent, labels.size)
         space = space_from_descriptor(obj["space"])
-        table = np.asarray(obj["values"], dtype=np.float64).reshape(-1, space.dim)
+        table = np.asarray(obj["values"], dtype=np.float64)
+        # reshape(-1, 0) is ambiguous: a single-point space keeps the row count
+        table = table.reshape(-1, space.dim) if space.dim else table.reshape(len(table), 0)
         return SimpleMap(domain, space, labels, table, obj.get("base_flag"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed simple map ({exc})") from exc

@@ -188,7 +188,9 @@ class MetricSpace:
 
     def check_payload(self, arr: Array) -> Array:
         arr = np.asarray(arr, dtype=np.float64)
-        flat = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
+        # explicit row counts: reshape(-1, 0) is ambiguous for length-0 payloads
+        rows = math.prod(arr.shape[:-1]) if arr.ndim > 1 else 1
+        flat = arr.reshape(rows, arr.shape[-1] if arr.ndim else 1)
         if flat.shape[-1] != self.dim:
             raise DimensionMismatchError(
                 f"{self.tag}: payload length {flat.shape[-1]}, expected {self.dim}"
@@ -271,7 +273,10 @@ class MetricSpace:
         farthest-first until every probe lies strictly within
         eps - spacing of the net; the grids place every ball point within
         `spacing` of a probe, so the whole ball ends up strictly within
-        eps of the net, not just the probes.
+        eps of the net, not just the probes.  A grid may keep nodes up to
+        `spacing` outside the ball, where a boundary point's nearest node
+        can lie (the simplex grid does), so net points may lie outside the
+        ball by as much; the covering of the ball is what is promised.
 
         Each probe keeps its distance to the net and the index of the net
         point attaining it.  A new net point can only bring a probe closer
@@ -331,12 +336,13 @@ class MetricSpace:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _axis_nodes(tag: str, radius: float, h: float) -> int:
-    """Nodes per axis of a probe grid of step h over [-radius, radius]; a
-    ball whose count is no finite float (e.g. an infinite radius) is refused."""
-    cells = 2 * radius / h if h > 0 else math.inf
+def _axis_nodes(tag: str, length: float, h: float) -> int:
+    """Nodes per axis of a probe grid of step at most h over an interval of
+    the given length; a count that is no finite float (e.g. for a ball of
+    infinite radius) is refused."""
+    cells = length / h if h > 0 else math.inf
     if not math.isfinite(cells):
-        raise CapabilityError(f"{tag}: probe grid for radius {radius} cannot be sized")
+        raise CapabilityError(f"{tag}: probe grid over length {length} cannot be sized")
     return int(math.ceil(cells)) + 1
 
 
@@ -373,7 +379,7 @@ class EuclideanSpace(MetricSpace):
 
     def probe_ball(self, center, radius, spacing):
         h = spacing / math.sqrt(self.dim)
-        n_axis = _axis_nodes(self.tag, radius, h)
+        n_axis = _axis_nodes(self.tag, 2 * radius, h)
         if n_axis**self.dim > NET_PROBE_CAP:
             raise CapabilityError(
                 f"{self.tag}: probe grid would need {n_axis}^{self.dim} nodes"
@@ -625,7 +631,7 @@ class SpdSpace(MetricSpace):
         except OverflowError:  # the step underflows to 0: the grid cannot be sized
             factor = math.inf
         h = spacing / factor / math.sqrt(2)  # off-diagonal coords count twice
-        n_axis = _axis_nodes(self.tag, radius, h)
+        n_axis = _axis_nodes(self.tag, 2 * radius, h)
         if n_axis**n_free > NET_PROBE_CAP:
             raise CapabilityError(f"spd{self.n}: probe grid too large ({n_axis}^{n_free})")
         axes = [np.linspace(-radius, radius, n_axis)] * n_free
@@ -707,27 +713,60 @@ class SimplexSpace(MetricSpace):
         return dyadic_simplex(self.dim, k)
 
     def probe_ball(self, center, radius, spacing):
-        """Dyadic simplex grid at a level fine enough for the requested spacing.
+        r"""Grid uniform in the hyperspherical angles of the sphere chart.
 
-        Neighbouring level-l grid points are at Fisher-Rao distance at most
-        pi * sqrt(2) * 2**(-l/2), which picks the level.  The probes are the
-        grid points inside the ball, in `dyadic_simplex` order: the
-        lexicographic grid is filtered first and only the survivors are
-        sorted by level, so no integer copy of the whole grid is held while
-        the distances are computed.
+        With k = dim, the angles phi in [0, pi/2]^(k-1) give the orthant
+        point u = (cos phi_1, sin phi_1 cos phi_2, ...,
+        sin phi_1 ... sin phi_(k-1)), and the probe is p = u**2,
+        renormalised.  Each angle takes n = ceil((pi/2) / h) + 1 equally
+        spaced nodes, h = spacing / sqrt(k - 1), so nodes are at most h
+        apart along every angle.
+
+        Spacing proof.  On the unit sphere
+        ds^2 = dphi_1^2 + sin^2 phi_1 dphi_2^2 + ... <= sum_i dphi_i^2,
+        so the straight path in angle space from a point's angles to the
+        nearest node's, at most h/2 in every angle, has great-circle length
+        at most (h/2) sqrt(k - 1).  Fisher-Rao is twice the great-circle
+        angle between sqrt(p) and sqrt(q), so every point of the simplex
+        lies within h sqrt(k - 1) <= spacing of a node.  Unlike a grid in
+        p itself, the chart has no sqrt(p) singularity at the faces.
+
+        The probes are the nodes with d(center, node) <= radius + spacing:
+        the nearest node of a ball point may lie just outside the ball.
+        Where phi_i = 0 the later angles do not move the point, so of those
+        duplicate nodes only the first (all later angles 0) is kept.  The
+        order is row-major in the angles, phi_(k-1) fastest; farthest-first
+        insertion in `epsilon_net` breaks ties by this order.  A grid of
+        more than NET_PROBE_CAP nodes is refused before anything is built.
         """
-        level = max(0, math.ceil(2 * math.log2(math.pi * math.sqrt(2) / spacing)))
-        count = math.comb(2**level + self.dim - 1, self.dim - 1)
-        while count > NET_PROBE_CAP and level > 0:
-            level -= 1
-            count = math.comb(2**level + self.dim - 1, self.dim - 1)
-        if count > NET_PROBE_CAP:
-            raise CapabilityError(f"{self.tag}: probe grid too large")
-        grid = _compositions(2**level, self.dim) / 2**level
-        grid = grid[self.distance_many(grid, np.broadcast_to(center, grid.shape)) <= radius]
-        # scaling by 2**level is exact: it gives back the survivors' integer tuples
-        key = _level_key((grid * 2**level).astype(np.int64))
-        return grid[np.argsort(key, kind="stable")]
+        angles = self.dim - 1
+        if angles == 0:  # simplex1 is the single point [1]
+            return np.ones((1, 1))
+        n = _axis_nodes(self.tag, math.pi / 2, spacing / math.sqrt(angles))
+        if n**angles > NET_PROBE_CAP:
+            raise CapabilityError(f"{self.tag}: probe grid would need {n}^{angles} nodes")
+        # idx[i] is the node index of angle i, row-major: the last angle fastest
+        idx = np.indices((n,) * angles, dtype=np.int32).reshape(angles, -1)
+        # phi_i = 0 fixes the point whatever the later angles: of those nodes
+        # keep the one whose later angles are all 0
+        keep = np.ones(idx.shape[1], dtype=bool)
+        later = np.zeros(idx.shape[1], dtype=bool)  # some angle after i is not 0
+        for i in reversed(range(angles)):
+            keep &= (idx[i] != 0) | ~later
+            later |= idx[i] != 0
+        idx = idx[:, keep]
+        phi = np.linspace(0.0, math.pi / 2, n)
+        cos, sin = np.cos(phi), np.sin(phi)
+        u = np.empty((idx.shape[1], self.dim))
+        run = np.ones(idx.shape[1])  # sin phi_1 ... sin phi_(i-1)
+        for i in range(angles):
+            u[:, i] = run * cos[idx[i]]
+            run *= sin[idx[i]]
+        u[:, -1] = run
+        grid = np.square(u, out=u)
+        grid /= grid.sum(axis=1, keepdims=True)
+        near = self.distance_many(grid, np.broadcast_to(center, grid.shape))
+        return grid[near <= radius + spacing]
 
     def unit_probe(self):
         return dyadic_simplex(self.dim, math.comb(2**5 + self.dim - 1, self.dim - 1))
@@ -860,7 +899,7 @@ class CircleSpace(MetricSpace):
     def probe_ball(self, center, radius, spacing):
         c = float(center[0])
         span = min(radius, math.pi)
-        m = _axis_nodes(self.tag, span, spacing)
+        m = _axis_nodes(self.tag, 2 * span, spacing)
         if m > NET_PROBE_CAP:
             raise CapabilityError(f"{self.tag}: probe grid would need {m} nodes")
         ang = np.mod(np.linspace(c - span, c + span, m), TWO_PI)

@@ -8,6 +8,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,27 @@ def test_gen_env_output_dir_is_created(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "gen", "--kind", "smooth", "--grid", "4x4")
     assert code == 0
     assert (tmp_path / "fresh" / "nested" / "smooth-euclidean2.json").exists()
+
+
+@pytest.mark.parametrize("name", ["bogus", "simplex0", "spd0", "histogram0", "histogramx"])
+def test_gen_refuses_a_space_name_no_space_has(tmp_path, capsys, name):
+    out = tmp_path / "f.json"
+    code, stdout, err = run_cli(capsys, "gen", "--kind", "random", "--space", name,
+                                "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert f"usage error: bad space {name!r}" in err
+
+
+@pytest.mark.parametrize("kind", ["random", "piecewise"])
+def test_gen_single_point_space_writes_a_file_that_loads(tmp_path, capsys, kind):
+    """euclidean0 payloads have length 0; maps and simple maps of them
+    round-trip through their files."""
+    out = tmp_path / "f.json"
+    code, _, err = run_cli(capsys, "gen", "--kind", kind, "--space", "euclidean0",
+                           "--grid", "4x4", "--out", str(out))
+    assert code == 0, err
+    g = load_any_map(out)
+    assert g.space.dim == 0 and g.domain.atom_count == 16
 
 
 def test_gen_rejects_ragged_grid(capsys):
@@ -360,6 +382,41 @@ def test_quantize_sup_refuses_an_unbounded_ball(tmp_path):
     )
     assert proc.returncode == EXIT_DATA, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_quantize_warns_when_the_error_is_not_below_eps(tmp_path, capsys, monkeypatch, rng):
+    """A sup net too sparse for the range (here the center alone) gives an
+    error of eps or more: stderr says so, while stdout and the exit code
+    are those of any run."""
+    plane = make_space("euclidean2")
+    values = plane.random_payloads(rng, 25)
+    save_map(MeasurableMap(Domain(np.ones(25)), plane, values), tmp_path / "f.json")
+    argv = ["quantize", str(tmp_path / "f.json"), "--mode", "sup", "--eps", "0.3",
+            "--base-value", "[0.0, 0.0]", "--out", str(tmp_path / "q.json")]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 0 and last_json(stdout)["achieved_error"] < 0.3 and err == ""
+    monkeypatch.setattr(type(plane), "epsilon_net",
+                        lambda self, center, radius, eps: np.array([center]))
+    code, stdout, err = run_cli(capsys, *argv)
+    summary = last_json(stdout)
+    assert code == 0 and stdout.count("\n") == 1 and summary["achieved_error"] >= 0.3
+    assert err == (f"warning: achieved_error {summary['achieved_error']!r} is not below"
+                   " eps 0.3\n")
+
+
+def test_quantize_sup_refuses_a_fine_simplex_net_at_once(tmp_path, capsys):
+    """eps 0.001 asks for a sphere-chart grid of 17773^2 nodes: refused
+    with exit 2 before any grid is built, not served by a coarser one."""
+    sp = make_space("simplex3")
+    f = MeasurableMap(Domain.grid(2, 8), sp, sp.random_payloads(np.random.default_rng(0), 64))
+    save_map(f, tmp_path / "f.json")
+    start = time.perf_counter()
+    code, stdout, err = run_cli(
+        capsys, "quantize", str(tmp_path / "f.json"), "--mode", "sup", "--eps", "0.001",
+        "--base-value", "[0.3, 0.3, 0.4]", "--out", str(tmp_path / "q.json"),
+    )
+    assert code == EXIT_DATA and stdout == "" and "probe grid would need" in err
+    assert time.perf_counter() - start < 10.0
 
 
 def test_quantize_sup_refuses_a_circle_grid_past_the_probe_cap(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,18 @@ def test_simplex_rejects_non_distribution():
         sp.check_payload(np.array([[1.2, -0.2, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(16, 0), (0, 0), (2, 3, 0), (0,)])
+def test_length_zero_payload_stacks_are_checked(shape):
+    """euclidean0 payloads have length 0; a stack of them, empty or not,
+    passes the check, and a stack of another length does not."""
+    sp = make_space("euclidean0")
+    assert sp.check_payload(np.zeros(shape)).shape == shape
+    with pytest.raises(DimensionMismatchError):
+        sp.check_payload(np.zeros((16, 1)))
+    f = MeasurableMap(Domain.grid(2, 4), sp, np.zeros((16, 0)))
+    assert f.values.shape == (16, 0)
+
+
 def test_dyadic_simplex_prefix():
     pts = dyadic_simplex(2, 3)
     assert pts.shape == (3, 2)
@@ -471,9 +484,83 @@ def test_circle_probe_grid_past_the_cap_is_refused():
         make_space("circle").probe_ball(np.array([0.5]), math.pi, spacing)
 
 
+def test_simplex_probe_grid_past_the_cap_is_refused():
+    """A simplex3 grid of n nodes per angle, n**2 just past NET_PROBE_CAP,
+    is refused, and the refusal allocates nothing: the node count is an
+    integer computed before any array is built."""
+    n = math.isqrt(NET_PROBE_CAP) + 1
+    # h = (pi/2) / (n - 1.5), so ceil((pi/2) / h) + 1 = n nodes per angle
+    spacing = math.sqrt(2) * (math.pi / 2) / (n - 1.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match=rf"probe grid would need {n}\^2 nodes"):
+            make_space("simplex3").probe_ball(np.array([0.3, 0.5, 0.2]), 0.3, spacing)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # the grid itself would take 48 MB
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_simplex_probe_grid_is_the_angle_grid_without_pole_duplicates(dim):
+    """Of the n**(k-1) angle nodes, those that repeat a pole node are
+    dropped; the rest are distinct points of the simplex, row 0 the vertex
+    e_1 (all angles 0) and the last row the point of all angles pi/2."""
+    sp = make_space(f"simplex{dim}")
+    spacing = 0.3
+    probes = sp.probe_ball(np.full(dim, 1.0 / dim), math.inf, spacing)
+    n = math.ceil((math.pi / 2) / (spacing / math.sqrt(dim - 1))) + 1
+    # angle i = 0 (i before the last) fixes every later angle at 0
+    dups = sum((n - 1) ** i * (n ** (dim - 2 - i) - 1) for i in range(dim - 2))
+    assert probes.shape == (n ** (dim - 1) - dups, dim)
+    sp.check_payload(probes)
+    assert len(np.unique(probes, axis=0)) == len(probes)
+    assert np.array_equal(probes[0], np.eye(dim)[0])
+    assert probes[-1][-1] == 1.0
+
+
+def ball_samples(sp, center, radius, rng, m=300):
+    """Points of the closed ball: geodesic points from the center toward
+    random targets, every third on the ball's sphere.  Half the simplex
+    targets lie on a face, so samples reach the faces too."""
+    far = sp.random_payloads(rng, m, 2.0)
+    if sp.tag.startswith("simplex"):
+        far[np.arange(0, m, 2), rng.integers(0, sp.dim, (m + 1) // 2)] = 0.0
+        far /= far.sum(axis=1, keepdims=True)
+    c = np.broadcast_to(center, far.shape)
+    reach = np.minimum(1.0, radius / sp.distance_many(c, far))
+    t = reach * np.where(np.arange(m) % 3 == 0, 1.0, rng.uniform(0.0, 1.0, m))
+    return sp.geodesic_many(c, far, t)
+
+
+@pytest.mark.parametrize(
+    "name, center, radius, spacing",
+    [
+        ("euclidean2", [0.25, -0.5], 0.3, 0.0125),
+        ("spd2", [1.0, 0.0, 0.0, 1.0], 0.3, 0.05),
+        ("spd2", [2.0, 0.5, 0.5, 1.0], 1.0, 0.15),
+        ("circle", [6.2], 0.3, 0.0125),
+        ("simplex3", [1.0, 0.0, 0.0], 0.3, 0.0125),  # at a vertex
+        ("simplex3", [0.0, 0.5, 0.5], 0.3, 0.0125),  # on a face
+        ("simplex3", [0.3, 0.5, 0.2], 0.3, 0.0125),  # inside
+    ],
+)
+def test_probe_grid_places_every_ball_point_within_spacing(name, center, radius, spacing, rng):
+    """The promise `epsilon_net` rests on: every point of the closed ball
+    lies within `spacing` of some probe."""
+    sp = make_space(name)
+    probes = sp.probe_ball(np.array(center), radius, spacing)
+    x = ball_samples(sp, np.array(center), radius, rng)
+    d = sp.distance_many(np.repeat(x, len(probes), axis=0), np.tile(probes, (len(x), 1)))
+    gap = d.reshape(len(x), len(probes)).min(axis=1).max()
+    assert gap <= spacing, (name, center, gap)
+
+
 def test_single_point_space_net_is_its_center():
     net = make_space("euclidean0").epsilon_net(np.zeros(0), 1.0, 0.1)
     assert net.shape == (1, 0)
+    probes = make_space("simplex1").probe_ball(np.ones(1), 1.0, 0.1)
+    assert np.array_equal(probes, np.ones((1, 1)))
 
 
 @pytest.mark.parametrize(
@@ -498,9 +585,9 @@ def test_epsilon_nets_frozen():
     center, radius = np.array([0.3, 0.5, 0.2]), 0.3379997830345756
     frozen = [
         (simplex.epsilon_net(center, radius, 0.1), (37, 3),
-         "64f56af026c91032e87231c4a6fd6043ce99c44cc05b40c354b5da22171cfb09"),
-        (simplex.probe_ball(center, radius, 0.1 / NET_PROBE_FRACTION), (62275, 3),
-         "1c1d729e0cd900fafa030095d4883a78784aa3c248cabf574b734aaba07f8293"),
+         "8401fb04bd0c9f02429af2a7d7df164f3b1999c7e3c0044d799e81967554e6cb"),
+        (simplex.probe_ball(center, radius, 0.1 / NET_PROBE_FRACTION), (1487, 3),
+         "77c616e4451e72fdcdbebf99b06e757dbf68b26f22ff4cb4bac0ab89c34778d1"),
         (spd.epsilon_net(np.eye(2).reshape(-1), 1.0, 0.4), (97, 4),
          "141ad6a1d2b1159776cce4f72ccdfc2370e4feafe3ab90649547f41c0e8c4d33"),
         (plane.epsilon_net(np.array([0.25, -0.5]), 2.5, 0.5), (69, 2),
