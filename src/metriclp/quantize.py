@@ -370,11 +370,8 @@ def simple_approx_sup(
     labels = _first_cover(f.space, distinct, table, eps)
     missed = labels < 0
     if missed.any():  # probe grid missed a corner of the ball: snap to nearest
-        lost = distinct[missed]
-        dist = f.space.distance_many(
-            np.repeat(lost, len(table), axis=0), np.tile(table, (len(lost), 1))
-        )
-        labels[missed] = np.argmin(dist.reshape(len(lost), len(table)), axis=1)
+        dist = f.space.distance_many(distinct[missed][:, None], table[None])
+        labels[missed] = np.argmin(dist, axis=1)
     out = SimpleMap(f.domain, f.space, labels[inverse], table)
     achieved = dp_distance(f, out, math.inf)
     report = ApproxReport(

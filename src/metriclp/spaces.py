@@ -6,21 +6,29 @@ as (atoms, payload_dim) arrays and distances evaluated in batch.
 Conventions
 -----------
 - A point is a flat float64 payload of length `dim`; a stack of points is
-  an (m, dim) array.  Payload layouts:
+  an array with the payload on its last axis, usually (m, dim).  Payload
+  layouts:
     euclidean d   : the d coordinates
     spd n         : row-major n x n symmetric positive-definite matrix
     simplex d     : d nonnegative weights summing to 1
     histogram     : one weight per grid node, nonnegative, summing to 1
     circle        : a single angle in [0, 2*pi)
-- `_distance_many` kernels take two equal-shape (m, dim) stacks and must
-  be exactly symmetric (d(a, b) and d(b, a) agree bit for bit) and give
-  exactly 0.0 on identical rows; `distance_many` adds only broadcasting.
-  The euclidean, circle, simplex and histogram kernels meet this by
+- `distance_many(a, b)` takes two stacks whose leading axes broadcast and
+  returns one distance per pair, in the broadcast leading shape: rows
+  against rows, one row against many, or a (c, r) table from (c, 1, dim)
+  and (1, r, dim) stacks.  The kernels broadcast themselves and are
+  element-wise in the pairs, so a pair's distance does not depend on the
+  shape it is asked in.  They must be exactly symmetric (d(a, b) and
+  d(b, a) agree bit for bit) and give exactly 0.0 on identical rows.  The
+  euclidean, circle, simplex and histogram kernels meet this by
   construction; the SPD kernel canonicalizes its argument order itself.
 - Geodesics are constant speed: d(gamma(s), gamma(t)) = |s-t| * d(a, b).
-  Endpoint rows and times broadcast against each other, so one endpoint
-  pair serves any number of times.  Endpoints are returned verbatim, so
-  gamma(0) == a and gamma(1) == b hold bit for bit.
+  Endpoint stacks and times broadcast against each other in the same way
+  (times carry no payload axis), so one endpoint pair serves any number of
+  times.  Endpoints are returned verbatim, so gamma(0) == a and
+  gamma(1) == b hold bit for bit.
+- A stack whose last axis is not `dim`, or whose leading axes do not
+  broadcast, is refused with DimensionMismatchError.
 - Dense sequences follow fixed dyadic refinement orders documented on each
   space; they are pure functions of k and return (k, dim) payloads, k = 0
   included.  The dyadic grids are built as integer index arrays
@@ -214,38 +222,64 @@ class MetricSpace:
 
     # -- distances ----------------------------------------------------------
 
-    def distance_many(self, a: Array, b: Array) -> Array:
-        """Pairwise distances between rows of two (m, dim) payload stacks.
+    def _leading_shape(self, a: Array, b: Array, *more: tuple) -> tuple:
+        """Broadcast leading shape of the payload stacks a and b and of the
+        shapes in `more`; DimensionMismatchError unless a and b carry `dim`
+        on their last axis and all the leading shapes broadcast."""
+        for arr in (a, b):
+            if arr.shape[-1] != self.dim:
+                raise DimensionMismatchError(
+                    f"{self.tag}: payload length {arr.shape[-1]}, expected {self.dim}"
+                )
+        shapes = (a.shape[:-1], b.shape[:-1], *more)
+        if all(s == shapes[0] for s in shapes[1:]):
+            return shapes[0]
+        try:
+            return np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise DimensionMismatchError(
+                f"{self.tag}: leading axes {', '.join(map(str, shapes))} do not broadcast"
+            ) from None
 
-        Rows broadcast against each other.  The kernel contract makes the
-        identity and symmetry axioms hold bit for bit: `_distance_many` is
-        exactly symmetric and returns exactly 0.0 on identical rows.
+    def distance_many(self, a: Array, b: Array) -> Array:
+        """Distances between the payload pairs of two stacks whose leading
+        axes broadcast, in the broadcast leading shape; a single payload
+        counts as a one-row stack.
+
+        `distance_many(centers[:, None], rows[None])` is the (c, r) table of
+        every center against every row, with the bits of the row-wise calls.
+        The kernel contract makes the identity and symmetry axioms hold bit
+        for bit: `_distance_many` is exactly symmetric and returns exactly
+        0.0 on identical rows.
         """
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        if a.shape != b.shape:
-            a, b = np.broadcast_arrays(a, b)
-        if a.shape[1] == 0:
-            return np.zeros(a.shape[0])
+        shape = self._leading_shape(a, b)
+        if a.shape[-1] == 0:
+            return np.zeros(shape)
         return self._distance_many(a, b)
 
     def _distance_many(self, a: Array, b: Array) -> Array:
+        """Kernel on two validated stacks with broadcasting leading axes."""
         raise NotImplementedError
 
     # -- geodesics ----------------------------------------------------------
 
     def geodesic_many(self, a: Array, b: Array, t: Array) -> Array:
-        """Constant-speed geodesic points; endpoint rows and times broadcast
-        against each other, so one endpoint pair serves any number of times."""
+        """Constant-speed geodesic points; the leading axes of the endpoint
+        stacks and the times broadcast against each other, so one endpoint
+        pair serves any number of times, and (atoms, dim) endpoints with
+        (k, 1) times give k points per atom as one (k, atoms, dim) stack."""
         if not self.has_geodesic:
             raise CapabilityError(f"{self.tag}: no geodesic capability")
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        self._leading_shape(a, b, t.shape)
         out = self._geodesic_many(a, b, t)
         # endpoint times reproduce the inputs verbatim, written in place
-        np.copyto(out, a, where=(t == 0.0)[:, None])
-        np.copyto(out, b, where=(t == 1.0)[:, None])
+        np.copyto(out, a, where=(t == 0.0)[..., None])
+        np.copyto(out, b, where=(t == 1.0)[..., None])
         return out
 
     def _geodesic_many(self, a: Array, b: Array, t: Array) -> Array:
@@ -372,7 +406,7 @@ class EuclideanSpace(MetricSpace):
         return np.linalg.norm(a - b, axis=-1)
 
     def _geodesic_many(self, a, b, t):
-        return a + t[:, None] * (b - a)
+        return a + t[..., None] * (b - a)
 
     def _dense_payloads(self, k):
         return dyadic_tuples(self.dim, k)
@@ -471,12 +505,12 @@ class SpdSpace(MetricSpace):
         self.tag = f"spd{self.n}"
 
     def _mats(self, flat: Array) -> Array:
-        return flat.reshape(flat.shape[0], self.n, self.n)
+        return flat.reshape(flat.shape[:-1] + (self.n, self.n))
 
     def _flat_sym(self, mats: Array) -> Array:
-        """Symmetrize a (m, n, n) stack and flatten it to (m, dim) payloads."""
+        """Symmetrize a (..., n, n) stack and flatten it to (..., dim) payloads."""
         out = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-        return out.reshape(out.shape[0], self.dim)
+        return out.reshape(out.shape[:-2] + (self.dim,))
 
     @staticmethod
     def _expm_sym(s: Array) -> Array:
@@ -567,9 +601,16 @@ class SpdSpace(MetricSpace):
         return np.linalg.eigvalsh(mid)
 
     def _distance_many(self, a, b):
-        # The pencil kernel is symmetric only up to rounding, so each pair is
-        # evaluated in lexicographic payload order and identical rows are
-        # pinned to 0.0, as the kernel contract requires.
+        # The pencil kernel works on equal-shape (m, dim) stacks: the pairs
+        # are broadcast and flattened here (a view when both are already
+        # (m, dim) or one row against many).  It is symmetric only up to
+        # rounding, so each pair is evaluated in lexicographic payload order
+        # and identical rows are pinned to 0.0, as the kernel contract
+        # requires.
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        shape = a.shape[:-1]
+        a, b = a.reshape(-1, self.dim), b.reshape(-1, self.dim)
         swap = _lex_greater(a, b)
         if np.any(swap):
             a, b = a.copy(), b.copy()
@@ -584,20 +625,22 @@ class SpdSpace(MetricSpace):
         equal = (a == b).all(axis=1)
         if np.any(equal):
             out = np.where(equal, 0.0, out)
-        return out
+        return out.reshape(shape)
 
     def _geodesic_many(self, a, b, t):
         am = self._mats(a)
         bm = self._mats(b)
+        # the eigendecompositions run once per endpoint pair, and only the
+        # power broadcasts against the times
         wa, va = np.linalg.eigh(am)
         wa = np.maximum(wa, EIG_CLAMP)
-        sqrt_a = (va * np.sqrt(wa)[:, None, :]) @ np.swapaxes(va, -1, -2)
-        isqrt_a = (va * (wa**-0.5)[:, None, :]) @ np.swapaxes(va, -1, -2)
+        sqrt_a = (va * np.sqrt(wa)[..., None, :]) @ np.swapaxes(va, -1, -2)
+        isqrt_a = (va * (wa**-0.5)[..., None, :]) @ np.swapaxes(va, -1, -2)
         mid = isqrt_a @ bm @ isqrt_a
         mid = 0.5 * (mid + np.swapaxes(mid, -1, -2))
         wm, vm = np.linalg.eigh(mid)
         wm = np.maximum(wm, EIG_CLAMP)
-        powed = (vm * (wm[:, None, :] ** t[:, None, None])) @ np.swapaxes(vm, -1, -2)
+        powed = (vm * (wm[..., None, :] ** t[..., None, None])) @ np.swapaxes(vm, -1, -2)
         return self._flat_sym(sqrt_a @ powed @ sqrt_a)
 
     # dense sequence: dyadic coordinates in the log chart
@@ -700,7 +743,7 @@ class SimplexSpace(MetricSpace):
         u = np.sqrt(np.maximum(a, 0.0))
         v = np.sqrt(np.maximum(b, 0.0))
         th = np.arccos(np.clip((u * v).sum(axis=-1, keepdims=True), -1.0, 1.0))
-        tt = t[:, None]
+        tt = t[..., None]
         # coincident endpoints divide by sin(0); those rows are replaced by a
         with np.errstate(invalid="ignore", divide="ignore"):
             g = (np.sin((1 - tt) * th) * u + np.sin(tt * th) * v) / np.sin(th)
@@ -824,21 +867,21 @@ class HistogramSpace(MetricSpace):
 
     def _distance_many(self, a, b):
         if self.dim == 1:
-            return np.zeros(a.shape[0])
-        # One running CDF gap per column, summed left to right.  Up to eight
-        # nodes these are the bits of (|cumsum(a - b)|[:, :-1] * diff(grid))
-        # .sum(-1), since numpy sums fewer than eight terms left to right,
-        # at under half its cost.
-        diff = (a - b).T
-        gap = diff[0].copy()
+            return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        # One running CDF gap per column, summed left to right, with the
+        # pairs broadcast column by column.  Up to eight nodes these are the
+        # bits of (|cumsum(a - b)|[:, :-1] * diff(grid)).sum(-1), since
+        # numpy sums fewer than eight terms left to right, at under half its
+        # cost.
+        gap = a[..., 0] - b[..., 0]
         out = np.abs(gap) * self._spacing[0]
         for j in range(1, self.dim - 1):
-            gap += diff[j]
+            gap += a[..., j] - b[..., j]
             out += np.abs(gap) * self._spacing[j]
         return out
 
     def _geodesic_many(self, a, b, t):
-        return a + t[:, None] * (b - a)
+        return a + t[..., None] * (b - a)
 
     def _dense_payloads(self, k):
         return dyadic_simplex(self.dim, k)
@@ -879,13 +922,13 @@ class CircleSpace(MetricSpace):
             raise InvalidPointError("circle angle must lie in [0, 2*pi)")
 
     def _distance_many(self, a, b):
-        gap = np.abs(a[:, 0] - b[:, 0])
+        gap = np.abs(a[..., 0] - b[..., 0])
         return np.minimum(gap, TWO_PI - gap)
 
     def _geodesic_many(self, a, b, t):
-        delta = math.pi - np.mod(math.pi - (b[:, 0] - a[:, 0]), TWO_PI)
-        ang = np.mod(a[:, 0] + t * delta, TWO_PI)
-        return ang[:, None]
+        delta = math.pi - np.mod(math.pi - (b[..., 0] - a[..., 0]), TWO_PI)
+        ang = np.mod(a[..., 0] + t * delta, TWO_PI)
+        return ang[..., None]
 
     def _dense_payloads(self, k):
         out = [0.0]

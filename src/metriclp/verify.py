@@ -39,7 +39,13 @@ from .domain import (
     outer_open_approx,
     urysohn,
 )
-from .errors import CapabilityError, CheckFailedError, MetricLpError, NonConvergenceError
+from .errors import (
+    CapabilityError,
+    CheckFailedError,
+    DimensionMismatchError,
+    MetricLpError,
+    NonConvergenceError,
+)
 from .maps import (
     MeasurableMap,
     _check_pair,
@@ -76,45 +82,66 @@ def require(cond, msg: str) -> None:
 
 @dataclass
 class CauchySequenceSpec:
-    """A D_p-Cauchy sequence: stored prefix plus optional generator.
+    """A D_p-Cauchy sequence: stored prefix plus optional block generator.
 
-    `generator(n)` must return the n-th term (1-based) for any n beyond
-    the prefix.  The fast schedule D_p(f_n, f_{n+1}) <= 2**-n is a
-    precondition on the prefix and is re-checked on every pulled term.
+    `generator(ns)` must return the values of the terms ns (a range of
+    1-based indices beyond the prefix) as one (len(ns), atoms, dim) stack
+    over the prefix's domain and target.  The fast schedule
+    D_p(f_n, f_{n+1}) <= 2**-n is a precondition on the prefix and is
+    re-checked on every pulled term.
     """
 
     p: float
     prefix: list[MeasurableMap]
-    generator: Callable[[int], MeasurableMap] | None = None
+    generator: Callable[[range], Array] | None = None
 
     def term(self, n: int) -> MeasurableMap:
         if n < 1:
             raise MetricLpError("sequence terms are 1-based")
         if n <= len(self.prefix):
             return self.prefix[n - 1]
-        if self.generator is None:
-            raise MetricLpError(f"term {n} beyond the stored prefix")
-        return self.generator(n)
+        values = _pull(self, range(n, n + 1))[0]
+        return MeasurableMap(self.prefix[0].domain, self.prefix[0].space, values)
 
 
-def _dp_pairs(fs: list[MeasurableMap], gs: list[MeasurableMap], p: float) -> Array:
-    """D_p(f_i, g_i) for paired maps over one domain and target, from one
-    `distance_many` call over the stacked payloads.  Kernels are row-wise,
-    so each value has the bits of `dp_distance(f_i, g_i, p)`."""
-    for f, g in zip(fs, gs):
-        _check_pair(fs[0], f)
-        _check_pair(f, g)
-    if not fs:
-        return np.empty(0)
-    a = np.concatenate([f.values for f in fs])
-    b = np.concatenate([g.values for g in gs])
-    d = fs[0].space.distance_many(a, b).reshape(len(fs), -1)
-    return dp_from_pointwise(d, fs[0].domain.weights, p)
+def _pull(spec: CauchySequenceSpec, ns: range) -> Array:
+    """Values of the terms ns beyond the prefix as one checked
+    (len(ns), atoms, dim) stack: one generator call, one payload check."""
+    if not spec.prefix:
+        raise MetricLpError("need at least one stored term")
+    if spec.generator is None:
+        raise MetricLpError(f"term {ns[-1]} beyond the stored prefix")
+    ref = spec.prefix[0]
+    block = np.asarray(spec.generator(ns), dtype=np.float64)
+    want = (len(ns), ref.domain.atom_count, ref.space.dim)
+    if block.shape != want:
+        raise DimensionMismatchError(f"generator block must be {want}, got {block.shape}")
+    return ref.space.check_payload(block)
+
+
+def _prefix_values(spec: CauchySequenceSpec) -> Array:
+    """The stored terms as one (n, atoms, dim) value stack; refused unless
+    every term shares the first one's domain and target."""
+    for f in spec.prefix:
+        _check_pair(spec.prefix[0], f)
+    return np.stack([f.values for f in spec.prefix])
+
+
+def _dp_pairs(ref: MeasurableMap, a: Array, b: Array, p: float) -> Array:
+    """D_p between paired maps over ref's domain and target, given as value
+    stacks a and b of shape (m, atoms, dim) (b may hold one map for all),
+    from one `distance_many` call.  Kernels are element-wise in the pairs,
+    so each value has the bits of `dp_distance` on that pair of maps."""
+    d = ref.space.distance_many(a, b)
+    return dp_from_pointwise(d, ref.domain.weights, p)
 
 
 def is_fast_cauchy(spec: CauchySequenceSpec) -> bool:
     """Check the 2**-n gap schedule on the stored prefix."""
-    gaps = _dp_pairs(spec.prefix[:-1], spec.prefix[1:], spec.p)
+    if not spec.prefix:
+        return True
+    values = _prefix_values(spec)
+    gaps = _dp_pairs(spec.prefix[0], values[:-1], values[1:], spec.p)
     return not any(gap > 2.0 ** (-(i + 1)) + FAST_GAP_SLACK for i, gap in enumerate(gaps))
 
 
@@ -164,23 +191,26 @@ def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = 1e-10) -> RieszFi
     limit -- and raises NonConvergenceError for the first such gap.
 
     Terms are pulled in blocks that double the sequence, at most MAX_PULL
-    in all, and each block's gaps are measured in one batched pass before
-    the next block is pulled, so a stalled sequence is pulled at most to
-    twice the index of its first bad gap.  The certificates are measured
-    in one batched pass too.
+    in all.  A block is one generator call, refused unless it is a
+    (len(ns), atoms, dim) stack, and one payload check; the terms are kept
+    as one value stack.  Each block's gaps are measured in one batched pass
+    before the next block is pulled, so a stalled sequence is pulled at
+    most to twice the index of its first bad gap.  The certificates are
+    measured in one batched pass too.
     """
     p = check_p(spec.p)
-    maps = list(spec.prefix)
-    if not maps:
+    if not spec.prefix:
         raise MetricLpError("need at least one stored term")
     if not is_fast_cauchy(spec):
         raise MetricLpError("stored prefix violates the fast gap schedule")
-    target_m = max(len(maps), int(math.ceil(-math.log2(tol))) + 1)
-    last = len(maps) if spec.generator is None else min(target_m, len(maps) + MAX_PULL)
-    while len(maps) < last:
-        held = len(maps)
-        maps += [spec.term(n) for n in range(held + 1, min(2 * held, last) + 1)]
-        gaps = _dp_pairs(maps[held - 1 : -1], maps[held:], p)
+    ref = spec.prefix[0]
+    values = _prefix_values(spec)
+    held = values.shape[0]
+    target_m = max(held, int(math.ceil(-math.log2(tol))) + 1)
+    last = held if spec.generator is None else min(target_m, held + MAX_PULL)
+    while held < last:
+        values = np.concatenate([values, _pull(spec, range(held + 1, min(2 * held, last) + 1))])
+        gaps = _dp_pairs(ref, values[held - 1 : -1], values[held:], p)
         for k, gap in enumerate(gaps.tolist(), held):
             if gap > 2.0**-k + FAST_GAP_SLACK:
                 raise NonConvergenceError(
@@ -188,22 +218,23 @@ def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = 1e-10) -> RieszFi
                     f"2**-{k} = {2.0 ** -k:.3e}; the sequence stalled before a "
                     "limit could be certified"
                 )
-    if len(maps) < target_m:
+        held = values.shape[0]
+    if held < target_m:
         raise NonConvergenceError(
-            f"cannot certify a limit: residual 2**-(m-1) with m={len(maps)} "
+            f"cannot certify a limit: residual 2**-(m-1) with m={held} "
             f"terms exceeds tol={tol} and no further terms are available"
         )
-    limit = MeasurableMap(maps[-1].domain, maps[-1].space, maps[-1].values.copy())
-    residual = 2.0 ** (-(len(maps) - 1))
+    limit = MeasurableMap(ref.domain, ref.space, values[-1].copy())
+    residual = 2.0 ** (-(held - 1))
     certificates = []
-    for n, measured in enumerate(_dp_pairs(maps, [limit] * len(maps), p).tolist(), 1):
+    for n, measured in enumerate(_dp_pairs(ref, values, limit.values[None], p).tolist(), 1):
         bound = 2.0 ** (-(n - 1)) + CERTIFICATE_SLACK
         if measured > bound:
             raise MetricLpError(
                 f"certificate violated at n={n}: {measured:.3e} > {bound:.3e}"
             )
         certificates.append((n, measured, bound))
-    return RieszFischerResult(limit, len(maps), residual, certificates)
+    return RieszFischerResult(limit, held, residual, certificates)
 
 
 def incomplete_fixture() -> CauchySequenceSpec:
@@ -225,14 +256,12 @@ def incomplete_fixture() -> CauchySequenceSpec:
     low = math.floor(alpha * 10**6) / 10**6
     high = low + 1e-6
 
-    def term(n: int) -> MeasurableMap:
-        if n <= 19:
-            v = math.floor(alpha * 2**n) / 2**n
-        else:
-            v = high if n % 2 else low
-        return MeasurableMap.constant(domain, space, [v])
+    def block(ns: range) -> Array:
+        v = [math.floor(alpha * 2**n) / 2**n if n <= 19 else high if n % 2 else low for n in ns]
+        return np.repeat(np.array(v)[:, None, None], domain.atom_count, axis=1)
 
-    return CauchySequenceSpec(p=2.0, prefix=[term(n) for n in range(1, 13)], generator=term)
+    prefix = [MeasurableMap(domain, space, v) for v in block(range(1, 13))]
+    return CauchySequenceSpec(p=2.0, prefix=prefix, generator=block)
 
 
 def geodesic_cauchy_fixture(
@@ -243,7 +272,9 @@ def geodesic_cauchy_fixture(
 ) -> tuple[CauchySequenceSpec, MeasurableMap]:
     """Fast Cauchy sequence sliding along per-atom geodesics, plus its
     known limit.  Per-atom geodesic lengths are clipped to 0.9 and the
-    domain measure is at most 1, so gaps are at most 0.9 * 2**-n."""
+    domain measure is at most 1, so gaps are at most 0.9 * 2**-n.  Term n
+    sits at time 1 - 2**-(n-1); a block of terms is one `geodesic_many`
+    call, with the times as a column against the atoms."""
     n_atoms = domain.atom_count
     start = space.random_payloads(rng, n_atoms)
     raw = space.random_payloads(rng, n_atoms)
@@ -251,12 +282,12 @@ def geodesic_cauchy_fixture(
     shrink = np.minimum(1.0, 0.9 / np.maximum(lengths, 1e-12))
     target = space.geodesic_many(start, raw, shrink)
 
-    def term(n: int) -> MeasurableMap:
-        t = 1.0 - 2.0 ** (-(n - 1))
-        vals = space.geodesic_many(start, target, np.full(n_atoms, t))
-        return MeasurableMap(domain, space, vals)
+    def block(ns: range) -> Array:
+        t = np.array([1.0 - 2.0 ** (-(n - 1)) for n in ns])
+        return space.geodesic_many(start, target, t[:, None])
 
-    spec = CauchySequenceSpec(p=p, prefix=[term(n) for n in range(1, 7)], generator=term)
+    prefix = [MeasurableMap(domain, space, v) for v in block(range(1, 7))]
+    spec = CauchySequenceSpec(p=p, prefix=prefix, generator=block)
     return spec, MeasurableMap(domain, space, target)
 
 
@@ -390,10 +421,9 @@ def separability_probe(
     cost_val = np.zeros((n_cells, n_vals))
     for ci, c in enumerate(family.cells):
         idx = c.indices
-        for vi in range(n_vals):
-            dv = family.space.distance_many(
-                f.values[idx], np.broadcast_to(family.values[vi], f.values[idx].shape)
-            )
+        # a (values, atoms) table: row vi holds d(f(x), value vi) on the cell
+        table = family.space.distance_many(f.values[idx][None], family.values[:, None])
+        for vi, dv in enumerate(table):
             cost_val[ci, vi] = float(np.sum(w[idx] * dv**p))
     total_base = float(cost_base.sum())
     gains = cost_base - cost_val.min(axis=1)
@@ -533,38 +563,38 @@ def _covering_radii(space, probe: Array, centers: Array, counts) -> list[float]:
     `counts` must be strictly ascending, each between 1 and len(centers);
     anything else raises ValueError.
 
-    The probe goes in blocks of quantize.COVER_BLOCK_PAIRS // k rows (k =
-    counts[-1]; one row when k alone exceeds the budget).  Inside a block
-    the centers are taken in column chunks ending at every count and at
-    every power of two below k, one `distance_many` call per chunk, and
-    each row keeps its running minimum.  A chunk ending at a count folds
+    Inside a block of probe rows the centers are taken in column chunks
+    ending at every count and at every power of two below counts[-1].  Each
+    chunk is one `distance_many` call on a (chunk, rows) table, and each
+    row keeps its running minimum.  The probe goes in blocks of
+    quantize.COVER_BLOCK_PAIRS // (widest chunk) rows, at least one, so no
+    call holds more than COVER_BLOCK_PAIRS pairs unless a single row's
+    chunk does.  A chunk ending at a count folds
     the largest running minimum into that count's radius.  After each
     chunk the rows whose running minimum is at or below the smallest radius
     of the counts still pending are dropped (early break, Taha & Hanbury
     2015): that radius is attained by a probe row, and a dropped row's
     minimum can only fall further, so no radius changes.  A NaN running
     minimum is never dropped, so a NaN distance the pass evaluates still
-    reaches the radius.  Every kernel is row-wise, so with NaN-free
-    distances the radii are bit for bit those of a running minimum over
-    all probe rows and centers.
+    reaches the radius.  Every kernel is element-wise in the pairs, so with
+    NaN-free distances the radii are bit for bit those of a running minimum
+    over all probe rows and centers.
     """
     counts = [operator.index(m) for m in counts]
     if not counts or counts[0] < 1 or counts[-1] > len(centers) or np.any(np.diff(counts) <= 0):
         raise ValueError(f"covering counts {counts} must ascend strictly within 1..{len(centers)}")
     k = counts[-1]
     ends = sorted(set(counts) | {1 << i for i in range(k.bit_length()) if 1 << i < k})
-    block = max(1, quantize.COVER_BLOCK_PAIRS // k)
+    widest = max(hi - lo for lo, hi in zip([0] + ends, ends))
+    block = max(1, quantize.COVER_BLOCK_PAIRS // widest)
     radii = np.full(len(counts), -np.inf)
     for start in range(0, probe.shape[0], block):
         rows = probe[start : start + block]
         run = np.full(rows.shape[0], np.inf)
         lo = pending = 0
         for hi in ends:
-            c = hi - lo
-            d = space.distance_many(
-                np.repeat(rows, c, 0), np.tile(centers[lo:hi], (rows.shape[0], 1))
-            )
-            run = np.minimum(run, d.reshape(-1, c).min(axis=1))
+            d = space.distance_many(rows[None], centers[lo:hi, None])  # (chunk, rows)
+            run = np.minimum(run, d.min(axis=0))
             lo = hi
             if hi == counts[pending]:
                 radii[pending] = np.maximum(radii[pending], run.max())
@@ -919,7 +949,7 @@ def _check_relax_continuous(ctx: SuiteContext) -> dict:
     # each piece's transition zone is its eroded shell plus its grabbed ring,
     # each under the per-piece budget delta = (eps / (2 k^(1/p) R))^p
     table = g.value_table[np.flatnonzero(np.bincount(g.labels))]
-    lifts = g.space.distance_many(np.tile(z0, (len(table), 1)), table)
+    lifts = g.space.distance_many(z0, table)
     k, radius = int(np.count_nonzero(lifts)), float(lifts.max())
     delta = (eps / (2.0 * k ** (1.0 / p) * radius)) ** p
     for piece in out.pieces:

@@ -645,6 +645,74 @@ def test_distance_many_bitwise_symmetry_and_identity(spaces, rng):
             assert np.all(sp.distance_many(one, np.repeat(one, 8, axis=0)) == 0.0), sp.tag
 
 
+TABLE_SPACES = ["euclidean0", "euclidean3", "spd2", "spd3", "simplex1", "simplex3",
+                "histogram1", "histogram8", "circle"]
+
+
+@pytest.mark.parametrize("name", TABLE_SPACES)
+def test_distance_tables_equal_row_wise_calls(name, rng):
+    """A (c, r) table from (c, 1, dim) and (1, r, dim) stacks holds, bit for
+    bit, the distances of the row-wise calls, in either orientation and
+    with either stack first; so does a (c, r, 2) stack against (r, 1, dim)."""
+    sp = make_space(name)
+    centers = sp.random_payloads(rng, 7, 0.5)
+    rows = sp.random_payloads(rng, 33, 0.5)
+    rows[3] = centers[2]  # an identical pair must come out exactly 0.0
+    want = np.stack([sp.distance_many(np.broadcast_to(c, rows.shape), rows) for c in centers])
+    assert want[2, 3] == 0.0
+    for got in (sp.distance_many(centers[:, None], rows[None]),
+                sp.distance_many(rows[None], centers[:, None])):
+        assert got.shape == (7, 33)
+        assert np.array_equal(got, want), name
+    for got in (sp.distance_many(rows[:, None], centers[None]),
+                sp.distance_many(centers[None], rows[:, None])):
+        assert got.shape == (33, 7)
+        assert np.array_equal(got, want.T), name
+    pairs = np.stack([centers[:, None].repeat(33, 1), centers[::-1, None].repeat(33, 1)], -2)
+    got = sp.distance_many(pairs, rows[:, None])
+    assert got.shape == (7, 33, 2)
+    assert np.array_equal(got[..., 0], want) and np.array_equal(got[..., 1], want[::-1]), name
+
+
+BAD_STACKS = [
+    ("euclidean3", (2, 4), (2, 4)),  # a 4-D norm at the parent, without complaint
+    ("euclidean3", (2, 3), (2, 4)),
+    ("circle", (2, 2), (2, 2)),  # the parent read column 0 of 2-column rows
+    ("histogram8", (2, 7), (2, 7)),  # IndexError at the parent
+    ("spd2", (2, 3), (2, 3)),  # a reshape ValueError at the parent
+    ("simplex3", (3, 3), (4, 3)),  # leading axes that do not broadcast
+    ("spd2", (3, 4), (2, 4)),
+    ("histogram8", (2, 5, 8), (3, 5, 8)),
+    ("euclidean0", (3, 0), (4, 0)),
+]
+
+
+@pytest.mark.parametrize("name, shape_a, shape_b", BAD_STACKS)
+def test_distance_many_refuses_stacks_it_cannot_pair(name, shape_a, shape_b):
+    """A stack whose last axis is not `dim`, or whose leading axes do not
+    broadcast, is refused with DimensionMismatchError, in either order."""
+    sp = make_space(name)
+    a, b = np.ones(shape_a), np.ones(shape_b)
+    with pytest.raises(DimensionMismatchError):
+        sp.distance_many(a, b)
+    with pytest.raises(DimensionMismatchError):
+        sp.distance_many(b, a)
+
+
+@pytest.mark.parametrize("name, shape_a, shape_b", BAD_STACKS)
+def test_geodesic_many_refuses_stacks_it_cannot_pair(name, shape_a, shape_b):
+    """The same refusal for geodesic endpoints, and for times whose shape
+    does not broadcast against well-formed endpoints."""
+    sp = make_space(name)
+    a, b = np.ones(shape_a), np.ones(shape_b)
+    t = np.full(shape_a[:-1], 0.5)
+    with pytest.raises(DimensionMismatchError):
+        sp.geodesic_many(a, b, t)
+    good = sp.random_payloads(np.random.default_rng(0), 3)
+    with pytest.raises(DimensionMismatchError):
+        sp.geodesic_many(good, good, np.full(4, 0.5))
+
+
 def test_geodesic_endpoints_exact(spaces, rng):
     for sp in spaces.values():
         if not sp.has_geodesic:
@@ -699,6 +767,21 @@ def test_geodesic_one_endpoint_row_equals_tiled_rows(name, rng):
         assert np.array_equal(one[t == 0.0], a[None, :]), name
         assert np.array_equal(one[t == 1.0], b[None, :]), name
         assert np.all(np.isfinite(one)), name
+
+
+@pytest.mark.parametrize("name", GEODESIC_SPACES + ["euclidean0"])
+def test_geodesic_time_column_gives_one_stack_per_time(name, rng):
+    """(atoms, dim) endpoints with (k, 1) times give a (k, atoms, dim) stack
+    whose row i has the bits of the call at time t_i alone; endpoint times
+    return the endpoints verbatim."""
+    sp = make_space(name)
+    a, b = sp.random_payloads(rng, 9), sp.random_payloads(rng, 9)
+    t = np.array([0.0, 0.3, 1.0 - 2.0**-20, 1.0, 0.75])
+    got = sp.geodesic_many(a, b, t[:, None])
+    assert got.shape == (5, 9, sp.dim)
+    for i, ti in enumerate(t):
+        assert np.array_equal(got[i], sp.geodesic_many(a, b, np.full(9, ti))), (name, ti)
+    assert np.array_equal(got[0], a) and np.array_equal(got[3], b), name
 
 
 @pytest.mark.parametrize("name", GEODESIC_SPACES)

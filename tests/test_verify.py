@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from metriclp import (
+    DimensionMismatchError,
     Domain,
+    InvalidPointError,
     MeasurableMap,
     MetricLpError,
     NonConvergenceError,
@@ -41,15 +43,26 @@ def const_map(domain, c):
     return MeasurableMap(domain, E1, np.full((domain.atom_count, 1), float(c)))
 
 
+def const_block(domain, cs):
+    """The constant maps at cs over `domain`, as a (len(cs), atoms, 1) value block."""
+    return np.repeat(np.asarray(cs, dtype=np.float64)[:, None, None], domain.atom_count, axis=1)
+
+
+def block_spec(domain, block, p=2.0, stored=6):
+    """A sequence whose first `stored` terms come from one block call."""
+    prefix = [MeasurableMap(domain, E1, v) for v in block(range(1, stored + 1))]
+    return CauchySequenceSpec(p=p, prefix=prefix, generator=block)
+
+
+def flat(blocks):
+    """The term indices of recorded block ranges, in pull order."""
+    return [n for ns in blocks for n in ns]
+
+
 def dyadic_spec(p=2.0):
     """Constants marching to 1 with gaps exactly 2^-n: a fast sequence."""
     dom = Domain(np.ones(1))
-
-    def term(n):  # 1-based
-        return const_map(dom, 1.0 - 2.0 ** (-(n - 1)))
-
-    prefix = [term(n) for n in range(1, 7)]
-    return CauchySequenceSpec(p=p, prefix=prefix, generator=term)
+    return block_spec(dom, lambda ns: const_block(dom, [1.0 - 2.0 ** (-(n - 1)) for n in ns]), p)
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +84,7 @@ def test_fast_subsequence_of_harmonic_constants():
 def test_is_fast_cauchy_accepts_dyadic_and_rejects_slow():
     assert is_fast_cauchy(dyadic_spec())
     dom = Domain(np.ones(1))
-    slow = CauchySequenceSpec(
-        p=2.0,
-        prefix=[const_map(dom, j / 4.0) for j in range(6)],
-        generator=lambda n: const_map(dom, (n - 1) / 4.0),
-    )
+    slow = block_spec(dom, lambda ns: const_block(dom, [(n - 1) / 4.0 for n in ns]))
     assert not is_fast_cauchy(slow)
 
 
@@ -107,11 +116,7 @@ def test_riesz_fischer_geodesic_fixture_all_spaces(rng):
 
 def test_riesz_fischer_rejects_slow_prefix():
     dom = Domain(np.ones(1))
-    spec = CauchySequenceSpec(
-        p=2.0,
-        prefix=[const_map(dom, j * 1.0) for j in range(4)],
-        generator=lambda n: const_map(dom, n * 1.0),
-    )
+    spec = block_spec(dom, lambda ns: const_block(dom, [n - 1.0 for n in ns]), stored=4)
     with pytest.raises(MetricLpError):
         riesz_fischer_limit(spec)
 
@@ -132,9 +137,9 @@ def test_incomplete_target_stalls_at_index_20():
     pulled = []
     inner = spec.generator
 
-    def counting(n):
-        pulled.append(n)
-        return inner(n)
+    def counting(ns):
+        pulled.append(ns)
+        return inner(ns)
 
     spec.generator = counting
     with pytest.raises(NonConvergenceError) as info:
@@ -143,7 +148,7 @@ def test_incomplete_target_stalls_at_index_20():
         "gap 1.000e-06 at index 20 exceeds the fast schedule 2**-20 = 9.537e-07; "
         "the sequence stalled before a limit could be certified"
     )
-    assert pulled == list(range(13, 25))
+    assert flat(pulled) == list(range(13, 25)) and len(pulled) == 1
 
 
 def test_riesz_fischer_pulls_at_most_max_pull_terms():
@@ -152,11 +157,11 @@ def test_riesz_fischer_pulls_at_most_max_pull_terms():
     pulled = []
     dom = Domain(np.ones(1))
 
-    def term(n):
-        pulled.append(n)
-        return const_map(dom, 1.0 - 2.0 ** (-(n - 1)))
+    def block(ns):
+        pulled.append(ns)
+        return const_block(dom, [1.0 - 2.0 ** (-(n - 1)) for n in ns])
 
-    spec = CauchySequenceSpec(p=2.0, prefix=[term(n) for n in range(1, 7)], generator=term)
+    spec = block_spec(dom, block)
     pulled.clear()
     with pytest.raises(NonConvergenceError) as info:
         riesz_fischer_limit(spec, tol=2.0**-90)
@@ -164,7 +169,7 @@ def test_riesz_fischer_pulls_at_most_max_pull_terms():
         "cannot certify a limit: residual 2**-(m-1) with m=70 terms exceeds "
         f"tol={2.0**-90} and no further terms are available"
     )
-    assert pulled == list(range(7, 7 + verify.MAX_PULL))
+    assert flat(pulled) == list(range(7, 7 + verify.MAX_PULL))
     spec.generator = None
     with pytest.raises(NonConvergenceError, match="with m=6 terms"):
         riesz_fischer_limit(spec)
@@ -179,19 +184,89 @@ def test_riesz_fischer_batched_certificates_are_dp_distance_bits(name, rng):
     dom = Domain(rng.uniform(0.05, 0.15, 12))
     spec, known = geodesic_cauchy_fixture(dom, sp, rng, 2.0)
     terms = dict(enumerate(spec.prefix, 1))
+    blocks = []
     inner = spec.generator
 
-    def recording(n):
-        assert n not in terms
-        terms[n] = inner(n)
-        return terms[n]
+    def recording(ns):
+        blocks.append(ns)
+        values = inner(ns)
+        for n, v in zip(ns, values):
+            assert n not in terms
+            terms[n] = MeasurableMap(dom, sp, v)
+        return values
 
     spec.generator = recording
     res = riesz_fischer_limit(spec, tol=1e-13)
     assert res.n_terms == 45 and list(terms) == list(range(1, 46))
+    assert flat(blocks) == list(range(7, 46)) and len(blocks) == 3
     for n, measured, _ in res.certificates:
         assert measured == dp_distance(terms[n], res.limit, 2.0), n
     assert dp_distance(res.limit, known, 2.0) <= res.residual + 1e-9
+
+
+@pytest.mark.parametrize("name", [*SPACE_NAMES, "spd3"])
+def test_cauchy_blocks_equal_per_term_geodesics(name, rng):
+    """The fixture builds a block of terms with one `geodesic_many` call;
+    every term has the bits of its own per-term call at time
+    1 - 2**-(n-1), in the prefix, in a pulled block and through `term`."""
+    sp = make_space(name)
+    dom = Domain(rng.uniform(0.05, 0.15, 12))
+    spec, known = geodesic_cauchy_fixture(dom, sp, rng, 2.0)
+    start = spec.prefix[0].values  # term 1 is at time 0: the start, verbatim
+
+    def per_term(n):
+        return sp.geodesic_many(start, known.values, np.full(12, 1.0 - 2.0 ** (-(n - 1))))
+
+    for n, f in enumerate(spec.prefix, 1):
+        assert np.array_equal(f.values, per_term(n)), (name, n)
+    block = spec.generator(range(7, 46))
+    assert block.shape == (39, 12, sp.dim)
+    for n, values in zip(range(7, 46), block):
+        assert np.array_equal(values, per_term(n)), (name, n)
+    assert np.array_equal(spec.term(30).values, block[30 - 7]), name
+
+
+def test_riesz_fischer_checks_each_block_once(monkeypatch, rng):
+    """One payload check per pulled block and one for the limit: 4 calls
+    where one per term would be 40."""
+    sp = make_space("spd2")
+    spec, _ = geodesic_cauchy_fixture(Domain(np.full(12, 1.0 / 12)), sp, rng, 2.0)
+    shapes = []
+    inner = MetricSpace.check_payload
+
+    def counting(self, arr):
+        shapes.append(np.shape(arr))
+        return inner(self, arr)
+
+    monkeypatch.setattr(MetricSpace, "check_payload", counting)
+    res = riesz_fischer_limit(spec, tol=1e-13)
+    assert res.n_terms == 45
+    assert shapes == [(6, 12, 4), (12, 12, 4), (21, 12, 4), (12, 4)]
+
+
+def test_riesz_fischer_refuses_blocks_it_cannot_use():
+    """A block of the wrong shape is refused before any distance is taken,
+    and a block with an invalid payload fails its one payload check."""
+    dom = Domain(np.full(2, 0.5))
+
+    def good(ns):
+        return const_block(dom, [1.0 - 2.0 ** (-(n - 1)) for n in ns])
+
+    spec = block_spec(dom, good)
+    for bad in (lambda ns: good(ns)[:-1], lambda ns: np.repeat(good(ns), 2, axis=-1),
+                lambda ns: good(ns)[:, :1]):
+        spec.generator = bad
+        with pytest.raises(DimensionMismatchError, match="generator block"):
+            riesz_fischer_limit(spec)
+        with pytest.raises(DimensionMismatchError, match="generator block"):
+            spec.term(9)
+    spec.generator = lambda ns: good(ns) * np.where(np.asarray(ns) == 9, np.nan, 1.0)[:, None, None]
+    with pytest.raises(InvalidPointError):
+        riesz_fischer_limit(spec)
+    assert spec.term(8).values[0, 0] == 1.0 - 2.0**-7
+    spec.generator = None
+    with pytest.raises(MetricLpError, match="beyond the stored prefix"):
+        spec.term(7)
 
 
 def test_riesz_fischer_check_batches_its_distances(monkeypatch):
@@ -319,7 +394,7 @@ def nan_at(x, c):
 
     def post(a, b, d):
         d = d.copy()
-        d[(a == x).all(axis=1) & (b == c).all(axis=1)] = np.nan
+        d[(a == x).all(axis=-1) & (b == c).all(axis=-1)] = np.nan
         return d
 
     return post
@@ -386,16 +461,18 @@ def test_covering_radii_refuse_counts_they_cannot_serve(counts, n_centers, n_pro
 
 
 def test_dense_sequence_check_prunes_the_covering_pass(monkeypatch):
-    """The dense-sequence check evaluates under 3M distance rows at seed 0
-    (the full probe x 40 centers table is about 9.84M)."""
-    rows = []
+    """The dense-sequence check evaluates under 3M distance pairs at seed 0
+    (the full probe x 40 centers table is about 9.84M).  Pairs are counted
+    by the size of each result, since a call returns a (centers, rows)
+    table."""
+    pairs = []
     inner = MetricSpace.distance_many
 
     def counting(self, a, b):
         d = inner(self, a, b)
-        rows.append(d.shape[0])
+        pairs.append(d.size)
         return d
 
     monkeypatch.setattr(MetricSpace, "distance_many", counting)
     verify._check_space_dense(verify.SuiteContext(0))
-    assert 0 < sum(rows) < 3_000_000
+    assert 0 < sum(pairs) < 3_000_000
