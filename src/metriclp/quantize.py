@@ -492,10 +492,14 @@ def _divergence_grid(kind: str, refinement: int, p: float) -> tuple[Array, Array
 def _best_errors(w: Array, h: Array, p: float, k: int) -> Array:
     """Best D_p error of a map with at most 1, 2, ..., k values, for p in {1, 2}.
 
-    Sorted-point DP over segment ends j, one pass: each j's segment costs
-    (all i < j onto one value, the weighted mean for p = 2 and the weighted
-    median for p = 1) come from prefix sums built once and serve every
-    layer.  Layer 1 is the exact best constant.
+    Sorted-point DP over segment ends j (Wang & Song, *Ckmeans.1d.dp*, R
+    Journal 2011), taken in blocks of COVER_BLOCK_PAIRS // n ends.  Each
+    block's (ends, starts) table of segment costs (starts i < j onto one
+    value, the weighted mean for p = 2 and the weighted median for p = 1,
+    from prefix sums built once) serves every layer; cells with i >= j are
+    +inf.  Layer l reads layer l - 1 only at starts i < j, so layer l - 1 of
+    the block is final before layer l reads it, and every cost and sum is the
+    float of the one-end-at-a-time loop.  Layer 1 is the exact best constant.
     """
     order = np.argsort(h, kind="stable")
     w, h = w[order], h[order]
@@ -506,25 +510,36 @@ def _best_errors(w: Array, h: Array, p: float, k: int) -> Array:
     # err[l, j]: best cost of sorted points 0..j-1 with at most l values
     err = np.full((k + 1, n + 1), np.inf)
     err[:, 0] = 0.0
-    for j in range(1, n + 1):
-        i = np.arange(j)
-        if p == 2:
-            seg_w = cw[j] - cw[i]
-            seg_wh = cwh[j] - cwh[i]
-            seg_wh2 = cwh2[j] - cwh2[i]
-            # prefix-sum cancellation can dip a zero-variance segment slightly
-            # negative; clamp so the final root stays real
-            seg = np.maximum(seg_wh2 - seg_wh**2 / seg_w, 0.0)
-        else:
-            half = (cw[i] + cw[j]) / 2.0
-            t = np.searchsorted(cw, half, side="left")
-            t = np.clip(t, i + 1, j) - 1  # index of the weighted median point
-            med = h[t]
-            left = med * (cw[t + 1] - cw[i]) - (cwh[t + 1] - cwh[i])
-            right = (cwh[j] - cwh[t + 1]) - med * (cw[j] - cw[t + 1])
-            seg = np.maximum(left + right, 0.0)
-        # "at most k" values: a layer may decline to open a new segment
-        err[1:, j] = np.minimum.accumulate(np.min(err[:k, :j] + seg, axis=1))
+    rows = max(1, COVER_BLOCK_PAIRS // n)
+    for lo in range(1, n + 1, rows):
+        hi = min(lo + rows, n + 1)
+        j = np.arange(lo, hi)[:, None]
+        i = np.arange(hi - 1)[None, :]
+        # the cells i >= j divide by an empty segment's zero weight; they are
+        # masked to +inf below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if p == 2:
+                seg_w = cw[j] - cw[i]
+                seg_wh = cwh[j] - cwh[i]
+                seg_wh2 = cwh2[j] - cwh2[i]
+                # prefix-sum cancellation can dip a zero-variance segment
+                # slightly negative; clamp so the final root stays real
+                seg = np.maximum(seg_wh2 - seg_wh**2 / seg_w, 0.0)
+            else:
+                half = (cw[i] + cw[j]) / 2.0
+                t = np.searchsorted(cw, half, side="left")
+                # index of the weighted median point; where i >= j the bounds
+                # cross and clip takes the upper one, so t = j - 1 stays in range
+                t = np.clip(t, i + 1, j) - 1
+                med = h[t]
+                left = med * (cw[t + 1] - cw[i]) - (cwh[t + 1] - cwh[i])
+                right = (cwh[j] - cwh[t + 1]) - med * (cw[j] - cw[t + 1])
+                seg = np.maximum(left + right, 0.0)
+        seg[i >= j] = np.inf
+        for layer in range(1, k + 1):
+            raw = np.min(err[layer - 1, : hi - 1] + seg, axis=1)
+            # "at most k" values: a layer may decline to open a new segment
+            err[layer, lo:hi] = raw if layer == 1 else np.minimum(err[layer - 1, lo:hi], raw)
     return err[1:, n] ** (1.0 / p)
 
 
@@ -542,8 +557,9 @@ def divergence_fixture(kind: str, refinement: int, p: float, k_values: int = 3) 
     p = check_p(p)
     if p not in (1.0, 2.0):
         raise MetricLpError("divergence fixtures support p in {1, 2}")
-    if k_values < 1:
-        raise MetricLpError("k_values must be positive")
+    for name, value in (("refinement", refinement), ("k_values", k_values)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise MetricLpError(f"{name} must be an integer >= 1, got {value!r}")
     w, h = _divergence_grid(kind, refinement, p)
     errors = _best_errors(w, h, p, k_values)
     return DivergenceReport(

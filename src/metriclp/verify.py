@@ -186,6 +186,7 @@ def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = 1e-10) -> RieszFi
     distance from term m to any limit, summing the remaining gap bounds)
     drops below `tol`, then returns term m as the limit with measured
     certificates D_p(f_n, limit) <= 2**-(n-1) + 1e-9 for every stored n.
+    `tol` must be positive; tol = inf certifies on the stored prefix.
     A pulled gap exceeding its 2**-k budget means the sequence left the
     fast schedule before stabilizing -- the observable trace of a missing
     limit -- and raises NonConvergenceError for the first such gap.
@@ -199,6 +200,9 @@ def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = 1e-10) -> RieszFi
     measured in one batched pass too.
     """
     p = check_p(spec.p)
+    tol = float(tol)
+    if not tol > 0:
+        raise MetricLpError(f"tol must be positive, got {tol!r}")
     if not spec.prefix:
         raise MetricLpError("need at least one stored term")
     if not is_fast_cauchy(spec):
@@ -206,7 +210,8 @@ def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = 1e-10) -> RieszFi
     ref = spec.prefix[0]
     values = _prefix_values(spec)
     held = values.shape[0]
-    target_m = max(held, int(math.ceil(-math.log2(tol))) + 1)
+    # tol = inf asks for nothing past the stored prefix
+    target_m = held if math.isinf(tol) else max(held, int(math.ceil(-math.log2(tol))) + 1)
     last = held if spec.generator is None else min(target_m, held + MAX_PULL)
     while held < last:
         values = np.concatenate([values, _pull(spec, range(held + 1, min(2 * held, last) + 1))])
@@ -358,17 +363,23 @@ def member_from_pairs(
     return MeasurableMap(family.domain, family.space, vals)
 
 
-def enumerate_members(family: DenseFamily, cap: int):
-    """Yield (pairs, member) in the documented order, at most cap members."""
+def _member_pairs(family: DenseFamily, cap: int):
+    """Yield the alteration pairs of the members in the documented order,
+    at most cap members."""
     count = 0
     for k in range(family.n_cells + 1):
         for cells in itertools.combinations(range(family.n_cells), k):
             for vals in itertools.product(range(family.n_values), repeat=k):
                 if count >= cap:
                     return
-                pairs = tuple(zip(cells, vals))
-                yield pairs, member_from_pairs(family, pairs)
+                yield tuple(zip(cells, vals))
                 count += 1
+
+
+def enumerate_members(family: DenseFamily, cap: int):
+    """Yield (pairs, member) in the documented order, at most cap members."""
+    for pairs in _member_pairs(family, cap):
+        yield pairs, member_from_pairs(family, pairs)
 
 
 @dataclass
@@ -391,11 +402,12 @@ def separability_probe(
 ) -> ProbeReport:
     """First family member at D_p distance strictly below eps from f.
 
-    `exhaustive=True` literally walks the enumeration (the oracle path,
-    capped at MEMBER_CAP members).  The default path computes per-cell
-    alteration costs and walks cell combinations / value tuples with an
-    exact best-completion bound, visiting candidates in the same order as
-    the enumeration and returning the same first solution.
+    `exhaustive=True` walks the enumeration member by member (the oracle
+    path, capped at MEMBER_CAP members), measured in blocks.  The default
+    path computes per-cell alteration costs and walks cell combinations /
+    value tuples with an exact best-completion bound, visiting candidates
+    in the same order as the enumeration and returning the same first
+    solution.
     """
     p = check_p(p)
     if math.isinf(p):
@@ -403,13 +415,7 @@ def separability_probe(
     if not eps > 0:
         raise MetricLpError("eps must be positive")
     if exhaustive:
-        scanned = 0
-        for pairs, member in enumerate_members(family, MEMBER_CAP):
-            scanned += 1
-            dist = dp_distance(f, member, p)
-            if dist < eps:
-                return ProbeReport(True, pairs, dist, p, eps, "exhaustive", scanned)
-        return ProbeReport(False, (), None, p, eps, "exhaustive", scanned)
+        return _exhaustive_probe(f, family, p, eps)
 
     w = np.where(np.isinf(family.domain.weights), 0.0, family.domain.weights)
     d_base = pointwise_distance(f, family.base)
@@ -475,6 +481,48 @@ def separability_probe(
         dist = dp_distance(f, member_from_pairs(family, pairs), p)
         return ProbeReport(True, pairs, dist, p, eps, "optimized")
     return ProbeReport(False, (), None, p, eps, "optimized")
+
+
+def _exhaustive_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float) -> ProbeReport:
+    """The first member, in enumeration order, at D_p distance below eps.
+
+    Members are measured in blocks of COVER_BLOCK_PAIRS // atoms: a block is
+    one (members, atoms, dim) value stack, the base values with each altered
+    cell's atoms copied from the family values (checked once; the cells are
+    disjoint Venn atoms, so the order of a member's pairs does not matter),
+    then one `distance_many` and one `dp_from_pointwise` call.  Each row's
+    distance has the bits of `dp_distance(f, member)`, so the first row
+    below eps is the member the one-by-one walk stops at.
+    """
+    _check_pair(f, family.base)
+    values = family.space.check_payload(family.values)
+    base = family.base.values
+    n_cells = family.n_cells
+    # the cell of each atom; atoms in no cell read column n_cells, never altered
+    cell_of = np.full(base.shape[0], n_cells)
+    for ci, c in enumerate(family.cells):
+        cell_of[c.indices] = ci
+    size = max(1, quantize.COVER_BLOCK_PAIRS // max(1, base.shape[0]))
+    members = _member_pairs(family, MEMBER_CAP)
+    scanned = 0
+    while block := list(itertools.islice(members, size)):
+        # choice[r, c]: the value index member r puts on cell c, -1 for the base
+        choice = np.full((len(block), n_cells + 1), -1)
+        for r, pairs in enumerate(block):
+            for c, v in pairs:
+                choice[r, c] = v
+        pick = choice[:, cell_of]
+        altered = pick >= 0
+        stack = np.repeat(base[None], len(block), axis=0)
+        stack[altered] = values[pick[altered]]
+        d = family.space.distance_many(f.values[None], stack)
+        dists = dp_from_pointwise(d, f.domain.weights, p)
+        hits = np.flatnonzero(dists < eps)
+        if hits.size:
+            r = int(hits[0])
+            return ProbeReport(True, block[r], float(dists[r]), p, eps, "exhaustive", scanned + r + 1)
+        scanned += len(block)
+    return ProbeReport(False, (), None, p, eps, "exhaustive", scanned)
 
 
 # ---------------------------------------------------------------------------

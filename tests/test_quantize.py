@@ -16,6 +16,7 @@ eps = 0.9 (budget eps/3 = 0.3 per step):
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -420,6 +421,24 @@ def test_divergence_rejects_p_outside_one_and_two_and_k_below_one():
         divergence_fixture("unbounded_base", 8, 2.0, 0)
 
 
+@pytest.mark.parametrize("refinement", [0, -3, 2.5, "8", True, None])
+@pytest.mark.parametrize("kind", ["unbounded_base", "exponential_base"])
+def test_divergence_rejects_refinement_that_is_not_a_positive_integer(kind, refinement):
+    with pytest.raises(MetricLpError, match="refinement"):
+        divergence_fixture(kind, refinement, 1.0)
+
+
+@pytest.mark.parametrize("k_values", [2.5, -1, "3", False, None])
+def test_divergence_rejects_k_values_that_is_not_a_positive_integer(k_values):
+    with pytest.raises(MetricLpError, match="k_values"):
+        divergence_fixture("unbounded_base", 8, 2.0, k_values)
+
+
+def test_divergence_accepts_numpy_integers():
+    rep = divergence_fixture("unbounded_base", np.int64(64), 2.0, np.int32(3))
+    assert repr(rep.best_k_error) == DIVERGENCE_BEST_K[("unbounded_base", 64, 2.0)]
+
+
 # best_k_error (k = 3) of the verify suite's ten fixtures and criterion 06's
 # grids: exact reprs of the earlier one-layer-at-a-time DP, kept bit for bit
 DIVERGENCE_BEST_K = {
@@ -508,3 +527,75 @@ def test_best_k_dp_agrees_with_exhaustive_splits(rng):
             for layer in range(1, k + 1):
                 want = brute(w, h, p, layer)
                 assert got[layer - 1] == pytest.approx(want, abs=2e-7)
+
+
+def best_errors_per_end(w, h, p, k):
+    """The DP one segment end at a time, as `_best_errors` computed it before
+    it took the ends in blocks: the oracle its blocks must match bit for bit."""
+    order = np.argsort(h, kind="stable")
+    w, h = w[order], h[order]
+    n = h.size
+    cw = np.concatenate([[0.0], np.cumsum(w)])
+    cwh = np.concatenate([[0.0], np.cumsum(w * h)])
+    cwh2 = np.concatenate([[0.0], np.cumsum(w * h * h)])
+    err = np.full((k + 1, n + 1), np.inf)
+    err[:, 0] = 0.0
+    for j in range(1, n + 1):
+        i = np.arange(j)
+        if p == 2:
+            seg_w = cw[j] - cw[i]
+            seg_wh = cwh[j] - cwh[i]
+            seg_wh2 = cwh2[j] - cwh2[i]
+            seg = np.maximum(seg_wh2 - seg_wh**2 / seg_w, 0.0)
+        else:
+            half = (cw[i] + cw[j]) / 2.0
+            t = np.searchsorted(cw, half, side="left")
+            t = np.clip(t, i + 1, j) - 1
+            med = h[t]
+            left = med * (cw[t + 1] - cw[i]) - (cwh[t + 1] - cwh[i])
+            right = (cwh[j] - cwh[t + 1]) - med * (cw[j] - cw[t + 1])
+            seg = np.maximum(left + right, 0.0)
+        err[1:, j] = np.minimum.accumulate(np.min(err[:k, :j] + seg, axis=1))
+    return err[1:, n] ** (1.0 / p)
+
+
+def dp_cases(rng, sizes):
+    """(w, h) pairs of the given sizes: spread values, few distinct values
+    (ties across segment ends), and exact repeats of one value."""
+    for n in sizes:
+        w = rng.uniform(0.1, 2.0, n)
+        h = rng.normal(0.0, 3.0, n)
+        yield w, h
+        yield w, np.round(h)
+        yield w, np.full(n, h[0])
+
+
+@pytest.mark.parametrize("budget", [1, 7, quantize.COVER_BLOCK_PAIRS])
+def test_best_errors_in_blocks_match_the_per_end_dp_bit_for_bit(budget, rng, monkeypatch):
+    """Blocks of one end (1), a few ends (7) and the default, with n from 1
+    past several blocks: 600 ends are 6 default blocks of 109."""
+    monkeypatch.setattr(quantize, "COVER_BLOCK_PAIRS", budget)
+    sizes = [1, 2, 3, 7, 8, 29, *rng.integers(1, 120, 4)]
+    if budget == quantize.COVER_BLOCK_PAIRS:
+        sizes.append(600)
+    with np.errstate(all="raise"):
+        for w, h in dp_cases(rng, sizes):
+            for p in (1.0, 2.0):
+                k = int(rng.integers(1, 7))
+                want = best_errors_per_end(w.copy(), h.copy(), p, k)
+                got = _best_errors(w.copy(), h.copy(), p, k)
+                assert got.tobytes() == want.tobytes(), (h.size, p, k)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_best_errors_memory_stays_in_blocks(p, rng):
+    """At n = 4096 a full ends-by-starts table would take 128 MB; the blocks
+    of COVER_BLOCK_PAIRS cells keep the peak under 8 MB."""
+    w, h = rng.uniform(0.1, 2.0, 4096), rng.normal(0.0, 1.0, 4096)
+    tracemalloc.start()
+    try:
+        _best_errors(w, h, p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak

@@ -11,6 +11,7 @@ import pytest
 from metriclp import (
     DimensionMismatchError,
     Domain,
+    DomainMismatchError,
     InvalidPointError,
     MeasurableMap,
     MetricLpError,
@@ -102,6 +103,27 @@ def test_riesz_fischer_limit_of_dyadic_constants():
     for n, measured, bound in res.certificates:
         assert measured <= bound
         assert bound == pytest.approx(2.0 ** (-(n - 1)) + 1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, -math.inf, math.nan])
+def test_riesz_fischer_refuses_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(MetricLpError, match="tol"):
+        riesz_fischer_limit(dyadic_spec(), tol=tol)
+
+
+def test_riesz_fischer_infinite_tolerance_certifies_on_the_stored_prefix():
+    """tol = inf asks for no term past the six stored ones: the generator
+    is not called again, and term 6 is the limit."""
+    spec = dyadic_spec()
+    calls = []
+    block = spec.generator
+    spec.generator = lambda ns: calls.append(ns) or block(ns)
+    res = riesz_fischer_limit(spec, tol=math.inf)
+    assert calls == []
+    assert res.n_terms == 6
+    assert res.residual == 2.0**-5
+    assert res.limit.values[0, 0] == 1.0 - 2.0**-5
+    assert [n for n, _, _ in res.certificates] == [1, 2, 3, 4, 5, 6]
 
 
 def test_riesz_fischer_geodesic_fixture_all_spaces(rng):
@@ -351,6 +373,99 @@ def test_probe_optimized_equals_exhaustive(rng):
         if fast.found:
             assert fast.pairs == slow.pairs  # identical first member
             assert fast.distance == pytest.approx(slow.distance, rel=1e-12)
+
+
+def walk_members_one_by_one(f, fam, p, eps):
+    """The exhaustive probe as a literal walk: one member map and one
+    `dp_distance` call per member, at most MEMBER_CAP members."""
+    scanned = 0
+    for pairs, member in enumerate_members(fam, verify.MEMBER_CAP):
+        scanned += 1
+        dist = dp_distance(f, member, p)
+        if dist < eps:
+            return True, pairs, dist.hex(), scanned
+    return False, (), None, scanned
+
+
+def walk_result(report):
+    dist = None if report.distance is None else report.distance.hex()
+    return report.found, report.pairs, dist, report.scanned
+
+
+def random_family(rng, name):
+    """4 cells and 3 values (256 members) around a random base."""
+    space = make_space(name)
+    dom = Domain.grid(1, 4)
+    base = MeasurableMap(dom, space, space.random_payloads(rng, 4))
+    return build_dense_family(base, gen_levels=2, val_budget=3)
+
+
+@pytest.mark.parametrize("budget", [1, 8, 4 * 37, None])
+@pytest.mark.parametrize("name", ["euclidean2", "spd2", "simplex3", "circle", "histogram8"])
+def test_exhaustive_probe_matches_the_member_walk(name, budget, rng, monkeypatch):
+    """Blocks of 1, 2 and 37 members and the default one block of 256, on
+    random targets: same found, pairs, distance bits and members scanned.
+    The eps range puts first hits before and past block boundaries, and
+    misses."""
+    if budget is not None:
+        monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", budget)
+    fam = random_family(rng, name)
+    results = []
+    for _ in range(12):
+        f = MeasurableMap(fam.domain, fam.space, fam.space.random_payloads(rng, 4))
+        d_base = dp_distance(f, fam.base, 2.0)
+        eps = float(d_base * rng.uniform(0.3, 1.05))
+        want = walk_members_one_by_one(f, fam, 2.0, eps)
+        assert walk_result(separability_probe(f, fam, 2.0, eps, exhaustive=True)) == want
+        results.append(want)
+    assert any(not found for found, *_ in results)
+    assert any(found and scanned > 1 for found, _, _, scanned in results)
+
+
+def test_exhaustive_probe_first_hit_past_a_block_boundary(rng, monkeypatch):
+    """Blocks of 2 members (8 pairs over 4 atoms): the target is member 41,
+    so the walk reads 20 whole blocks before the hit."""
+    monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", 8)
+    fam = random_family(rng, "euclidean2")
+    pairs, member = list(enumerate_members(fam, 41))[-1]
+    report = separability_probe(member, fam, 2.0, 1e-9, exhaustive=True)
+    assert walk_result(report) == walk_members_one_by_one(member, fam, 2.0, 1e-9)
+    assert report.found and report.pairs == pairs and report.scanned == 41
+    assert report.distance == 0.0
+
+
+def test_exhaustive_probe_miss_scans_the_whole_family(rng):
+    fam = make_family(rng, cells=4, val_budget=2)  # values {0, 1}: coarse
+    f = MeasurableMap(fam.domain, E1, np.full((4, 1), 0.43))
+    report = separability_probe(f, fam, 1.0, 1e-6, exhaustive=True)
+    assert walk_result(report) == (False, (), None, 3**4)
+    assert walk_result(report) == walk_members_one_by_one(f, fam, 1.0, 1e-6)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5, 100])
+def test_exhaustive_probe_respects_member_cap(cap, rng, monkeypatch):
+    """A cap below the family's 256 members: a hit past the cap is a miss
+    after exactly cap members, with blocks of 3 members."""
+    monkeypatch.setattr(verify, "MEMBER_CAP", cap)
+    monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", 12)
+    fam = random_family(rng, "euclidean2")
+    for target in (3, 120):
+        _, member = list(enumerate_members(fam, target))[-1]
+        report = separability_probe(member, fam, 2.0, 1e-9, exhaustive=True)
+        want = walk_members_one_by_one(member, fam, 2.0, 1e-9)
+        assert walk_result(report) == want
+        assert report.found == (target <= cap)
+        assert report.scanned == (target if target <= cap else cap)
+
+
+def test_exhaustive_probe_refuses_a_target_of_another_domain_or_space(rng):
+    fam = make_family(rng)
+    other_domain = MeasurableMap(Domain(np.ones(4)), E1, np.zeros((4, 1)))
+    with pytest.raises(DomainMismatchError):
+        separability_probe(other_domain, fam, 2.0, 0.1, exhaustive=True)
+    other_space = MeasurableMap(fam.domain, make_space("circle"), np.zeros((4, 1)))
+    with pytest.raises(DimensionMismatchError):
+        separability_probe(other_space, fam, 2.0, 0.1, exhaustive=True)
 
 
 def test_probe_reports_miss_below_reachable_accuracy(rng):
