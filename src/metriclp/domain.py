@@ -319,7 +319,8 @@ def urysohn(domain: Domain, c: AtomSet, v: AtomSet) -> TransitionField:
     between cell centers; exactly 1 on C, exactly 0 outside V.  Adjacent
     cells differ by at most cell_size / gap_width.  Both distance
     transforms run on v's window (`_window`): C lies inside V, and the
-    complement of V holds the padded ring.
+    complement of V holds the padded ring.  A core that fills V needs no
+    transform: the field is then 1 on V, and the gap is one cell.
     """
     if domain.geometry is None:
         raise GeometryError("urysohn needs grid geometry")
@@ -331,6 +332,15 @@ def urysohn(domain: Domain, c: AtomSet, v: AtomSet) -> TransitionField:
         return TransitionField(np.zeros(n), math.inf)
     if v.size == n:
         return TransitionField(np.ones(n), math.inf)
+    if c.size == v.size:
+        # C = V, so the field is 1 on V.  Some cell of V shares a face with
+        # M\V (the grid is face-connected and neither set is empty), and no
+        # two cell centers lie closer, so the gap is one step.  scipy's EDT
+        # forms it as the root of (1.0 * cell)**2 plus exact zeros; every
+        # other offset sums to more, so this is its minimum bit for bit.
+        vals = np.zeros(n)
+        vals[v.indices] = 1.0
+        return TransitionField(vals, float(np.sqrt(geo.cell_size * geo.cell_size)))
     window = _window(geo, v)
     c_mask = _window_mask(geo, c, window)
     v_mask = _window_mask(geo, v, window)

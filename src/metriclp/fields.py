@@ -63,8 +63,21 @@ def voronoi_labels(geometry: GridGeometry, n_regions: int, rng: np.random.Genera
         raise MetricLpError(f"n_regions must be between 1 and the {n} grid cells, got {n_regions}")
     coords = geometry.coordinates()
     seeds = coords[rng.choice(n, size=n_regions, replace=False)]
-    dist2 = ((coords[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(dist2, axis=1).astype(np.int64)
+    # A running minimum over the seeds, with no (cells, seeds, dim) table.  The
+    # squares are added axis by axis, left to right, as the sum over a short
+    # last axis adds them, and the strict < keeps the lowest tied seed, as
+    # argmin does.
+    axes = [np.ascontiguousarray(coords[:, k]) for k in range(geometry.dim)]
+    best = np.full(n, np.inf)
+    labels = np.zeros(n, dtype=np.int64)
+    for j, seed in enumerate(seeds.tolist()):
+        dist2 = (axes[0] - seed[0]) ** 2
+        for x, s in zip(axes[1:], seed[1:]):
+            dist2 += (x - s) ** 2
+        closer = dist2 < best
+        np.copyto(best, dist2, where=closer)
+        labels[closer] = j
+    return labels
 
 
 def disk_labels(geometry: GridGeometry, centers: Array, radii: Array) -> Array:

@@ -60,7 +60,7 @@ def _domain_payload(domain: Domain) -> dict:
     geo = domain.geometry
     if geo is None:
         return {"kind": "domain", "atoms": domain.atom_count,
-                "weights": [float(w) for w in domain.weights], "geometry": None}
+                "weights": domain.weights.tolist(), "geometry": None}
     return {"kind": "domain", "atoms": domain.atom_count,
             "geometry": {"dim": geo.dim, "cells_per_axis": geo.cells_per_axis}}
 
@@ -138,7 +138,7 @@ def _values_to_payload(values: np.ndarray, path: Path, payload: dict) -> None:
         payload["values_file"] = name
         payload["values_shape"] = list(values.shape)
     else:
-        payload["values"] = [[float(v) for v in row] for row in values]
+        payload["values"] = values.tolist()
 
 
 def _values_from_payload(obj: dict, base_dir: Path) -> np.ndarray:
@@ -183,8 +183,8 @@ def save_simple_map(g: SimpleMap, path: str | os.PathLike) -> None:
     payload = {
         "kind": "simple_map",
         "space": g.space.descriptor(),
-        "labels": [int(v) for v in g.labels],
-        "values": [[float(v) for v in row] for row in g.value_table],
+        "labels": g.labels.tolist(),
+        "values": g.value_table.tolist(),
         "base_flag": g.base_flag,
         "domain": _domain_payload(g.domain),
     }

@@ -20,6 +20,14 @@ stays finite and is 0 only for equivalent mappings.
 Two mappings are equivalent when their payloads agree exactly on every
 positive-weight atom.
 
+`pointwise_distance` evaluates the ground metric only on the atoms whose
+payloads differ (compared with `!=`, so rows that differ only in a signed
+zero count as equal) and writes exactly 0.0 on the others.  That is exact:
+the kernel contract in the `spaces` module gives exactly 0.0 on rows that
+compare equal, so the vector has the bits of one `distance_many` call over
+every atom.  When every atom differs in its first entry, as for unrelated
+maps, the payloads go to the kernel whole and nothing is gathered.
+
 The D_p helpers (`pointwise_distance`, `dp_distance`, `is_member`, `equivalent`)
 read only `domain`, `space` and `values`, which `SimpleMap` carries too.
 """
@@ -83,8 +91,19 @@ def _check_pair(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap):
 
 
 def pointwise_distance(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap) -> Array:
+    """d(f(x), g(x)) on every atom; the ground metric runs only on the atoms
+    whose payloads differ, and the rest read exactly 0.0."""
     _check_pair(f, g)
-    return f.space.distance_many(f.values, g.values)
+    a, b = f.values, g.values
+    # the first entries settle the usual case, every atom differing, without
+    # an (atoms, dim) comparison
+    if a.shape[1] and (a[:, 0] != b[:, 0]).all():
+        return f.space.distance_many(a, b)
+    differ = (a != b).any(axis=1)
+    d = np.zeros(a.shape[0])
+    if differ.any():
+        d[differ] = f.space.distance_many(a[differ], b[differ])
+    return d
 
 
 def dp_distance(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMap, p: float) -> float:

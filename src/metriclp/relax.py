@@ -173,7 +173,14 @@ def smooth_from_simple(
         trans = urysohn(domain, inner.atoms, region)
         t_raw = trans.values[region.indices]
         s_vals = np.asarray(smoothstep(t_raw, order))
-        values[region.indices] = g.space.geodesic_many(z0, g.value_table[lab], s_vals)
+        # the geodesic returns its endpoints verbatim, so it runs only on the
+        # cells strictly between them; cells at s == 0 keep the background
+        mid = (s_vals > 0.0) & (s_vals < 1.0)
+        values[region.indices[s_vals == 1.0]] = g.value_table[lab]
+        if mid.any():
+            values[region.indices[mid]] = g.space.geodesic_many(
+                z0, g.value_table[lab], s_vals[mid]
+            )
         zone = region.difference(inner.atoms)
         mu_zone = measure(domain, zone)
         if order == 0 or lip == 0.0 or mu_zone == 0.0:

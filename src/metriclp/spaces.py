@@ -19,13 +19,16 @@ Conventions
   and (1, r, dim) stacks.  The kernels broadcast themselves and are
   element-wise in the pairs, so a pair's distance does not depend on the
   shape it is asked in.  They must be exactly symmetric (d(a, b) and
-  d(b, a) agree bit for bit) and give exactly 0.0 on identical rows.  The
+  d(b, a) agree bit for bit) and give exactly 0.0 on rows that compare
+  equal, entries of +0.0 and -0.0 included (`maps.pointwise_distance`
+  relies on this to skip such rows).  The
   euclidean, circle, simplex and histogram kernels meet this by
   construction; the SPD kernel canonicalizes its argument order itself.
 - Geodesics are constant speed: d(gamma(s), gamma(t)) = |s-t| * d(a, b).
   Endpoint stacks and times broadcast against each other in the same way
   (times carry no payload axis), so one endpoint pair serves any number of
-  times.  Endpoints are returned verbatim, so gamma(0) == a and
+  times, and a point's bits do not depend on the other times asked with
+  it.  Endpoints are returned verbatim, so gamma(0) == a and
   gamma(1) == b hold bit for bit.
 - A stack whose last axis is not `dim`, or whose leading axes do not
   broadcast, is refused with DimensionMismatchError.
@@ -640,7 +643,15 @@ class SpdSpace(MetricSpace):
         mid = 0.5 * (mid + np.swapaxes(mid, -1, -2))
         wm, vm = np.linalg.eigh(mid)
         wm = np.maximum(wm, EIG_CLAMP)
-        powed = (vm * (wm[..., None, :] ** t[..., None, None])) @ np.swapaxes(vm, -1, -2)
+        # The power takes both operands whole, in the output's shape: numpy
+        # picks its loop for broadcast operands by their layout (with one
+        # endpoint pair, one or two times took another loop than three or
+        # more, and the last bit differed), so a point's bits would depend
+        # on the other times asked with it.
+        shape = np.broadcast_shapes(wm[..., None, :].shape, t[..., None, None].shape)
+        w_t = np.broadcast_to(wm[..., None, :], shape).copy()
+        t_t = np.broadcast_to(t[..., None, None], shape).copy()
+        powed = (vm * w_t**t_t) @ np.swapaxes(vm, -1, -2)
         return self._flat_sym(sqrt_a @ powed @ sqrt_a)
 
     # dense sequence: dyadic coordinates in the log chart

@@ -430,13 +430,35 @@ def test_windowed_morphology_matches_full_grid(kind, dim, n):
         assert_same_bits(got.atoms.indices, want[0].indices)
         assert (got.radius, got.gap, got.over_budget) == want[1:]
     # transitions from a core to its input and from the input to its envelope,
-    # the way relax pairs them, and from scattered cells of the input
+    # the way relax pairs them, and from scattered cells of the input; a core
+    # that equals its envelope takes no transform, against the oracle's two
     envelope = outer_open_approx(dom, b, 1.0).atoms
     sample = b.indices[rng.random(b.size) < 0.2]
     pairs = [(core, b) for core in cores] + [(b, envelope), (AtomSet(sample, b.n_atoms), b),
                                              (AtomSet(b.indices[:1], b.n_atoms), envelope)]
+    pairs += [(s, s) for s in (b, envelope, cores[-1], AtomSet(b.indices[:1], b.n_atoms))]
     for c, v in pairs:
         got = urysohn(dom, c, v)
         vals, gap = full_grid_urysohn(dom, c, v)
         assert_same_bits(got.values, vals)
         assert got.gap_width == gap
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_core_filling_its_envelope_has_the_transform_gap(dim):
+    """When the core is the whole envelope, `urysohn` takes no transform:
+    its one-cell gap has the bits scipy's distance transform gives, on
+    every grid of 2 to 300 cells (1-D), 2 to 100 and 256 cells (2-D) and
+    2 to 24 cells (3-D) per axis, and the field is 1 on the envelope and
+    0 off it."""
+    rng = np.random.default_rng(dim)
+    sizes = {1: range(2, 301), 2: [*range(2, 101), 256], 3: range(2, 25)}[dim]
+    for n in sizes:
+        dom = Domain.grid(dim, n)
+        mask = np.zeros(n**dim, dtype=bool)
+        mask[rng.choice(n**dim, max(1, n**dim // 5), replace=False)] = True
+        v = AtomSet.from_mask(mask)
+        got = urysohn(dom, v, v)
+        vals, gap = full_grid_urysohn(dom, v, v)
+        assert got.gap_width.hex() == gap.hex(), n
+        assert_same_bits(got.values, vals)

@@ -288,3 +288,43 @@ def test_failed_replace_keeps_old_files_and_leaves_no_temporary(tmp_path, rng, m
     save_map(new, tmp_path / "m.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
     assert np.array_equal(load_any_map(tmp_path / "m.json").values, new.values)
+
+
+def _per_element_domain(domain):
+    geo = domain.geometry
+    if geo is None:
+        return {"kind": "domain", "atoms": domain.atom_count,
+                "weights": [float(w) for w in domain.weights], "geometry": None}
+    return {"kind": "domain", "atoms": domain.atom_count,
+            "geometry": {"dim": geo.dim, "cells_per_axis": geo.cells_per_axis}}
+
+
+@pytest.mark.parametrize("name", ["euclidean2", "euclidean0", "circle"])
+def test_writers_match_the_per_element_form_byte_for_byte(tmp_path, rng, name):
+    """The writers list arrays with `tolist()`; the files equal the old
+    per-element form (`float(v)` per value, `int(v)` per label) byte for
+    byte, with -0.0 values and zero, -0.0 and Infinity weights."""
+    sp = make_space(name)
+    weights = rng.uniform(0.1, 2.0, 7)
+    weights[[1, 4, 5]] = [math.inf, -0.0, 0.0]
+    for dom in (Domain(weights), Domain.grid(1, 7)):
+        values = sp.random_payloads(rng, 7)
+        table = sp.random_payloads(rng, 3)
+        if sp.dim:
+            values[[0, 3], 0] = [-0.0, 0.0]
+            table[1, 0] = -0.0
+        f = MeasurableMap(dom, sp, values)
+        save_map(f, tmp_path / "f.json")
+        want = {"kind": "map", "space": sp.descriptor(), "domain": _per_element_domain(dom),
+                "values": [[float(v) for v in row] for row in values]}
+        assert (tmp_path / "f.json").read_text() == json.dumps(want)
+        labels = np.array([2, -1, 0, 0, 1, -1, 2])
+        g = SimpleMap(dom, sp, labels, table, base_flag=-1)
+        save_simple_map(g, tmp_path / "g.json")
+        want = {"kind": "simple_map", "space": sp.descriptor(),
+                "labels": [int(v) for v in labels],
+                "values": [[float(v) for v in row] for row in table],
+                "base_flag": -1, "domain": _per_element_domain(dom)}
+        assert (tmp_path / "g.json").read_text() == json.dumps(want)
+    text = (tmp_path / "f.json").read_text()
+    assert sp.dim == 0 or "-0.0" in text

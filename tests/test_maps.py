@@ -141,6 +141,78 @@ def test_dp_from_pointwise_row_stack_is_dp_distance_per_pair(spaces, rng):
             assert dp_from_pointwise(d, dom.weights, p).tolist() == want, (sp.tag, p)
 
 
+POINTWISE_SPACES = ["euclidean1", "euclidean3", "spd2", "spd3", "simplex1", "simplex3",
+                    "histogram4", "histogram8", "circle"]
+
+
+def _zero_bearing_pair(sp):
+    """A valid payload with zero entries and a valid partner that differs
+    from it in some entries but not in the first (None where the space has
+    no such payload or partner)."""
+    if sp.single_point:
+        return None
+    if sp.dim == 1:
+        return np.zeros(1), None
+    if sp.tag.startswith("spd"):
+        point = np.eye(sp.n).reshape(-1)
+        partner = point.copy()
+        partner[-1] = 2.0
+        return point, partner
+    point = np.zeros(sp.dim)
+    partner = point.copy()
+    if sp.tag.startswith(("simplex", "histogram")):
+        point[-1] = 1.0
+        partner[[1, -1]] = 0.5
+    else:
+        partner[-1] = 1.0
+    return point, partner
+
+
+@pytest.mark.parametrize("name", POINTWISE_SPACES)
+@pytest.mark.parametrize("mix", ["mixed", "all_identical", "none_identical"])
+def test_pointwise_distance_is_the_full_kernel_vector(name, mix, rng, monkeypatch):
+    """`pointwise_distance` measures only the atoms whose payloads differ and
+    writes 0.0 on the rest: the vector has the bits of `distance_many` over
+    every atom, on identical rows, rows that differ only in a signed zero,
+    rows that differ in some entries only, and distinct rows; the kernel
+    sees exactly the differing rows."""
+    sp = make_space(name)
+    n = 60
+    a = sp.random_payloads(rng, n)
+    b = sp.random_payloads(rng, n)
+    pair = _zero_bearing_pair(sp)
+    if mix != "none_identical":
+        same = rng.random(n) < (1.0 if mix == "all_identical" else 0.4)
+        b[same] = a[same]
+        if pair is not None:
+            zero, partner = pair
+            signed = np.flatnonzero(same)[::3]
+            a[signed] = zero
+            b[signed] = np.where(zero == 0.0, -0.0, zero)
+            if mix == "mixed" and partner is not None:
+                partly = np.flatnonzero(~same)[::3]
+                a[partly], b[partly] = zero, partner
+    a = sp.check_payload(a)
+    b = sp.check_payload(b)
+    dom = Domain(rng.uniform(0.1, 2.0, n))
+    f = MeasurableMap(dom, sp, a)
+    g = SimpleMap(dom, sp, np.arange(n), b)
+    want = sp.distance_many(a, b)
+    rows = []
+    kernel = type(sp)._distance_many
+
+    def spy(self, x, y):
+        rows.append(x.shape[0])
+        return kernel(self, x, y)
+
+    monkeypatch.setattr(type(sp), "_distance_many", spy)
+    got = pointwise_distance(f, g)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (name, mix)
+    differ = int((a != b).any(axis=1).sum())
+    assert sum(rows) == (differ if sp.dim else 0), (name, mix)
+    assert pointwise_distance(g, f).tobytes() == want.tobytes()
+
+
 def test_dp_from_pointwise_refuses_mismatched_stacks():
     w = np.ones(4)
     for d in (np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros(()), np.zeros(3)):

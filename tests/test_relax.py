@@ -22,6 +22,7 @@ from metriclp import (
     adjacent_difference_report,
     boundary_difference_scan,
     dp_distance,
+    dp_from_pointwise,
     error_bound,
     fields,
     make_space,
@@ -212,6 +213,65 @@ def test_relaxation_sorts_no_index_set(rng, monkeypatch):
     assert calls == []
     np.union1d([1], [0])
     assert calls == [2]
+
+
+def relax_fixture(kind, name, rng):
+    """A simple map on a 48x48 grid: two disks, or twelve Voronoi regions;
+    the background is the first table row, as `continuify` takes it."""
+    sp = make_space(name)
+    dom = Domain.grid(2, 48)
+    if kind == "disks":
+        labels = fields.disk_labels(
+            dom.geometry, np.array([[0.3, 0.3], [0.7, 0.62]]), np.array([0.15, 0.22])
+        )
+    else:
+        labels = fields.voronoi_labels(dom.geometry, 12, rng)
+    g = fields.simple_from_labels(dom, sp, labels, rng=rng, spread=0.5)
+    return g, g.value_table[0]
+
+
+def full_region_oracle(g, field):
+    """The relaxed values with the geodesic evaluated on every region cell."""
+    values = np.tile(field.background, (g.domain.atom_count, 1))
+    for piece in field.pieces:
+        s = np.asarray(smoothstep(piece.transition, field.order))
+        values[piece.region.indices] = g.space.geodesic_many(field.background, piece.value, s)
+    return values
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("name", ["euclidean2", "spd2"])
+@pytest.mark.parametrize("kind", ["disks", "voronoi"])
+def test_geodesics_run_only_on_transition_cells(kind, name, order, rng, monkeypatch):
+    """The geodesic sees exactly the cells whose smoothed transition lies
+    strictly inside (0, 1), piece by piece; the field still has the bits
+    of evaluating it on every region cell, and so does the achieved error."""
+    g, z0 = relax_fixture(kind, name, rng)
+    times = []
+    geodesic = type(g.space).geodesic_many
+
+    def spy(self, a, b, t):
+        times.append(np.array(t))
+        return geodesic(self, a, b, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(type(g.space), "geodesic_many", spy)
+        field = smooth_from_simple(g, z0, 1.0, 0.5, order=order)
+    assert field.pieces
+    moving = []
+    for piece in field.pieces:
+        s = np.asarray(smoothstep(piece.transition, order))
+        inner = s[(s > 0.0) & (s < 1.0)]
+        if inner.size:
+            moving.append(inner)
+    assert moving, "the fixture needs transition cells"
+    assert len(times) == len(moving)
+    for got, want in zip(times, moving):
+        assert got.tobytes() == want.tobytes()
+    want = full_region_oracle(g, field)
+    assert field.map.values.tobytes() == want.tobytes()
+    d = g.space.distance_many(g.values, want)
+    assert field.achieved_error == dp_from_pointwise(d, g.domain.weights, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -801,6 +801,31 @@ def test_geodesic_one_time_serves_every_endpoint_row(name, t, rng):
         assert np.array_equal(out, b)
 
 
+@pytest.mark.parametrize("name", GEODESIC_SPACES)
+def test_geodesic_point_does_not_depend_on_the_times_asked_with_it(name, rng):
+    """A geodesic point has the same bits whatever other times come in the
+    same call: one, two or three of the times, or a scattered subset, give
+    the rows of the call over all of them.  The relaxation asks only for
+    the cells strictly inside (0, 1) and relies on this.  (The spd power
+    once took another numpy loop for one or two times.)"""
+    sp = make_space(name)
+    t = rng.uniform(0.0, 1.0, 600)
+    t[::7] = 0.5  # a square root, where spd's two loops part most often
+    for a, b in _endpoint_pairs(sp, rng):
+        full = sp.geodesic_many(a, b, t)
+        for start in range(0, t.size, 53):
+            for width in (1, 2, 3):
+                part = sp.geodesic_many(a, b, t[start:start + width])
+                assert part.tobytes() == full[start:start + width].tobytes(), (name, start, width)
+        keep = rng.random(t.size) < 0.1
+        assert sp.geodesic_many(a, b, t[keep]).tobytes() == full[keep].tobytes(), name
+    a, b = sp.random_payloads(rng, t.size), sp.random_payloads(rng, t.size)
+    full = sp.geodesic_many(a, b, t)
+    for i in range(0, t.size, 41):
+        part = sp.geodesic_many(a[i:i + 1], b[i:i + 1], t[i:i + 1])
+        assert part.tobytes() == full[i:i + 1].tobytes(), (name, i)
+
+
 def test_spd_geodesic_decomposes_one_endpoint_pair_once(monkeypatch, rng):
     """One spd2 endpoint pair over many times is decomposed as one pair:
     every eigh call sees a (1, 2, 2) stack, not one matrix per time."""
