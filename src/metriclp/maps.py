@@ -25,8 +25,9 @@ payloads differ (compared with `!=`, so rows that differ only in a signed
 zero count as equal) and writes exactly 0.0 on the others.  That is exact:
 the kernel contract in the `spaces` module gives exactly 0.0 on rows that
 compare equal, so the vector has the bits of one `distance_many` call over
-every atom.  When every atom differs in its first entry, as for unrelated
-maps, the payloads go to the kernel whole and nothing is gathered.
+every atom.  When every atom differs, as for unrelated maps, the payloads
+go to the kernel whole and nothing is gathered; a first-entry comparison
+settles the usual case without comparing whole rows.
 
 The D_p helpers (`pointwise_distance`, `dp_distance`, `is_member`, `equivalent`)
 read only `domain`, `space` and `values`, which `SimpleMap` carries too.
@@ -100,6 +101,8 @@ def pointwise_distance(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMa
     if a.shape[1] and (a[:, 0] != b[:, 0]).all():
         return f.space.distance_many(a, b)
     differ = (a != b).any(axis=1)
+    if differ.all():
+        return f.space.distance_many(a, b)
     d = np.zeros(a.shape[0])
     if differ.any():
         d[differ] = f.space.distance_many(a[differ], b[differ])

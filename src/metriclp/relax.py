@@ -174,8 +174,10 @@ def smooth_from_simple(
         t_raw = trans.values[region.indices]
         s_vals = np.asarray(smoothstep(t_raw, order))
         # the geodesic returns its endpoints verbatim, so it runs only on the
-        # cells strictly between them; cells at s == 0 keep the background
-        mid = (s_vals > 0.0) & (s_vals < 1.0)
+        # cells off them; cells at s == 0 keep the background.  A smoothstep
+        # of order >= 3 can round a hair past 1 near the core; such a cell is
+        # no endpoint and takes its geodesic point.
+        mid = (s_vals != 0.0) & (s_vals != 1.0)
         values[region.indices[s_vals == 1.0]] = g.value_table[lab]
         if mid.any():
             values[region.indices[mid]] = g.space.geodesic_many(

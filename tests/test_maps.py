@@ -213,6 +213,37 @@ def test_pointwise_distance_is_the_full_kernel_vector(name, mix, rng, monkeypatc
     assert pointwise_distance(g, f).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name", ["euclidean3", "spd2", "simplex3", "histogram4"])
+def test_pointwise_distance_gathers_nothing_when_every_atom_differs(name, rng, monkeypatch):
+    """When every atom differs, some only after their first entry, the
+    kernel gets the callers' payload arrays themselves, not gathered
+    copies, and the vector keeps the bits of `distance_many`."""
+    sp = make_space(name)
+    n = 40
+    a = sp.random_payloads(rng, n)
+    b = sp.random_payloads(rng, n)
+    zero, partner = _zero_bearing_pair(sp)
+    late = np.arange(0, n, 3)
+    a[late], b[late] = zero, partner
+    a = sp.check_payload(a)
+    b = sp.check_payload(b)
+    assert (a[:, 0] == b[:, 0]).any() and (a != b).any(axis=1).all()
+    dom = Domain(np.ones(n))
+    f = MeasurableMap(dom, sp, a)
+    g = MeasurableMap(dom, sp, b)
+    want = sp.distance_many(a, b)
+    seen = []
+    kernel = type(sp)._distance_many
+
+    def spy(self, x, y):
+        seen.append((x is f.values, y is g.values))
+        return kernel(self, x, y)
+
+    monkeypatch.setattr(type(sp), "_distance_many", spy)
+    assert pointwise_distance(f, g).tobytes() == want.tobytes()
+    assert seen == [(True, True)]
+
+
 def test_dp_from_pointwise_refuses_mismatched_stacks():
     w = np.ones(4)
     for d in (np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros(()), np.zeros(3)):

@@ -239,14 +239,11 @@ def full_region_oracle(g, field):
     return values
 
 
-@pytest.mark.parametrize("order", [0, 2])
-@pytest.mark.parametrize("name", ["euclidean2", "spd2"])
-@pytest.mark.parametrize("kind", ["disks", "voronoi"])
-def test_geodesics_run_only_on_transition_cells(kind, name, order, rng, monkeypatch):
-    """The geodesic sees exactly the cells whose smoothed transition lies
-    strictly inside (0, 1), piece by piece; the field still has the bits
-    of evaluating it on every region cell, and so does the achieved error."""
-    g, z0 = relax_fixture(kind, name, rng)
+def relax_counting_geodesics(g, z0, eps, order, monkeypatch):
+    """Relax g at p = 1 and check that the geodesic sees exactly the cells
+    whose smoothed transition is neither 0 nor 1, piece by piece, and that
+    the field and the achieved error have the bits of evaluating it on every
+    region cell; returns the field."""
     times = []
     geodesic = type(g.space).geodesic_many
 
@@ -256,12 +253,12 @@ def test_geodesics_run_only_on_transition_cells(kind, name, order, rng, monkeypa
 
     with monkeypatch.context() as m:
         m.setattr(type(g.space), "geodesic_many", spy)
-        field = smooth_from_simple(g, z0, 1.0, 0.5, order=order)
+        field = smooth_from_simple(g, z0, 1.0, eps, order=order)
     assert field.pieces
     moving = []
     for piece in field.pieces:
         s = np.asarray(smoothstep(piece.transition, order))
-        inner = s[(s > 0.0) & (s < 1.0)]
+        inner = s[(s != 0.0) & (s != 1.0)]
         if inner.size:
             moving.append(inner)
     assert moving, "the fixture needs transition cells"
@@ -272,6 +269,32 @@ def test_geodesics_run_only_on_transition_cells(kind, name, order, rng, monkeypa
     assert field.map.values.tobytes() == want.tobytes()
     d = g.space.distance_many(g.values, want)
     assert field.achieved_error == dp_from_pointwise(d, g.domain.weights, 1.0)
+    return field
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("name", ["euclidean2", "spd2"])
+@pytest.mark.parametrize("kind", ["disks", "voronoi"])
+def test_geodesics_run_only_on_transition_cells(kind, name, order, rng, monkeypatch):
+    """The geodesic sees exactly the cells whose smoothed transition lies
+    strictly inside (0, 1), piece by piece; the field still has the bits
+    of evaluating it on every region cell, and so does the achieved error."""
+    g, z0 = relax_fixture(kind, name, rng)
+    relax_counting_geodesics(g, z0, 0.5, order, monkeypatch)
+
+
+def test_geodesics_reach_cells_whose_smoothstep_rounds_past_one(monkeypatch):
+    """Order-5 smoothstep sums coefficients up to 3465, so deep in a wide
+    zone it rounds a few cells a hair above 1.  Those cells are no endpoint:
+    they take their geodesic point, as on the full region, and do not fall
+    back to the background next to the core."""
+    g = band_fixture(cells=4096, half_width=0.45)
+    field = relax_counting_geodesics(g, ORIGIN1, 1.6, 5, monkeypatch)
+    (piece,) = field.pieces
+    s = np.asarray(smoothstep(piece.transition, 5))
+    past = piece.region.indices[s > 1.0]
+    assert past.size
+    assert np.all(field.map.values[past, 0] > 0.5)
 
 
 # ---------------------------------------------------------------------------
