@@ -15,6 +15,7 @@ file of {flag: value}, explicit flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -209,9 +210,9 @@ def _cmd_distance(args) -> int:
             _p_key(p): dp_from_pointwise(d, left.domain.weights, p) for p in exponents
         },
     }
-    print(json.dumps(report, indent=1))
     if args.out:
         fileio.save_report(report, args.out)
+    print(json.dumps(report, indent=1))
     return EXIT_OK
 
 
@@ -241,12 +242,12 @@ def _cmd_quantize(args) -> int:
         "target_eps": report.target_eps,
         "range_size": report.range_size,
     }
+    if args.report:
+        fileio.save_report(report, args.report)
     print(json.dumps(summary))
     if not report.achieved_error < report.target_eps:
         print(f"warning: achieved_error {report.achieved_error!r} is not below"
               f" eps {report.target_eps!r}", file=sys.stderr)
-    if args.report:
-        fileio.save_report(report, args.report)
     return EXIT_OK
 
 
@@ -273,11 +274,6 @@ def _cmd_continuify(args) -> int:
         "pieces": len(out_field.pieces),
         "flags": out_field.flags,
     }
-    print(json.dumps(summary))
-    if not out_field.flags["guarantee_holds"]:
-        flagged = sum(p.inner_over_budget or p.outer_over_budget for p in out_field.pieces)
-        print(f"warning: {flagged} of {len(out_field.pieces)} pieces raised a budget flag;"
-              " the D_p error bound is not guaranteed", file=sys.stderr)
     if args.report:
         pieces = [
             {
@@ -294,6 +290,11 @@ def _cmd_continuify(args) -> int:
             for piece in out_field.pieces
         ]
         fileio.save_report({"summary": summary, "pieces": pieces}, args.report)
+    print(json.dumps(summary))
+    if not out_field.flags["guarantee_holds"]:
+        flagged = sum(p.inner_over_budget or p.outer_over_budget for p in out_field.pieces)
+        print(f"warning: {flagged} of {len(out_field.pieces)} pieces raised a budget flag;"
+              " the D_p error bound is not guaranteed", file=sys.stderr)
     return EXIT_OK
 
 
@@ -359,12 +360,20 @@ def _scan_config_flag(argv: list[str]) -> str | None:
     return None
 
 
+@functools.cache
+def _builtin_parser() -> _Parser:
+    """The parser with the built-in defaults, built once per process: parsing
+    never changes it.  A --config call sets defaults on a parser of its own."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _builtin_parser()
     try:
         config_path = _scan_config_flag(argv)
         if config_path:
+            parser = build_parser()
             try:
                 defaults = json.loads(Path(config_path).read_text())
             except (OSError, json.JSONDecodeError) as exc:

@@ -82,9 +82,13 @@ class Domain:
 
     @classmethod
     def grid(cls, dim: int, cells_per_axis: int) -> "Domain":
+        """The uniform grid, with the weights `__init__` would store for it;
+        they are built once and not checked again."""
         geo = GridGeometry(dim, cells_per_axis)
-        w = np.full(cells_per_axis**dim, geo.cell_size**dim)
-        return cls(w, geo)
+        domain = cls.__new__(cls)
+        domain.weights = np.full(geo.cells_per_axis**geo.dim, geo.cell_size**geo.dim)
+        domain.geometry = geo
+        return domain
 
     @property
     def atom_count(self) -> int:

@@ -15,7 +15,11 @@ over a contiguous buffer, so distances are reproducible bit for bit.  When
 the sum overflows, or d**p or w * d**p comes out zero or subnormal on an
 atom of positive weight and distance, the sum is taken instead over those
 atoms with distances divided by their maximum (a scaled p-norm), so D_p
-stays finite and is 0 only for equivalent mappings.
+stays finite and is 0 only for equivalent mappings.  Steps that cannot
+change a sum are skipped, with the same bits: with no infinite weight there
+is nothing to flag or zero; with every weight positive no atom is masked
+(and D_inf gathers nothing); the d > 0 test for a lost term runs only when
+some d**p or w * d**p is below the smallest normal float.
 
 Two mappings are equivalent when their payloads agree exactly on every
 positive-weight atom.
@@ -147,17 +151,28 @@ def _dp_rows(d: Array, w: Array, p: float) -> Array:
     some inputs.
     """
     if math.isinf(p):
+        if w.size and w.min() > 0:  # every atom is live: nothing to gather
+            return d.max(axis=1)
         live = w > 0
         return d[:, live].max(axis=1) if live.any() else np.zeros(d.shape[0])
+    infinite = np.zeros(d.shape[0], dtype=bool)
     inf_w = np.isinf(w)
-    infinite = (inf_w & (d > 0)).any(axis=1)
-    w = np.where(inf_w, 0.0, w)
-    d = np.where(w > 0, d, 0.0)  # null and infinite-weight atoms add nothing
+    if inf_w.any():
+        infinite = (inf_w & (d > 0)).any(axis=1)
+        w = np.where(inf_w, 0.0, w)
+    # null and infinite-weight atoms add nothing; with every weight positive
+    # and finite there are none, and d needs only the C order that the
+    # masked copy has (the scaled fallback reads its rows)
+    if w.size and w.min() > 0:
+        d = np.ascontiguousarray(d)
+    else:
+        d = np.where(w > 0, d, 0.0)
     with np.errstate(over="ignore"):
         powed = d**p
         contrib = w * powed
         totals = np.ascontiguousarray(contrib).sum(axis=1)
-    lost = ((np.minimum(powed, contrib) < TINY) & (d > 0)).any(axis=1)
+    small = np.minimum(powed, contrib) < TINY
+    lost = (small & (d > 0)).any(axis=1) if small.any() else np.zeros(d.shape[0], dtype=bool)
     scaled = (totals == math.inf) | lost
     out = np.empty(d.shape[0])
     for i, total in enumerate(totals.tolist()):

@@ -72,12 +72,21 @@ NET_SLACK_REL = 1e-6
 
 
 def _lex_greater(a: Array, b: Array) -> Array:
-    """Row-wise lexicographic a > b for two equal-shape (m, k) arrays."""
-    diff = a != b
-    any_diff = diff.any(axis=1)
-    first = np.argmax(diff, axis=1)
-    rows = np.arange(a.shape[0])
-    return any_diff & (a[rows, first] > b[rows, first])
+    """Row-wise lexicographic a > b for two equal-shape (m, k) arrays, k >= 1.
+
+    When every row differs in its first entry, that entry decides.  Otherwise
+    the columns are taken right to left, each differing entry overriding the
+    verdict of the columns after it, so the first differing entry decides
+    (entries that compare equal, +0.0 and -0.0 included, never do; a NaN
+    entry decides "not greater").
+    """
+    if (a[:, 0] != b[:, 0]).all():
+        return a[:, 0] > b[:, 0]
+    gt = np.zeros(a.shape[0], dtype=bool)
+    for j in range(a.shape[1] - 1, -1, -1):
+        aj, bj = a[:, j], b[:, j]
+        gt = np.where(aj != bj, aj > bj, gt)
+    return gt
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +625,8 @@ class SpdSpace(MetricSpace):
         a, b = a.reshape(-1, self.dim), b.reshape(-1, self.dim)
         swap = _lex_greater(a, b)
         if np.any(swap):
-            a, b = a.copy(), b.copy()
-            a[swap], b[swap] = b[swap], a[swap].copy()
+            swap = swap[:, None]
+            a, b = np.where(swap, b, a), np.where(swap, a, b)
         nu = self._nu_spectrum(self._mats(a), self._mats(b))
         floor = EIG_CLAMP - 1.0  # pencil eigenvalues 1 + nu must stay positive
         clamped = np.maximum(nu, floor)
@@ -625,9 +634,11 @@ class SpdSpace(MetricSpace):
         if moved.max(initial=0.0) > EIG_CLAMP_REL:
             raise InvalidPointError("spd distance: eigenvalue clamp exceeded tolerance")
         out = np.linalg.norm(np.log1p(clamped), axis=-1)
-        equal = (a == b).all(axis=1)
-        if np.any(equal):
-            out = np.where(equal, 0.0, out)
+        # rows that differ in their first entry cannot be equal
+        if not (a[:, 0] != b[:, 0]).all():
+            equal = (a == b).all(axis=1)
+            if np.any(equal):
+                out = np.where(equal, 0.0, out)
         return out.reshape(shape)
 
     def _geodesic_many(self, a, b, t):

@@ -393,6 +393,22 @@ class ProbeReport:
     scanned: int | None = None
 
 
+def _value_costs(f: MeasurableMap, family: DenseFamily, w: Array, p: float) -> Array:
+    """The (cells, values) table of sum over cell c of w(x) * d(f(x), v)**p.
+
+    Each cell takes one contiguous (values, atoms) table, row v holding
+    d(f(x), v) on the cell, and one row-wise sum: numpy sums each row of a
+    C-contiguous stack as it sums the row alone, so an entry has the bits of
+    its own `np.sum` over the cell.
+    """
+    cost = np.zeros((family.n_cells, family.n_values))
+    for ci, c in enumerate(family.cells):
+        idx = c.indices
+        table = family.space.distance_many(f.values[idx][None], family.values[:, None])
+        cost[ci] = (w[idx] * np.ascontiguousarray(table) ** p).sum(axis=1)
+    return cost
+
+
 def separability_probe(
     f: MeasurableMap,
     family: DenseFamily,
@@ -424,13 +440,7 @@ def separability_probe(
     cost_base = np.array(
         [float(np.sum(w[c.indices] * d_base[c.indices] ** p)) for c in family.cells]
     )
-    cost_val = np.zeros((n_cells, n_vals))
-    for ci, c in enumerate(family.cells):
-        idx = c.indices
-        # a (values, atoms) table: row vi holds d(f(x), value vi) on the cell
-        table = family.space.distance_many(f.values[idx][None], family.values[:, None])
-        for vi, dv in enumerate(table):
-            cost_val[ci, vi] = float(np.sum(w[idx] * dv**p))
+    cost_val = _value_costs(f, family, w, p)
     total_base = float(cost_base.sum())
     gains = cost_base - cost_val.min(axis=1)
     need = total_base - eps_pow  # feasible iff selected gains sum > need

@@ -811,6 +811,61 @@ def test_config_must_be_object(tmp_path, capsys):
     assert code == 2 and "config" in err
 
 
+def test_a_config_call_leaves_the_built_in_defaults_to_later_calls(tmp_path, capsys, rng):
+    """A --config call sets its defaults on a parser of its own: the next
+    call without --config gets the built-in grid and needs --eps again."""
+    f = MeasurableMap(Domain(np.ones(16)), make_space("euclidean1"), rng.normal(size=(16, 1)))
+    save_map(f, tmp_path / "f.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": "8", "eps": 0.4}))
+    code, stdout, _ = run_cli(capsys, "--config", str(cfg), "gen", "--kind", "random",
+                              "--out", str(tmp_path / "a.json"))
+    assert code == 0 and last_json(stdout)["atoms"] == 8
+    code, stdout, _ = run_cli(capsys, "gen", "--kind", "random", "--out", str(tmp_path / "b.json"))
+    assert code == 0 and last_json(stdout)["atoms"] == 32 * 32
+    code, _, err = run_cli(capsys, "quantize", str(tmp_path / "f.json"),
+                           "--out", str(tmp_path / "q.json"))
+    assert code == 1 and "--eps" in err
+
+
+# ---------------------------------------------------------------------------
+# a failed write prints nothing
+# ---------------------------------------------------------------------------
+
+
+def assert_failed_write(code, stdout, err):
+    assert code == EXIT_DATA
+    assert stdout == ""
+    assert err.startswith("io error") and err.count("\n") == 1
+
+
+def test_distance_writes_its_report_before_printing(pair_files, tmp_path, capsys):
+    a, b = pair_files
+    assert_failed_write(*run_cli(capsys, "distance", str(a), str(b), "--p", "1",
+                                 "--out", str(tmp_path / "nodir" / "r.json")))
+
+
+def test_quantize_writes_its_report_before_printing(tmp_path, capsys, rng):
+    f = MeasurableMap(Domain(np.ones(64)), make_space("euclidean1"), rng.normal(size=(64, 1)))
+    save_map(f, tmp_path / "f.json")
+    assert_failed_write(*run_cli(
+        capsys, "quantize", str(tmp_path / "f.json"), "--eps", "0.25",
+        "--out", str(tmp_path / "q.json"), "--report", str(tmp_path / "nodir" / "rep.json"),
+    ))
+
+
+def test_continuify_writes_its_report_before_printing_or_warning(tmp_path, capsys):
+    pw = tmp_path / "pw.json"
+    code, _, err = run_cli(capsys, "gen", "--kind", "piecewise", "--space", "euclidean1",
+                           "--grid", "32x32", "--regions", "16", "--out", str(pw))
+    assert code == 0, err
+    # these pieces raise a budget flag, so a run that writes its report warns
+    assert_failed_write(*run_cli(
+        capsys, "continuify", str(pw), "--background", "[0.0]", "--p", "1", "--eps", "0.5",
+        "--out", str(tmp_path / "o.json"), "--report", str(tmp_path / "nodir" / "rep.json"),
+    ))
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -67,6 +67,27 @@ def test_grid_weights_are_stored_exactly():
     assert dom.same_as(exact)
 
 
+@pytest.mark.parametrize("dim, cells", [(1, 1), (1, 7), (2, 3), (2, 256), (3, 10), (4, 6)])
+def test_grid_weights_have_the_bits_of_the_checked_constructor(dim, cells):
+    """`Domain.grid` builds its weights once, without the constructor's
+    checks, and stores what the constructor would store for them."""
+    geo = GridGeometry(dim, cells)
+    want = Domain(np.full(cells**dim, (1 / cells) ** dim), geo)
+    got = Domain.grid(dim, cells)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.geometry == geo and got.atom_count == cells**dim
+
+
+def test_grid_weights_keep_a_cell_measure_that_underflows(monkeypatch):
+    """A cell measure that underflows to 0 is stored as 0, as the checked
+    constructor stores it."""
+    monkeypatch.setattr(GridGeometry, "cell_size", property(lambda self: 1e-200))
+    geo = GridGeometry(2, 3)
+    assert geo.cell_size**2 == 0.0
+    want = Domain(np.full(9, geo.cell_size**2), geo)
+    assert Domain.grid(2, 3).weights.tobytes() == want.weights.tobytes()
+
+
 @pytest.mark.parametrize(
     "dim, cells", [(2, 0), (0, 4), (1, -2), (True, 4), (2, False), (2.0, 4), (2, 4.0), ("2", 4)]
 )

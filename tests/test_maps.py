@@ -31,6 +31,7 @@ from metriclp import (
     pointwise_distance,
     restrict,
 )
+from metriclp.maps import TINY, _scaled_dp
 
 E1 = make_space("euclidean1")
 
@@ -126,6 +127,66 @@ def test_dp_from_pointwise_row_stack_is_each_row_bit_for_bit(rng, m):
                 got = dp_from_pointwise(stack, w, p)
                 assert got.shape == (m,)
                 assert np.array_equal(bits(got), bits(want)), (p, w)
+
+
+def _dp_rows_every_step(d, w, p):
+    """Oracle: the D_p row reduction with every weight step taken, whatever
+    the weights (the form before no-op steps were skipped)."""
+    if math.isinf(p):
+        live = w > 0
+        return d[:, live].max(axis=1) if live.any() else np.zeros(d.shape[0])
+    inf_w = np.isinf(w)
+    infinite = (inf_w & (d > 0)).any(axis=1)
+    w = np.where(inf_w, 0.0, w)
+    d = np.where(w > 0, d, 0.0)
+    with np.errstate(over="ignore"):
+        powed = d**p
+        contrib = w * powed
+        totals = np.ascontiguousarray(contrib).sum(axis=1)
+    lost = ((np.minimum(powed, contrib) < TINY) & (d > 0)).any(axis=1)
+    scaled = (totals == math.inf) | lost
+    out = np.empty(d.shape[0])
+    for i, total in enumerate(totals.tolist()):
+        if infinite[i]:
+            out[i] = math.inf
+        elif scaled[i]:
+            out[i] = _scaled_dp(d[i], w, p)
+        else:
+            out[i] = total ** (1.0 / p)
+    return out
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_dp_sums_that_skip_no_op_weight_steps_keep_their_bits(rng, p):
+    """`dp_from_pointwise` skips the infinite-weight, null-atom and lost-term
+    steps when the weights make them no-ops; on weights with zeros, with
+    inf, with subnormal w * d**p, on uniform grid weights and on an empty
+    domain it has the bits of the form that takes every step."""
+    n = 256
+    d = rng.exponential(size=(6, n))
+    d[rng.random(d.shape) < 0.1] = 0.0
+    d[1] = 0.0
+    d[2, :8] = 0.0  # stays finite under the infinite weights below
+    d[3] *= 1e160  # overflows the plain sum at p >= 2
+    d[4] *= 1e-100  # subnormal terms at p >= 3
+    grid = Domain.grid(2, 16).weights
+    for w in (
+        grid,
+        rng.uniform(0.5, 2.0, n),
+        np.where(np.arange(n) % 5 == 0, 0.0, grid),
+        np.where(np.arange(n) < 8, math.inf, grid),
+        np.where(np.arange(n) % 7 == 0, math.inf, 0.0),
+        np.full(n, 1e-300),  # subnormal w * d**p
+    ):
+        want = _dp_rows_every_step(d, w, p)
+        assert dp_from_pointwise(d, w, p).tobytes() == want.tobytes(), w[:3]
+        for i, row in enumerate(d):
+            got = np.float64(dp_from_pointwise(row, w, p))
+            assert got.tobytes() == want[i].tobytes(), (i, w[:3])
+    empty = np.zeros((3, 0))
+    want = _dp_rows_every_step(empty, np.zeros(0), p)
+    assert dp_from_pointwise(empty, np.zeros(0), p).tobytes() == want.tobytes()
+    assert np.float64(dp_from_pointwise(empty[0], np.zeros(0), p)).tobytes() == want[0].tobytes()
 
 
 def test_dp_from_pointwise_row_stack_is_dp_distance_per_pair(spaces, rng):

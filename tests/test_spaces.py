@@ -32,6 +32,7 @@ from metriclp.spaces import (
     NET_PROBE_FRACTION,
     _compositions,
     _least_pivots,
+    _lex_greater,
     dyadic_simplex,
     dyadic_tuples,
     space_from_descriptor,
@@ -643,6 +644,56 @@ def test_distance_many_bitwise_symmetry_and_identity(spaces, rng):
                 assert np.array_equal(d_xy, d_yx), (sp.tag, spread)
             assert np.all(sp.distance_many(a, a) == 0.0), (sp.tag, spread)
             assert np.all(sp.distance_many(one, np.repeat(one, 8, axis=0)) == 0.0), sp.tag
+
+
+def _lex_greater_by_argmax(a, b):
+    """Oracle: the first differing entry of each row, found by `argmax`."""
+    diff = a != b
+    first = np.argmax(diff, axis=1)
+    rows = np.arange(a.shape[0])
+    return diff.any(axis=1) & (a[rows, first] > b[rows, first])
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9])
+def test_lex_greater_matches_the_argmax_form(k, rng):
+    """Tie-heavy integer rows, signed zeros, NaN, equal rows, rows that
+    differ only after their first entry, and rows that all differ there."""
+    a = rng.integers(0, 3, (400, k)).astype(np.float64)
+    b = rng.integers(0, 3, (400, k)).astype(np.float64)
+    b[:50] = a[:50]  # equal rows
+    b[50:100, 0] = a[50:100, 0]  # equal first entries
+    a[a == 0.0] = np.where(rng.random(np.count_nonzero(a == 0.0)) < 0.5, -0.0, 0.0)
+    a[rng.random(a.shape) < 0.02] = np.nan
+    b[rng.random(b.shape) < 0.02] = np.nan
+    distinct = a[:, 0] != b[:, 0]
+    for x, y in ((a, b), (b, a), (a, a), (a[distinct], b[distinct]), (a[:0], b[:0])):
+        got = _lex_greater(x, y)
+        assert got.dtype == bool and np.array_equal(got, _lex_greater_by_argmax(x, y)), k
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spd_distance_of_swapped_pairs_equals_the_ordered_call(n, rng):
+    """Pairs the kernel must swap into lexicographic order give, bit for bit,
+    the distances of the pairs passed in that order, with tie-heavy entries,
+    signed zeros and equal rows."""
+    sp = make_space(f"spd{n}")
+
+    def integer_spd(m):
+        mats = rng.integers(-1, 2, (m, n, n)).astype(np.float64)
+        mats = np.triu(mats, 1)
+        mats = mats + np.swapaxes(mats, 1, 2)
+        mats[:, np.arange(n), np.arange(n)] = rng.integers(n, n + 2, (m, n))
+        return mats.reshape(m, -1)
+
+    a, b = integer_spd(300), integer_spd(300)
+    b[:40] = a[:40]
+    b[40:60] = np.where(a[40:60] == 0.0, -0.0, a[40:60])  # equal up to signed zeros
+    swap = _lex_greater_by_argmax(a, b)
+    lo, hi = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+    want = sp.distance_many(lo, hi)
+    assert swap.any() and not swap.all() and np.all(want[:60] == 0.0)
+    assert sp.distance_many(a, b).tobytes() == want.tobytes()
+    assert sp.distance_many(b, a).tobytes() == want.tobytes()
 
 
 TABLE_SPACES = ["euclidean0", "euclidean3", "spd2", "spd3", "simplex1", "simplex3",

@@ -481,6 +481,36 @@ def test_probe_rejects_sup_exponent(rng):
         separability_probe(fam.base, fam, math.inf, 0.1)
 
 
+def value_costs_per_value(f, family, w, p):
+    """Oracle: each (cell, value) cost summed on its own."""
+    cost = np.zeros((family.n_cells, family.n_values))
+    for ci, c in enumerate(family.cells):
+        idx = c.indices
+        table = family.space.distance_many(f.values[idx][None], family.values[:, None])
+        for vi, dv in enumerate(table):
+            cost[ci, vi] = float(np.sum(w[idx] * dv**p))
+    return cost
+
+
+@pytest.mark.parametrize("name, dim, cells, budget", [
+    ("euclidean1", 1, 1024, 64), ("spd2", 2, 48, 12), ("simplex3", 2, 40, 10), ("circle", 1, 600, 9),
+])
+def test_probe_value_costs_are_the_per_value_sums(name, dim, cells, budget, rng):
+    """The probe's (cells, values) cost table, one row-wise sum per cell,
+    has the bits of one `np.sum` per (cell, value), on cells of 100 to 256
+    atoms."""
+    sp = make_space(name)
+    dom = Domain.grid(dim, cells)
+    base = MeasurableMap.constant(dom, sp, sp.dense_payloads(1)[0])
+    fam = build_dense_family(base, gen_levels=2, val_budget=budget)
+    assert fam.n_cells >= 4
+    f = MeasurableMap(dom, sp, sp.random_payloads(rng, dom.atom_count, 0.5))
+    for w in (dom.weights, rng.uniform(0.0, 2.0, dom.atom_count)):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            want = value_costs_per_value(f, fam, w, p)
+            assert verify._value_costs(f, fam, w, p).tobytes() == want.tobytes(), (name, p)
+
+
 # ---------------------------------------------------------------------------
 # covering radii
 # ---------------------------------------------------------------------------
