@@ -52,6 +52,7 @@ distance, where closed balls are not compact and no finite net exists.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -133,20 +134,21 @@ def dyadic_tuples(dim: int, k: int) -> Array:
     return np.array(dyadic_reals(int(idx.max(initial=0)) + 1))[idx]
 
 
-def _compositions(total: int, dim: int) -> Array:
+def _compositions(total: int, dim: int, dtype=np.int64) -> Array:
     """All index tuples of length dim summing to total, as a (count, dim)
-    int64 array in lexicographic order.
+    array of `dtype` (which must hold total) in lexicographic order.
 
     Built one column at a time: each prefix with r units left expands, in
     place and in ascending order, into r + 1 children taking 0..r of them,
     so prefixes stay lexicographic; the last column takes what is left.
+    Child counts and offsets are platform integers whatever `dtype` is.
     """
-    rest = np.array([total], dtype=np.int64)
+    rest = np.array([total], dtype=dtype)
     cols: list[Array] = []
     for _ in range(dim - 1):
-        counts = rest + 1
+        counts = rest.astype(np.intp) + 1
         parent = np.repeat(np.arange(rest.size), counts)
-        take = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        take = (np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)).astype(dtype)
         cols = [c[parent] for c in cols]
         cols.append(take)
         rest = rest[parent] - take
@@ -161,7 +163,9 @@ def _level_key(grid: Array) -> Array:
     of two dividing all its entries; the key is -2**v, so a stable argsort
     puts earlier levels first and keeps lexicographic order within one.
     """
-    common = np.bitwise_or.reduce(grid, axis=1)
+    # folded column by column: a ufunc reduce along the short row axis is
+    # three times slower
+    common = functools.reduce(np.bitwise_or, grid.T)
     # common & -common is the lowest set bit of the OR of the entries: 2**v
     return -(common & -common)
 
@@ -172,12 +176,15 @@ def dyadic_simplex(dim: int, k: int) -> Array:
     Level l lists all weight vectors (j_1..j_dim)/2**l with integer j_i
     summing to 2**l; within a level new points are ordered lexicographically
     by the integer tuple.  Level 0 gives the vertices.  Only the finest
-    level L needed is built, then stable-sorted by `_level_key`.
+    level L needed is built, in the smallest signed integer type that holds
+    2**L, then stable-sorted by `_level_key` and cast to float64, which is
+    exact for every such integer.
     """
     level = 0
     while dim > 1 and math.comb(2**level + dim - 1, dim - 1) < k:
         level += 1
-    grid = _compositions(2**level, dim)
+    small = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= 2**level)
+    grid = _compositions(2**level, dim, small)
     rows = grid.take(np.argsort(_level_key(grid), kind="stable")[:k], axis=0)
     del grid  # keep at most two grid-sized arrays alive
     out = rows.astype(np.float64)
@@ -616,9 +623,16 @@ class SpdSpace(MetricSpace):
         # The pencil kernel works on equal-shape (m, dim) stacks: the pairs
         # are broadcast and flattened here (a view when both are already
         # (m, dim) or one row against many).  It is symmetric only up to
-        # rounding, so each pair is evaluated in lexicographic payload order
-        # and identical rows are pinned to 0.0, as the kernel contract
-        # requires.
+        # rounding, so each pair is evaluated in lexicographic payload order.
+        # Identical rows come out as exactly 0.0, as the kernel contract
+        # requires, with no pin: x - x is +0.0 for every finite x, so
+        # e = b - a is exactly zero.  spd2's closed form then has det_e = 0
+        # and mid = 0 (each term is a finite entry times zero), so s = big =
+        # 0 and both nu are 0, as long as 4 * det_a is finite.  (Past a
+        # determinant of about 4.5e307 it overflows: distinct pairs come out
+        # inf or NaN there, and equal ones NaN.)  spd3 takes eigvalsh of
+        # isqrt @ 0 @ isqrt, an exactly zero matrix, whose eigenvalues are
+        # 0.  log1p(0) = 0.
         if a.shape != b.shape:
             a, b = np.broadcast_arrays(a, b)
         shape = a.shape[:-1]
@@ -634,11 +648,6 @@ class SpdSpace(MetricSpace):
         if moved.max(initial=0.0) > EIG_CLAMP_REL:
             raise InvalidPointError("spd distance: eigenvalue clamp exceeded tolerance")
         out = np.linalg.norm(np.log1p(clamped), axis=-1)
-        # rows that differ in their first entry cannot be equal
-        if not (a[:, 0] != b[:, 0]).all():
-            equal = (a == b).all(axis=1)
-            if np.any(equal):
-                out = np.where(equal, 0.0, out)
         return out.reshape(shape)
 
     def _geodesic_many(self, a, b, t):
@@ -999,6 +1008,10 @@ def make_space(name: str) -> MetricSpace:
 
 def space_from_descriptor(desc: dict) -> MetricSpace:
     tag = desc["space"]
+    if not isinstance(tag, str):
+        # the file readers turn TypeError, as they do KeyError and
+        # ValueError, into DataError("... bad space descriptor ...")
+        raise TypeError(f"space tag must be a string, not {type(tag).__name__}")
     if tag.startswith("histogram") and "grid" in desc:
         return HistogramSpace(np.asarray(desc["grid"], dtype=np.float64))
     return make_space(tag)

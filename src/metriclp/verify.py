@@ -621,50 +621,77 @@ def _covering_radii(space, probe: Array, centers: Array, counts) -> list[float]:
     `counts` must be strictly ascending, each between 1 and len(centers);
     anything else raises ValueError.
 
-    Inside a block of probe rows the centers are taken in column chunks
-    ending at every count and at every power of two below counts[-1].  Each
-    chunk is one `distance_many` call on a (chunk, rows) table, and each
-    row keeps its running minimum.  The probe goes in blocks of
-    quantize.COVER_BLOCK_PAIRS // (widest chunk) rows, at least one, so no
-    call holds more than COVER_BLOCK_PAIRS pairs unless a single row's
-    chunk does.  A chunk ending at a count folds
-    the largest running minimum into that count's radius.  After each
-    chunk the rows whose running minimum is at or below the smallest radius
-    of the counts still pending are dropped (early break, Taha & Hanbury
-    2015): that radius is attained by a probe row, and a dropped row's
-    minimum can only fall further, so no radius changes.  A NaN running
-    minimum is never dropped, so a NaN distance the pass evaluates still
-    reaches the radius.  Every kernel is element-wise in the pairs, so with
-    NaN-free distances the radii are bit for bit those of a running minimum
-    over all probe rows and centers.
+    A strided sample of the probe, probe[::step] with at most
+    quantize.COVER_BLOCK_PAIRS // counts[-1] rows (at least one), is
+    measured against centers[:counts[-1]] in one call.  When the sample is
+    the whole probe its prefix minima are the radii.  Otherwise each count
+    m gets its own pass over the probe, in blocks of COVER_BLOCK_PAIRS rows.
+    A pass takes the centers in chunks of its visit order ending at every
+    power of two below m and at m; a chunk of w centers is one
+    `distance_many` call per slice of COVER_BLOCK_PAIRS // w rows (at
+    least one), so no call holds more than COVER_BLOCK_PAIRS pairs unless
+    a single row's chunk does.
+
+    - The pass starts from a lower bound: the largest minimum over
+      centers[:m] among the sample rows.  The sample rows are probe rows,
+      and every kernel is element-wise in the pairs, so each sample minimum
+      has the bits the full pass would give that row, and the radius, the
+      largest minimum over all rows, is at least the bound.  A row that
+      reaches the last chunk raises the bound to its exact minimum, so the
+      bound is always attained by some probe row.
+    - After each chunk a row whose running minimum is at or below the bound
+      is dropped (early break, Taha & Hanbury 2015).  Its minimum can only
+      fall further, so it is at most the radius and cannot raise the max.
+    - Centers are visited in a data-driven order: centers[0] first, then
+      the rest of centers[:m] by how many sample rows each is nearest to,
+      most first, ties by index.  Near centers bring running minima down
+      early, so most rows drop after a few chunks.  `min` and `max` are
+      exact and order-free on NaN-free values, so the order changes which
+      rows drop and when, never a bit of the radius.
+    - NaN: a NaN running minimum compares false, so it is never dropped and
+      reaches the radius; a NaN bound compares false too, so it drops
+      nothing and stays NaN.  centers[0] opens every pass and nothing drops
+      before the first chunk, so every row meets it.  A NaN the pass
+      never evaluates, on a row dropped before it, is not seen; with
+      NaN-free distances the radii are bit for bit those of a running
+      minimum over all probe rows and centers.
     """
     counts = [operator.index(m) for m in counts]
     if not counts or counts[0] < 1 or counts[-1] > len(centers) or np.any(np.diff(counts) <= 0):
         raise ValueError(f"covering counts {counts} must ascend strictly within 1..{len(centers)}")
-    k = counts[-1]
-    ends = sorted(set(counts) | {1 << i for i in range(k.bit_length()) if 1 << i < k})
-    widest = max(hi - lo for lo, hi in zip([0] + ends, ends))
-    block = max(1, quantize.COVER_BLOCK_PAIRS // widest)
-    radii = np.full(len(counts), -np.inf)
-    for start in range(0, probe.shape[0], block):
-        rows = probe[start : start + block]
-        run = np.full(rows.shape[0], np.inf)
-        lo = pending = 0
-        for hi in ends:
-            d = space.distance_many(rows[None], centers[lo:hi, None])  # (chunk, rows)
-            run = np.minimum(run, d.min(axis=0))
-            lo = hi
-            if hi == counts[pending]:
-                radii[pending] = np.maximum(radii[pending], run.max())
-                pending += 1
-                if pending == len(counts):
-                    break
-            keep = ~(run <= radii[pending:].min())
-            if not keep.all():
-                rows, run = rows[keep], run[keep]
-                if rows.shape[0] == 0:
-                    break
-    return radii.tolist()
+    n, k = probe.shape[0], counts[-1]
+    budget = quantize.COVER_BLOCK_PAIRS
+    step = max(1, -(-n // max(1, budget // k)))
+    sample = space.distance_many(probe[None, ::step], centers[:k, None])  # (k, sample rows)
+    lower = np.minimum.accumulate(sample, axis=0).max(axis=1, initial=-np.inf)
+    if step == 1:
+        return [float(lower[m - 1]) for m in counts]
+    radii = []
+    for m in counts:
+        nearest = np.bincount(sample[:m].argmin(axis=0), minlength=m)
+        order = np.concatenate(([0], 1 + np.argsort(-nearest[1:], kind="stable")))
+        ends = [1 << i for i in range(m.bit_length()) if 1 << i < m] + [m]
+        bound = lower[m - 1]
+        for start in range(0, n, budget):
+            rows = probe[start : start + budget]
+            run = np.full(rows.shape[0], np.inf)
+            lo = 0
+            for hi in ends:
+                chunk = centers[order[lo:hi], None]
+                size = max(1, budget // (hi - lo))
+                run = np.minimum(run, np.concatenate([
+                    space.distance_many(rows[None, i : i + size], chunk).min(axis=0)
+                    for i in range(0, rows.shape[0], size)
+                ]))
+                lo = hi
+                keep = ~(run <= bound)
+                if not keep.all():
+                    rows, run = rows.compress(keep, axis=0), run[keep]
+                    if rows.shape[0] == 0:
+                        break
+            bound = np.maximum(bound, run.max(initial=-np.inf))
+        radii.append(float(bound))
+    return radii
 
 
 def _check_space_dense(ctx: SuiteContext) -> dict:

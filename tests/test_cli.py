@@ -191,6 +191,26 @@ def test_distance_malformed_map_files_are_data_errors(pair_files, tmp_path, caps
         assert err.startswith("error: "), (text, err)
 
 
+@pytest.mark.parametrize("tag", [None, 5, [], {}])
+@pytest.mark.parametrize(
+    "command",
+    [["distance"], ["quantize", "--mode", "countable", "--eps", "0.1"], ["continuify", "--eps", "0.2"]],
+)
+def test_a_space_tag_that_is_not_a_string_is_a_data_error(tmp_path, capsys, tag, command):
+    """A non-string tag used to reach `tag.startswith` and end in an
+    AttributeError traceback."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"kind": "map", "space": {"space": tag}, "domain": {"weights": [1.0]}, "values": [[0.0]]}
+    ))
+    argv = [*command, str(path)] + ([str(path)] if command == ["distance"] else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DATA, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "bad space descriptor" in err
+
+
 @pytest.mark.parametrize("layout", ["geometry", "weights"])
 @pytest.mark.parametrize(
     "geometry",

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from metriclp import spaces as spaces_module
 from metriclp import (
     CapabilityError,
     DimensionMismatchError,
@@ -297,6 +298,26 @@ def test_spd3_matches_2x2_block_embedding():
     assert d3 == pytest.approx(d2, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_spd_kernel_is_exactly_zero_on_equal_rows(n, scale):
+    """Equal rows give nu = 0 and distance exactly 0.0 with no pin: b - a
+    is exactly zero, so spd2's closed form has mid = det_e = 0 and spd3
+    takes eigvalsh of a zero matrix.  The kernel is called directly, since
+    check_payload refuses the 1e-150 rows; -0.0 off the diagonal meets
+    both -0.0 and +0.0."""
+    sp = make_space(f"spd{n}")
+    rows = sp.random_payloads(np.random.default_rng(n), 50)
+    eye = np.eye(n).ravel()
+    signed = np.where(eye == 0.0, -0.0, eye)
+    a = np.vstack([rows, eye, signed, signed]) * scale
+    b = np.vstack([rows, eye, signed, eye]) * scale
+    nu = sp._nu_spectrum(sp._mats(a), sp._mats(b))
+    assert (nu == 0.0).all()
+    d = sp._distance_many(a, b)
+    assert (d == 0.0).all() and not np.signbit(d).any()
+
+
 # ---------------------------------------------------------------------------
 # probability simplex, Fisher-Rao distance
 # ---------------------------------------------------------------------------
@@ -384,6 +405,50 @@ def test_compositions_match_stars_and_bars():
             want = [t for t in itertools.product(range(total + 1), repeat=dim) if sum(t) == total]
             got = _compositions(total, dim)
             assert got.dtype == np.int64 and got.tolist() == [list(t) for t in want], (total, dim)
+
+
+def _level_size(dim, level):
+    return math.comb(2**level + dim - 1, dim - 1)
+
+
+def int64_dyadic_simplex(dim, k):
+    """dyadic_simplex on an int64 grid with a row-axis OR reduce, as it
+    was built before the small-integer grid."""
+    level = 0
+    while dim > 1 and _level_size(dim, level) < k:
+        level += 1
+    grid = _compositions(2**level, dim)
+    common = np.bitwise_or.reduce(grid, axis=1)
+    rows = grid[np.argsort(-(common & -common), kind="stable")[:k]]
+    return rows.astype(np.float64) / 2**level
+
+
+# levels 6, 7 and 8 (64, 128, 256) straddle int8's limit, 14 and 15
+# int16's; 8-D grids past level 4 are too large to build, and dim 1 is
+# always level 0
+@pytest.mark.parametrize(
+    "dim, level",
+    [(1, 0), (2, 6), (2, 7), (2, 8), (2, 14), (2, 15), (3, 6), (3, 7), (3, 8), (8, 3), (8, 4)],
+)
+@pytest.mark.parametrize("full", [False, True])
+def test_dyadic_simplex_small_int_grid_equals_the_int64_build(monkeypatch, dim, level, full):
+    """The grid is built in the smallest signed type holding 2**level,
+    and the points equal the int64 build bit for bit, as C-contiguous
+    float64, with k at the full level and just past the level below."""
+    k = _level_size(dim, level) if full or level == 0 else _level_size(dim, level - 1) + 1
+    built = []
+
+    def recording(total, d, dtype=np.int64):
+        built.append(dtype)
+        return _compositions(total, d, dtype)
+
+    monkeypatch.setattr(spaces_module, "_compositions", recording)
+    got = dyadic_simplex(dim, k)
+    want = int64_dyadic_simplex(dim, k)
+    small = next(t for t in (np.int8, np.int16, np.int32) if 2**level <= np.iinfo(t).max)
+    assert built == [small]
+    assert got.dtype == np.float64 and got.flags.c_contiguous and got.shape == (k, dim)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -550,7 +550,9 @@ def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
     """The pruned covering pass gives the radii of a running minimum over
     the centers exactly, for one-row blocks, blocks with a short tail and
     the default pair budget; also on tied radii, a shuffled probe, negated
-    distances and a NaN injected early, late or in the last block."""
+    distances, a NaN injected early, late or in the last block, one-row
+    and few-row probes, counts (1,) and (2, 3, 40) on random probes, and a
+    probe whose radius its first row, always in the sample, attains."""
     cases = []
     for name in SPACE_NAMES:
         space = make_space(name)
@@ -564,6 +566,26 @@ def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
     plane = make_space("euclidean2")
     net = plane.epsilon_net(np.zeros(2), 1.0, 0.4)
     cases.append((plane, plane.probe_ball(np.zeros(2), 1.0, 0.05), net, (len(net),)))
+    rng = np.random.default_rng(7)
+    for name in ("euclidean3", "circle"):
+        space = make_space(name)
+        centers = space.dense_payloads(40)
+        probe = space.random_payloads(rng, 300)
+        cases += [(space, probe, centers, counts) for counts in ((1,), (2, 3, 40))]
+        # one row; and three rows, which at budgets 1 and 7 the sample
+        # stride steps past, leaving a one-row sample
+        cases += [(space, probe[:1], centers, (5, 40)), (space, probe[:3], centers, (5, 40))]
+    # the circle probe with the row farthest from centers[:40] moved first:
+    # the sample's bound is already the radius, and at budgets 1 and 7,
+    # where the sample is that one row, the pass drops every other row
+    circle = make_space("circle")
+    probe, centers = circle.unit_probe(), circle.dense_payloads(40)
+    far = np.argmax(np.min(circle.distance_many(probe[None], centers[:, None]), axis=0))
+    probe = np.concatenate([probe[far : far + 1], np.delete(probe, far, axis=0)])
+    assert running_min_radii(circle, probe[:1], centers, (40,)) == running_min_radii(
+        circle, probe, centers, (40,)
+    )
+    cases += [(circle, probe, centers, (40,)), (circle, probe, centers, (5, 40))]
     # the head of histogram8's dyadic probe: r5 = 0.5 once, r40 = 0.25 on
     # six rows, and several default-budget blocks to prune across
     hist = make_space("histogram8")
@@ -621,3 +643,22 @@ def test_dense_sequence_check_prunes_the_covering_pass(monkeypatch):
     monkeypatch.setattr(MetricSpace, "distance_many", counting)
     verify._check_space_dense(verify.SuiteContext(0))
     assert 0 < sum(pairs) < 3_000_000
+
+
+def test_dense_sequence_check_visits_near_centers_first(monkeypatch):
+    """With the sample's bound and the nearest-first visit order, the
+    dense-sequence check at seed 0 makes under 1.5M pairs in under 300
+    calls; index order made 2,703,305 pairs in 423 calls.  Pairs are the
+    size of each result, as above."""
+    pairs = []
+    inner = MetricSpace.distance_many
+
+    def counting(self, a, b):
+        d = inner(self, a, b)
+        pairs.append(d.size)
+        return d
+
+    monkeypatch.setattr(MetricSpace, "distance_many", counting)
+    verify._check_space_dense(verify.SuiteContext(0))
+    assert 0 < sum(pairs) < 1_500_000
+    assert len(pairs) < 300
