@@ -94,6 +94,17 @@ def _parse_p(text: str) -> float:
         raise UsageError(f"bad exponent {text!r}") from exc
 
 
+def _parse_seed(text: str) -> int:
+    """A seed for numpy's generators, which take only nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _out_path(args, default_name: str) -> Path:
     if args.out:
         return Path(args.out)
@@ -119,7 +130,7 @@ def build_parser() -> _Parser:
                        choices=["smooth", "random", "constant", "piecewise"])
     p_gen.add_argument("--space", default="euclidean2")
     p_gen.add_argument("--grid", default="32x32", help="e.g. 1024 or 64x64")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_parse_seed, default=0)
     p_gen.add_argument("--regions", type=int, default=3, help="pieces for --kind piecewise")
     p_gen.add_argument("--value", help="JSON payload for --kind constant")
     p_gen.add_argument("--spread", type=float, default=1.0)
@@ -153,14 +164,17 @@ def build_parser() -> _Parser:
 
     p_ver = add_parser("verify", help="run the bundled theorem suite")
     p_ver.add_argument("--suite", default="all", choices=["all"])
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_parse_seed, default=0)
     p_ver.add_argument("--out", help="write the JSON ledger here")
     return parser
 
 
 def _cmd_gen(args) -> int:
     dim, per_axis = _parse_grid(args.grid)
-    domain = Domain.grid(dim, per_axis)
+    try:
+        domain = Domain.grid(dim, per_axis)
+    except (ValueError, MemoryError) as exc:  # numpy cannot hold that many cells
+        raise UsageError(f"grid {args.grid!r} is too large to build ({exc})") from exc
     try:
         space = make_space(args.space)
     except ValueError as exc:  # an unknown name, or a size no space has
@@ -284,17 +298,20 @@ def _cmd_continuify(args) -> int:
                 "region_atoms": piece.region.size,
                 "sup_gap": piece.sup_gap,
                 "sup_gap_budget": piece.sup_gap_budget,
+                "error_mass": piece.error_mass,
                 "inner_over_budget": piece.inner_over_budget,
                 "outer_over_budget": piece.outer_over_budget,
             }
             for piece in out_field.pieces
         ]
-        fileio.save_report({"summary": summary, "pieces": pieces}, args.report)
+        fileio.save_report({"summary": summary, "error_mass": out_field.error_mass,
+                            "pieces": pieces}, args.report)
     print(json.dumps(summary))
-    if not out_field.flags["guarantee_holds"]:
+    if not summary["flags"]["guarantee_holds"]:
         flagged = sum(p.inner_over_budget or p.outer_over_budget for p in out_field.pieces)
-        print(f"warning: {flagged} of {len(out_field.pieces)} pieces raised a budget flag;"
-              " the D_p error bound is not guaranteed", file=sys.stderr)
+        print(f"warning: the error mass allows D_p up to {out_field.error_norm!r}, past"
+              f" {summary['error_bound']!r} ({flagged} of {len(out_field.pieces)} pieces"
+              " raised a budget flag); the D_p error bound is not guaranteed", file=sys.stderr)
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import secrets
 from pathlib import Path
@@ -151,7 +152,8 @@ def _values_from_payload(obj: dict, base_dir: Path) -> np.ndarray:
                 if size % 8:  # numpy's words for a ragged float64 buffer
                     raise ValueError("buffer size must be a multiple of element size")
                 vals = np.empty(size // 8, dtype="<f8")
-                if fh.readinto(vals) != size or vals.size != int(np.prod(shape)):
+                # an exact product: a float entry such as Infinity has no integer size
+                if fh.readinto(vals) != size or vals.size != math.prod(shape):
                     raise DataError("sidecar length does not match the declared shape")
             return vals.astype(np.float64, copy=False).reshape(shape)
         if "values" not in obj:

@@ -7,6 +7,9 @@ A mapping assigns one target point per atom, stored as an
 
 with the convention 0 * inf = 0: an atom of infinite weight contributes
 nothing when the pointwise distance is exactly zero, and +inf otherwise.
+A pointwise distance that is not finite (inf or NaN, from a ground metric
+that overflowed) on an atom of positive weight leaves D_p undefined at
+every p, and is refused with MetricLpError.
 D_inf is the maximum pointwise distance over atoms of positive weight
 (zero-weight atoms are null and never contribute to any D_p).
 
@@ -149,15 +152,25 @@ def _dp_rows(d: Array, w: Array, p: float) -> Array:
     so a row's value does not depend on the rows stacked with it.  The root
     is a Python `**` per row: `np.power` differs from it in the last bit on
     some inputs.
+
+    A non-finite pointwise distance on an atom of positive weight (a ground
+    metric that overflowed, or NaN) leaves D_p undefined and is refused.
+    Only rows whose max or sum is not finite, and infinite-weight atoms,
+    are searched for one, so finite rows pay nothing.
     """
     if math.isinf(p):
         if w.size and w.min() > 0:  # every atom is live: nothing to gather
-            return d.max(axis=1)
-        live = w > 0
-        return d[:, live].max(axis=1) if live.any() else np.zeros(d.shape[0])
+            out = d.max(axis=1)
+        else:
+            live = w > 0
+            out = d[:, live].max(axis=1) if live.any() else np.zeros(d.shape[0])
+        # a max is finite exactly when every term it takes is
+        _refuse_non_finite(d, w, ~np.isfinite(out))
+        return out
     infinite = np.zeros(d.shape[0], dtype=bool)
     inf_w = np.isinf(w)
     if inf_w.any():
+        _refuse_non_finite(d[:, inf_w], w[inf_w], ~np.isfinite(d[:, inf_w]).all(axis=1))
         infinite = (inf_w & (d > 0)).any(axis=1)
         w = np.where(inf_w, 0.0, w)
     # null and infinite-weight atoms add nothing; with every weight positive
@@ -167,10 +180,11 @@ def _dp_rows(d: Array, w: Array, p: float) -> Array:
         d = np.ascontiguousarray(d)
     else:
         d = np.where(w > 0, d, 0.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         powed = d**p
         contrib = w * powed
         totals = np.ascontiguousarray(contrib).sum(axis=1)
+    _refuse_non_finite(d, w, ~np.isfinite(totals))
     small = np.minimum(powed, contrib) < TINY
     lost = (small & (d > 0)).any(axis=1) if small.any() else np.zeros(d.shape[0], dtype=bool)
     scaled = (totals == math.inf) | lost
@@ -183,6 +197,18 @@ def _dp_rows(d: Array, w: Array, p: float) -> Array:
         else:
             out[i] = total ** (1.0 / p)
     return out
+
+
+def _refuse_non_finite(d: Array, w: Array, suspect: Array) -> None:
+    """Raise when a `suspect` row has a non-finite distance on an atom of
+    positive weight."""
+    for i in np.flatnonzero(suspect).tolist():
+        bad = np.flatnonzero(~np.isfinite(d[i]) & (w > 0))
+        if bad.size:
+            raise MetricLpError(
+                "D_p is undefined: a pointwise distance on an atom of positive weight"
+                f" is {float(d[i, bad[0]])!r}"
+            )
 
 
 def _scaled_dp(d: Array, w: Array, p: float) -> float:
@@ -305,14 +331,15 @@ def differing_support(f: MeasurableMap, h: MeasurableMap, p: float) -> dict[tupl
     measure.
     """
     p = check_p(p)
-    if not is_member(f, h, p):
-        raise MetricLpError("differing_support requires is_member(f, h, p)")
+    # one ground-metric pass gives the membership test and the levels
     d = pointwise_distance(f, h)
+    if not math.isfinite(dp_from_pointwise(d, f.domain.weights, p)):
+        raise MetricLpError("differing_support requires is_member(f, h, p)")
     live = (f.domain.weights > 0) & (d > 0)
     if not live.any():
         return {}
-    z0 = h.space.dense_payloads(1)[0]
-    d_base = h.space.distance_many(h.values, np.broadcast_to(z0, h.values.shape))
+    z0 = h.space.dense_payloads(1)
+    d_base = h.space.distance_many(h.values, z0)
     idx = np.nonzero(live)[0]
     n_level = np.where(d[idx] > 1.0, 1, np.floor(1.0 / d[idx]).astype(np.int64) + 1)
     m_level = np.maximum(np.ceil(d_base[idx]).astype(np.int64), 0)

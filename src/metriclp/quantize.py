@@ -35,9 +35,9 @@ from .maps import (
     SimpleMap,
     check_p,
     dp_distance,
+    dp_from_pointwise,
     is_member,
     pointwise_distance,
-    restrict,
 )
 from .spaces import EuclideanSpace, MetricSpace
 
@@ -78,7 +78,8 @@ def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float)
     `radius`; -1 when none.
 
     A pivot-banded ordered scan (LAESA-style pruning with one pivot, table
-    row 0).  Every value and table row is measured against the pivot, and
+    row 0).  Every value and table row is measured against the pivot (once
+    when a table covers itself), and
     the values are sorted by that distance.  By the triangle inequality a
     value v can lie within `radius` of row t only if
     |d(v, p) - d(t, p)| < radius, so each row is compared only with the
@@ -97,7 +98,7 @@ def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float)
     if m == 0 or k == 0:
         return out
     d_val = space.distance_many(values, table[0][None, :])
-    d_tab = space.distance_many(table, table[0][None, :])
+    d_tab = d_val if table is values else space.distance_many(table, table[0][None, :])
     hit = d_val < radius  # the pivot is table row 0: these pairs are exact
     out[hit] = 0
     reach = radius + COVER_SLACK_REL * (radius + float(d_val.max()) + float(d_tab.max()))
@@ -145,30 +146,63 @@ def countable_quantize(
     pieces: list[AtomSet] | None = None,
     p: float | None = None,
 ) -> tuple[SimpleMap, ApproxReport]:
-    """Snap each atom to the first of the mapping's distinct values within eps.
+    """Snap each atom to the first of its piece's distinct values within the
+    piece's sup budget.
 
-    The dense list is f's distinct atom values in ascending atom order, so
-    every atom finds a cover (its own value at distance 0) and the sup
-    distance is strictly below eps.  With `pieces` (disjoint finite-measure
-    atom sets covering the domain) and an exponent p, piece n is quantized
-    with the shrunken budget eps / (2**(n+1) * measure(piece))**(1/p),
-    which keeps the D_p error below eps on sigma-finite decompositions.
+    One loop over (piece, budget) pairs: a piece's dense list is f's
+    distinct values on it in ascending atom order, so every atom finds a
+    cover (its own value at distance 0), and the used values are appended
+    to one table.  Without `pieces` the whole domain is the one piece, with
+    budget eps.  With `pieces` (disjoint finite-measure atom sets covering
+    the domain) and an exponent p, piece n gets
+    eps / (2**(n+1) * measure(piece))**(1/p), which keeps the D_p error
+    below eps on sigma-finite decompositions; a budget below the smallest
+    positive float is raised to it, and decides every cover alike (a
+    distance is 0 or at least that float).  The largest piece sup,
+    `worst_piece_sup`, is the D_inf distance of the whole map.
     """
     if not 0 < eps < math.inf:
         raise MetricLpError("eps must be positive")
     if pieces is None:
-        return _quantize_once(f, eps)
-    if p is None:
-        raise MetricLpError("sigma-finite mode needs the exponent p")
-    p = check_p(p)
-    if math.isinf(p):
-        raise MetricLpError("sigma-finite mode is for finite p")
-    n_atoms = f.domain.atom_count
-    seen = np.zeros(n_atoms, dtype=bool)
-    labels = np.zeros(n_atoms, dtype=np.int64)
+        p = math.inf
+        plan = [(slice(None), eps)]
+    else:
+        if p is None:
+            raise MetricLpError("sigma-finite mode needs the exponent p")
+        p = check_p(p)
+        if math.isinf(p):
+            raise MetricLpError("sigma-finite mode is for finite p")
+        plan = _sigma_finite_budgets(f, eps, pieces, p)
+    labels = np.zeros(f.domain.atom_count, dtype=np.int64)
     tables: list[Array] = []
     offset = 0
-    worst = 0.0
+    for idx, budget in plan:
+        table, inverse = dedup_rows_in_order(f.values[idx])
+        sub = _first_cover(f.space, table, table, budget)[inverse]
+        used = sub.max(initial=-1) + 1
+        labels[idx] = sub + offset
+        tables.append(table[:used])
+        offset += used
+    table = np.vstack(tables) if tables else np.zeros((0, f.space.dim))
+    out = SimpleMap(f.domain, f.space, labels, table)
+    d = pointwise_distance(f, out)
+    w = f.domain.weights
+    breakdown = {} if pieces is None else {"worst_piece_sup": dp_from_pointwise(d, w, math.inf)}
+    report = ApproxReport(
+        p=p,
+        target_eps=eps,
+        achieved_error=dp_from_pointwise(d, w, p),
+        range_size=out.range_size,
+        altered_measure=float(np.sum(w[np.isfinite(w)])),
+        step_breakdown=breakdown,
+    )
+    return out, report
+
+
+def _sigma_finite_budgets(f: MeasurableMap, eps: float, pieces: list[AtomSet], p: float):
+    """(atom indices, sup budget) per piece, checking that the pieces are
+    disjoint, of finite measure and cover the domain."""
+    seen = np.zeros(f.domain.atom_count, dtype=bool)
     for n, piece in enumerate(pieces):
         if seen[piece.indices].any():
             raise MetricLpError("pieces must be disjoint")
@@ -176,44 +210,13 @@ def countable_quantize(
         mu = measure(f.domain, piece)
         if math.isinf(mu):
             raise MetricLpError("sigma-finite pieces must have finite measure")
-        budget = eps if mu == 0 else eps / (2 ** (n + 1) * mu) ** (1.0 / p)
-        sub, rep = _quantize_once(restrict(f, piece), budget)
-        labels[piece.indices] = sub.labels + offset
-        tables.append(sub.value_table)
-        offset += sub.value_table.shape[0]
-        worst = max(worst, rep.achieved_error)
+        try:  # 2**(n+1) * mu in floats, exact up to their range
+            scale = math.ldexp(mu, n + 1)
+        except OverflowError:
+            scale = math.inf
+        yield piece.indices, eps if mu == 0 else max(eps / scale ** (1.0 / p), math.ulp(0.0))
     if not seen.all():
         raise MetricLpError("pieces must cover the domain")
-    table = np.vstack(tables) if tables else np.zeros((0, f.space.dim))
-    out = SimpleMap(f.domain, f.space, labels, table)
-    achieved = dp_distance(f, out, p)
-    report = ApproxReport(
-        p=p,
-        target_eps=eps,
-        achieved_error=achieved,
-        range_size=out.range_size,
-        altered_measure=float(np.sum(f.domain.weights[np.isfinite(f.domain.weights)])),
-        step_breakdown={"worst_piece_sup": worst},
-    )
-    return out, report
-
-
-def _quantize_once(f: MeasurableMap, eps: float) -> tuple[SimpleMap, ApproxReport]:
-    table, inverse = dedup_rows_in_order(f.values)
-    labels = _first_cover(f.space, table, table, eps)[inverse]
-    if np.any(labels < 0):  # unreachable: each value covers itself at distance 0
-        raise MetricLpError("quantization failed to cover a value")
-    used = labels.max(initial=-1) + 1
-    out = SimpleMap(f.domain, f.space, labels, table[:used])
-    achieved = dp_distance(f, out, math.inf)
-    report = ApproxReport(
-        p=math.inf,
-        target_eps=eps,
-        achieved_error=achieved,
-        range_size=out.range_size,
-        altered_measure=float(np.sum(f.domain.weights[np.isfinite(f.domain.weights)])),
-    )
-    return out, report
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +256,12 @@ def almost_simple_approx(
         raise MetricLpError("almost_simple_approx is the finite-p construction")
     if not 0 < eps < math.inf:
         raise MetricLpError("eps must be positive")
-    if not is_member(f, h, p):
+    # one ground-metric pass gives the membership test and the deviations
+    d = pointwise_distance(f, h)
+    d_h = dp_from_pointwise(d, f.domain.weights, p)
+    if not math.isfinite(d_h):
         raise MetricLpError("f must lie at finite D_p distance from h")
     n_atoms = f.domain.atom_count
-    d = pointwise_distance(f, h)
     w = np.where(np.isinf(f.domain.weights), 0.0, f.domain.weights)
     contrib = w * d**p
     budget = (eps / 3.0) ** p
@@ -281,11 +286,10 @@ def almost_simple_approx(
         out = SimpleMap(
             f.domain, f.space, labels, np.zeros((0, f.space.dim)), base_flag=BASE_LABEL
         )
-        achieved = dp_distance(f, h, p)  # every atom takes h's value
         report = ApproxReport(
             p=p,
             target_eps=eps,
-            achieved_error=achieved,
+            achieved_error=d_h,  # every atom takes h's value
             range_size=0,
             altered_measure=0.0,
             step_breakdown={"step1": step1, "step2": 0.0, "step3": 0.0},
@@ -320,14 +324,14 @@ def almost_simple_approx(
     out = SimpleMap(f.domain, f.space, labels, dense[:n1], base_flag=BASE_LABEL)
     g = out.to_map(h)
     keep_set = AtomSet(alt_idx[kept], n_atoms)
-    dist_kept = f.space.distance_many(f.values[keep_set.indices], g.values[keep_set.indices])
-    step3 = float(np.sum(w[keep_set.indices] * dist_kept**p)) ** (1.0 / p)
+    # one ground-metric pass gives step 3's error and the achieved error
+    d_g = pointwise_distance(f, g)
+    step3 = float(np.sum(w[keep_set.indices] * d_g[keep_set.indices] ** p)) ** (1.0 / p)
 
-    achieved = dp_distance(f, g, p)
     report = ApproxReport(
         p=p,
         target_eps=eps,
-        achieved_error=achieved,
+        achieved_error=dp_from_pointwise(d_g, f.domain.weights, p),
         range_size=out.range_size,
         altered_measure=float(measure(f.domain, keep_set)),
         step_breakdown={"step1": step1, "step2": step2, "step3": step3},
@@ -362,9 +366,7 @@ def simple_approx_sup(
         return out, ApproxReport(math.inf, eps, 0.0, 0, 0.0)
     center_idx = int(np.nonzero(live)[0][0])
     center = f.values[center_idx]
-    radius = float(
-        f.space.distance_many(f.values[live], np.broadcast_to(center, f.values[live].shape)).max()
-    )
+    radius = float(f.space.distance_many(f.values[live], center[None, :]).max())
     table = f.space.epsilon_net(center, radius, eps)
     distinct, inverse = dedup_rows_in_order(f.values)
     labels = _first_cover(f.space, distinct, table, eps)

@@ -8,11 +8,15 @@ pieces' cells are never absorbed.  A distance-ratio transition field on
 (C, U), optionally composed with a polynomial smoothstep, drives a
 constant-speed geodesic from the background point to the piece value.
 The output is exactly the piece value on each core, exactly the
-background point outside every envelope, and its D_p distance to the
-input stays below eps * 2**(1/p - 1) <= eps whenever no budget flag is
-raised (each piece spends < 2 * eps**p / (2**p * k) of error mass: the
-eroded shell and the dilated ring each stay under the per-piece budget,
-and the field moves along a geodesic of length at most R in both zones).
+background point outside every envelope, and on the zone U \\ C it moves
+along the piece's geodesic, of length lip, so every cell there is within
+lip of the input.  Its D_p distance to the input is thus at most M**(1/p),
+where the error mass M sums lip**p * measure(U \\ C) over the pieces, and
+the guarantee D_p <= eps * 2**(1/p - 1) <= eps holds when M**(1/p) is
+within that bound.  It always is when no budget flag is raised (each piece
+then spends < 2 * eps**p / (2**p * k) of error mass: the eroded shell and
+the dilated ring each stay under the per-piece budget, and lip <= R), and
+a flagged piece whose zone is small still leaves it holding.
 
 Composing with a smoothstep preserves those worst-case zone bounds, since
 the smoothstep maps [0, 1] to [0, 1] fixing the endpoints, so the smooth
@@ -38,7 +42,7 @@ from .domain import (
     urysohn,
 )
 from .errors import CapabilityError, GeometryError, MetricLpError
-from .maps import BASE_LABEL, MeasurableMap, SimpleMap, check_p, dp_distance
+from .maps import BASE_LABEL, MeasurableMap, SimpleMap, check_p, dp_distance, dp_from_pointwise
 
 Array = np.ndarray
 
@@ -87,6 +91,8 @@ class RelaxPiece:
     transition: Array      # raw transition values on the region, in region.indices order
     gap_width: float       # distance from the core to the region's complement
     lipschitz: float       # geodesic length d(background, value)
+    zone_measure: float    # measure(region \ core), where the field moves
+    error_mass: float      # lipschitz**p * zone_measure (+inf past the float range)
     inner_over_budget: bool
     outer_over_budget: bool
     sup_gap: float         # max |smoothstep(t) - t| over the region
@@ -104,12 +110,27 @@ class ContinuousField:
     achieved_error: float
 
     @property
+    def error_mass(self) -> float:
+        """M, the sum of the pieces' error masses: D_p(input, field) <= M**(1/p)."""
+        return math.fsum(piece.error_mass for piece in self.pieces)
+
+    @property
+    def error_norm(self) -> float:
+        """M**(1/p), as the p-norm of the Lipschitz constants weighted by the
+        zone measures, scaled where lipschitz**p leaves the float range."""
+        lips = [piece.lipschitz for piece in self.pieces]
+        zones = [piece.zone_measure for piece in self.pieces]
+        return dp_from_pointwise(np.array(lips), np.array(zones), self.p)
+
+    @property
     def flags(self) -> dict[str, bool]:
-        """The pieces' budget flags; a field without pieces raises none."""
+        """The pieces' budget flags, and whether the error the field can
+        spend, M**(1/p), is within `error_bound`; a field without pieces
+        raises no flag and holds its guarantee."""
         inner = any(piece.inner_over_budget for piece in self.pieces)
         outer = any(piece.outer_over_budget for piece in self.pieces)
         return {"inner_over_budget": inner, "outer_over_budget": outer,
-                "guarantee_holds": not (inner or outer)}
+                "guarantee_holds": self.error_norm <= error_bound(self)}
 
 
 def smooth_from_simple(
@@ -189,6 +210,10 @@ def smooth_from_simple(
             budget = math.inf
         else:
             budget = eps / (3.0 * lip * (k * mu_zone) ** (1.0 / p))
+        try:
+            mass = lip**p * mu_zone if mu_zone else 0.0
+        except OverflowError:
+            mass = math.inf
         pieces.append(
             RelaxPiece(
                 label=lab,
@@ -198,6 +223,8 @@ def smooth_from_simple(
                 transition=t_raw,
                 gap_width=trans.gap_width,
                 lipschitz=lip,
+                zone_measure=mu_zone,
+                error_mass=mass,
                 inner_over_budget=inner.over_budget,
                 outer_over_budget=outer.over_budget,
                 sup_gap=float(np.max(np.abs(s_vals - t_raw), initial=0.0)),
@@ -219,8 +246,8 @@ def smooth_from_simple(
 
 
 def error_bound(field_out: ContinuousField) -> float:
-    """The guaranteed D_p bound eps * 2**(1/p - 1) (valid when no budget
-    flag is raised)."""
+    """The guaranteed D_p bound eps * 2**(1/p - 1), valid when the field's
+    `error_norm` is within it (always so when no budget flag is raised)."""
     return field_out.target_eps * 2.0 ** (1.0 / field_out.p - 1.0)
 
 

@@ -354,7 +354,7 @@ class MetricSpace:
         spacing = eps / NET_PROBE_FRACTION
         probes = self.probe_ball(c, radius, spacing)
         net = [c]
-        dist = self.distance_many(probes, np.broadcast_to(c, probes.shape))
+        dist = self.distance_many(probes, c[None, :])
         near = np.zeros(dist.size, dtype=np.int64)
         slack = NET_SLACK_REL * (2.0 * radius + eps)
         while dist.size and dist.max() >= eps - spacing:
@@ -839,7 +839,7 @@ class SimplexSpace(MetricSpace):
         u[:, -1] = run
         grid = np.square(u, out=u)
         grid /= grid.sum(axis=1, keepdims=True)
-        near = self.distance_many(grid, np.broadcast_to(center, grid.shape))
+        near = self.distance_many(grid, center[None, :])
         return grid[near <= radius + spacing]
 
     def unit_probe(self):

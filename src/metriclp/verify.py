@@ -466,7 +466,7 @@ def separability_probe(
         return chosen
 
     if total_base < eps_pow:
-        dist = dp_distance(f, family.base, p)
+        dist = dp_from_pointwise(d_base, f.domain.weights, p)
         return ProbeReport(True, (), dist, p, eps, "optimized")
     for k in range(1, n_cells + 1):
         cells = first_feasible_cells(k)

@@ -155,6 +155,29 @@ def test_gen_rejects_ragged_grid(capsys):
     assert code == 1 and "square" in err
 
 
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys):
+    """numpy's generators take only nonnegative seeds: -1 from the flag or
+    from a config used to end gen in a ValueError traceback, and verify in
+    19 failed checks (exit 3)."""
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": -1}')
+    out = str(tmp_path / "out.json")
+    for argv in (["gen", "--kind", "random", "--seed", "-1", "--out", out],
+                 ["gen", "--kind", "random", "--config", str(config), "--out", out],
+                 ["verify", "--seed", "-1"],
+                 ["verify", "--config", str(config)]):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1 and stdout == "", argv
+        assert err.startswith("usage error: ") and "nonnegative" in err and err.count("\n") == 1
+
+
+def test_gen_refuses_a_grid_numpy_cannot_hold(tmp_path, capsys):
+    code, stdout, err = run_cli(capsys, "gen", "--kind", "random", "--grid", str(10**30),
+                                "--out", str(tmp_path / "g.json"))
+    assert code == 1 and stdout == "" and err.startswith("usage error: ")
+    assert "too large" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
@@ -260,6 +283,34 @@ def test_distance_refuses_a_grid_claim_larger_than_its_values(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str([EXIT_DATA] * 3)
     assert proc.stderr.count("error: ") == 3 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("shape", ["[Infinity, 4]", "[1e308, 4]", "[-Infinity]"])
+def test_a_sidecar_shape_past_the_integers_is_a_data_error(tmp_path, capsys, shape):
+    """A float shape entry has no integer size: Infinity used to end in an
+    OverflowError traceback."""
+    path = tmp_path / "m.json"
+    (tmp_path / "side.bin").write_bytes(np.zeros(4).tobytes())
+    path.write_text('{"kind": "map", "space": {"space": "euclidean1"}, "domain":'
+                    ' {"weights": [1.0, 1.0, 1.0, 1.0]}, "values_file": "side.bin",'
+                    f' "values_shape": {shape}}}')
+    code, stdout, err = run_cli(capsys, "distance", str(path), str(path))
+    assert code == EXIT_DATA and stdout == ""
+    assert err.startswith("error: ") and "shape" in err and err.count("\n") == 1
+
+
+def test_distance_refuses_a_pointwise_distance_that_overflowed(tmp_path, capsys):
+    """Maps 1e170 apart on one atom overflow the euclidean kernel; every
+    exponent is refused with one error line, exit 2, rather than D_p = nan."""
+    dom = Domain.grid(1, 4)
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    save_map(MeasurableMap(dom, make_space("euclidean1"), np.zeros((4, 1))), left)
+    save_map(MeasurableMap(dom, make_space("euclidean1"), [[0.0], [0.0], [1e170], [0.0]]), right)
+    for p in ("1", "2", "inf", "1,2,inf"):
+        with np.errstate(over="ignore"):
+            code, stdout, err = run_cli(capsys, "distance", str(left), str(right), "--p", p)
+        assert code == EXIT_DATA and stdout == ""
+        assert err.startswith("error: D_p is undefined") and err.count("\n") == 1
 
 
 def test_distance_bad_exponent(pair_files, capsys):
@@ -564,8 +615,9 @@ def test_continuify_smooth_order(tmp_path, capsys):
 
 
 def test_continuify_warns_when_the_bound_is_not_guaranteed(tmp_path, capsys):
-    """A run that raises a budget flag says so on stderr; stdout and the
-    exit code are those of any run."""
+    """A run whose error mass M allows more than the bound, M**(1/p) >
+    error_bound, says so on stderr; stdout and the exit code are those of
+    any run."""
     code, stdout, err = run_cli(
         capsys, "continuify", str(make_band_simple(tmp_path)), "--background", "[0.0]",
         "--p", "1", "--eps", "0.3", "--out", str(tmp_path / "band.json"),
@@ -573,19 +625,56 @@ def test_continuify_warns_when_the_bound_is_not_guaranteed(tmp_path, capsys):
     assert code == 0 and last_json(stdout)["flags"]["guarantee_holds"] and err == ""
     pw, report = tmp_path / "pw.json", tmp_path / "report.json"
     code, _, err = run_cli(capsys, "gen", "--kind", "piecewise", "--space", "euclidean1",
-                           "--grid", "32x32", "--regions", "16", "--out", str(pw))
+                           "--grid", "8x8", "--regions", "3", "--out", str(pw))
     assert code == 0, err
     code, stdout, err = run_cli(
-        capsys, "continuify", str(pw), "--background", "[0.0]", "--p", "1", "--eps", "0.5",
+        capsys, "continuify", str(pw), "--p", "1", "--eps", "0.01",
         "--out", str(tmp_path / "r.json"), "--report", str(report),
     )
     assert code == 0
-    assert last_json(stdout)["flags"]["guarantee_holds"] is False
-    pieces = json.loads(report.read_text())["pieces"]
+    summary = last_json(stdout)
+    assert summary["flags"]["guarantee_holds"] is False
+    # the bound fails for real: the field is further from its input than it
+    assert summary["achieved_error"] > summary["error_bound"]
+    written = json.loads(report.read_text())
+    assert written["error_mass"] > summary["error_bound"]
+    pieces = written["pieces"]
     flagged = sum(p["inner_over_budget"] or p["outer_over_budget"] for p in pieces)
     assert 0 < flagged
     assert err.count("\n") == 1
     assert f"{flagged} of {len(pieces)} pieces" in err and "not guaranteed" in err
+
+
+def test_continuify_guarantee_comes_from_the_error_mass(tmp_path, capsys):
+    """Every piece of a fine spd2 quantization raises a budget flag, yet the
+    error mass M = sum of lip**p * measure(region \\ core) is far inside the
+    bound: the guarantee holds and no warning is printed.  The report
+    carries each piece's error mass and their `math.fsum`."""
+    raw, simple = tmp_path / "raw.json", tmp_path / "simple.json"
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "gen", "--kind", "random", "--space", "spd2", "--spread",
+                           "0.3", "--seed", "0", "--grid", "32x32", "--out", str(raw))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "quantize", str(raw), "--mode", "countable", "--eps", "0.1",
+                           "--out", str(simple))
+    assert code == 0, err
+    code, stdout, err = run_cli(capsys, "continuify", str(simple), "--p", "1", "--eps", "0.2",
+                                "--order", "0", "--out", str(tmp_path / "c.json"),
+                                "--report", str(report))
+    assert code == 0 and err == ""
+    summary = last_json(stdout)
+    assert summary["flags"] == {"inner_over_budget": True, "outer_over_budget": True,
+                                "guarantee_holds": True}
+    written = json.loads(report.read_text())
+    pieces = written["pieces"]
+    assert len(pieces) == summary["pieces"] == 233
+    assert all(p["inner_over_budget"] or p["outer_over_budget"] for p in pieces)
+    masses = [p["error_mass"] for p in pieces]
+    assert written["error_mass"] == math.fsum(masses)
+    for piece in pieces:
+        zone = (piece["region_atoms"] - piece["core_atoms"]) / 32**2
+        assert piece["error_mass"] == piece["lipschitz"] * zone
+    assert summary["achieved_error"] <= written["error_mass"] < summary["error_bound"] == 0.2
 
 
 @pytest.mark.parametrize("p, eps", [("300", "0.1"), ("1e6", "0.1"), ("400", "100")])

@@ -355,6 +355,39 @@ def test_dp_large_p_huge_distance_stays_finite():
     assert dp_distance(f, g, 400.0) == pytest.approx(10.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+def test_dp_refuses_a_ground_metric_that_overflowed(p):
+    """Maps 1e170 apart on one atom overflow the euclidean kernel (the square
+    is past the float range): the pointwise distance is inf, which D_p
+    cannot reduce.  It used to come out NaN at finite p, through the scaled
+    sum's inf / inf, and inf at p = inf."""
+    dom = Domain.grid(1, 4)
+    f = line_map(dom, [0.0, 0.0, 0.0, 0.0])
+    g = line_map(dom, [0.0, 0.0, 1e170, 0.0])
+    with np.errstate(over="ignore"):  # the kernel's own overflow is another matter
+        with pytest.raises(MetricLpError, match="pointwise distance .* is inf"):
+            dp_distance(f, g, p)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.0, 2.0, 400.0, math.inf])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_dp_refuses_non_finite_distances_on_positive_weight_atoms_only(p, bad):
+    """A non-finite distance on an atom of positive weight, finite or
+    infinite, is refused at every p, alone or in a stack; on a null atom it
+    is ignored as every value there is."""
+    w = np.array([1.0, 0.0, math.inf, 2.0])
+    for at in (0, 2, 3):
+        d = np.array([1.0, 0.0, 0.0, 1.0])
+        d[at] = bad
+        with pytest.raises(MetricLpError, match="positive weight"):
+            dp_from_pointwise(d, w, p)
+        with pytest.raises(MetricLpError, match="positive weight"):
+            dp_from_pointwise(np.stack([np.ones(4), d]), w, p)
+    d = np.array([1.0, bad, 0.0, 1.0])
+    assert dp_from_pointwise(d, w, p) == dp_from_pointwise(np.array([1.0, 0, 0, 1]), w, p)
+
+
 # ---------------------------------------------------------------------------
 # constant embedding
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ from metriclp import (
     dp_distance,
     dp_from_pointwise,
     equivalent,
+    fields,
     make_space,
     restrict,
 )
 from metriclp.domain import AtomSet, face_adjacent_pairs, measure, urysohn
 from metriclp.quantize import countable_quantize
-from metriclp.relax import smoothstep
+from metriclp.relax import error_bound, smooth_from_simple, smoothstep
 
 from .conftest import SPACE_NAMES
 
@@ -187,6 +188,30 @@ def test_countable_quantize_stays_below_eps(name, seed, eps, n):
     assert report.achieved_error < eps
     assert dp_distance(g.to_map(), f, math.inf) < eps
     assert g.range_size <= n
+
+
+@given(
+    seed=SEEDS,
+    p=st.sampled_from([1.0, 2.0, 3.0]),
+    order=st.sampled_from([0, 2]),
+    eps=st.floats(1e-3, 2.0),
+    regions=st.integers(1, 6),
+)
+def test_relaxation_error_is_within_its_error_mass(seed, p, order, eps, regions):
+    """On the zone region \\ core a piece's cells move along a geodesic of
+    length lip, so D_p(input, field) <= M**(1/p), M = sum lip**p * zone
+    measure, whether or not a budget flag is raised; and the guarantee
+    holds exactly when M**(1/p) is within the bound."""
+    rng = np.random.default_rng(seed)
+    dom = Domain.grid(2, 12)
+    sp = make_space("euclidean2")
+    labels = fields.voronoi_labels(dom.geometry, regions, rng)
+    g = fields.simple_from_labels(dom, sp, labels, rng=rng)
+    field = smooth_from_simple(g, g.value_table[0], p, eps, order=order)
+    mass = field.error_mass
+    assert field.achieved_error <= mass ** (1.0 / p) * (1 + REL)
+    assert field.error_norm == pytest.approx(mass ** (1.0 / p), rel=REL)
+    assert field.flags["guarantee_holds"] == (field.error_norm <= error_bound(field))
 
 
 @given(seed=SEEDS, cells=st.integers(6, 24))

@@ -15,6 +15,7 @@ eps = 0.9 (budget eps/3 = 0.3 per step):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from itertools import combinations
@@ -35,11 +36,17 @@ from metriclp import (
     countable_quantize,
     divergence_fixture,
     dp_distance,
+    SimpleMap,
+    is_member,
     make_space,
+    measure,
     orthonormal_lower_bound,
+    pointwise_distance,
+    restrict,
     simple_approx_sup,
 )
 from metriclp import quantize
+from metriclp.maps import check_p
 from metriclp.quantize import _best_errors, _divergence_grid, _first_cover, dedup_rows_in_order
 
 from .conftest import ill_conditioned_spd
@@ -96,6 +103,231 @@ def test_countable_quantize_needs_positive_eps(rng):
     f = line_map(dom, [0.0, 1.0])
     with pytest.raises(MetricLpError):
         countable_quantize(f, 0.0)
+
+
+def test_countable_quantize_budgets_past_a_thousand_pieces():
+    """Piece n's budget divides by 2**(n+1): past n = 1022 that power is no
+    float, and the int product used to raise OverflowError.  The budget is
+    formed in floats and an underflowed one is raised to the smallest
+    positive float, so each one-atom piece still covers itself."""
+    n = 1100
+    dom = Domain(np.ones(n))
+    f = line_map(dom, np.arange(n, dtype=float) / n)
+    pieces = [AtomSet([i], n) for i in range(n)]
+    simple, report = countable_quantize(f, 0.5, pieces=pieces, p=2.0)
+    assert np.array_equal(simple.labels, np.arange(n))
+    assert np.array_equal(simple.value_table, f.values)
+    assert report.achieved_error == report.step_breakdown["worst_piece_sup"] == 0.0
+    assert report.range_size == n
+
+
+# The parent implementation of the sigma-finite mode, kept as the oracle of
+# the one-loop `countable_quantize`: every piece went through `restrict` to
+# a map of its own, was quantized in sup mode with its own report and D_inf
+# pass, and the pieces' tables were stacked.
+
+
+def oracle_quantize_once(f, eps):
+    table, inverse = dedup_rows_in_order(f.values)
+    labels = _first_cover(f.space, table, table, eps)[inverse]
+    if np.any(labels < 0):
+        raise MetricLpError("quantization failed to cover a value")
+    used = labels.max(initial=-1) + 1
+    out = SimpleMap(f.domain, f.space, labels, table[:used])
+    achieved = dp_distance(f, out, math.inf)
+    report = quantize.ApproxReport(
+        p=math.inf,
+        target_eps=eps,
+        achieved_error=achieved,
+        range_size=out.range_size,
+        altered_measure=float(np.sum(f.domain.weights[np.isfinite(f.domain.weights)])),
+    )
+    return out, report
+
+
+def oracle_countable_quantize(f, eps, pieces=None, p=None):
+    if pieces is None:
+        return oracle_quantize_once(f, eps)
+    p = check_p(p)
+    n_atoms = f.domain.atom_count
+    seen = np.zeros(n_atoms, dtype=bool)
+    labels = np.zeros(n_atoms, dtype=np.int64)
+    tables = []
+    offset = 0
+    worst = 0.0
+    for n, piece in enumerate(pieces):
+        if seen[piece.indices].any():
+            raise MetricLpError("pieces must be disjoint")
+        seen[piece.indices] = True
+        mu = measure(f.domain, piece)
+        if math.isinf(mu):
+            raise MetricLpError("sigma-finite pieces must have finite measure")
+        budget = eps if mu == 0 else eps / (2 ** (n + 1) * mu) ** (1.0 / p)
+        sub, rep = oracle_quantize_once(restrict(f, piece), budget)
+        labels[piece.indices] = sub.labels + offset
+        tables.append(sub.value_table)
+        offset += sub.value_table.shape[0]
+        worst = max(worst, rep.achieved_error)
+    if not seen.all():
+        raise MetricLpError("pieces must cover the domain")
+    table = np.vstack(tables) if tables else np.zeros((0, f.space.dim))
+    out = SimpleMap(f.domain, f.space, labels, table)
+    report = quantize.ApproxReport(
+        p=p,
+        target_eps=eps,
+        achieved_error=dp_distance(f, out, p),
+        range_size=out.range_size,
+        altered_measure=float(np.sum(f.domain.weights[np.isfinite(f.domain.weights)])),
+        step_breakdown={"worst_piece_sup": worst},
+    )
+    return out, report
+
+
+def oracle_almost_simple_approx(f, h, p, eps):
+    """The parent's four-pass construction: membership, deviations, step 3
+    and the achieved error each ran the ground metric."""
+    p = check_p(p)
+    if not is_member(f, h, p):
+        raise MetricLpError("f must lie at finite D_p distance from h")
+    n_atoms = f.domain.atom_count
+    d = pointwise_distance(f, h)
+    w = np.where(np.isinf(f.domain.weights), 0.0, f.domain.weights)
+    contrib = w * d**p
+    budget = (eps / 3.0) ** p
+    order = np.argsort(d, kind="stable")
+    d_sorted = d[order]
+    cum = np.cumsum(contrib[order])
+
+    def step1_error_pow(n):
+        k = int(np.searchsorted(d_sorted, 1.0 / n, side="left"))
+        return float(cum[k - 1]) if k else 0.0
+
+    n0 = quantize._smallest_index(
+        1, quantize.STEP_SEARCH_CAP, lambda n: step1_error_pow(n) < budget
+    )
+    step1 = max(step1_error_pow(n0), 0.0) ** (1.0 / p)
+    altered_mask = d >= 1.0 / n0
+    altered = AtomSet.from_mask(altered_mask)
+    mu_altered = measure(f.domain, altered)
+    if mu_altered == 0.0:
+        labels = np.full(n_atoms, BASE_LABEL, dtype=np.int64)
+        out = SimpleMap(f.domain, f.space, labels, np.zeros((0, f.space.dim)), base_flag=BASE_LABEL)
+        return out, quantize.ApproxReport(
+            p=p, target_eps=eps, achieved_error=dp_distance(f, h, p), range_size=0,
+            altered_measure=0.0, step_breakdown={"step1": step1, "step2": 0.0, "step3": 0.0},
+            flags={"degenerate_altered_set": True},
+        )
+    radius = eps / (3.0 * mu_altered ** (1.0 / p))
+    dense, inverse = dedup_rows_in_order(f.values[altered_mask])
+    cover = _first_cover(f.space, dense, dense, radius)[inverse]
+    alt_contrib = contrib[altered_mask]
+    total_alt = float(alt_contrib.sum())
+    cover_for_sort = np.where(cover < 0, dense.shape[0], cover)
+    by_cover = np.argsort(cover_for_sort, kind="stable")
+    gain = np.concatenate([[0.0], np.cumsum(alt_contrib[by_cover])])
+    sorted_cover = cover_for_sort[by_cover]
+
+    def step2_error_pow(n):
+        k = int(np.searchsorted(sorted_cover, n, side="left"))
+        return total_alt - float(gain[k])
+
+    n1 = quantize._smallest_index(1, dense.shape[0], lambda n: step2_error_pow(n) < budget)
+    step2 = max(step2_error_pow(n1), 0.0) ** (1.0 / p)
+    kept = (cover >= 0) & (cover < n1)
+    labels = np.full(n_atoms, BASE_LABEL, dtype=np.int64)
+    alt_idx = altered.indices
+    labels[alt_idx[kept]] = cover[kept]
+    out = SimpleMap(f.domain, f.space, labels, dense[:n1], base_flag=BASE_LABEL)
+    g = out.to_map(h)
+    keep_set = AtomSet(alt_idx[kept], n_atoms)
+    dist_kept = f.space.distance_many(f.values[keep_set.indices], g.values[keep_set.indices])
+    step3 = float(np.sum(w[keep_set.indices] * dist_kept**p)) ** (1.0 / p)
+    return out, quantize.ApproxReport(
+        p=p, target_eps=eps, achieved_error=dp_distance(f, g, p), range_size=out.range_size,
+        altered_measure=float(measure(f.domain, keep_set)),
+        step_breakdown={"step1": step1, "step2": step2, "step3": step3},
+    )
+
+
+def assert_same_quantization(got, want):
+    (out, report), (ref, ref_report) = got, want
+    assert np.array_equal(out.labels, ref.labels)
+    assert out.value_table.shape == ref.value_table.shape
+    assert out.value_table.tobytes() == ref.value_table.tobytes()
+    assert out.base_flag == ref.base_flag
+    # repr tells every float apart, -0.0 from 0.0 included
+    assert repr(dataclasses.asdict(report)) == repr(dataclasses.asdict(ref_report))
+
+
+def oracle_weights(rng, n, kind):
+    w = rng.uniform(0.05, 2.0, n)
+    if kind in ("zero", "both"):
+        w[rng.random(n) < 0.3] = 0.0
+    if kind in ("infinite", "both"):
+        w[rng.random(n) < 0.2] = math.inf
+    return w
+
+
+def random_pieces(rng, w, count):
+    """`count` disjoint pieces covering the atoms, in random order; with
+    zero weights about, one piece holds only null atoms, and some pieces
+    may be empty."""
+    n = w.size
+    owner = rng.integers(0, count, n)
+    null = np.flatnonzero(w == 0.0)
+    if count > 1 and null.size:
+        owner[null[: max(1, null.size // 2)]] = count - 1
+        owner[(owner == count - 1) & (w > 0)] = 0
+    return [AtomSet(np.flatnonzero(owner == j), n) for j in rng.permutation(count)]
+
+
+ORACLE_SPACES = ["euclidean2", "spd2", "simplex3", "circle"]
+
+
+@pytest.mark.parametrize("weights", ["plain", "zero", "infinite", "both"])
+@pytest.mark.parametrize("name", ORACLE_SPACES)
+def test_countable_quantize_matches_the_per_piece_oracle_bit_for_bit(name, weights, rng):
+    sp = make_space(name)
+    for _trial in range(2):
+        n = int(rng.integers(20, 80))
+        w = oracle_weights(rng, n, weights)
+        dom = Domain(w)
+        values = sp.random_payloads(rng, n // 3 + 1)[rng.integers(0, n // 3 + 1, n)]
+        f = MeasurableMap(dom, sp, values)
+        for eps in (1e-9, 0.3, 1.5):
+            assert_same_quantization(countable_quantize(f, eps), oracle_countable_quantize(f, eps))
+            for count in range(1, 7):
+                pieces = random_pieces(rng, w, count)
+                for p in (1.0, 3.5):
+                    if np.isinf(w).any():
+                        with pytest.raises(MetricLpError, match="finite measure"):
+                            countable_quantize(f, eps, pieces=pieces, p=p)
+                        continue
+                    assert_same_quantization(
+                        countable_quantize(f, eps, pieces=pieces, p=p),
+                        oracle_countable_quantize(f, eps, pieces=pieces, p=p),
+                    )
+
+
+@pytest.mark.parametrize("weights", ["plain", "zero", "infinite", "both"])
+@pytest.mark.parametrize("name", ORACLE_SPACES)
+def test_almost_simple_matches_the_four_pass_oracle_bit_for_bit(name, weights, rng):
+    sp = make_space(name)
+    for _trial in range(2):
+        n = int(rng.integers(20, 80))
+        w = oracle_weights(rng, n, weights)
+        dom = Domain(w)
+        h = MeasurableMap(dom, sp, sp.random_payloads(rng, n))
+        values = sp.random_payloads(rng, n // 3 + 1)[rng.integers(0, n // 3 + 1, n)]
+        # some atoms, and every infinite one, keep h's value
+        same = (rng.random(n) < 0.3) | np.isinf(w)
+        values[same] = h.values[same]
+        f = MeasurableMap(dom, sp, values)
+        for p in (1.0, 3.5):
+            for eps in (0.05, 0.3, 50.0):
+                assert_same_quantization(
+                    almost_simple_approx(f, h, p, eps), oracle_almost_simple_approx(f, h, p, eps)
+                )
 
 
 # ---------------------------------------------------------------------------
