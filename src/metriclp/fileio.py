@@ -12,7 +12,9 @@ All files are JSON objects with a "kind" discriminator:
   <descriptor>, "values": [[...], ...]} -- or, for large payloads,
   "values_file": a sibling raw little-endian float64 file, atom-major.
   Domain and sidecar paths must resolve inside the map file's directory.
-- kind "simple_map": like "map" plus integer "labels" and optional
+- kind "simple_map": a "map" whose "values" (or "values_file" and
+  "values_shape") hold the value table, one row per distinct value, plus
+  integer "labels", one per atom and always inline, and optional
   "base_flag" (-1 when atoms defer to the base mapping, null otherwise).
 
 Floats round-trip exactly: json serializes Python floats with repr
@@ -159,7 +161,7 @@ def _values_from_payload(obj: dict, base_dir: Path) -> np.ndarray:
         if "values" not in obj:
             raise DataError("map file lacks values")
         return np.asarray(obj["values"], dtype=np.float64)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed map values ({exc})") from exc
 
 
@@ -171,55 +173,46 @@ def save_map(f: MeasurableMap, path: str | os.PathLike) -> None:
     write_atomic(path, json.dumps(payload))
 
 
-def _map_from_obj(obj: dict, path: Path) -> MeasurableMap:
+def save_simple_map(g: SimpleMap, path: str | os.PathLike) -> None:
+    """Write `g`; its value table is stored as a map's values are."""
+    path = Path(path)
+    payload: dict = {"kind": "simple_map", "space": g.space.descriptor(),
+                     "labels": g.labels.tolist()}
+    _values_to_payload(g.value_table, path, payload)
+    payload["base_flag"] = g.base_flag
+    payload["domain"] = _domain_payload(g.domain)
+    write_atomic(path, json.dumps(payload))
+
+
+def load_any_map(path: str | os.PathLike) -> MeasurableMap | SimpleMap:
+    """Load a map or simple-map file, parsing it once: a simple map's table
+    is read as a map's values are, and its atoms are its labels."""
+    path = Path(path)
+    obj = _read_json(path)
+    kind = obj.get("kind")
+    if kind not in ("map", "simple_map"):
+        raise DataError(f"{path}: unsupported kind {kind!r}")
+    simple = kind == "simple_map"
+    raw = obj.get("labels")
+    # np.asarray would read 1.5 as 1 and true as 1
+    if simple and (not isinstance(raw, list) or set(map(type, raw)) - {int}):
+        raise DataError(f"{path}: simple-map labels must be a list of integers")
     values = _values_from_payload(obj, path.parent)
-    domain = _resolve_domain(obj, path.parent, len(values) if values.ndim else 1)
+    rows = len(raw) if simple else len(values) if values.ndim else 1
+    domain = _resolve_domain(obj, path.parent, rows)
     try:
         space = space_from_descriptor(obj["space"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad space descriptor ({exc})") from exc
-    return MeasurableMap(domain, space, values)
-
-
-def save_simple_map(g: SimpleMap, path: str | os.PathLike) -> None:
-    payload = {
-        "kind": "simple_map",
-        "space": g.space.descriptor(),
-        "labels": g.labels.tolist(),
-        "values": g.value_table.tolist(),
-        "base_flag": g.base_flag,
-        "domain": _domain_payload(g.domain),
-    }
-    write_atomic(path, json.dumps(payload))
-
-
-def _simple_map_from_obj(obj: dict, path: Path) -> SimpleMap:
+    if not simple:
+        return MeasurableMap(domain, space, values)
     try:
-        raw = obj["labels"]
-        # np.asarray would read 1.5 as 1 and true as 1
-        if not isinstance(raw, list) or set(map(type, raw)) - {int}:
-            raise DataError(f"{path}: simple-map labels must be a list of integers")
-        labels = np.asarray(raw, dtype=np.int64)
-        domain = _resolve_domain(obj, path.parent, labels.size)
-        space = space_from_descriptor(obj["space"])
-        table = np.asarray(obj["values"], dtype=np.float64)
         # reshape(-1, 0) is ambiguous: a single-point space keeps the row count
-        table = table.reshape(-1, space.dim) if space.dim else table.reshape(len(table), 0)
-        return SimpleMap(domain, space, labels, table, obj.get("base_flag"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        table = values.reshape(-1, space.dim) if space.dim else values.reshape(len(values), 0)
+        return SimpleMap(domain, space, np.asarray(raw, dtype=np.int64), table,
+                         obj.get("base_flag"))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed simple map ({exc})") from exc
-
-
-def load_any_map(path: str | os.PathLike) -> MeasurableMap | SimpleMap:
-    """Load a map or simple-map file, parsing it once."""
-    path = Path(path)
-    obj = _read_json(path)
-    kind = obj.get("kind")
-    if kind == "map":
-        return _map_from_obj(obj, path)
-    if kind == "simple_map":
-        return _simple_map_from_obj(obj, path)
-    raise DataError(f"{path}: unsupported kind {kind!r}")
 
 
 def jsonable(obj):

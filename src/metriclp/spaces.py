@@ -389,6 +389,28 @@ class MetricSpace:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _scaled_norms(a: Array, b: Array) -> Array:
+    """||a - b|| per row of two (m, d) stacks, with each row's difference
+    scaled by the power of two that puts its largest entry in [0.5, 1).
+
+    Power-of-two scaling is exact, so no square under- or overflows and the
+    result is the norm rounded once more, +inf only past the float range.
+    Where a - b itself overflows, both are halved first.  Negating a
+    difference changes no square, so the result is exactly symmetric, and an
+    exactly zero difference gives exactly 0.0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a - b
+        halved = ~np.isfinite(diff).all(axis=-1)
+        diff[halved] = 0.5 * a[halved] - 0.5 * b[halved]
+        _, exp = np.frexp(np.abs(diff).max(axis=-1, initial=0.0))
+        norms = np.linalg.norm(np.ldexp(diff, -exp[:, None]), axis=-1)
+        return np.ldexp(norms, exp + halved)
+
+
 def _axis_nodes(tag: str, length: float, h: float) -> int:
     """Nodes per axis of a probe grid of step at most h over an interval of
     the given length; a count that is no finite float (e.g. for a ball of
@@ -422,7 +444,21 @@ class EuclideanSpace(MetricSpace):
         return self.dim == 0
 
     def _distance_many(self, a, b):
-        return np.linalg.norm(a - b, axis=-1)
+        # The plain norm squares the differences: below sqrt(tiny) a square
+        # underflows (1e-170 apart would read 0.0) and past sqrt(max) it
+        # overflows (1e170 apart would read inf).  Only those rows are
+        # redone, so every other row keeps its bits.
+        with np.errstate(over="ignore"):
+            diff = a - b
+            out = np.linalg.norm(diff, axis=-1)
+        redo = (out < _SQRT_TINY) | (out == math.inf)
+        if redo.any():
+            # rows that differ by exactly zero are exactly 0.0 already
+            redo[redo] = diff[redo].any(axis=-1)
+        if redo.any():
+            a, b = np.broadcast_arrays(a, b)
+            out[redo] = _scaled_norms(a[redo], b[redo])
+        return out
 
     def _geodesic_many(self, a, b, t):
         return a + t[..., None] * (b - a)
@@ -497,6 +533,51 @@ def _least_pivots(cols: Array, n: int) -> Array:
                         entry = entry - low[i, k] * low[j, k]
                     low[i, j] = entry / root
     return least
+
+
+def _spd2_pencil(a: Array, b: Array) -> tuple[Array, Array]:
+    """The closed-form nu of the 2 x 2 pencil det((b - a) - nu a) = 0 for
+    (m, 2, 2) stacks, and the rows where a determinant, mid**2,
+    4 * det_a * det_e or their difference is not finite (their nu are then
+    meaningless)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = b - a
+        det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        det_e = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+        mid = (
+            a[:, 0, 0] * e[:, 1, 1]
+            + a[:, 1, 1] * e[:, 0, 0]
+            - a[:, 0, 1] * e[:, 1, 0]
+            - a[:, 1, 0] * e[:, 0, 1]
+        )
+        disc = mid**2 - 4 * det_a * det_e
+        s = np.sqrt(np.maximum(disc, 0.0))
+        big = 0.5 * (mid + np.where(mid >= 0, s, -s))
+        nu1 = big / det_a
+        nu2 = np.where(big != 0, det_e / np.where(big != 0, big, 1.0), 0.0)
+        # with det_a finite and positive, a det_e, mid**2 or 4 * det_a * det_e
+        # past the float range leaves the discriminant inf or NaN
+        out_of_range = ~(np.isfinite(disc) & np.isfinite(det_a))
+    return np.stack([nu1, nu2], axis=-1), out_of_range
+
+
+def _spd2_pencil_rescaled(a: Array, b: Array) -> Array:
+    """`_spd2_pencil` on pairs scaled by a common power of two.
+
+    The pencil is homogeneous: scaling a and b by one factor leaves nu as
+    it is.  The factor is 2**-k with 2**k near sqrt(max|a| * max|b|), so
+    that a product of an entry of a and one of b comes out near 1.
+    Power-of-two scaling is exact, save for entries so far below their
+    matrix's largest that they underflow, where they did not count.  A
+    pair still out of range, or whose nu is not finite, is refused.
+    """
+    _, exp_a = np.frexp(np.abs(a).max(axis=(1, 2)))
+    _, exp_b = np.frexp(np.abs(b).max(axis=(1, 2)))
+    k = ((exp_a + exp_b) // 2)[:, None, None]
+    nu, out_of_range = _spd2_pencil(np.ldexp(a, -k), np.ldexp(b, -k))
+    if out_of_range.any() or not np.isfinite(nu).all():
+        raise InvalidPointError("spd distance: the pair's pencil is past the float range")
+    return nu
 
 
 class SpdSpace(MetricSpace):
@@ -598,21 +679,12 @@ class SpdSpace(MetricSpace):
         (or eigh of the congruence) suffers when b is close to a, keeping
         tiny distances accurate in relative terms.
         """
-        e = b - a
         if self.n == 2:
-            det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-            det_e = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
-            mid = (
-                a[:, 0, 0] * e[:, 1, 1]
-                + a[:, 1, 1] * e[:, 0, 0]
-                - a[:, 0, 1] * e[:, 1, 0]
-                - a[:, 1, 0] * e[:, 0, 1]
-            )
-            s = np.sqrt(np.maximum(mid**2 - 4 * det_a * det_e, 0.0))
-            big = 0.5 * (mid + np.where(mid >= 0, s, -s))
-            nu1 = big / det_a
-            nu2 = np.where(big != 0, det_e / np.where(big != 0, big, 1.0), 0.0)
-            return np.stack([nu1, nu2], axis=-1)
+            nu, out_of_range = _spd2_pencil(a, b)
+            if out_of_range.any():
+                nu[out_of_range] = _spd2_pencil_rescaled(a[out_of_range], b[out_of_range])
+            return nu
+        e = b - a
         wa, va = np.linalg.eigh(a)
         isqrt = (va * (wa[:, None, :] ** -0.5)) @ np.swapaxes(va, -1, -2)
         mid = isqrt @ e @ isqrt
@@ -628,11 +700,10 @@ class SpdSpace(MetricSpace):
         # requires, with no pin: x - x is +0.0 for every finite x, so
         # e = b - a is exactly zero.  spd2's closed form then has det_e = 0
         # and mid = 0 (each term is a finite entry times zero), so s = big =
-        # 0 and both nu are 0, as long as 4 * det_a is finite.  (Past a
-        # determinant of about 4.5e307 it overflows: distinct pairs come out
-        # inf or NaN there, and equal ones NaN.)  spd3 takes eigvalsh of
-        # isqrt @ 0 @ isqrt, an exactly zero matrix, whose eigenvalues are
-        # 0.  log1p(0) = 0.
+        # 0 and both nu are 0 (a pair whose determinant overflows is first
+        # scaled by a power of two, and x - x is still zero).  spd3 takes
+        # eigvalsh of isqrt @ 0 @ isqrt, an exactly zero matrix, whose
+        # eigenvalues are 0.  log1p(0) = 0.
         if a.shape != b.shape:
             a, b = np.broadcast_arrays(a, b)
         shape = a.shape[:-1]
@@ -719,8 +790,16 @@ class SpdSpace(MetricSpace):
         return self.probe_ball(np.eye(self.n).reshape(-1), 1.0, 0.35)
 
     def random_payloads(self, rng, m, spread=1.0):
-        coords = spread * rng.standard_normal((m, self.n * (self.n + 1) // 2)) * 0.5
-        return self._flat_sym(self._expm_sym(self._sym_from_coords(coords)))
+        """exp of random symmetric log-chart coordinates; a spread that gives
+        a coordinate or a payload entry that is not finite is refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords = spread * rng.standard_normal((m, self.n * (self.n + 1) // 2)) * 0.5
+            # eigh does not converge on entries that are not finite
+            if np.isfinite(coords).all():
+                out = self._flat_sym(self._expm_sym(self._sym_from_coords(coords)))
+                if np.isfinite(out).all():
+                    return out
+        raise InvalidPointError(f"{self.tag}: spread {spread!r} gives payloads that are not finite")
 
 
 # ---------------------------------------------------------------------------

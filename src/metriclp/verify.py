@@ -1059,6 +1059,12 @@ def _check_relax_continuous(ctx: SuiteContext) -> dict:
     )
     report = relax.adjacent_difference_report(out)
     require(report["max_ratio"] <= 1.0 + 1e-9, f"{report}")
+    # at p = 1 the error and its p-th power agree; at p = 2 the error must be
+    # the root of its defining sum
+    out2 = relax.smooth_from_simple(g, z0, 2.0, eps, order=0)
+    direct2 = math.fsum(g.domain.weights * pointwise_distance(g, out2.map) ** 2) ** 0.5
+    require(abs(out2.achieved_error - direct2) <= 1e-12 * direct2, "p = 2 error off its sum's root")
+    require(out2.achieved_error < relax.error_bound(out2), "p = 2 error over its bound")
     return {"error": out.achieved_error, "modulus_ratio": report["max_ratio"]}
 
 

@@ -74,6 +74,11 @@ BAD_MAP_TEXTS = [
     ' "labels": [true], "values": [[0.0, 0.0], [3.0, 4.0]]}',
     '{"kind": "simple_map", "space": {"space": "euclidean2"}, "domain": {"weights": [1.0]},'
     ' "labels": [1180591620717411303424], "values": [[0.0, 0.0], [3.0, 4.0]]}',
+    # a value that is an integer past the float range: float() overflows
+    '{"kind": "map", "space": {"space": "euclidean1"}, "domain": {"weights": [1.0]},'
+    f' "values": [[{10**400}]]}}',
+    '{"kind": "simple_map", "space": {"space": "euclidean1"}, "domain": {"weights": [1.0]},'
+    f' "labels": [0], "values": [[{10**400}]]}}',
 ]
 
 

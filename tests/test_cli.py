@@ -299,16 +299,18 @@ def test_a_sidecar_shape_past_the_integers_is_a_data_error(tmp_path, capsys, sha
     assert err.startswith("error: ") and "shape" in err and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_distance_refuses_a_pointwise_distance_that_overflowed(tmp_path, capsys):
-    """Maps 1e170 apart on one atom overflow the euclidean kernel; every
-    exponent is refused with one error line, exit 2, rather than D_p = nan."""
+    """Maps 1e308 and -1e308 on one atom are 2e308 apart, past the float
+    range: the euclidean kernel gives inf there, without a warning, and
+    every exponent is refused with one error line, exit 2, rather than
+    D_p = nan."""
     dom = Domain.grid(1, 4)
     left, right = tmp_path / "left.json", tmp_path / "right.json"
-    save_map(MeasurableMap(dom, make_space("euclidean1"), np.zeros((4, 1))), left)
-    save_map(MeasurableMap(dom, make_space("euclidean1"), [[0.0], [0.0], [1e170], [0.0]]), right)
+    save_map(MeasurableMap(dom, make_space("euclidean1"), [[0.0], [0.0], [1e308], [0.0]]), left)
+    save_map(MeasurableMap(dom, make_space("euclidean1"), [[0.0], [0.0], [-1e308], [0.0]]), right)
     for p in ("1", "2", "inf", "1,2,inf"):
-        with np.errstate(over="ignore"):
-            code, stdout, err = run_cli(capsys, "distance", str(left), str(right), "--p", p)
+        code, stdout, err = run_cli(capsys, "distance", str(left), str(right), "--p", p)
         assert code == EXIT_DATA and stdout == ""
         assert err.startswith("error: D_p is undefined") and err.count("\n") == 1
 

@@ -162,6 +162,89 @@ def test_simple_map_round_trip(tmp_path):
     assert back.range_size == g.range_size == 2
 
 
+def _all_inline_simple_map_text(g: SimpleMap) -> str:
+    """The simple-map file as written before its table went through the
+    values codec: every member inline, in this order."""
+    return json.dumps({"kind": "simple_map", "space": g.space.descriptor(),
+                       "labels": g.labels.tolist(), "values": g.value_table.tolist(),
+                       "base_flag": g.base_flag, "domain": fileio._domain_payload(g.domain)})
+
+
+def test_simple_map_table_past_the_threshold_goes_to_a_sidecar(tmp_path, rng):
+    """A table of 1,100 distinct spd2 rows (4,400 floats) is stored as a
+    map's values are: a raw float64 sidecar named in the file, with its
+    shape; the labels stay inline.  It loads back bit for bit."""
+    sp = make_space("spd2")
+    table = sp.random_payloads(rng, 1100, 0.5)
+    assert len(np.unique(table, axis=0)) == 1100 and table.size > fileio.SIDECAR_THRESHOLD
+    table[0, 1] = table[0, 2] = -0.0  # a signed zero survives the raw bytes
+    table[0, 0] = table[0, 3] = 2.0
+    dom = Domain.grid(2, 34)  # 1,156 atoms
+    labels = np.arange(dom.atom_count) % 1100
+    labels[:3] = -1
+    g = SimpleMap(dom, sp, labels, table, base_flag=-1)
+    save_simple_map(g, tmp_path / "g.json")
+    raw = json.loads((tmp_path / "g.json").read_text())
+    assert list(raw) == ["kind", "space", "labels", "values_file", "values_shape", "base_flag",
+                         "domain"]
+    assert raw["values_file"] == "g.json.values.bin" and raw["values_shape"] == [1100, 4]
+    assert raw["labels"] == labels.tolist()
+    assert (tmp_path / "g.json.values.bin").read_bytes() == table.astype("<f8").tobytes()
+    back = load_any_map(tmp_path / "g.json")
+    assert isinstance(back, SimpleMap) and back.base_flag == -1
+    assert back.labels.tobytes() == g.labels.tobytes()
+    assert back.value_table.tobytes() == table.tobytes()
+    assert back.domain.geometry == dom.geometry
+
+
+def test_simple_map_table_at_the_threshold_stays_inline_as_before(tmp_path, rng):
+    """1,024 spd2 rows are exactly SIDECAR_THRESHOLD floats: the table stays
+    inline and the file is the one written before the shared codec, byte
+    for byte."""
+    sp = make_space("spd2")
+    dom = Domain.grid(2, 32)
+    g = SimpleMap(dom, sp, np.arange(1024)[::-1], sp.random_payloads(rng, 1024, 0.3))
+    assert g.value_table.size == fileio.SIDECAR_THRESHOLD
+    save_simple_map(g, tmp_path / "g.json")
+    assert (tmp_path / "g.json").read_text() == _all_inline_simple_map_text(g)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+    back = load_any_map(tmp_path / "g.json")
+    assert back.value_table.tobytes() == g.value_table.tobytes()
+
+
+def test_large_simple_map_with_an_inline_table_still_loads(tmp_path, rng):
+    """Files written before the shared codec list every table row inline,
+    however many; they load bit for bit, and a save moves the table to a
+    sidecar."""
+    sp = make_space("spd2")
+    dom = Domain.grid(2, 34)
+    g = SimpleMap(dom, sp, np.arange(dom.atom_count) % 1100, sp.random_payloads(rng, 1100))
+    (tmp_path / "old.json").write_text(_all_inline_simple_map_text(g))
+    back = load_any_map(tmp_path / "old.json")
+    assert back.labels.tobytes() == g.labels.tobytes()
+    assert back.value_table.tobytes() == g.value_table.tobytes()
+    assert back.base_flag is None and back.domain.geometry == dom.geometry
+    save_simple_map(back, tmp_path / "new.json")
+    assert "values" not in json.loads((tmp_path / "new.json").read_text())
+    again = load_any_map(tmp_path / "new.json")
+    assert again.value_table.tobytes() == g.value_table.tobytes()
+
+
+@pytest.mark.parametrize("space_name, rows", [("euclidean0", 5000), ("euclidean0", 0),
+                                              ("spd2", 0)])
+def test_simple_map_tables_without_floats_round_trip(tmp_path, space_name, rows):
+    """A table of zero floats (a single-point space, or no rows) keeps its
+    row count, whatever the number of rows."""
+    sp = make_space(space_name)
+    dom = Domain(np.ones(3))
+    labels = np.zeros(3, dtype=np.int64) if rows else np.full(3, -1)
+    g = SimpleMap(dom, sp, labels, np.zeros((rows, sp.dim)), base_flag=None if rows else -1)
+    save_simple_map(g, tmp_path / "g.json")
+    back = load_any_map(tmp_path / "g.json")
+    assert back.value_table.shape == (rows, sp.dim)
+    assert np.array_equal(back.labels, labels)
+
+
 def test_load_any_map_dispatches(tmp_path, rng):
     sp = make_space("euclidean1")
     dom = Domain(np.ones(3))

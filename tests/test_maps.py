@@ -355,18 +355,39 @@ def test_dp_large_p_huge_distance_stays_finite():
     assert dp_distance(f, g, 400.0) == pytest.approx(10.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
-def test_dp_refuses_a_ground_metric_that_overflowed(p):
-    """Maps 1e170 apart on one atom overflow the euclidean kernel (the square
-    is past the float range): the pointwise distance is inf, which D_p
-    cannot reduce.  It used to come out NaN at finite p, through the scaled
-    sum's inf / inf, and inf at p = inf."""
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [1e-170, 1e170])
+def test_dp_of_maps_apart_near_the_float_limits_is_exact(delta):
+    """Maps `delta` apart on one of four atoms of weight 1/4: the plain norm
+    squared the difference, so 1e-170 gave D_1 = D_inf = 0.0 for maps that
+    are not equivalent, and 1e170 gave inf with a RuntimeWarning, which D_p
+    refused.  D_p = delta * (1/4)**(1/p), to 60 digits, and D_inf = delta."""
+    mpmath = pytest.importorskip("mpmath")
     dom = Domain.grid(1, 4)
     f = line_map(dom, [0.0, 0.0, 0.0, 0.0])
-    g = line_map(dom, [0.0, 0.0, 1e170, 0.0])
-    with np.errstate(over="ignore"):  # the kernel's own overflow is another matter
-        with pytest.raises(MetricLpError, match="pointwise distance .* is inf"):
-            dp_distance(f, g, p)
+    g = line_map(dom, [0.0, 0.0, delta, 0.0])
+    assert not equivalent(f, g)
+    with mpmath.workdps(60):
+        for p in (1.0, 2.0, 3.5):
+            exact = mpmath.mpf(delta) * (mpmath.mpf(1) / 4) ** (1 / mpmath.mpf(p))
+            got = dp_distance(f, g, p)
+            assert abs(got - exact) <= 4e-16 * exact, (p, got)
+    assert dp_distance(f, g, math.inf) == delta
+    assert dp_distance(g, f, 1.0) == dp_distance(f, g, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+def test_dp_refuses_a_ground_metric_that_overflowed(p):
+    """Maps 1e308 and -1e308 on one atom are 2e308 apart, past the float
+    range: the pointwise distance is inf, which D_p cannot reduce.  It used
+    to come out NaN at finite p, through the scaled sum's inf / inf, and inf
+    at p = inf."""
+    dom = Domain.grid(1, 4)
+    f = line_map(dom, [0.0, 0.0, 1e308, 0.0])
+    g = line_map(dom, [0.0, 0.0, -1e308, 0.0])
+    with pytest.raises(MetricLpError, match="pointwise distance .* is inf"):
+        dp_distance(f, g, p)
 
 
 @pytest.mark.filterwarnings("error")

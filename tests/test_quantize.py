@@ -435,18 +435,20 @@ def check_first_cover_cases(sp, rng):
         assert _first_cover(sp, values[:0], table, 1.0).shape == (0,)
 
 
+@pytest.mark.filterwarnings("error")
 def test_first_cover_with_overflowing_distances():
-    """Pivot distances that overflow to inf make the band useless; the
-    scan then compares every open value and still matches brute force."""
+    """Pivot distances that overflow to inf (1e308 and -1e308 are 2e308
+    apart) make the band useless; the scan then compares every open value
+    and still matches brute force."""
     sp = make_space("euclidean1")
     values = np.array([[1e308], [-1e308], [0.0], [5.0]])
     table = np.array([[-1e308], [1e308], [4.0]])
-    with np.errstate(over="ignore"):  # the norm squares 1e308 to inf
-        for radius in (math.inf, 2.0):
-            got = _first_cover(sp, values, table, radius)
-            assert np.array_equal(got, brute_first_cover(sp, values, table, radius)), radius
-        # 0.0 is at distance inf from both 1e308 rows, so row 2 covers it
-        assert _first_cover(sp, values, table, math.inf).tolist() == [1, 0, 2, 2]
+    for radius in (math.inf, 2.0):
+        got = _first_cover(sp, values, table, radius)
+        assert np.array_equal(got, brute_first_cover(sp, values, table, radius)), radius
+    # 0.0 and 5.0 are about 1e308 from row 0, a finite distance below inf
+    # (the plain norm squared it to inf, and row 2 covered them)
+    assert _first_cover(sp, values, table, math.inf).tolist() == [1, 0, 0, 0]
 
 
 COVER_SPACES = ["euclidean2", "euclidean3", "spd2", "spd3", "simplex3", "histogram8", "circle"]

@@ -79,6 +79,54 @@ def test_euclidean_345():
     assert d == 5.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_euclidean_distances_across_the_float_range():
+    """Rows whose plain norm under- or overflows are redone with power-of-two
+    scaling: each distance is the 60-digit value rounded, with no warning, the
+    kernel stays exactly symmetric and exactly 0.0 on equal rows, and a
+    distance past the float range is inf.  Other rows keep the plain norm's
+    bits."""
+    mpmath = pytest.importorskip("mpmath")
+    sp = make_space("euclidean3")
+    a = np.array([
+        [1e-170, 2e-170, 0.0],
+        [5e-324, 0.0, -5e-324],
+        [1e170, -1e170, 3.0],
+        [1.7e308, 0.0, 0.0],
+        [1e-160, 1e300, 1e-200],
+        [3.0, 4.0, 12.0],
+        [1e154, 1e-154, 0.0],
+        [2.5e-300, 1e-300, -7.0],
+    ])
+    b = np.array([
+        [0.0, 0.0, 0.0],
+        [0.0, 5e-324, 0.0],
+        [-1e170, 1e170, 0.0],
+        [-1.7e308, 0.0, 0.0],
+        [0.0, -1e300, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [2.5e-300, 1e-300, -7.0],
+    ])
+    d = sp.distance_many(a, b)
+    assert d.tobytes() == sp.distance_many(b, a).tobytes()
+    with mpmath.workdps(60):
+        for row, (x, y) in enumerate(zip(a, b)):
+            exact = mpmath.sqrt(mpmath.fsum((mpmath.mpf(u) - mpmath.mpf(v)) ** 2
+                                            for u, v in zip(x, y)))
+            if exact > mpmath.mpf(np.finfo(np.float64).max):
+                assert d[row] == math.inf
+            else:  # a subnormal result is the nearest multiple of 2**-1074
+                assert abs(d[row] - exact) <= 4e-16 * exact + mpmath.mpf(2) ** -1075, row
+    assert d[-1] == 0.0 and not np.signbit(d[-1])
+    in_range = slice(5, 7)
+    assert d[in_range].tobytes() == np.linalg.norm(a[in_range] - b[in_range], axis=-1).tobytes()
+    # one row against many and a (c, r) table give the row-wise bits
+    assert sp.distance_many(a[:1], b).tobytes() == sp.distance_many(np.repeat(a[:1], 8, 0), b).tobytes()
+    table = sp.distance_many(a[:, None], b[None])
+    assert table[np.arange(8), np.arange(8)].tobytes() == d.tobytes()
+
+
 def test_euclidean_geodesic_is_segment():
     sp = make_space("euclidean2")
     a = np.array([[0.0, 0.0]])
@@ -124,6 +172,60 @@ def test_spd_tiny_distance_relative_accuracy():
         exact = math.sqrt(math.log1p(h) ** 2 + math.log(1.0 / (1.0 + h)) ** 2)
         # representation noise of b itself allows ~1e-16/h relative slack
         assert d == pytest.approx(exact, rel=1e-15 / h + 1e-12)
+
+
+def _mp_spd2_distance(a, b, mpmath):
+    """d(a, b) for 2 x 2 SPD payloads from the roots of
+    det(b - lambda a) = 0, at the working precision: the larger root by the
+    quadratic formula without cancellation, the smaller by Vieta."""
+    a00, a01, _, a11 = (mpmath.mpf(v) for v in a)
+    b00, b01, _, b11 = (mpmath.mpf(v) for v in b)
+    det_a, det_b = a00 * a11 - a01 * a01, b00 * b11 - b01 * b01
+    half = (a00 * b11 + a11 * b00 - 2 * a01 * b01) / 2
+    big = (half + mpmath.sqrt(half * half - det_a * det_b)) / det_a
+    small = det_b / (det_a * big)
+    return mpmath.sqrt(mpmath.log(big) ** 2 + mpmath.log(small) ** 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spd2_distances_past_1e154():
+    """The closed form squares `mid` and multiplies determinants, so pairs
+    with entries past about 1e154 came out inf or NaN with warnings.  Those
+    rows are scaled by a common power of two (the pencil is homogeneous):
+    every distance matches a 60-digit value, equal rows give exactly 0.0,
+    and in-range rows in the same call keep their bits."""
+    mpmath = pytest.importorskip("mpmath")
+    sp = make_space("spd2")
+    big_eye = np.array([1e154, 0.0, 0.0, 1e154])
+    pairs = [
+        (np.eye(2).ravel(), np.array([1e155, 0.0, 0.0, 1.0])),
+        (np.array([1e200, 5e199, 5e199, 1e200]), np.array([3e200, -1e200, -1e200, 2e200])),
+        (np.eye(2).ravel(), np.array([1e155, 1e77, 1e77, 1.0])),
+        (np.array([1e300, 0.0, 0.0, 1e300]), np.array([1e300, 0.0, 0.0, 3e300])),
+        (np.array([2.0, 0.5, 0.5, 1.0]), np.array([1.5, -0.25, -0.25, 3.0])),
+    ]
+    a = sp.check_payload(np.array([x for x, _ in pairs] + [big_eye]))
+    b = sp.check_payload(np.array([y for _, y in pairs] + [big_eye]))
+    d = sp.distance_many(a, b)
+    assert d.tobytes() == sp.distance_many(b, a).tobytes()
+    with mpmath.workdps(60):
+        for row, (x, y) in enumerate(pairs):
+            exact = _mp_spd2_distance(x, y, mpmath)
+            assert abs(d[row] - exact) <= 1e-13 * exact, (row, d[row], exact)
+        assert abs(d[0] - 155 * mpmath.log(10)) <= 1e-15 * d[0]
+    assert d[-1] == 0.0 and not np.signbit(d[-1])
+    assert d[4] == sp.distance_many(a[4], b[4])[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_spd2_pair_past_the_float_range_is_refused():
+    """Pencil eigenvalues near 1e311 are no floats: no common scale brings
+    the pair into range, so it is refused rather than measured as inf."""
+    sp = make_space("spd2")
+    a = sp.check_point([1e-11, 0.0, 0.0, 1e-11])
+    b = sp.check_point([1e300, 0.0, 0.0, 1e300])
+    with pytest.raises(InvalidPointError, match="past the float range"):
+        sp.distance_many(a, b)
 
 
 def test_spd_congruence_invariance():
