@@ -63,14 +63,29 @@ class ApproxReport:
 
 
 def dedup_rows_in_order(values: Array) -> tuple[Array, Array]:
-    """Distinct rows in first-occurrence order; also the inverse labels."""
-    uniq, first, inverse = np.unique(
-        values, axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return uniq[order], rank[inverse.reshape(-1)]
+    """Distinct rows of an (m, d) stack in first-occurrence order, each with
+    the bits of its first occurrence; also the inverse labels.  Rows whose
+    entries compare equal (+0.0 and -0.0 included) are one row, as in
+    `np.unique(values, axis=0)`.
+
+    One stable lexsort, column 0 the primary key, lines equal rows up in
+    index order, so each run of equal rows starts at its first occurrence;
+    the runs are then ranked by that index.
+    """
+    m = values.shape[0]
+    if values.shape[1] == 0:  # every row is the empty row
+        return values[: min(m, 1)], np.zeros(m, dtype=np.intp)
+    order = np.lexsort(values.T[::-1])
+    ranked = values[order]
+    starts = np.ones(m, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[starts]
+    by_first = np.argsort(first, kind="stable")
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    labels = np.empty(m, dtype=np.intp)
+    labels[order] = rank[np.cumsum(starts) - 1]
+    return values[first[by_first]], labels
 
 
 def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float) -> Array:

@@ -70,6 +70,9 @@ NET_PROBE_CAP = 2_000_000
 # Relative slack of the triangle-inequality skips in `epsilon_net`: rounding
 # in the distance kernels is orders of magnitude below it.
 NET_SLACK_REL = 1e-6
+# Absolute slack on the squared chord bound that prunes the simplex probe
+# grid (`SimplexSpace.probe_ball`), about 1e6 times the rounding it covers.
+PROBE_PRUNE_SLACK = 1e-9
 
 
 def _lex_greater(a: Array, b: Array) -> Array:
@@ -134,6 +137,15 @@ def dyadic_tuples(dim: int, k: int) -> Array:
     return np.array(dyadic_reals(int(idx.max(initial=0)) + 1))[idx]
 
 
+def _expand(counts: Array) -> tuple[Array, Array]:
+    """Children of prefixes with the given (platform integer) child counts,
+    each prefix's children in place and in order: every child's parent
+    index and its rank 0, 1, ... among its parent's children."""
+    parent = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return parent, rank
+
+
 def _compositions(total: int, dim: int, dtype=np.int64) -> Array:
     """All index tuples of length dim summing to total, as a (count, dim)
     array of `dtype` (which must hold total) in lexicographic order.
@@ -146,9 +158,8 @@ def _compositions(total: int, dim: int, dtype=np.int64) -> Array:
     rest = np.array([total], dtype=dtype)
     cols: list[Array] = []
     for _ in range(dim - 1):
-        counts = rest.astype(np.intp) + 1
-        parent = np.repeat(np.arange(rest.size), counts)
-        take = (np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)).astype(dtype)
+        parent, take = _expand(rest.astype(np.intp) + 1)
+        take = take.astype(dtype)
         cols = [c[parent] for c in cols]
         cols.append(take)
         rest = rest[parent] - take
@@ -461,7 +472,20 @@ class EuclideanSpace(MetricSpace):
         return out
 
     def _geodesic_many(self, a, b, t):
-        return a + t[..., None] * (b - a)
+        # a + t (b - a), unless numpy's floating-point flags show an
+        # overflow (no extra pass); then the pairs whose b - a is not finite
+        # take (1 - t) a + t b, whose terms have opposite signs and cannot
+        # overflow, and the others keep a + t (b - a)
+        try:
+            with np.errstate(over="raise"):
+                return a + t[..., None] * (b - a)
+        except FloatingPointError:
+            pass
+        tt = t[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = b - a
+            wide = ~np.isfinite(diff).all(axis=-1, keepdims=True)
+            return np.where(wide, (1 - tt) * a + tt * b, a + tt * diff)
 
     def _dense_payloads(self, k):
         return dyadic_tuples(self.dim, k)
@@ -486,7 +510,13 @@ class EuclideanSpace(MetricSpace):
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
     def random_payloads(self, rng, m, spread=1.0):
-        return spread * rng.standard_normal((m, self.dim))
+        """Normal coordinates times `spread`; a spread that gives an entry
+        that is not finite is refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = spread * rng.standard_normal((m, self.dim))
+        if np.isfinite(out).all():
+            return out
+        raise InvalidPointError(f"{self.tag}: spread {spread!r} gives payloads that are not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -677,19 +707,27 @@ class SpdSpace(MetricSpace):
         The eigenvalues of a^{-1} b are 1 + nu; solving for nu instead of
         lambda avoids the catastrophic cancellation the direct quadratic
         (or eigh of the congruence) suffers when b is close to a, keeping
-        tiny distances accurate in relative terms.
+        tiny distances accurate in relative terms.  For n >= 3, a pair whose
+        congruence overflows leaves `eigvalsh` entries that are not finite,
+        on which it does not converge: that pair is refused as spd2's are.
         """
         if self.n == 2:
             nu, out_of_range = _spd2_pencil(a, b)
             if out_of_range.any():
                 nu[out_of_range] = _spd2_pencil_rescaled(a[out_of_range], b[out_of_range])
             return nu
-        e = b - a
-        wa, va = np.linalg.eigh(a)
-        isqrt = (va * (wa[:, None, :] ** -0.5)) @ np.swapaxes(va, -1, -2)
-        mid = isqrt @ e @ isqrt
-        mid = 0.5 * (mid + np.swapaxes(mid, -1, -2))
-        return np.linalg.eigvalsh(mid)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = b - a
+                wa, va = np.linalg.eigh(a)
+                isqrt = (va * (wa[:, None, :] ** -0.5)) @ np.swapaxes(va, -1, -2)
+                mid = isqrt @ e @ isqrt
+                mid = 0.5 * (mid + np.swapaxes(mid, -1, -2))
+                return np.linalg.eigvalsh(mid)
+        except np.linalg.LinAlgError:
+            raise InvalidPointError(
+                "spd distance: the pair's pencil is past the float range"
+            ) from None
 
     def _distance_many(self, a, b):
         # The pencil kernel works on equal-shape (m, dim) stacks: the pairs
@@ -884,42 +922,93 @@ class SimplexSpace(MetricSpace):
         lies within h sqrt(k - 1) <= spacing of a node.  Unlike a grid in
         p itself, the chart has no sqrt(p) singularity at the faces.
 
-        The probes are the nodes with d(center, node) <= radius + spacing:
-        the nearest node of a ball point may lie just outside the ball.
-        Where phi_i = 0 the later angles do not move the point, so of those
-        duplicate nodes only the first (all later angles 0) is kept.  The
-        order is row-major in the angles, phi_(k-1) fastest; farthest-first
-        insertion in `epsilon_net` breaks ties by this order.  A grid of
-        more than NET_PROBE_CAP nodes is refused before anything is built.
+        The probes are the nodes with d(center, node) <= R = radius +
+        spacing: the nearest node of a ball point may lie just outside the
+        ball.  Where phi_i = 0 the later angles do not move the point, so of
+        those duplicate nodes only the first (all later angles 0) is kept.
+        The order is row-major in the angles, phi_(k-1) fastest;
+        farthest-first insertion in `epsilon_net` breaks ties by this order.
+
+        Pruning.  The grid is grown one angle at a time, and only the nodes
+        that can lie in the ball are built.  A prefix phi_1..phi_i fixes
+        u_1..u_i and the norm s_i = sin phi_1 ... sin phi_i of the rest of
+        u.  With v = sqrt(center), D_i = sum_(j<=i) (u_j - v_j)^2 and
+        t_i = ||(v_(i+1), ..., v_k)||, every completion has
+        ||u - v||^2 >= D_i + (s_i - t_i)^2 (the triangle inequality on the
+        tail), while a node in the ball has chord
+        ||u - v|| = 2 sin(d / 4) <= 2 sin(R / 4), read as 2 when R >= 2 pi,
+        where nothing is pruned.  At the next angle the bound is
+        D_i + |(s_i cos phi, s_i sin phi) - (v_(i+1), t_(i+1))|^2: a circle
+        of radius s_i against a disc, which meet in one arc around the
+        disc's polar angle, so each prefix expands over one interval of
+        node indices (found by one arccos), a prefix with a 0 index over
+        index 0 alone.  The squared chord bound gets the absolute slack
+        PROBE_PRUNE_SLACK (1e-9).  Every term of the test is at most 4 and
+        rounds by about 1e-15, as does a node's own sqrt(p) against its u,
+        and the slack moves the arc's ends by at least 5e-10 radians, so no
+        node that the final d <= R filter keeps is pruned.  (A slack on the
+        chord itself would sink below that rounding in tiny balls.)  The
+        kept nodes' u, p and d are formed by the same operations as over
+        the whole grid, so the probes are those of the whole grid filtered,
+        bit for bit and in the same order.
+
+        Cap.  Each angle's candidate count, the integer sum of its prefixes'
+        interval widths, is compared with NET_PROBE_CAP before that angle's
+        arrays are built, and a count past it is refused: the cap counts
+        the grid near the ball, not the whole orthant's.
         """
         angles = self.dim - 1
         if angles == 0:  # simplex1 is the single point [1]
             return np.ones((1, 1))
         n = _axis_nodes(self.tag, math.pi / 2, spacing / math.sqrt(angles))
-        if n**angles > NET_PROBE_CAP:
-            raise CapabilityError(f"{self.tag}: probe grid would need {n}^{angles} nodes")
-        # idx[i] is the node index of angle i, row-major: the last angle fastest
-        idx = np.indices((n,) * angles, dtype=np.int32).reshape(angles, -1)
-        # phi_i = 0 fixes the point whatever the later angles: of those nodes
-        # keep the one whose later angles are all 0
-        keep = np.ones(idx.shape[1], dtype=bool)
-        later = np.zeros(idx.shape[1], dtype=bool)  # some angle after i is not 0
-        for i in reversed(range(angles)):
-            keep &= (idx[i] != 0) | ~later
-            later |= idx[i] != 0
-        idx = idx[:, keep]
-        phi = np.linspace(0.0, math.pi / 2, n)
-        cos, sin = np.cos(phi), np.sin(phi)
-        u = np.empty((idx.shape[1], self.dim))
-        run = np.ones(idx.shape[1])  # sin phi_1 ... sin phi_(i-1)
+        # node j of every angle is np.linspace(0, pi/2, n)[j]: j * step, and
+        # exactly pi/2 at j = n - 1
+        step = (math.pi / 2) / (n - 1)
+        v = np.sqrt(np.maximum(center, 0.0))
+        tails = np.sqrt(np.cumsum(np.square(v[::-1]))[::-1]).tolist() + [0.0]
+        reach = radius + spacing
+        bound = 4.0 * math.sin(min(reach, TWO_PI) / 4.0) ** 2 + PROBE_PRUNE_SLACK
+        # per prefix: u_1..u_i, s_i, D_i, and whether some index was 0
+        cols: list[Array] = []
+        run, part, closed = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
         for i in range(angles):
-            u[:, i] = run * cos[idx[i]]
-            run *= sin[idx[i]]
-        u[:, -1] = run
+            # prefix with phi at angle i: s^2 + t^2 - 2 s t cos(phi - psi)
+            # <= bound - D, for t = t_i and psi the polar angle of
+            # (v_i, t_(i+1)), holds on |phi - psi| <= arccos(num / den)
+            psi = math.atan2(tails[i + 1], v[i])
+            num = run * run + tails[i] ** 2 - (bound - part)
+            den = 2.0 * tails[i] * run
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                half = np.arccos(np.clip(num / den, -1.0, 1.0))
+                lo = np.maximum(np.ceil((psi - half) / step), 0.0)
+                hi = np.minimum(np.floor((psi + half) / step), n - 1.0)
+            whole = num <= -den  # the whole circle, den = 0 included
+            lo[whole], hi[whole] = 0.0, n - 1.0
+            hi[num > den] = -1.0  # no node
+            lo[closed], hi[closed] = 0.0, 0.0
+            width = np.maximum(hi - lo + 1.0, 0.0)
+            count = width.sum()  # integers, summed exactly up to 2**53
+            if count > NET_PROBE_CAP:
+                raise CapabilityError(
+                    f"{self.tag}: probe grid would need {int(count)} nodes"
+                    f" at angle {i + 1} of {angles}"
+                )
+            parent, rank = _expand(width.astype(np.intp))
+            j = lo[parent].astype(np.intp) + rank
+            phi = j * step
+            phi[j == n - 1] = math.pi / 2
+            cos, sin = np.cos(phi), np.sin(phi)
+            run = run[parent]
+            cols = [c[parent] for c in cols]
+            cols.append(run * cos)
+            run *= sin
+            part = part[parent] + np.square(cols[-1] - v[i])
+            closed = closed[parent] | (j == 0)
+        u = np.stack(cols + [run], axis=1)
         grid = np.square(u, out=u)
         grid /= grid.sum(axis=1, keepdims=True)
         near = self.distance_many(grid, center[None, :])
-        return grid[near <= radius + spacing]
+        return grid[near <= reach]
 
     def unit_probe(self):
         return dyadic_simplex(self.dim, math.comb(2**5 + self.dim - 1, self.dim - 1))

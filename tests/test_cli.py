@@ -315,6 +315,23 @@ def test_distance_refuses_a_pointwise_distance_that_overflowed(tmp_path, capsys)
         assert err.startswith("error: D_p is undefined") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_distance_refuses_an_spd3_pencil_past_the_float_range(tmp_path, capsys):
+    """diag(1e-11) against diag(1e300) in spd3: the congruence overflows,
+    and eigvalsh does not converge on the infinite entries.  That pair is
+    refused, in spd2's words, with one error line and exit 2, not with a
+    LinAlgError traceback or an overflow warning."""
+    dom = Domain(np.ones(2))
+    small, huge = tmp_path / "small.json", tmp_path / "huge.json"
+    save_map(MeasurableMap(dom, make_space("spd3"), np.tile(1e-11 * np.eye(3).ravel(), (2, 1))),
+             small)
+    save_map(MeasurableMap(dom, make_space("spd3"), np.tile(1e300 * np.eye(3).ravel(), (2, 1))),
+             huge)
+    code, stdout, err = run_cli(capsys, "distance", str(small), str(huge))
+    assert code == EXIT_DATA and stdout == ""
+    assert err == "error: spd distance: the pair's pencil is past the float range\n"
+
+
 def test_distance_bad_exponent(pair_files, capsys):
     a, b = pair_files
     code, _, err = run_cli(capsys, "distance", str(a), str(b), "--p", "banana")
@@ -490,6 +507,24 @@ def test_quantize_sup_refuses_a_fine_simplex_net_at_once(tmp_path, capsys):
     )
     assert code == EXIT_DATA and stdout == "" and "probe grid would need" in err
     assert time.perf_counter() - start < 10.0
+
+
+def test_quantize_sup_nets_a_small_simplex_range_at_a_fine_eps(tmp_path, capsys):
+    """A simplex3 map whose range lies within 0.01 pi of its first value is
+    netted at eps 0.001: the probe grid is built only near that ball, where
+    the whole orthant's 17773^2 nodes were refused."""
+    sp = make_space("simplex3")
+    center = np.array([0.3, 0.5, 0.2])
+    values = sp.geodesic_many(center, sp.random_payloads(np.random.default_rng(0), 16),
+                              np.linspace(0.0, 0.01, 16))
+    f = MeasurableMap(Domain.grid(2, 4), sp, values)
+    save_map(f, tmp_path / "f.json")
+    code, stdout, err = run_cli(
+        capsys, "quantize", str(tmp_path / "f.json"), "--mode", "sup", "--eps", "0.001",
+        "--base-value", "[0.3, 0.5, 0.2]", "--out", str(tmp_path / "q.json"),
+    )
+    summary = last_json(stdout)
+    assert code == 0 and err == "" and summary["achieved_error"] < 0.001
 
 
 def test_quantize_sup_refuses_a_circle_grid_past_the_probe_cap(tmp_path, capsys, monkeypatch):

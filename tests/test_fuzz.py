@@ -204,6 +204,12 @@ def test_mutated_inputs_end_in_one_error_line_never_a_traceback(inputs, tmp_path
     configs = [
         (["gen"], {"kind": "random", "space": "spd2", "grid": "4x4", "seed": 3, "spread": 0.5,
                    "regions": 3}),
+        # spread 1e308: random and piecewise values overflow and are refused,
+        # and seed 0's smooth anchors are finite, with a difference that is not
+        (["gen"], {"kind": "smooth", "space": "euclidean2", "grid": "4x4", "seed": 0,
+                   "spread": 1e308}),
+        (["gen"], {"kind": "random", "space": "euclidean2", "grid": "4x4", "seed": 0,
+                   "spread": 1e308}),
         (["quantize", str(inputs / "small.json")], {"mode": "countable", "eps": 0.5, "p": "2"}),
         (["distance", str(inputs / "small.json"), str(inputs / "small.json")], {"p": "1,inf"}),
         (["continuify", str(inputs / "simple.json")],

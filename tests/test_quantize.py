@@ -58,6 +58,35 @@ def line_map(domain, values):
     return MeasurableMap(domain, E1, np.asarray(values, dtype=float)[:, None])
 
 
+def unique_rows_in_order(values):
+    """The np.unique(axis=0) form of `dedup_rows_in_order`, its oracle."""
+    uniq, first, inverse = np.unique(values, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return uniq[order], rank[inverse.reshape(-1)]
+
+
+def test_dedup_rows_in_order_matches_np_unique(rng):
+    """The lexsort dedup gives np.unique's rows, bits, labels and dtypes:
+    small-integer rows with +0.0 and -0.0 mixed (which are one row, with
+    the first occurrence's bits), bool rows, and empty stacks."""
+    stacks = [np.zeros((0, 3)), np.zeros((5, 0)), np.zeros((0, 0)), np.ones((1, 2))]
+    for _ in range(100):
+        m, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        rows = rng.integers(-2, 3, (m, d)).astype(float)
+        rows[rng.random((m, d)) < 0.3] *= -1.0  # sign flips: a 0.0 turns into -0.0
+        stacks += [rows, rng.random((m, d)) < 0.5]
+    for values in stacks:
+        (want, want_labels), (got, got_labels) = (
+            unique_rows_in_order(values), dedup_rows_in_order(values))
+        assert got.shape == want.shape and got.dtype == want.dtype, values
+        assert got.tobytes() == want.tobytes(), values
+        assert got_labels.dtype == want_labels.dtype
+        assert np.array_equal(got_labels, want_labels), values
+    assert np.signbit(dedup_rows_in_order(np.array([[-0.0], [0.0]]))[0]).all()
+
+
 # ---------------------------------------------------------------------------
 # countable-range quantization
 # ---------------------------------------------------------------------------

@@ -135,6 +135,26 @@ def test_euclidean_geodesic_is_segment():
     assert np.array_equal(mid, np.array([1.0, 1.0]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_euclidean_geodesic_across_the_float_range():
+    """1e308 and -1e308 are 2e308 apart, past the float range: that row is
+    formed as (1 - t) a + t b, without a warning, while the other rows keep
+    the bits of a + t (b - a)."""
+    sp = make_space("euclidean2")
+    a = np.array([[1e308, 1.0], [0.25, -3.0], [0.1, 0.7]])
+    b = np.array([[-1e308, 2.0], [1.5, 7.0], [0.3, -0.2]])
+    t = np.array([0.5, 0.3, 0.7])
+    out = sp.geodesic_many(a, b, t)
+    assert np.array_equal(out[0], [0.0, 1.5])
+    assert out[1:].tobytes() == (a[1:] + t[1:, None] * (b[1:] - a[1:])).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_euclidean_random_payloads_past_the_float_range_are_refused(rng):
+    with pytest.raises(InvalidPointError, match="not finite"):
+        make_space("euclidean2").random_payloads(rng, 64, 1e308)
+
+
 # ---------------------------------------------------------------------------
 # symmetric positive definite matrices, affine-invariant distance
 # ---------------------------------------------------------------------------
@@ -653,20 +673,79 @@ def test_circle_probe_grid_past_the_cap_is_refused():
 
 
 def test_simplex_probe_grid_past_the_cap_is_refused():
-    """A simplex3 grid of n nodes per angle, n**2 just past NET_PROBE_CAP,
-    is refused, and the refusal allocates nothing: the node count is an
-    integer computed before any array is built."""
+    """A simplex3 ball of radius pi is the whole simplex, so its grid of n
+    nodes per angle keeps 1 + (n - 1) n nodes, just past NET_PROBE_CAP: it
+    is refused, and the refusal allocates no more than the first angle's
+    n candidates, since each angle's count is an integer computed before
+    that angle's arrays are built."""
     n = math.isqrt(NET_PROBE_CAP) + 1
     # h = (pi/2) / (n - 1.5), so ceil((pi/2) / h) + 1 = n nodes per angle
     spacing = math.sqrt(2) * (math.pi / 2) / (n - 1.5)
+    count = 1 + (n - 1) * n  # angle 1 at 0 pins angle 2 at 0
+    assert count > NET_PROBE_CAP
     tracemalloc.start()
     try:
-        with pytest.raises(CapabilityError, match=rf"probe grid would need {n}\^2 nodes"):
-            make_space("simplex3").probe_ball(np.array([0.3, 0.5, 0.2]), 0.3, spacing)
+        with pytest.raises(CapabilityError,
+                           match=rf"probe grid would need {count} nodes at angle 2 of 2"):
+            make_space("simplex3").probe_ball(np.array([0.3, 0.5, 0.2]), math.pi, spacing)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak  # the grid itself would take 48 MB
+
+
+def whole_orthant_grid(dim, spacing):
+    """The simplex probe grid over the whole orthant, before the ball
+    filter: the oracle of the pruned `SimplexSpace.probe_ball`."""
+    angles = dim - 1
+    n = math.ceil((math.pi / 2) / (spacing / math.sqrt(angles))) + 1
+    idx = np.indices((n,) * angles, dtype=np.int32).reshape(angles, -1)
+    keep = np.ones(idx.shape[1], dtype=bool)
+    later = np.zeros(idx.shape[1], dtype=bool)  # some angle after i is not 0
+    for i in reversed(range(angles)):
+        keep &= (idx[i] != 0) | ~later
+        later |= idx[i] != 0
+    idx = idx[:, keep]
+    phi = np.linspace(0.0, math.pi / 2, n)
+    cos, sin = np.cos(phi), np.sin(phi)
+    u = np.empty((idx.shape[1], dim))
+    run = np.ones(idx.shape[1])
+    for i in range(angles):
+        u[:, i] = run * cos[idx[i]]
+        run *= sin[idx[i]]
+    u[:, -1] = run
+    grid = np.square(u, out=u)
+    grid /= grid.sum(axis=1, keepdims=True)
+    return grid
+
+
+SIMPLEX_BALL_CENTERS = {
+    2: [[1.0, 0.0], [0.0, 1.0], [0.3, 0.7], [0.5, 0.5]],
+    3: [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.3, 0.5, 0.2], [0.6, 0.0, 0.4]],
+    4: [[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]],
+    5: [[0.0, 0.0, 0.0, 0.0, 1.0], [0.25, 0.25, 0.0, 0.25, 0.25], [0.1, 0.2, 0.3, 0.2, 0.2]],
+}
+# spacings per dim, down to the finest whose whole-orthant oracle stays small
+SIMPLEX_BALL_SPACINGS = {2: [0.005, 0.05, 0.3], 3: [0.005, 0.0125, 0.3],
+                         4: [0.05, 0.3], 5: [0.15, 0.3]}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_simplex_probe_grid_is_the_whole_orthant_grid_filtered(dim):
+    """The pruned grid keeps every node of the whole-orthant grid that lies
+    in the ball, bit for bit and in the same order, for balls at vertices,
+    on faces and inside, from tiny to the whole simplex."""
+    sp = make_space(f"simplex{dim}")
+    for spacing in SIMPLEX_BALL_SPACINGS[dim]:
+        grid = whole_orthant_grid(dim, spacing)
+        for center in SIMPLEX_BALL_CENTERS[dim]:
+            c = np.array(center)
+            near = sp.distance_many(grid, c[None, :])
+            for radius in [0.01, 0.1, 0.338, 1.0, 2.0, math.pi, math.inf]:
+                got = sp.probe_ball(c, radius, spacing)
+                want = grid[near <= radius + spacing]
+                assert got.shape == want.shape, (c, radius, spacing)
+                assert got.tobytes() == want.tobytes(), (c, radius, spacing)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -711,6 +790,9 @@ def ball_samples(sp, center, radius, rng, m=300):
         ("simplex3", [1.0, 0.0, 0.0], 0.3, 0.0125),  # at a vertex
         ("simplex3", [0.0, 0.5, 0.5], 0.3, 0.0125),  # on a face
         ("simplex3", [0.3, 0.5, 0.2], 0.3, 0.0125),  # inside
+        # a small ball at a fine spacing, whose orthant grid (17773^2 nodes)
+        # would pass NET_PROBE_CAP
+        ("simplex3", [0.3, 0.5, 0.2], 0.01, 0.001 / 8),
     ],
 )
 def test_probe_grid_places_every_ball_point_within_spacing(name, center, radius, spacing, rng):
@@ -719,9 +801,22 @@ def test_probe_grid_places_every_ball_point_within_spacing(name, center, radius,
     sp = make_space(name)
     probes = sp.probe_ball(np.array(center), radius, spacing)
     x = ball_samples(sp, np.array(center), radius, rng)
-    d = sp.distance_many(np.repeat(x, len(probes), axis=0), np.tile(probes, (len(x), 1)))
-    gap = d.reshape(len(x), len(probes)).min(axis=1).max()
+    # sample blocks against every probe, as (block, probes) tables
+    gap = max(sp.distance_many(block[:, None], probes[None]).min(axis=1).max()
+              for block in np.array_split(x, 10))
     assert gap <= spacing, (name, center, gap)
+
+
+def test_small_simplex_ball_at_a_fine_eps_gets_a_covering_net(rng):
+    """A ball of radius 0.01 at eps 0.001 is netted, not refused: its grid
+    is built only near the ball, and the net covers the ball strictly
+    within eps."""
+    sp = make_space("simplex3")
+    center = np.array([0.3, 0.5, 0.2])
+    net = sp.epsilon_net(center, 0.01, 0.001)
+    assert np.array_equal(net[0], center) and 100 < len(net) < 1000
+    x = ball_samples(sp, center, 0.01, rng)
+    assert sp.distance_many(x[:, None], net[None]).min(axis=1).max() < 0.001
 
 
 def test_single_point_space_net_is_its_center():
