@@ -50,6 +50,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    subcommands: dict[str, argparse.ArgumentParser]  # the top-level parser's, by name
+
     def error(self, message):  # argparse would SystemExit(2); we map usage -> 1
         raise UsageError(message)
 
@@ -115,17 +117,12 @@ def _out_path(args, default_name: str) -> Path:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="metriclp", description=__doc__.split("\n")[0] if __doc__ else "")
-    # --config must also exist on every subparser so it is accepted in any
-    # position; the value itself is consumed by the pre-parse scan in main().
-    config_parent = argparse.ArgumentParser(add_help=False)
-    config_parent.add_argument("--config", help="JSON file of default flag values")
+    # listed for --help only: main() takes every --config out of argv
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
-    def add_parser(name: str, **kwargs):
-        return sub.add_parser(name, parents=[config_parent], **kwargs)
-
-    p_gen = add_parser("gen", help="generate fixture mappings")
+    p_gen = sub.add_parser("gen", help="generate fixture mappings")
     p_gen.add_argument("--kind", required=True,
                        choices=["smooth", "random", "constant", "piecewise"])
     p_gen.add_argument("--space", default="euclidean2")
@@ -136,13 +133,13 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--spread", type=float, default=1.0)
     p_gen.add_argument("--out")
 
-    p_dist = add_parser("distance", help="D_p distance between two map files")
+    p_dist = sub.add_parser("distance", help="D_p distance between two map files")
     p_dist.add_argument("left")
     p_dist.add_argument("right")
     p_dist.add_argument("--p", default="2", help="comma list, e.g. 1,2,inf")
     p_dist.add_argument("--out", help="also write the report as JSON")
 
-    p_quant = add_parser("quantize", help="approximate a map by finitely many values")
+    p_quant = sub.add_parser("quantize", help="approximate a map by finitely many values")
     p_quant.add_argument("map")
     p_quant.add_argument("--mode", default="countable",
                          choices=["countable", "almost-simple", "sup"])
@@ -153,7 +150,7 @@ def build_parser() -> _Parser:
     p_quant.add_argument("--out")
     p_quant.add_argument("--report")
 
-    p_cont = add_parser("continuify", help="relax a simple map to a continuous/smooth field")
+    p_cont = sub.add_parser("continuify", help="relax a simple map to a continuous/smooth field")
     p_cont.add_argument("map", help="simple-map file")
     p_cont.add_argument("--background", help="JSON payload of the background point")
     p_cont.add_argument("--p", default="2")
@@ -162,7 +159,7 @@ def build_parser() -> _Parser:
     p_cont.add_argument("--out")
     p_cont.add_argument("--report")
 
-    p_ver = add_parser("verify", help="run the bundled theorem suite")
+    p_ver = sub.add_parser("verify", help="run the bundled theorem suite")
     p_ver.add_argument("--suite", default="all", choices=["all"])
     p_ver.add_argument("--seed", type=_parse_seed, default=0)
     p_ver.add_argument("--out", help="write the JSON ledger here")
@@ -334,53 +331,56 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if result.all_pass else EXIT_VERIFY
 
 
-def _subcommand_parsers(parser: argparse.ArgumentParser):
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            yield from action.choices.values()
+def _take_config(argv: list[str]) -> tuple[str | None, list[str]]:
+    """The first --config path in argv (None without one), and argv without
+    any --config flag, so later ones are never read.  A token scan:
+    parse_known_args would reject a missing required flag before the
+    config that supplies it could load."""
+    paths, rest = [], []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--config":
+            paths.append(next(tokens, ""))
+        elif tok.startswith("--config="):
+            paths.append(tok.split("=", 1)[1])
+        else:
+            rest.append(tok)
+    return (paths[0] if paths else None), rest
 
 
-def _apply_config_defaults(parser: _Parser, defaults: dict) -> None:
-    # argparse types only string defaults and never checks them against
-    # `choices`: other values go in as JSON text, choices are checked here,
-    # and null keeps the built-in default.  Subparsers parse into a fresh
-    # namespace that overwrites the parent's, so defaults go into every
-    # subparser, and make a required flag optional.  A key no subcommand
-    # knows is refused; keys of other subcommands are fine.
-    parsers = list(_subcommand_parsers(parser))
-    dests = {action.dest for target in parsers for action in target._actions}
-    unknown = [k for k in defaults if k.replace("-", "_") not in dests]
-    if unknown:
-        raise UsageError(f"config key {unknown[0]!r} names no flag")
-    texts = {k.replace("-", "_"): v if isinstance(v, str) else json.dumps(v)
-             for k, v in defaults.items() if v is not None}
-    for target in parsers:
-        target.set_defaults(**texts)
-        for action in target._actions:
-            if action.dest in texts:
-                if action.choices is not None and texts[action.dest] not in action.choices:
-                    raise UsageError(f"config key {action.dest!r}: {texts[action.dest]!r}"
-                                     f" is not one of {list(action.choices)}")
-                action.required = False
+def _config_tokens(parser: _Parser, command: str | None, path: str) -> list[str]:
+    """The config file's values as `--flag=value` tokens of `command`.
 
-
-def _scan_config_flag(argv: list[str]) -> str | None:
-    # A plain token scan: parse_known_args would already descend into the
-    # subcommand and reject a missing required flag before the config that
-    # supplies it could load.
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+    A string goes in as is, a list or number as its JSON text; the `=`
+    keeps a value such as -1 attached to its flag, and argparse applies the
+    flag's own type, choices and required checks.  null keeps the built-in
+    default.  A key that names no option flag of any subcommand is refused;
+    keys of other subcommands are skipped."""
+    if not path:
+        raise UsageError("--config needs a file path")
+    try:
+        config = json.loads(Path(path).read_text())
+    # ValueError: bad JSON or text that is not UTF-8; RecursionError: deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MetricLpError(f"cannot load config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise MetricLpError("config must be a JSON object of flag defaults")
+    flags = {name: {flag for action in sub._actions if action.dest != "help"
+                    for flag in action.option_strings}
+             for name, sub in parser.subcommands.items()}
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if not any(flag in known for known in flags.values()):
+            raise UsageError(f"config key {key!r} names no option flag")
+        if value is not None and flag in flags.get(command, ()):
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
 
 
 @functools.cache
 def _builtin_parser() -> _Parser:
-    """The parser with the built-in defaults, built once per process: parsing
-    never changes it.  A --config call sets defaults on a parser of its own."""
+    """The one parser, built once per process: parsing never changes it."""
     return build_parser()
 
 
@@ -388,16 +388,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _builtin_parser()
     try:
-        config_path = _scan_config_flag(argv)
-        if config_path:
-            parser = build_parser()
-            try:
-                defaults = json.loads(Path(config_path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise MetricLpError(f"cannot load config {config_path}: {exc}") from exc
-            if not isinstance(defaults, dict):
-                raise MetricLpError("config must be a JSON object of flag defaults")
-            _apply_config_defaults(parser, defaults)
+        path, argv = _take_config(argv)
+        if path is not None:
+            # the subcommand is the first word: with --config out, the top
+            # level has no option that takes a value
+            at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), len(argv))
+            command = argv[at] if at < len(argv) else None
+            argv[at + 1:at + 1] = _config_tokens(parser, command, path)
         args = parser.parse_args(argv)
         handler = {
             "gen": _cmd_gen,

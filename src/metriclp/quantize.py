@@ -39,16 +39,14 @@ from .maps import (
     is_member,
     pointwise_distance,
 )
-from .spaces import EuclideanSpace, MetricSpace
+from .spaces import PRUNE_SLACK_REL, EuclideanSpace, MetricSpace
 
 Array = np.ndarray
 
 STEP_SEARCH_CAP = 10**6
 
-# First-cover scan: pairs per `distance_many` call, and the relative slack of
-# its triangle-inequality band (rounding in the kernels is far below it).
+# First-cover scan: pairs per `distance_many` call.
 COVER_BLOCK_PAIRS = 1 << 16
-COVER_SLACK_REL = 1e-6
 
 
 @dataclass
@@ -100,7 +98,7 @@ def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float)
     |d(v, p) - d(t, p)| < radius, so each row is compared only with the
     still-uncovered values whose pivot distance falls in the band
     d(t, p) +- (radius + slack), found by `searchsorted`.  The slack,
-    COVER_SLACK_REL times the radius plus the largest pivot distances, is
+    PRUNE_SLACK_REL times the radius plus the largest pivot distances, is
     far above the kernels' rounding, so no pair that would test `< radius` is pruned;
     every accept is decided by an exact `distance_many` call, and the
     result is the one of a full scan.  Rows go in blocks of doubling
@@ -116,7 +114,7 @@ def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float)
     d_tab = d_val if table is values else space.distance_many(table, table[0][None, :])
     hit = d_val < radius  # the pivot is table row 0: these pairs are exact
     out[hit] = 0
-    reach = radius + COVER_SLACK_REL * (radius + float(d_val.max()) + float(d_tab.max()))
+    reach = radius + PRUNE_SLACK_REL * (radius + float(d_val.max()) + float(d_tab.max()))
     if not math.isfinite(reach):
         d_val = np.zeros(m)
         d_tab = np.zeros(k)
@@ -265,6 +263,9 @@ def almost_simple_approx(
     under eps/3.  Step 3 assigns each surviving atom the center of the
     first ball covering it, spending at most R per atom, hence under eps/3
     in total.  Atoms reverted at any step carry the base label.
+
+    The searches compare sums of w * (d / (eps/3))**p with 1; the report
+    gives each step's error as D_p over that step's atoms.
     """
     p = check_p(p)
     if math.isinf(p):
@@ -277,22 +278,29 @@ def almost_simple_approx(
     if not math.isfinite(d_h):
         raise MetricLpError("f must lie at finite D_p distance from h")
     n_atoms = f.domain.atom_count
-    w = np.where(np.isinf(f.domain.weights), 0.0, f.domain.weights)
-    contrib = w * d**p
-    budget = (eps / 3.0) ** p
+    weights = f.domain.weights
+    # the step sums in units of (eps/3)**p, so each step's budget is 1: a
+    # term that overflows or underflows cannot move its sum across 1
+    live = (weights > 0) & np.isfinite(weights) & (d > 0)
+    contrib = np.zeros(n_atoms)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        contrib[live] = weights[live] * (d[live] / (eps / 3.0)) ** p
+
+    def step_error(mask: Array, dist: Array) -> float:
+        return dp_from_pointwise(np.where(mask, dist, 0.0), weights, p)
 
     # step 1: revert deviations below 1/n
     order = np.argsort(d, kind="stable")
     d_sorted = d[order]
     cum = np.cumsum(contrib[order])
 
-    def step1_error_pow(n: int) -> float:
+    def step1_sum(n: int) -> float:
         k = int(np.searchsorted(d_sorted, 1.0 / n, side="left"))
         return float(cum[k - 1]) if k else 0.0
 
-    n0 = _smallest_index(1, STEP_SEARCH_CAP, lambda n: step1_error_pow(n) < budget)
-    step1 = max(step1_error_pow(n0), 0.0) ** (1.0 / p)
+    n0 = _smallest_index(1, STEP_SEARCH_CAP, lambda n: step1_sum(n) < 1.0)
     altered_mask = d >= 1.0 / n0
+    step1 = step_error(~altered_mask, d)
     altered = AtomSet.from_mask(altered_mask)
     mu_altered = measure(f.domain, altered)
 
@@ -312,36 +320,29 @@ def almost_simple_approx(
         )
         return out, report
 
-    # step 2: keep values inside the first n1 balls of radius R
+    # step 2: keep values inside the first n1 balls of radius R; the error
+    # of keeping n balls is the mass of the atoms whose first cover is n or
+    # later (index m for none), a suffix sum over the covers
     radius = eps / (3.0 * mu_altered ** (1.0 / p))
     dense, inverse = dedup_rows_in_order(f.values[altered_mask])
+    m = dense.shape[0]
     cover = _first_cover(f.space, dense, dense, radius)[inverse]
-    alt_contrib = contrib[altered_mask]
-    total_alt = float(alt_contrib.sum())
-    cover_for_sort = np.where(cover < 0, dense.shape[0], cover)
-    by_cover = np.argsort(cover_for_sort, kind="stable")
-    gain = np.concatenate([[0.0], np.cumsum(alt_contrib[by_cover])])
-    sorted_cover = cover_for_sort[by_cover]
-
-    def step2_error_pow(n: int) -> float:
-        k = int(np.searchsorted(sorted_cover, n, side="left"))
-        return total_alt - float(gain[k])
-
-    n1 = _smallest_index(1, dense.shape[0], lambda n: step2_error_pow(n) < budget)
-    # cumulative-gain cancellation can dip the residual a hair below zero
-    step2 = max(step2_error_pow(n1), 0.0) ** (1.0 / p)
+    cover = np.where(cover < 0, m, cover)
+    mass = np.bincount(cover, weights=contrib[altered_mask], minlength=m + 1)
+    residual = np.cumsum(mass[::-1])[::-1]
+    n1 = _smallest_index(1, m, lambda n: residual[n] < 1.0)
 
     # step 3: collapse each kept atom onto its first covering center
-    kept = (cover >= 0) & (cover < n1)
+    kept = cover < n1
     labels = np.full(n_atoms, BASE_LABEL, dtype=np.int64)
-    alt_idx = altered.indices
-    labels[alt_idx[kept]] = cover[kept]
+    keep_set = AtomSet(altered.indices[kept], n_atoms)
+    labels[keep_set.indices] = cover[kept]
     out = SimpleMap(f.domain, f.space, labels, dense[:n1], base_flag=BASE_LABEL)
-    g = out.to_map(h)
-    keep_set = AtomSet(alt_idx[kept], n_atoms)
+    kept_mask = labels != BASE_LABEL
+    step2 = step_error(altered_mask & ~kept_mask, d)
     # one ground-metric pass gives step 3's error and the achieved error
-    d_g = pointwise_distance(f, g)
-    step3 = float(np.sum(w[keep_set.indices] * d_g[keep_set.indices] ** p)) ** (1.0 / p)
+    d_g = pointwise_distance(f, out.to_map(h))
+    step3 = step_error(kept_mask, d_g)
 
     report = ApproxReport(
         p=p,

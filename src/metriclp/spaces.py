@@ -67,9 +67,10 @@ TWO_PI = 2.0 * math.pi
 # radius, and greedy insertion stops once every probe is strictly covered.
 NET_PROBE_FRACTION = 8
 NET_PROBE_CAP = 2_000_000
-# Relative slack of the triangle-inequality skips in `epsilon_net`: rounding
-# in the distance kernels is orders of magnitude below it.
-NET_SLACK_REL = 1e-6
+# Relative slack of a triangle-inequality prune (`epsilon_net`'s skips and
+# `quantize._first_cover`'s band): rounding in the distance kernels is
+# orders of magnitude below it.
+PRUNE_SLACK_REL = 1e-6
 # Absolute slack on the squared chord bound that prunes the simplex probe
 # grid (`SimplexSpace.probe_ball`), about 1e6 times the rounding it covers.
 PROBE_PRUNE_SLACK = 1e-9
@@ -284,9 +285,7 @@ class MetricSpace:
         """
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        shape = self._leading_shape(a, b)
-        if a.shape[-1] == 0:
-            return np.zeros(shape)
+        self._leading_shape(a, b)
         return self._distance_many(a, b)
 
     def _distance_many(self, a: Array, b: Array) -> Array:
@@ -346,7 +345,7 @@ class MetricSpace:
         point attaining it.  A new net point can only bring a probe closer
         when d(new, near) < 2 * dist, by the triangle inequality, so only
         those probes are measured again (Elkan's bound).  The test adds a
-        slack of NET_SLACK_REL times the ball's scale, far above the
+        slack of PRUNE_SLACK_REL times the ball's scale, far above the
         kernels' rounding, so no probe whose distance would drop is
         skipped: the distances, and with them the farthest-first choices
         and the net, are the same as with a full rescan after each insert.
@@ -367,7 +366,7 @@ class MetricSpace:
         net = [c]
         dist = self.distance_many(probes, c[None, :])
         near = np.zeros(dist.size, dtype=np.int64)
-        slack = NET_SLACK_REL * (2.0 * radius + eps)
+        slack = PRUNE_SLACK_REL * (2.0 * radius + eps)
         while dist.size and dist.max() >= eps - spacing:
             new = probes[int(np.argmax(dist))]
             to_net = self.distance_many(np.array(net), new[None, :])

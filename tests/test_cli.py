@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.metadata
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from metriclp import (
     spaces,
     verify,
 )
+from metriclp import cli
 from metriclp.cli import EXIT_DATA, main
 from metriclp.fileio import load_any_map, save_map, save_simple_map
 from metriclp.spaces import MetricSpace
@@ -457,6 +460,41 @@ def test_quantize_almost_simple_requires_base(tmp_path, capsys, rng):
         "--mode", "almost-simple", "--eps", "0.5",
     )
     assert code == 1 and "base" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fixture,p,eps,base", [
+    # values 1e200 apart: a difference of sums lost the step-2 residual
+    ("far", "1", "0.5", "[0]"),
+    # d**p overflowed, and the residual left the search at its cap
+    ("far", "2", "0.5", "[0]"),
+    # (eps/3)**p: cancellation noise above 1e-50, and a budget of 0.0
+    ("simplex", "50", "0.3", "[0.2, 0.3, 0.5]"),
+    ("simplex", "700", "0.3", "[0.2, 0.3, 0.5]"),
+    # (eps/3)**p overflowed
+    ("simplex", "2", "1e308", "[0.2, 0.3, 0.5]"),
+])
+def test_quantize_almost_simple_keeps_its_guarantee_at_every_scale(
+        tmp_path, capsys, fixture, p, eps, base):
+    """Each step stays under eps/3 and the error under eps, with no warning,
+    however far the values lie and however large p or eps is."""
+    path = tmp_path / "f.json"
+    if fixture == "far":
+        values = np.array([0, 1e200, 2e200, 0, 1, 3, 1e-200, 5])[:, None]
+        save_map(MeasurableMap(Domain.grid(1, 8), make_space("euclidean1"), values), path)
+    else:
+        code, _, err = run_cli(capsys, "gen", "--kind", "smooth", "--space", "simplex3",
+                               "--grid", "8", "--out", str(path))
+        assert code == 0, err
+    report = tmp_path / "r.json"
+    code, stdout, err = run_cli(
+        capsys, "quantize", str(path), "--mode", "almost-simple", "--p", p, "--eps", eps,
+        "--base-value", base, "--out", str(tmp_path / "q.json"), "--report", str(report),
+    )
+    assert code == 0 and err == "", err
+    assert last_json(stdout)["achieved_error"] < float(eps)
+    steps = json.loads(report.read_text())["step_breakdown"]
+    assert all(steps[step] < float(eps) / 3 for step in ("step1", "step2", "step3")), steps
 
 
 def test_quantize_sup_refuses_an_unbounded_ball(tmp_path):
@@ -901,9 +939,9 @@ def test_config_value_outside_choices_is_usage_error(tmp_path, capsys, rng, conf
     out = tmp_path / "out.json"
     argv = [arg.format(map=tmp_path / "f.json") for arg in argv]
     code, stdout, err = run_cli(capsys, "--config", str(cfg), *argv, "--out", str(out))
-    key = next(iter(config))
+    flag = "--" + next(iter(config))
     assert code == 1 and stdout == "" and not out.exists()
-    assert err.startswith("usage error: ") and repr(key) in err and "banana" in err
+    assert err.startswith("usage error: ") and flag in err and "banana" in err
 
 
 def test_config_values_go_through_their_flag_types(tmp_path, capsys):
@@ -957,6 +995,19 @@ def test_config_must_be_object(tmp_path, capsys):
     assert code == 2 and "config" in err
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe{", b"[" * 100_000], ids=["not-utf8", "deep"])
+def test_an_unreadable_config_is_a_data_error(tmp_path, capsys, data):
+    """Text that is not UTF-8, and JSON nested past the parser's recursion
+    limit, end in one error line, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    out = tmp_path / "a.json"
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), "gen", "--kind", "random",
+                                "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: cannot load config") and err.count("\n") == 1
+
+
 def test_a_config_call_leaves_the_built_in_defaults_to_later_calls(tmp_path, capsys, rng):
     """A --config call sets its defaults on a parser of its own: the next
     call without --config gets the built-in grid and needs --eps again."""
@@ -972,6 +1023,129 @@ def test_a_config_call_leaves_the_built_in_defaults_to_later_calls(tmp_path, cap
     code, _, err = run_cli(capsys, "quantize", str(tmp_path / "f.json"),
                            "--out", str(tmp_path / "q.json"))
     assert code == 1 and "--eps" in err
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_the_first_config_wins(tmp_path, capsys, where):
+    """Later --config flags are dropped unread, in either position."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": "8"}))
+    configs = ["--config", str(cfg), f"--config={tmp_path / 'missing.json'}"]
+    argv = ["gen", "--kind", "random", "--out", str(tmp_path / "a.json")]
+    argv = configs + argv if where == "before" else argv + configs
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert last_json(stdout)["atoms"] == 8
+
+
+@pytest.mark.parametrize("argv", [["--config="], ["--config", ""], ["--config"]])
+def test_config_with_an_empty_path_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "a.json"
+    code, stdout, err = run_cli(capsys, "gen", "--kind", "random", "--out", str(out), *argv)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith("usage error: ") and "--config" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["map", "left", "right", "command", "help", "config"])
+def test_config_key_naming_no_option_flag_is_usage_error(tmp_path, capsys, key):
+    """Positionals, the subcommand, --help and --config itself are not
+    option flags a config can set."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "random", key: "x"}))
+    out = tmp_path / "a.json"
+    code, stdout, err = run_cli(capsys, "--config", str(cfg), "gen", "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith("usage error: ") and repr(key) in err and err.count("\n") == 1
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """Calls with and without --config share the one parser."""
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": "4"}))
+    cli._builtin_parser.cache_clear()
+    try:
+        for config in ([], ["--config", str(cfg)], [f"--config={cfg}"], []):
+            code, _, err = run_cli(capsys, *config, "gen", "--kind", "random",
+                                   "--out", str(tmp_path / "a.json"))
+            assert code == 0, err
+    finally:
+        cli._builtin_parser.cache_clear()
+    assert len(calls) == 1
+
+
+def option_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) for every option flag of every subcommand."""
+    subs = next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return [(name, flag) for name, sub in subs.items()
+            for action in sub._actions if action.dest != "help"
+            for flag in action.option_strings]
+
+
+# per option flag: the other arguments of the call, and the value given
+# once as the flag's text and once as a config value; {d} is a directory
+# holding f.json (a euclidean1 map) and simple.json (a euclidean1 simple map)
+FLAG_CASES = {
+    ("gen", "--kind"): (["gen", "--grid", "4"], "banana"),
+    ("gen", "--space"): (["gen", "--kind", "random", "--grid", "4"], "euclidean1"),
+    ("gen", "--grid"): (["gen", "--kind", "random"], "4x8"),
+    ("gen", "--seed"): (["gen", "--kind", "random", "--grid", "4"], "-1"),
+    ("gen", "--regions"): (["gen", "--kind", "piecewise", "--grid", "4"], "2"),
+    ("gen", "--value"): (["gen", "--kind", "constant", "--space", "euclidean1"], "[-1]"),
+    ("gen", "--spread"): (["gen", "--kind", "random", "--grid", "4"], "1e308"),
+    ("gen", "--out"): (["gen", "--kind", "random", "--grid", "4"], "{d}/g.json"),
+    ("distance", "--p"): (["distance", "{d}/f.json", "{d}/f.json"], "1,inf"),
+    ("distance", "--out"): (["distance", "{d}/f.json", "{d}/f.json"], "{d}/r.json"),
+    ("quantize", "--mode"): (["quantize", "{d}/f.json", "--eps", "0.5"], "banana"),
+    ("quantize", "--eps"): (["quantize", "{d}/f.json"], "-0.5"),
+    ("quantize", "--p"): (["quantize", "{d}/f.json", "--eps", "0.5"], "-1"),
+    ("quantize", "--base"): (["quantize", "{d}/f.json", "--eps", "0.5", "--mode", "sup"],
+                             "{d}/missing.json"),
+    ("quantize", "--base-value"): (
+        ["quantize", "{d}/f.json", "--eps", "0.5", "--mode", "almost-simple", "--p", "1"],
+        "[-1]"),
+    ("quantize", "--out"): (["quantize", "{d}/f.json", "--eps", "0.5"], "{d}/q.json"),
+    ("quantize", "--report"): (["quantize", "{d}/f.json", "--eps", "0.5"], "{d}/rep.json"),
+    ("continuify", "--background"): (["continuify", "{d}/simple.json", "--eps", "0.5"],
+                                     "[-1]"),
+    ("continuify", "--p"): (["continuify", "{d}/simple.json", "--eps", "0.5"], "inf"),
+    ("continuify", "--eps"): (["continuify", "{d}/simple.json"], "0.5"),
+    ("continuify", "--order"): (["continuify", "{d}/simple.json", "--eps", "0.5"], "2"),
+    ("continuify", "--out"): (["continuify", "{d}/simple.json", "--eps", "0.5"], "{d}/c.json"),
+    ("continuify", "--report"): (["continuify", "{d}/simple.json", "--eps", "0.5"],
+                                 "{d}/crep.json"),
+    ("verify", "--suite"): (["verify"], "banana"),
+    ("verify", "--seed"): (["verify"], "x"),
+    # verify prints its runtime: a write that fails keeps stdout empty
+    ("verify", "--out"): (["verify"], "{d}/nodir/ledger.json"),
+}
+
+
+@pytest.mark.parametrize("command,flag", option_flags())
+def test_a_config_value_acts_as_its_flag(tmp_path, capsys, monkeypatch, rng, command, flag):
+    """A config value and the same text on the command line get the same
+    exit code, stdout and first stderr line, through every check of the
+    flag (type, choices, required and the command's own)."""
+    monkeypatch.setenv("METRICLP_OUT", str(tmp_path))  # calls without --out write here
+    f = MeasurableMap(Domain(np.ones(8)), make_space("euclidean1"), rng.normal(size=(8, 1)))
+    save_map(f, tmp_path / "f.json")
+    labels = np.array([0, 0, 1, 1, 1, 0, 0, 1])
+    save_simple_map(SimpleMap(Domain.grid(1, 8), make_space("euclidean1"), labels,
+                              np.array([[0.0], [1.0]])), tmp_path / "simple.json")
+    argv, value = FLAG_CASES[command, flag]
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    value = value.format(d=tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: value}))
+    runs = [run_cli(capsys, *argv, flag, value), run_cli(capsys, "--config", str(cfg), *argv)]
+    (code, stdout, err), (cfg_code, cfg_stdout, cfg_err) = runs
+    assert (cfg_code, cfg_stdout) == (code, stdout)
+    # a failed write names its temporary file, whose name is random
+    first = [re.sub(r"\.[0-9a-f]{12}\.tmp", ".tmp", e.split("\n")[0]) for e in (err, cfg_err)]
+    assert first[0] == first[1]
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,8 @@ def test_mutated_inputs_end_in_one_error_line_never_a_traceback(inputs, tmp_path
         (["gen"], {"kind": "random", "space": "euclidean2", "grid": "4x4", "seed": 0,
                    "spread": 1e308}),
         (["quantize", str(inputs / "small.json")], {"mode": "countable", "eps": 0.5, "p": "2"}),
+        (["quantize", str(inputs / "small.json")],
+         {"mode": "almost-simple", "eps": 0.5, "p": "2", "base-value": "[1, 0, 0, 1]"}),
         (["distance", str(inputs / "small.json"), str(inputs / "small.json")], {"p": "1,inf"}),
         (["continuify", str(inputs / "simple.json")],
          {"p": "1", "eps": 0.3, "order": 2, "background": "[1, 0, 0, 1]"}),

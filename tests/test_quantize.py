@@ -46,7 +46,7 @@ from metriclp import (
     simple_approx_sup,
 )
 from metriclp import quantize
-from metriclp.maps import check_p
+from metriclp.maps import check_p, dp_from_pointwise
 from metriclp.quantize import _best_errors, _divergence_grid, _first_cover, dedup_rows_in_order
 
 from .conftest import ill_conditioned_spd
@@ -213,29 +213,35 @@ def oracle_countable_quantize(f, eps, pieces=None, p=None):
 
 
 def oracle_almost_simple_approx(f, h, p, eps):
-    """The parent's four-pass construction: membership, deviations, step 3
-    and the achieved error each ran the ground metric."""
+    """The four-pass construction: membership, deviations, step 3 and the
+    achieved error each run the ground metric, and step 2 sums each ball
+    prefix's discarded mass afresh.  Step sums are in units of (eps/3)**p
+    and each step's error is D_p over that step's atoms."""
     p = check_p(p)
     if not is_member(f, h, p):
         raise MetricLpError("f must lie at finite D_p distance from h")
     n_atoms = f.domain.atom_count
     d = pointwise_distance(f, h)
     w = np.where(np.isinf(f.domain.weights), 0.0, f.domain.weights)
-    contrib = w * d**p
-    budget = (eps / 3.0) ** p
+    live = (w > 0) & (d > 0)
+    contrib = np.zeros(n_atoms)
+    with np.errstate(over="ignore", under="ignore"):
+        contrib[live] = w[live] * (d[live] / (eps / 3.0)) ** p
+
+    def step_error(mask, dist):
+        return dp_from_pointwise(np.where(mask, dist, 0.0), f.domain.weights, p)
+
     order = np.argsort(d, kind="stable")
     d_sorted = d[order]
     cum = np.cumsum(contrib[order])
 
-    def step1_error_pow(n):
+    def step1_sum(n):
         k = int(np.searchsorted(d_sorted, 1.0 / n, side="left"))
         return float(cum[k - 1]) if k else 0.0
 
-    n0 = quantize._smallest_index(
-        1, quantize.STEP_SEARCH_CAP, lambda n: step1_error_pow(n) < budget
-    )
-    step1 = max(step1_error_pow(n0), 0.0) ** (1.0 / p)
+    n0 = quantize._smallest_index(1, quantize.STEP_SEARCH_CAP, lambda n: step1_sum(n) < 1.0)
     altered_mask = d >= 1.0 / n0
+    step1 = step_error(~altered_mask, d)
     altered = AtomSet.from_mask(altered_mask)
     mu_altered = measure(f.domain, altered)
     if mu_altered == 0.0:
@@ -249,32 +255,28 @@ def oracle_almost_simple_approx(f, h, p, eps):
     radius = eps / (3.0 * mu_altered ** (1.0 / p))
     dense, inverse = dedup_rows_in_order(f.values[altered_mask])
     cover = _first_cover(f.space, dense, dense, radius)[inverse]
+    cover = np.where(cover < 0, dense.shape[0], cover)
     alt_contrib = contrib[altered_mask]
-    total_alt = float(alt_contrib.sum())
-    cover_for_sort = np.where(cover < 0, dense.shape[0], cover)
-    by_cover = np.argsort(cover_for_sort, kind="stable")
-    gain = np.concatenate([[0.0], np.cumsum(alt_contrib[by_cover])])
-    sorted_cover = cover_for_sort[by_cover]
-
-    def step2_error_pow(n):
-        k = int(np.searchsorted(sorted_cover, n, side="left"))
-        return total_alt - float(gain[k])
-
-    n1 = quantize._smallest_index(1, dense.shape[0], lambda n: step2_error_pow(n) < budget)
-    step2 = max(step2_error_pow(n1), 0.0) ** (1.0 / p)
-    kept = (cover >= 0) & (cover < n1)
+    n1 = quantize._smallest_index(
+        1, dense.shape[0], lambda n: float(alt_contrib[cover >= n].sum()) < 1.0
+    )
+    kept = cover < n1
     labels = np.full(n_atoms, BASE_LABEL, dtype=np.int64)
     alt_idx = altered.indices
     labels[alt_idx[kept]] = cover[kept]
     out = SimpleMap(f.domain, f.space, labels, dense[:n1], base_flag=BASE_LABEL)
     g = out.to_map(h)
     keep_set = AtomSet(alt_idx[kept], n_atoms)
-    dist_kept = f.space.distance_many(f.values[keep_set.indices], g.values[keep_set.indices])
-    step3 = float(np.sum(w[keep_set.indices] * dist_kept**p)) ** (1.0 / p)
+    dist_kept = np.zeros(n_atoms)
+    dist_kept[keep_set.indices] = f.space.distance_many(
+        f.values[keep_set.indices], g.values[keep_set.indices]
+    )
+    kept_mask = labels != BASE_LABEL
     return out, quantize.ApproxReport(
         p=p, target_eps=eps, achieved_error=dp_distance(f, g, p), range_size=out.range_size,
         altered_measure=float(measure(f.domain, keep_set)),
-        step_breakdown={"step1": step1, "step2": step2, "step3": step3},
+        step_breakdown={"step1": step1, "step2": step_error(altered_mask & ~kept_mask, d),
+                        "step3": step_error(kept_mask, dist_kept)},
     )
 
 

@@ -479,16 +479,28 @@ def test_simplex_rejects_non_distribution():
         sp.check_payload(np.array([[1.2, -0.2, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shape", [(16, 0), (0, 0), (2, 3, 0), (0,)])
 def test_length_zero_payload_stacks_are_checked(shape):
     """euclidean0 payloads have length 0; a stack of them, empty or not,
-    passes the check, and a stack of another length does not."""
+    passes the check, and a stack of another length does not.  The kernel
+    itself measures broadcast stacks of them as exact +0.0, without a
+    warning, in the broadcast leading shape."""
     sp = make_space("euclidean0")
     assert sp.check_payload(np.zeros(shape)).shape == shape
     with pytest.raises(DimensionMismatchError):
         sp.check_payload(np.zeros((16, 1)))
     f = MeasurableMap(Domain.grid(2, 4), sp, np.zeros((16, 0)))
     assert f.values.shape == (16, 0)
+    stack = np.zeros(shape)
+    assert sp.distance_many(stack, stack).shape == np.atleast_2d(stack).shape[:-1]
+    for shape_a, shape_b in [((5, 0), (5, 0)), ((3, 1, 0), (1, 4, 0)), ((1, 0), (6, 0)),
+                             ((0, 0), (0, 0))]:
+        a, b = np.zeros(shape_a), np.zeros(shape_b)
+        for got in (sp._distance_many(a, b), sp.distance_many(a, b), sp.distance_many(b, a)):
+            assert got.shape == np.broadcast_shapes(shape_a[:-1], shape_b[:-1])
+            assert got.dtype == np.float64
+            assert not got.any() and not np.signbit(got).any()
 
 
 def test_dyadic_simplex_prefix():
