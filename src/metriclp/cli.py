@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fields, fileio, quantize, relax, verify
 from .domain import Domain
-from .errors import MetricLpError
+from .errors import DataError, MetricLpError
 from .maps import (
     MeasurableMap,
     SimpleMap,
@@ -359,12 +359,9 @@ def _config_tokens(parser: _Parser, command: str | None, path: str) -> list[str]
     if not path:
         raise UsageError("--config needs a file path")
     try:
-        config = json.loads(Path(path).read_text())
-    # ValueError: bad JSON or text that is not UTF-8; RecursionError: deep nesting
-    except (OSError, ValueError, RecursionError) as exc:
-        raise MetricLpError(f"cannot load config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise MetricLpError("config must be a JSON object of flag defaults")
+        config = fileio._read_json(path)
+    except DataError as exc:
+        raise DataError(f"cannot load config: {exc}") from exc
     flags = {name: {flag for action in sub._actions if action.dest != "help"
                     for flag in action.option_strings}
              for name, sub in parser.subcommands.items()}

@@ -103,11 +103,13 @@ def _read_domain_file(path: str | os.PathLike) -> dict:
 
 
 def _read_json(path: str | os.PathLike) -> dict:
+    """The JSON object in the UTF-8 file at `path`, or DataError."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON or text that is not UTF-8; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object")

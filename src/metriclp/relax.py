@@ -41,7 +41,7 @@ from .domain import (
     outer_open_approx,
     urysohn,
 )
-from .errors import CapabilityError, GeometryError, MetricLpError
+from .errors import GeometryError, MetricLpError
 from .maps import BASE_LABEL, MeasurableMap, SimpleMap, check_p, dp_distance, dp_from_pointwise
 
 Array = np.ndarray
@@ -151,8 +151,6 @@ def smooth_from_simple(
     domain = g.domain
     if domain.geometry is None:
         raise GeometryError("relaxation needs a grid domain")
-    if not g.space.has_geodesic:
-        raise CapabilityError(f"{g.space.tag}: relaxation needs geodesics")
     if bool(np.any(g.labels == BASE_LABEL)):
         raise MetricLpError("materialize base atoms before relaxing")
     z0 = g.space.check_point(background)

@@ -44,10 +44,13 @@ Conventions
   (Elkan's bound, with a slack far above kernel rounding), so the net is
   the one a full rescan of every probe would give, bit for bit.
 
-Capability flags say which of geodesic / dense_sequence / epsilon_net a
-space supports.  The histogram space deliberately refuses epsilon nets:
-it stands in for distributions on the line under the 1-Wasserstein
-distance, where closed balls are not compact and no finite net exists.
+Every target is separable and path-connected: each has a dense sequence
+and constant-speed geodesics, which the density and separability results
+need.  What varies is whether closed balls are compact, and with it
+whether finite epsilon nets exist: `has_epsilon_net` is the one capability
+flag.  The histogram space deliberately refuses epsilon nets: it stands in
+for distributions on the line under the 1-Wasserstein distance, where
+closed balls are not compact and no finite net exists.
 """
 
 from __future__ import annotations
@@ -217,8 +220,6 @@ class MetricSpace:
     """
 
     tag: str = "abstract"
-    has_geodesic = False
-    has_dense_sequence = False
     has_epsilon_net = False
 
     dim: int  # payload length
@@ -299,8 +300,6 @@ class MetricSpace:
         stacks and the times broadcast against each other, so one endpoint
         pair serves any number of times, and (atoms, dim) endpoints with
         (k, 1) times give k points per atom as one (k, atoms, dim) stack."""
-        if not self.has_geodesic:
-            raise CapabilityError(f"{self.tag}: no geodesic capability")
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -317,8 +316,6 @@ class MetricSpace:
     # -- dense sequences -----------------------------------------------------
 
     def dense_payloads(self, k: int) -> Array:
-        if not self.has_dense_sequence:
-            raise CapabilityError(f"{self.tag}: no dense-sequence capability")
         if k < 0:
             raise ValueError("k must be nonnegative")
         return self._dense_payloads(k)
@@ -439,8 +436,6 @@ def _axis_nodes(tag: str, length: float, h: float) -> int:
 class EuclideanSpace(MetricSpace):
     """R^d with the usual norm; geodesics are straight segments."""
 
-    has_geodesic = True
-    has_dense_sequence = True
     has_epsilon_net = True
 
     def __init__(self, dim: int):
@@ -622,8 +617,6 @@ class SpdSpace(MetricSpace):
     with dyadic entries (the exponential chart is a global homeomorphism).
     """
 
-    has_geodesic = True
-    has_dense_sequence = True
     has_epsilon_net = True
 
     def __init__(self, n: int):
@@ -840,11 +833,49 @@ class SpdSpace(MetricSpace):
 
 
 # ---------------------------------------------------------------------------
+# probability vectors: what the simplex and histogram targets share
+# ---------------------------------------------------------------------------
+
+
+class ProbabilityVectorSpace(MetricSpace):
+    """Payloads of dim >= 1 weights, each >= -1e-12, summing to 1 within
+    1e-9; one weight is the single point [1].
+
+    Dense sequences are `dyadic_simplex`, random payloads are uniform
+    (Dirichlet(1, ..., 1)), and the unit probe is every dyadic point of
+    level `probe_level`.
+    """
+
+    probe_level: int
+
+    @property
+    def single_point(self) -> bool:
+        return self.dim == 1
+
+    def _check_valid(self, flat):
+        if flat.min(initial=0.0) < -1e-12:
+            raise InvalidPointError(f"{self.tag} payload has a negative weight")
+        gap = np.abs(flat.sum(axis=-1) - 1.0).max(initial=0.0)
+        if gap > 1e-9:
+            raise InvalidPointError(f"{self.tag} payload does not sum to 1 (gap {gap:.2e})")
+
+    def _dense_payloads(self, k):
+        return dyadic_simplex(self.dim, k)
+
+    def unit_probe(self):
+        n = 2**self.probe_level
+        return dyadic_simplex(self.dim, math.comb(n + self.dim - 1, self.dim - 1))
+
+    def random_payloads(self, rng, m, spread=1.0):
+        return np.asarray(rng.dirichlet(np.ones(self.dim), size=m), dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
 # probability simplex with the Fisher-Rao distance
 # ---------------------------------------------------------------------------
 
 
-class SimplexSpace(MetricSpace):
+class SimplexSpace(ProbabilityVectorSpace):
     r"""Closed probability simplex under the Fisher-Rao distance.
 
     .. math:: d(p, q) = 2 \arccos \sum_i \sqrt{p_i q_i}
@@ -859,28 +890,14 @@ class SimplexSpace(MetricSpace):
     arguments sum to one.
     """
 
-    has_geodesic = True
-    has_dense_sequence = True
     has_epsilon_net = True
+    probe_level = 5
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("simplex needs at least one weight")
         self.dim = int(dim)
         self.tag = f"simplex{self.dim}"
-
-    @property
-    def single_point(self) -> bool:
-        return self.dim == 1
-
-    def _check_valid(self, flat):
-        if flat.size == 0:
-            return
-        if flat.min() < -1e-12:
-            raise InvalidPointError("simplex payload has a negative weight")
-        gap = np.abs(flat.sum(axis=-1) - 1.0).max()
-        if gap > 1e-9:
-            raise InvalidPointError(f"simplex payload does not sum to 1 (gap {gap:.2e})")
 
     def _distance_many(self, a, b):
         chord = np.linalg.norm(np.sqrt(np.maximum(a, 0.0)) - np.sqrt(np.maximum(b, 0.0)), axis=-1)
@@ -898,9 +915,6 @@ class SimplexSpace(MetricSpace):
             out = sq / sq.sum(axis=-1, keepdims=True)
         np.copyto(out, a, where=th < 1e-15)
         return out
-
-    def _dense_payloads(self, k):
-        return dyadic_simplex(self.dim, k)
 
     def probe_ball(self, center, radius, spacing):
         r"""Grid uniform in the hyperspherical angles of the sphere chart.
@@ -1009,20 +1023,13 @@ class SimplexSpace(MetricSpace):
         near = self.distance_many(grid, center[None, :])
         return grid[near <= reach]
 
-    def unit_probe(self):
-        return dyadic_simplex(self.dim, math.comb(2**5 + self.dim - 1, self.dim - 1))
-
-    def random_payloads(self, rng, m, spread=1.0):
-        w = rng.dirichlet(np.ones(self.dim), size=m)
-        return np.asarray(w, dtype=np.float64)
-
 
 # ---------------------------------------------------------------------------
 # discrete distributions on a fixed 1-D grid, 1-Wasserstein distance
 # ---------------------------------------------------------------------------
 
 
-class HistogramSpace(MetricSpace):
+class HistogramSpace(ProbabilityVectorSpace):
     r"""Probability weights on a fixed sorted grid of real nodes.
 
     The 1-Wasserstein distance has the closed CDF form
@@ -1036,9 +1043,8 @@ class HistogramSpace(MetricSpace):
     rather than silently truncated.
     """
 
-    has_geodesic = True
-    has_dense_sequence = True
     has_epsilon_net = False
+    probe_level = 4
 
     def __init__(self, grid: Array):
         grid = np.asarray(grid, dtype=np.float64).reshape(-1)
@@ -1050,18 +1056,6 @@ class HistogramSpace(MetricSpace):
         self._spacing = np.diff(grid).tolist()
         self.dim = grid.size
         self.tag = f"histogram{self.dim}"
-
-    @property
-    def single_point(self) -> bool:
-        return self.dim == 1
-
-    def _check_valid(self, flat):
-        if flat.min(initial=0.0) < -1e-12:
-            raise InvalidPointError("histogram payload has a negative weight")
-        if flat.size:
-            gap = np.abs(flat.sum(axis=-1) - 1.0).max()
-            if gap > 1e-9:
-                raise InvalidPointError(f"histogram weights do not sum to 1 (gap {gap:.2e})")
 
     def _distance_many(self, a, b):
         if self.dim == 1:
@@ -1081,15 +1075,6 @@ class HistogramSpace(MetricSpace):
     def _geodesic_many(self, a, b, t):
         return a + t[..., None] * (b - a)
 
-    def _dense_payloads(self, k):
-        return dyadic_simplex(self.dim, k)
-
-    def unit_probe(self):
-        return dyadic_simplex(self.dim, math.comb(2**4 + self.dim - 1, self.dim - 1))
-
-    def random_payloads(self, rng, m, spread=1.0):
-        return np.asarray(rng.dirichlet(np.ones(self.dim), size=m), dtype=np.float64)
-
     def descriptor(self):
         return {"space": self.tag, "dim": self.dim, "grid": self.grid.tolist()}
 
@@ -1107,8 +1092,6 @@ class CircleSpace(MetricSpace):
     2*pi*j/2**l level by level: 0, pi, pi/2, 3*pi/2, pi/4, ...
     """
 
-    has_geodesic = True
-    has_dense_sequence = True
     has_epsilon_net = True
 
     def __init__(self):

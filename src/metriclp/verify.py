@@ -409,30 +409,25 @@ def _value_costs(f: MeasurableMap, family: DenseFamily, w: Array, p: float) -> A
     return cost
 
 
-def separability_probe(
-    f: MeasurableMap,
-    family: DenseFamily,
-    p: float,
-    eps: float,
-    exhaustive: bool = False,
-) -> ProbeReport:
-    """First family member at D_p distance strictly below eps from f.
-
-    `exhaustive=True` walks the enumeration member by member (the oracle
-    path, capped at MEMBER_CAP members), measured in blocks.  The default
-    path computes per-cell alteration costs and walks cell combinations /
-    value tuples with an exact best-completion bound, visiting candidates
-    in the same order as the enumeration and returning the same first
-    solution.
-    """
+def _probe_exponent(p: float, eps: float) -> float:
+    """The checked exponent of a probe, which must be finite, with eps > 0."""
     p = check_p(p)
     if math.isinf(p):
         raise MetricLpError("the probe needs a finite exponent p")
     if not eps > 0:
         raise MetricLpError("eps must be positive")
-    if exhaustive:
-        return _exhaustive_probe(f, family, p, eps)
+    return p
 
+
+def separability_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float) -> ProbeReport:
+    """First family member at D_p distance strictly below eps from f.
+
+    Computes per-cell alteration costs and walks cell combinations / value
+    tuples with an exact best-completion bound, visiting candidates in the
+    same order as the enumeration and returning the same first solution as
+    its oracle, `exhaustive_probe`.
+    """
+    p = _probe_exponent(p, eps)
     w = np.where(np.isinf(family.domain.weights), 0.0, family.domain.weights)
     d_base = pointwise_distance(f, family.base)
     eps_pow = eps**p
@@ -493,8 +488,9 @@ def separability_probe(
     return ProbeReport(False, (), None, p, eps, "optimized")
 
 
-def _exhaustive_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float) -> ProbeReport:
-    """The first member, in enumeration order, at D_p distance below eps.
+def exhaustive_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float) -> ProbeReport:
+    """The first member, in enumeration order, at D_p distance below eps:
+    the oracle of `separability_probe`, walking at most MEMBER_CAP members.
 
     Members are measured in blocks of COVER_BLOCK_PAIRS // atoms: a block is
     one (members, atoms, dim) value stack, the base values with each altered
@@ -504,6 +500,7 @@ def _exhaustive_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: floa
     distance has the bits of `dp_distance(f, member)`, so the first row
     below eps is the member the one-by-one walk stops at.
     """
+    p = _probe_exponent(p, eps)
     _check_pair(f, family.base)
     values = family.space.check_payload(family.values)
     base = family.base.values
@@ -698,8 +695,6 @@ def _check_space_dense(ctx: SuiteContext) -> dict:
     metrics = {}
     for name in SPACE_NAMES:
         space = make_space(name)
-        if not space.has_dense_sequence:
-            continue
         k = 40
         prefix = space.dense_payloads(k)
         longer = space.dense_payloads(k + 17)
@@ -1080,6 +1075,11 @@ def _check_relax_smooth(ctx: SuiteContext) -> dict:
     require(smooth.achieved_error < eps, "smooth error over budget")
     for piece in smooth.pieces:
         require(piece.sup_gap <= piece.sup_gap_budget, "smooth sup budget exceeded")
+    # at p = 1 the error and its p-th power agree; at p = 2 the error must be
+    # the root of its defining sum
+    smooth2 = relax.smooth_from_simple(g, z0, 2.0, eps, order=2)
+    direct2 = math.fsum(g.domain.weights * pointwise_distance(g, smooth2.map) ** 2) ** 0.5
+    require(abs(smooth2.achieved_error - direct2) <= 1e-12 * direct2, "p = 2 error off its sum's root")
     t = np.array([0.25])
     require(float(relax.smoothstep(t, 2)[0]) == 0.103515625, "smoothstep value")
     require(relax.smoothstep_max_slope(1) == 1.5, "smoothstep slope, order 1")
@@ -1171,7 +1171,7 @@ def _check_separability(ctx: SuiteContext) -> dict:
         target = fields.random_map(small_dom, space, rng_t, spread=0.5)
         eps = float(rng_t.uniform(0.2, 0.8))
         fast = separability_probe(target, fam_small, 2.0, eps)
-        slow = separability_probe(target, fam_small, 2.0, eps, exhaustive=True)
+        slow = exhaustive_probe(target, fam_small, 2.0, eps)
         require(fast.found == slow.found, "probe and enumeration disagree")
         if fast.found:
             require(fast.pairs == slow.pairs, f"{fast.pairs} != {slow.pairs}")

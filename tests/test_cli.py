@@ -533,8 +533,9 @@ def test_quantize_warns_when_the_error_is_not_below_eps(tmp_path, capsys, monkey
 
 
 def test_quantize_sup_refuses_a_fine_simplex_net_at_once(tmp_path, capsys):
-    """eps 0.001 asks for a sphere-chart grid of 17773^2 nodes: refused
-    with exit 2 before any grid is built, not served by a coarser one."""
+    """eps 0.001 over the whole range asks for a sphere-chart grid of
+    303723819 nodes at the second angle: refused with exit 2 before that
+    angle's arrays are built, not served by a coarser grid."""
     sp = make_space("simplex3")
     f = MeasurableMap(Domain.grid(2, 8), sp, sp.random_payloads(np.random.default_rng(0), 64))
     save_map(f, tmp_path / "f.json")
@@ -549,8 +550,8 @@ def test_quantize_sup_refuses_a_fine_simplex_net_at_once(tmp_path, capsys):
 
 def test_quantize_sup_nets_a_small_simplex_range_at_a_fine_eps(tmp_path, capsys):
     """A simplex3 map whose range lies within 0.01 pi of its first value is
-    netted at eps 0.001: the probe grid is built only near that ball, where
-    the whole orthant's 17773^2 nodes were refused."""
+    netted at eps 0.001: the probe grid is built only near that ball, so
+    it stays under the cap that refuses a ball over the whole orthant."""
     sp = make_space("simplex3")
     center = np.array([0.3, 0.5, 0.2])
     values = sp.geodesic_many(center, sp.random_payloads(np.random.default_rng(0), 16),

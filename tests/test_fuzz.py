@@ -7,7 +7,9 @@ with an inline table and with a table sidecar, a map whose domain is a
 padded, garbled or missing) and config files.  Every JSON member (one
 item standing for each list) is deleted and set to each of a pool of
 ill-typed and out-of-range values, lists are shortened and lengthened,
-and seeded cuts and garbles hit the text.
+and seeded cuts and garbles hit the text.  Byte-level cases (bytes that
+are not UTF-8, a UTF-8 byte-order mark, arrays nested past the parser's
+recursion limit) hit a map file, a `{"path"}` domain and a config file.
 Every call must exit 0, or exit 1 or 2 with exactly one `usage error:` or
 `error:` line on stderr and nothing on stdout; it must never raise out of
 `main`, nor warn.  A failure names its case.
@@ -15,6 +17,7 @@ Every call must exit 0, or exit 1 or 2 with exactly one `usage error:` or
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import copy
 import io
@@ -47,19 +50,22 @@ def run(argv: list[str]) -> tuple[int, str, str, list]:
     return code, out.getvalue(), err.getvalue(), caught
 
 
-def check(argv: list[str], case: str) -> None:
+def check(argv: list[str], case: str) -> int:
+    """Run the CLI on argv and return its exit code, failing on any other
+    outcome than exit 0 or one error line."""
     try:
         code, out, err, caught = run(argv)
     except Exception:  # noqa: BLE001 - a traceback is the failure reported
         pytest.fail(f"{case}: {argv} raised\n{traceback.format_exc()}")
     assert not caught, f"{case}: {argv} warned {[str(w.message) for w in caught]}"
     if code == EXIT_OK:
-        return
+        return code
     lines = err.splitlines()
     prefix = {EXIT_USAGE: "usage error: ", EXIT_DATA: "error: "}.get(code)
     assert prefix is not None, f"{case}: {argv} exited {code}: {err!r}"
     assert out == "", f"{case}: {argv} printed {out!r}"
     assert len(lines) == 1 and lines[0].startswith(prefix), f"{case}: {argv} said {err!r}"
+    return code
 
 
 def member_paths(node, prefix=()):
@@ -117,6 +123,14 @@ def text_mutations(text: str, rng):
         else:
             junk = "{}[],:\"0-eE.x "[int(rng.integers(0, 14))]
             yield text[:at] + junk + text[at + 1:], f"put {junk!r} at {at}"
+
+
+def byte_mutations(data: bytes):
+    """Files no JSON reader may parse: the bytes behind a prefix that is
+    not UTF-8, behind a UTF-8 byte-order mark, and 100,000 nested arrays."""
+    yield b"\xff\xfe" + data, "prefix bytes that are not UTF-8"
+    yield codecs.BOM_UTF8 + data, "prefix a UTF-8 byte-order mark"
+    yield b"[" * 100_000, "nest 100,000 arrays"
 
 
 def mutations(text: str, rng):
@@ -224,3 +238,24 @@ def test_mutated_inputs_end_in_one_error_line_never_a_traceback(inputs, tmp_path
             check([*argv, "--config", str(config), "--out", out], f"{argv[0]} config: {what}")
             cases += 1
     assert cases > 500
+
+
+def test_undecodable_and_deeply_nested_files_are_data_errors(inputs, tmp_path):
+    """A map file, the domain file a map references and a config file, each
+    as bytes no JSON reader may parse, exit 2 with one error line."""
+    work = tmp_path / "work"
+    shutil.copytree(inputs, work)
+    config = work / "config.json"
+    config.write_text(json.dumps({"kind": "random", "space": "spd2", "grid": "4x4"}))
+    calls = {
+        "small.json": ["distance", str(work / "small.json"), str(inputs / "small.json")],
+        "domain.json": ["distance", str(work / "legacy.json"), str(inputs / "legacy.json")],
+        "config.json": ["gen", "--config", str(config), "--out", str(tmp_path / "out.json")],
+    }
+    for name, argv in calls.items():
+        pristine = (work / name).read_bytes()
+        assert check(argv, f"{name}: pristine") == EXIT_OK
+        for data, what in byte_mutations(pristine):
+            (work / name).write_bytes(data)
+            assert check(argv, f"{name}: {what}") == EXIT_DATA, f"{name}: {what}"
+        (work / name).write_bytes(pristine)

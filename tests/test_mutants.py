@@ -148,7 +148,7 @@ FAULTS = [
     Fault(
         "dp_without_root", maps, "dp_from_pointwise", _without_root,
         ("lp.metric_axioms", "lp.constant_embedding", "lp.holder_base_bounds",
-         "relax.continuous", "verify.riesz_fischer", "verify.separability"),
+         "relax.continuous", "relax.smooth", "verify.riesz_fischer", "verify.separability"),
     ),
     Fault(
         "dp_halved", maps, "dp_from_pointwise",

@@ -247,8 +247,6 @@ def test_smoothstep_monotone_endpoints(order, seed):
 @given(name=SPACE, seed=SEEDS, t=st.floats(0.0, 1.0))
 def test_geodesic_points_stay_in_space(name, seed, t):
     sp = make_space(name)
-    if not sp.has_geodesic:
-        pytest.skip("no paths")
     rng = np.random.default_rng(seed)
     pts = sp.random_payloads(rng, 2)
     mid = sp.geodesic_many(pts[0:1], pts[1:2], np.array([t]))

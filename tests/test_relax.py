@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from metriclp import (
-    CapabilityError,
     Domain,
     GeometryError,
     MetricLpError,
@@ -371,19 +370,6 @@ def test_relax_requires_grid_geometry():
     g = SimpleMap(dom, E1, np.zeros(4, dtype=np.int64), np.array([[0.0]]))
     with pytest.raises(GeometryError):
         smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)
-
-
-def test_relax_requires_geodesics():
-    from metriclp.spaces import EuclideanSpace
-
-    class NoPaths(EuclideanSpace):
-        has_geodesic = False
-
-    sp = NoPaths(1)
-    dom = Domain.grid(1, 8)
-    g = SimpleMap(dom, sp, np.zeros(8, dtype=np.int64), np.array([[0.0]]))
-    with pytest.raises(CapabilityError):
-        smooth_from_simple(g, np.array([0.0]), 1.0, 0.2, order=0)
 
 
 def test_relax_rejects_base_flagged_atoms():

@@ -1040,8 +1040,6 @@ def test_geodesic_many_refuses_stacks_it_cannot_pair(name, shape_a, shape_b):
 
 def test_geodesic_endpoints_exact(spaces, rng):
     for sp in spaces.values():
-        if not sp.has_geodesic:
-            continue
         a = sp.random_payloads(rng, 16)
         b = sp.random_payloads(rng, 16)
         assert np.array_equal(sp.geodesic_many(a, b, np.zeros(16)), a), sp.tag
@@ -1050,8 +1048,6 @@ def test_geodesic_endpoints_exact(spaces, rng):
 
 def test_geodesic_constant_speed(spaces, rng):
     for sp in spaces.values():
-        if not sp.has_geodesic:
-            continue
         a = sp.random_payloads(rng, 8)
         b = sp.random_payloads(rng, 8)
         total = sp.distance_many(a, b)
@@ -1190,8 +1186,6 @@ def test_single_payload_entry_points_refuse_bad_payloads(payload, error):
 
 def test_dense_sequences_are_stable_prefixes(spaces):
     for sp in spaces.values():
-        if not sp.has_dense_sequence:
-            continue
         small = sp.dense_payloads(4)
         big = sp.dense_payloads(9)
         assert np.array_equal(big[:4], small), sp.tag

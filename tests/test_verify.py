@@ -26,6 +26,7 @@ from metriclp.verify import (
     CauchySequenceSpec,
     build_dense_family,
     enumerate_members,
+    exhaustive_probe,
     fast_subsequence,
     geodesic_cauchy_fixture,
     incomplete_fixture,
@@ -368,7 +369,7 @@ def test_probe_optimized_equals_exhaustive(rng):
         )
         eps = float(rng.uniform(0.2, 1.2))
         fast = separability_probe(f, fam, 2.0, eps)
-        slow = separability_probe(f, fam, 2.0, eps, exhaustive=True)
+        slow = exhaustive_probe(f, fam, 2.0, eps)
         assert fast.found == slow.found
         if fast.found:
             assert fast.pairs == slow.pairs  # identical first member
@@ -416,7 +417,7 @@ def test_exhaustive_probe_matches_the_member_walk(name, budget, rng, monkeypatch
         d_base = dp_distance(f, fam.base, 2.0)
         eps = float(d_base * rng.uniform(0.3, 1.05))
         want = walk_members_one_by_one(f, fam, 2.0, eps)
-        assert walk_result(separability_probe(f, fam, 2.0, eps, exhaustive=True)) == want
+        assert walk_result(exhaustive_probe(f, fam, 2.0, eps)) == want
         results.append(want)
     assert any(not found for found, *_ in results)
     assert any(found and scanned > 1 for found, _, _, scanned in results)
@@ -428,7 +429,7 @@ def test_exhaustive_probe_first_hit_past_a_block_boundary(rng, monkeypatch):
     monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", 8)
     fam = random_family(rng, "euclidean2")
     pairs, member = list(enumerate_members(fam, 41))[-1]
-    report = separability_probe(member, fam, 2.0, 1e-9, exhaustive=True)
+    report = exhaustive_probe(member, fam, 2.0, 1e-9)
     assert walk_result(report) == walk_members_one_by_one(member, fam, 2.0, 1e-9)
     assert report.found and report.pairs == pairs and report.scanned == 41
     assert report.distance == 0.0
@@ -437,7 +438,7 @@ def test_exhaustive_probe_first_hit_past_a_block_boundary(rng, monkeypatch):
 def test_exhaustive_probe_miss_scans_the_whole_family(rng):
     fam = make_family(rng, cells=4, val_budget=2)  # values {0, 1}: coarse
     f = MeasurableMap(fam.domain, E1, np.full((4, 1), 0.43))
-    report = separability_probe(f, fam, 1.0, 1e-6, exhaustive=True)
+    report = exhaustive_probe(f, fam, 1.0, 1e-6)
     assert walk_result(report) == (False, (), None, 3**4)
     assert walk_result(report) == walk_members_one_by_one(f, fam, 1.0, 1e-6)
 
@@ -451,7 +452,7 @@ def test_exhaustive_probe_respects_member_cap(cap, rng, monkeypatch):
     fam = random_family(rng, "euclidean2")
     for target in (3, 120):
         _, member = list(enumerate_members(fam, target))[-1]
-        report = separability_probe(member, fam, 2.0, 1e-9, exhaustive=True)
+        report = exhaustive_probe(member, fam, 2.0, 1e-9)
         want = walk_members_one_by_one(member, fam, 2.0, 1e-9)
         assert walk_result(report) == want
         assert report.found == (target <= cap)
@@ -462,10 +463,10 @@ def test_exhaustive_probe_refuses_a_target_of_another_domain_or_space(rng):
     fam = make_family(rng)
     other_domain = MeasurableMap(Domain(np.ones(4)), E1, np.zeros((4, 1)))
     with pytest.raises(DomainMismatchError):
-        separability_probe(other_domain, fam, 2.0, 0.1, exhaustive=True)
+        exhaustive_probe(other_domain, fam, 2.0, 0.1)
     other_space = MeasurableMap(fam.domain, make_space("circle"), np.zeros((4, 1)))
     with pytest.raises(DimensionMismatchError):
-        separability_probe(other_space, fam, 2.0, 0.1, exhaustive=True)
+        exhaustive_probe(other_space, fam, 2.0, 0.1)
 
 
 def test_probe_reports_miss_below_reachable_accuracy(rng):
