@@ -326,8 +326,6 @@ def urysohn(domain: Domain, c: AtomSet, v: AtomSet) -> TransitionField:
     complement of V holds the padded ring.  A core that fills V needs no
     transform: the field is then 1 on V, and the gap is one cell.
     """
-    if domain.geometry is None:
-        raise GeometryError("urysohn needs grid geometry")
     geo = _grid(domain, c, v)
     n = domain.atom_count
     if c.size and c.difference(v).size:

@@ -18,16 +18,10 @@ from .spaces import MetricSpace
 Array = np.ndarray
 
 
-def _coords(domain: Domain) -> Array:
-    if domain.geometry is None:
-        raise GeometryError("this fixture needs a grid domain")
-    return domain.coordinates()
-
-
 def smooth_scalar(domain: Domain, rng: np.random.Generator) -> Array:
     """A smooth [0.05, 0.95]-valued scalar per cell: a random low-frequency
     separable wave over the unit cube."""
-    x = _coords(domain)
+    x = domain.coordinates()
     freq = rng.integers(1, 3, size=x.shape[1])
     phase = rng.uniform(0.0, 2.0 * np.pi, size=x.shape[1])
     wave = np.ones(x.shape[0])

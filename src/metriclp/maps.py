@@ -62,6 +62,20 @@ def check_p(p: float) -> float:
     return p
 
 
+def check_finite_p(p: float) -> float:
+    """The exponent of a construction that spends a budget: 1 <= p < inf."""
+    p = check_p(p)
+    if math.isinf(p):
+        raise MetricLpError("p must satisfy 1 <= p < inf")
+    return p
+
+
+def check_eps(eps: float) -> None:
+    """A construction's budget: 0 < eps < inf."""
+    if not 0 < eps < math.inf:
+        raise MetricLpError(f"eps must be positive and finite, got {eps!r}")
+
+
 class MeasurableMap:
     """One target point per atom of a domain."""
 

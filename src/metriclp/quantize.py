@@ -33,6 +33,8 @@ from .maps import (
     BASE_LABEL,
     MeasurableMap,
     SimpleMap,
+    check_eps,
+    check_finite_p,
     check_p,
     dp_distance,
     dp_from_pointwise,
@@ -174,18 +176,11 @@ def countable_quantize(
     distance is 0 or at least that float).  The largest piece sup,
     `worst_piece_sup`, is the D_inf distance of the whole map.
     """
-    if not 0 < eps < math.inf:
-        raise MetricLpError("eps must be positive")
-    if pieces is None:
-        p = math.inf
-        plan = [(slice(None), eps)]
-    else:
-        if p is None:
-            raise MetricLpError("sigma-finite mode needs the exponent p")
-        p = check_p(p)
-        if math.isinf(p):
-            raise MetricLpError("sigma-finite mode is for finite p")
-        plan = _sigma_finite_budgets(f, eps, pieces, p)
+    check_eps(eps)
+    if (pieces is None) != (p is None):
+        raise MetricLpError("sigma-finite mode takes both pieces and the exponent p")
+    p = math.inf if pieces is None else check_finite_p(p)
+    plan = [(slice(None), eps)] if pieces is None else _sigma_finite_budgets(f, eps, pieces, p)
     labels = np.zeros(f.domain.atom_count, dtype=np.int64)
     tables: list[Array] = []
     offset = 0
@@ -267,11 +262,8 @@ def almost_simple_approx(
     The searches compare sums of w * (d / (eps/3))**p with 1; the report
     gives each step's error as D_p over that step's atoms.
     """
-    p = check_p(p)
-    if math.isinf(p):
-        raise MetricLpError("almost_simple_approx is the finite-p construction")
-    if not 0 < eps < math.inf:
-        raise MetricLpError("eps must be positive")
+    p = check_finite_p(p)
+    check_eps(eps)
     # one ground-metric pass gives the membership test and the deviations
     d = pointwise_distance(f, h)
     d_h = dp_from_pointwise(d, f.domain.weights, p)
@@ -368,11 +360,11 @@ def simple_approx_sup(
     Needs the target's epsilon-net capability (boundedly compact balls);
     targets without it refuse by raising CapabilityError.  Every atom takes
     the first net point strictly within eps of its value (ties to the
-    lowest index); an atom the net misses falls back to its nearest net
-    point, and the measured sup error is reported either way.
+    lowest index).  The ball covers the values of the atoms of positive
+    weight, so only an atom of weight zero can be missed; it falls back to
+    its nearest net point, and the report flags `net_fallback_used`.
     """
-    if not 0 < eps < math.inf:
-        raise MetricLpError("eps must be positive")
+    check_eps(eps)
     if not is_member(f, h, math.inf):
         raise MetricLpError("f must lie at finite sup distance from h")
     live = f.domain.weights > 0
@@ -387,7 +379,7 @@ def simple_approx_sup(
     distinct, inverse = dedup_rows_in_order(f.values)
     labels = _first_cover(f.space, distinct, table, eps)
     missed = labels < 0
-    if missed.any():  # probe grid missed a corner of the ball: snap to nearest
+    if missed.any():  # a null atom's value, outside the ball: snap to nearest
         dist = f.space.distance_many(distinct[missed][:, None], table[None])
         labels[missed] = np.argmin(dist, axis=1)
     out = SimpleMap(f.domain, f.space, labels[inverse], table)

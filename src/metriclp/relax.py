@@ -42,7 +42,15 @@ from .domain import (
     urysohn,
 )
 from .errors import GeometryError, MetricLpError
-from .maps import BASE_LABEL, MeasurableMap, SimpleMap, check_p, dp_distance, dp_from_pointwise
+from .maps import (
+    BASE_LABEL,
+    MeasurableMap,
+    SimpleMap,
+    check_eps,
+    check_finite_p,
+    dp_distance,
+    dp_from_pointwise,
+)
 
 Array = np.ndarray
 
@@ -57,10 +65,7 @@ def smoothstep(t: Array | float, order: int) -> Array:
     N vanishing derivatives at both ends:
     s(x) = x**(N+1) * sum_k C(N+k, k) * C(2N+1, N-k) * (-x)**k.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise MetricLpError("smoothstep order must be an integer")
-    if order < 0 or order > MAX_SMOOTH_ORDER:
-        raise MetricLpError(f"smoothstep order must be in [0, {MAX_SMOOTH_ORDER}]")
+    _check_order(order)
     arr = np.asarray(t, dtype=np.float64)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise MetricLpError("smoothstep input must lie in [0, 1]")
@@ -72,6 +77,12 @@ def smoothstep(t: Array | float, order: int) -> Array:
         coeff = math.comb(n + k, k) * math.comb(2 * n + 1, n - k) * (-1.0) ** k
         out += coeff * arr**k
     return out * arr ** (n + 1)
+
+
+def _check_order(order: int) -> None:
+    integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
+    if not (integer and 0 <= order <= MAX_SMOOTH_ORDER):
+        raise MetricLpError(f"smoothstep order must be an integer in [0, {MAX_SMOOTH_ORDER}]")
 
 
 def smoothstep_max_slope(order: int) -> float:
@@ -143,11 +154,9 @@ def smooth_from_simple(
     continuous relaxation: geodesic transitions driven by the raw
     distance-ratio field.
     """
-    p = check_p(p)
-    if math.isinf(p):
-        raise MetricLpError("relaxation budgets need a finite exponent p")
-    if not 0 < eps < math.inf:
-        raise MetricLpError("eps must be positive")
+    p = check_finite_p(p)
+    check_eps(eps)
+    _check_order(order)
     domain = g.domain
     if domain.geometry is None:
         raise GeometryError("relaxation needs a grid domain")

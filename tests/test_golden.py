@@ -44,7 +44,8 @@ from metriclp.spaces import make_space
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 SPACES = ["euclidean1", "euclidean2", "euclidean3", "spd2", "spd3", "simplex3", "histogram8", "circle"]
-GRID = "24x24"
+CELLS = 24
+GRID = f"{CELLS}x{CELLS}"
 SEEDS = (0, 1)
 ORDERS = (0, 2, 5)
 # per space: the eps of the countable, almost-simple and sup modes, None
@@ -91,14 +92,14 @@ class Stage:
         return data.replace(str(self.root).encode() + b"/", b"")
 
 
-def tie_field(space_name: str, grid: int) -> MeasurableMap | None:
+def tie_field(space_name: str) -> MeasurableMap | None:
     """Dyadic values, multiples of TIE_EPS / 2, on the first coordinate of a
     Euclidean target or the angle of the circle: many pairs lie exactly
     TIE_EPS apart, so a cover that accepts at `<=` moves labels."""
     if not space_name.startswith("euclidean") and space_name != "circle":
         return None
     space = make_space(space_name)
-    domain = Domain.grid(2, grid)
+    domain = Domain.grid(2, CELLS)
     values = np.zeros((domain.atom_count, space.dim))
     values[:, 0] = (np.arange(domain.atom_count) * 7 % 11) * (TIE_EPS / 2)
     return MeasurableMap(domain, space, values)
@@ -121,7 +122,7 @@ def space_digests(space_name: str, root: Path) -> dict[str, str]:
         countable.run("quantize", inp / f"random{seed}.json", "--eps", eps,
                       "--out", countable.dir / f"q{seed}.json",
                       "--report", countable.dir / f"r{seed}.json")
-    ties = tie_field(space_name, int(GRID.split("x")[0]))
+    ties = tie_field(space_name)
     if ties is not None:
         fileio.save_map(ties, root / "ties.json")
         countable.run("quantize", root / "ties.json", "--eps", TIE_EPS,

@@ -576,6 +576,20 @@ def test_sup_fallback_snaps_missed_atoms_to_nearest(rng, monkeypatch):
     assert np.array_equal(simple.value_table, sparse)
 
 
+def test_sup_net_misses_only_an_atom_of_weight_zero():
+    """The ball is centred and sized on the atoms of positive weight: an
+    epsilon_net that covers it misses the null atom's value 100, which
+    snaps to the one net point, flags the fallback and adds no error."""
+    line = make_space("euclidean1")
+    dom = Domain(np.array([1.0, 0.0]))
+    f = MeasurableMap(dom, line, np.array([[0.0], [100.0]]))
+    h = MeasurableMap.constant(dom, line, np.zeros(1))
+    simple, report = simple_approx_sup(f, h, 0.5)
+    assert simple.labels.tolist() == [0, 0]
+    assert report.flags["net_fallback_used"]
+    assert report.achieved_error == 0.0
+
+
 # ---------------------------------------------------------------------------
 # sup-norm quantization via epsilon nets
 # ---------------------------------------------------------------------------

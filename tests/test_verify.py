@@ -548,12 +548,13 @@ def nan_at(x, c):
 
 @pytest.mark.parametrize("budget", [1, 7, None])
 def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
-    """The pruned covering pass gives the radii of a running minimum over
-    the centers exactly, for one-row blocks, blocks with a short tail and
-    the default pair budget; also on tied radii, a shuffled probe, negated
-    distances, a NaN injected early, late or in the last block, one-row
-    and few-row probes, counts (1,) and (2, 3, 40) on random probes, and a
-    probe whose radius its first row, always in the sample, attains."""
+    """The pruned covering pass, one call per count of leading centers,
+    gives the radii of a running minimum over the centers exactly, for
+    one-row blocks, blocks with a short tail and the default pair budget;
+    also on tied radii, a shuffled probe, negated distances, a NaN
+    injected early, late or in the last block, one-row and few-row probes,
+    counts (1,) and (2, 3, 40) on random probes, and a probe whose radius
+    its first row, always in the sample, attains."""
     cases = []
     for name in SPACE_NAMES:
         space = make_space(name)
@@ -606,26 +607,19 @@ def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", budget)
     for space, probe, centers, counts in cases:
-        got = verify._covering_radii(space, probe, centers, counts)
+        got = [verify._covering_radius(space, probe, centers[:m]) for m in counts]
         want = running_min_radii(space, probe, centers, counts)
         np.testing.assert_array_equal(got, want, err_msg=f"{space.tag} {counts}")
     nan_radii = [running_min_radii(space, p, c, (5, 40)) for space, p, c in hard[3:]]
     assert np.isnan(nan_radii).tolist() == [[True, True], [False, True], [True, True]]
 
 
-@pytest.mark.parametrize(
-    "counts, n_centers, n_probe",
-    [((0, 5), 40, 64), ((40,), 1, 1), ((5, 5), 40, 64), ((40, 5), 40, 64), ((), 40, 64)],
-)
-def test_covering_radii_refuse_counts_they_cannot_serve(counts, n_centers, n_probe):
-    """Counts must ascend strictly within 1..len(centers): count 0 would
-    read column -1, and a one-row probe would broadcast one center as if
-    it were 40."""
+def test_covering_radius_refuses_an_empty_center_set():
+    """No center covers anything: an empty set would read a radius off an
+    empty minimum."""
     circle = make_space("circle")
-    probe = circle.unit_probe()[:n_probe]
-    centers = circle.dense_payloads(40)[:n_centers]
-    with pytest.raises(ValueError, match="covering counts"):
-        verify._covering_radii(circle, probe, centers, counts)
+    with pytest.raises(ValueError, match="at least one center"):
+        verify._covering_radius(circle, circle.unit_probe(), np.zeros((0, 1)))
 
 
 def test_dense_sequence_check_prunes_the_covering_pass(monkeypatch):
