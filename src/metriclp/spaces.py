@@ -360,20 +360,25 @@ class MetricSpace:
             return np.array([c])
         spacing = eps / NET_PROBE_FRACTION
         probes = self.probe_ball(c, radius, spacing)
-        net = [c]
+        # a net point is the center or a probe, and an inserted probe is at
+        # distance 0 from the net, so the net fits in probes + 1 rows
+        net = np.empty((probes.shape[0] + 1, c.size))
+        net[0] = c
+        size = 1
         dist = self.distance_many(probes, c[None, :])
         near = np.zeros(dist.size, dtype=np.int64)
         slack = PRUNE_SLACK_REL * (2.0 * radius + eps)
         while dist.size and dist.max() >= eps - spacing:
             new = probes[int(np.argmax(dist))]
-            to_net = self.distance_many(np.array(net), new[None, :])
+            to_net = self.distance_many(net[:size], new[None, :])
             cand = np.flatnonzero(to_net[near] < 2.0 * dist + slack)
             d_new = self.distance_many(probes[cand], new[None, :])
             closer = d_new < dist[cand]
             dist[cand[closer]] = d_new[closer]
-            near[cand[closer]] = len(net)
-            net.append(new)
-        return np.array(net)
+            near[cand[closer]] = size
+            net[size] = new
+            size += 1
+        return net[:size].copy()
 
     def probe_ball(self, center: Array, radius: float, spacing: float) -> Array:
         """Documented finite probe grid for the closed ball B(center, radius);

@@ -31,6 +31,7 @@ from metriclp.spaces import (
     EIG_CLAMP,
     NET_PROBE_CAP,
     NET_PROBE_FRACTION,
+    PRUNE_SLACK_REL,
     _compositions,
     _least_pivots,
     _lex_greater,
@@ -873,6 +874,51 @@ def test_epsilon_nets_frozen():
     for arr, shape, digest in frozen:
         assert arr.shape == shape
         assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, shape
+
+
+def _list_net(sp, center, radius, eps):
+    """The net loop that grew a Python list and rebuilt it as an array at
+    every insertion; the oracle for `epsilon_net`'s preallocated buffer."""
+    c = sp.check_point(center)
+    if radius == 0 or sp.single_point:
+        return np.array([c])
+    spacing = eps / NET_PROBE_FRACTION
+    probes = sp.probe_ball(c, radius, spacing)
+    net = [c]
+    dist = sp.distance_many(probes, c[None, :])
+    near = np.zeros(dist.size, dtype=np.int64)
+    slack = PRUNE_SLACK_REL * (2.0 * radius + eps)
+    while dist.size and dist.max() >= eps - spacing:
+        new = probes[int(np.argmax(dist))]
+        to_net = sp.distance_many(np.array(net), new[None, :])
+        cand = np.flatnonzero(to_net[near] < 2.0 * dist + slack)
+        d_new = sp.distance_many(probes[cand], new[None, :])
+        closer = d_new < dist[cand]
+        dist[cand[closer]] = d_new[closer]
+        near[cand[closer]] = len(net)
+        net.append(new)
+    return np.array(net)
+
+
+@pytest.mark.parametrize(
+    "name", ["euclidean1", "euclidean2", "euclidean3", "spd2", "simplex3", "circle", "euclidean0"]
+)
+def test_epsilon_net_matches_the_list_loop(name, rng):
+    """Random balls in every space with a net, plus a ball at a grid node
+    whose probes tie in distance, give the list loop's net bit for bit."""
+    sp = make_space(name)
+    centers = [sp.random_payloads(rng, 1, spread=0.5)[0] for _ in range(3)]
+    radii = rng.uniform(0.05, 0.6, 3)
+    # eps / radius: finer on the planar grids, whose probe counts stay small
+    lo, hi = (0.5, 0.8) if name in ("euclidean3", "spd2") else (0.1, 0.2)
+    balls = [(c, float(r), float(r * s)) for c, r, s in
+             zip(centers, radii, rng.uniform(lo, hi, 3))]
+    if name.startswith("euclidean"):  # a symmetric grid: tied farthest probes
+        balls.append((np.zeros(sp.dim), 1.0, 0.6))
+    for center, radius, eps in balls:
+        want = _list_net(sp, center, radius, eps)
+        got = sp.epsilon_net(center, radius, eps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (center, radius, eps)
 
 
 # ---------------------------------------------------------------------------
