@@ -160,7 +160,6 @@ def build_parser() -> _Parser:
     p_cont.add_argument("--report")
 
     p_ver = sub.add_parser("verify", help="run the bundled theorem suite")
-    p_ver.add_argument("--suite", default="all", choices=["all"])
     p_ver.add_argument("--seed", type=_parse_seed, default=0)
     p_ver.add_argument("--out", help="write the JSON ledger here")
     return parser

@@ -390,7 +390,6 @@ class ProbeReport:
     distance: float | None
     p: float
     eps: float
-    mode: str
     scanned: int | None = None
 
 
@@ -454,7 +453,7 @@ def separability_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: flo
 
     if total_base < eps_pow:
         dist = dp_from_pointwise(d_base, f.domain.weights, p)
-        return ProbeReport(True, (), dist, p, eps, "optimized")
+        return ProbeReport(True, (), dist, p, eps)
     for k in range(1, n_cells + 1):
         cells = first_feasible_cells(k)
         if cells is None:
@@ -476,8 +475,8 @@ def separability_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: flo
             fixed += float(cost_val[c, pick])
         pairs = tuple(zip(cells, chosen_vals))
         dist = dp_distance(f, member_from_pairs(family, pairs), p)
-        return ProbeReport(True, pairs, dist, p, eps, "optimized")
-    return ProbeReport(False, (), None, p, eps, "optimized")
+        return ProbeReport(True, pairs, dist, p, eps)
+    return ProbeReport(False, (), None, p, eps)
 
 
 def exhaustive_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float) -> ProbeReport:
@@ -520,9 +519,9 @@ def exhaustive_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float
         hits = np.flatnonzero(dists < eps)
         if hits.size:
             r = int(hits[0])
-            return ProbeReport(True, block[r], float(dists[r]), p, eps, "exhaustive", scanned + r + 1)
+            return ProbeReport(True, block[r], float(dists[r]), p, eps, scanned + r + 1)
         scanned += len(block)
-    return ProbeReport(False, (), None, p, eps, "exhaustive", scanned)
+    return ProbeReport(False, (), None, p, eps, scanned)
 
 
 # ---------------------------------------------------------------------------

@@ -432,15 +432,13 @@ def test_criterion_11_inclusion_and_base_bounds():
 
 
 def test_criterion_12_verification_suite_five_seeds(tmp_path):
-    """`verify --suite all` exits 0 for seeds 0-4, is reproducible, and
-    finishes well under the 10-minute budget."""
+    """`verify` exits 0 for seeds 0-4, is reproducible, and finishes well
+    under the 10-minute budget."""
     t0 = time.perf_counter()
     ledgers = {}
     for seed in range(5):
         out = tmp_path / f"ledger-{seed}.json"
-        code = cli_main(
-            ["verify", "--suite", "all", "--seed", str(seed), "--out", str(out)]
-        )
+        code = cli_main(["verify", "--seed", str(seed), "--out", str(out)])
         assert code == 0, f"seed {seed} failed"
         ledgers[seed] = json.loads(out.read_text())
         assert ledgers[seed]["all_pass"] is True

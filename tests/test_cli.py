@@ -1118,7 +1118,6 @@ FLAG_CASES = {
     ("continuify", "--out"): (["continuify", "{d}/simple.json", "--eps", "0.5"], "{d}/c.json"),
     ("continuify", "--report"): (["continuify", "{d}/simple.json", "--eps", "0.5"],
                                  "{d}/crep.json"),
-    ("verify", "--suite"): (["verify"], "banana"),
     ("verify", "--seed"): (["verify"], "x"),
     # verify prints its runtime: a write that fails keeps stdout empty
     ("verify", "--out"): (["verify"], "{d}/nodir/ledger.json"),
@@ -1195,7 +1194,7 @@ def test_continuify_writes_its_report_before_printing_or_warning(tmp_path, capsy
 def test_verify_passes_and_writes_ledger(tmp_path, capsys):
     ledger_path = tmp_path / "ledger.json"
     code, stdout, _ = run_cli(
-        capsys, "verify", "--suite", "all", "--seed", "0", "--out", str(ledger_path)
+        capsys, "verify", "--seed", "0", "--out", str(ledger_path)
     )
     assert code == 0
     summary = last_json(stdout)
