@@ -743,28 +743,33 @@ def _check_domain_morphology(ctx: SuiteContext) -> dict:
     domain = Domain.grid(2, 24)
     coords = domain.coordinates()
     worst_urysohn = 0.0
+    branches = set()
     for trial in range(4):
         c0 = rng.uniform(0.3, 0.7, size=2)
         r0 = rng.uniform(0.12, 0.25)
         b = AtomSet.from_mask(((coords - c0) ** 2).sum(axis=1) <= r0**2)
-        if b.size == 0:
-            continue
-        delta = float(rng.uniform(0.01, 0.08))
+        # the least erosion removes b's cells within one Chebyshev step of
+        # the complement, and the least dilation adds the complement's cells
+        # within one step of b; even trials afford neither ring, odd ones both
+        near_out = outer_open_approx(domain, b.complement(), math.inf).atoms
+        ring_in = measure(domain, b.intersection(near_out))
+        ring_out = outer_open_approx(domain, b, math.inf).gap
+        if trial % 2:
+            delta = max(ring_in, ring_out) * float(rng.uniform(1.01, 2.0))
+        else:
+            delta = min(ring_in, ring_out) * float(rng.uniform(0.5, 1.0))
         inner = inner_closed_approx(domain, b, delta)
         outer = outer_open_approx(domain, b, delta)
         require(inner.atoms.size > 0, "erosion emptied the core")
         require(np.all(np.isin(inner.atoms.indices, b.indices)), "core not inside input")
         require(np.all(np.isin(b.indices, outer.atoms.indices)), "input not inside envelope")
-        # b's cells within one Chebyshev step of the complement: the least
-        # erosion removes them, so the flag is raised exactly when they cost
-        # the whole budget
-        near_out = outer_open_approx(domain, b.complement(), delta).atoms
-        ring = measure(domain, b.intersection(near_out))
-        require(inner.over_budget == (ring >= delta), "erosion flag disagrees with its ring")
+        require(inner.over_budget == (ring_in >= delta), "erosion flag disagrees with its ring")
+        require(outer.over_budget == (ring_out >= delta), "dilation flag disagrees with its ring")
         if not inner.over_budget:
             require(inner.gap < delta, "erosion exceeded its measure budget")
         if not outer.over_budget:
             require(outer.gap < delta, "dilation exceeded its measure budget")
+        branches |= {("erosion", inner.over_budget), ("dilation", outer.over_budget)}
         trans = urysohn(domain, inner.atoms, outer.atoms)
         vals = trans.values
         require(np.all(vals[inner.atoms.indices] == 1.0), "transition not 1 on the core")
@@ -776,6 +781,7 @@ def _check_domain_morphology(ctx: SuiteContext) -> dict:
         bound = domain.geometry.cell_size / trans.gap_width + 1e-12
         worst_urysohn = max(worst_urysohn, float(diffs.max() - bound))
         require(diffs.max() <= bound, "transition modulus violated")
+    require(len(branches) == 4, f"budget branches left unchecked: {sorted(branches)}")
     return {"worst_urysohn_slack": worst_urysohn}
 
 

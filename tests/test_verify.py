@@ -657,3 +657,27 @@ def test_dense_sequence_check_visits_near_centers_first(monkeypatch):
     verify._check_space_dense(verify.SuiteContext(0))
     assert 0 < sum(pairs) < 1_500_000
     assert len(pairs) < 300
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_morphology_check_runs_both_budget_branches(monkeypatch, seed):
+    """At every seed the morphology check erodes and dilates within budget
+    and over it: the flags of the calls that share a set and a budget take
+    both values for each operation."""
+    calls = {"inner": [], "outer": []}
+
+    def recording(name, fn):
+        def wrapped(domain, b, delta):
+            result = fn(domain, b, delta)
+            calls[name].append((b, delta, result.over_budget))
+            return result
+        return wrapped
+
+    monkeypatch.setattr(verify, "inner_closed_approx", recording("inner", verify.inner_closed_approx))
+    monkeypatch.setattr(verify, "outer_open_approx", recording("outer", verify.outer_open_approx))
+    verify._check_domain_morphology(verify.SuiteContext(seed))
+    paired = [(b, delta) for b, delta, _ in calls["inner"]]
+    erosion = {flag for _, _, flag in calls["inner"]}
+    dilation = {flag for b, delta, flag in calls["outer"]
+                if any(b is b2 and delta == d2 for b2, d2 in paired)}
+    assert erosion == {True, False} and dilation == {True, False}, (erosion, dilation)
