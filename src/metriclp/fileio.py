@@ -14,8 +14,10 @@ All files are JSON objects with a "kind" discriminator:
   Domain and sidecar paths must resolve inside the map file's directory.
 - kind "simple_map": a "map" whose "values" (or "values_file" and
   "values_shape") hold the value table, one row per distinct value, plus
-  integer "labels", one per atom and always inline, and optional
-  "base_flag" (-1 when atoms defer to the base mapping, null otherwise).
+  integer "labels", one per atom and always inline, each a row of the
+  table.  Older files may carry one more key, the label that deferred to
+  a base mapping; it is not read, and a file whose labels use it (-1) is
+  refused, since it does not hold the base.
 
 Floats round-trip exactly: json serializes Python floats with repr
 (shortest exact form) and numpy float64 survives the list round trip.
@@ -181,7 +183,6 @@ def save_simple_map(g: SimpleMap, path: str | os.PathLike) -> None:
     payload: dict = {"kind": "simple_map", "space": g.space.descriptor(),
                      "labels": g.labels.tolist()}
     _values_to_payload(g.value_table, path, payload)
-    payload["base_flag"] = g.base_flag
     payload["domain"] = _domain_payload(g.domain)
     write_atomic(path, json.dumps(payload))
 
@@ -211,8 +212,13 @@ def load_any_map(path: str | os.PathLike) -> MeasurableMap | SimpleMap:
     try:
         # reshape(-1, 0) is ambiguous: a single-point space keeps the row count
         table = values.reshape(-1, space.dim) if space.dim else values.reshape(len(values), 0)
-        return SimpleMap(domain, space, np.asarray(raw, dtype=np.int64), table,
-                         obj.get("base_flag"))
+        labels = np.asarray(raw, dtype=np.int64)
+        if (labels == -1).any():
+            raise DataError(
+                f"{path}: label -1 takes the value of a base mapping the file does"
+                " not hold (an almost-simple output of an older version); quantize again"
+            )
+        return SimpleMap(domain, space, labels, table)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed simple map ({exc})") from exc
 

@@ -263,25 +263,12 @@ def is_trivial(domain: Domain, space: MetricSpace) -> bool:
 # simple mappings
 # ---------------------------------------------------------------------------
 
-BASE_LABEL = -1
-
 
 class SimpleMap:
-    """Finitely many values indexed by per-atom labels.
+    """Finitely many values indexed by per-atom labels: each label is a row
+    of `value_table`, the atom's value."""
 
-    Labels reference rows of `value_table`; the reserved label -1 (exposed
-    as `base_flag` when present) marks atoms that take the base mapping's
-    value there, so an almost-simple output can defer to a non-simple h.
-    """
-
-    def __init__(
-        self,
-        domain: Domain,
-        space: MetricSpace,
-        labels: Array,
-        value_table: Array,
-        base_flag: int | None = None,
-    ):
+    def __init__(self, domain: Domain, space: MetricSpace, labels: Array, value_table: Array):
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         value_table = np.asarray(value_table, dtype=np.float64)
         if value_table.ndim != 2 or value_table.shape[1] != space.dim:
@@ -290,41 +277,26 @@ class SimpleMap:
             space.check_payload(value_table)
         if labels.shape[0] != domain.atom_count:
             raise DimensionMismatchError("one label per atom required")
-        if base_flag is not None and base_flag != BASE_LABEL:
-            raise MetricLpError(f"base flag must be {BASE_LABEL} when present")
-        lo = labels.min(initial=0)
-        hi = labels.max(initial=-1)
-        if hi >= value_table.shape[0]:
-            raise MetricLpError("label exceeds value table")
-        if lo < 0 and (base_flag is None or lo < BASE_LABEL):
-            raise MetricLpError("negative label without a base flag")
+        if labels.size and (labels.min() < 0 or labels.max() >= value_table.shape[0]):
+            raise MetricLpError("labels must lie in [0, rows of the value table)")
         self.domain = domain
         self.space = space
         self.labels = labels
         self.value_table = value_table
-        self.base_flag = base_flag
 
     @property
     def range_size(self) -> int:
-        return int(np.count_nonzero(np.bincount(self.labels[self.labels >= 0])))
+        return int(np.count_nonzero(np.bincount(self.labels)))
 
     @property
     def values(self) -> Array:
         """The per-atom payloads, gathered from the checked value table afresh
         on each read, so writing to the result changes nothing."""
-        if np.any(self.labels == BASE_LABEL):
-            raise MetricLpError("base-flagged atoms need the base mapping")
         return self.value_table[self.labels]
 
-    def to_map(self, h: MeasurableMap | SimpleMap | None = None) -> MeasurableMap:
-        """The expanded mapping; base-flagged atoms take the values of `h`."""
-        base = self.labels == BASE_LABEL
-        if h is None or not base.any():
-            return MeasurableMap(self.domain, self.space, self.values)
-        _check_pair(self, h)
-        values = np.array(h.values)
-        values[~base] = self.value_table[self.labels[~base]]
-        return MeasurableMap(self.domain, self.space, values)
+    def to_map(self) -> MeasurableMap:
+        """The expanded mapping."""
+        return MeasurableMap(self.domain, self.space, self.values)
 
     def __repr__(self):
         return f"SimpleMap({self.space.tag}, atoms={self.domain.atom_count}, k={self.range_size})"

@@ -10,7 +10,9 @@
   revert small deviations to the base mapping, keep only values inside
   finitely many radius-R balls around a dense list, then collapse each
   ball remainder to its center (first cover wins).  Each step spends
-  strictly less than a third of the budget.
+  strictly less than a third of the budget.  On a finite atom domain the
+  base takes finitely many values too, so the result is a simple map
+  whose table holds the centers and then the base's values.
 - `simple_approx_sup` is the sup-norm variant: it covers the essential
   range with a finite epsilon net, which requires the target to supply
   nets (boundedly compact balls).
@@ -30,7 +32,6 @@ import numpy as np
 from .domain import AtomSet, Domain, measure
 from .errors import MetricLpError, SearchBudgetError
 from .maps import (
-    BASE_LABEL,
     MeasurableMap,
     SimpleMap,
     check_eps,
@@ -86,6 +87,17 @@ def dedup_rows_in_order(values: Array) -> tuple[Array, Array]:
     labels = np.empty(m, dtype=np.intp)
     labels[order] = rank[np.cumsum(starts) - 1]
     return values[first[by_first]], labels
+
+
+def _with_base_rows(h: MeasurableMap, labels: Array, table: Array) -> SimpleMap:
+    """The simple map whose atoms take `table[labels]`, except that label -1
+    takes h's value: h's distinct values on those atoms are appended to the
+    table in first-occurrence order, and the atoms point at them."""
+    base = labels < 0
+    rows, inverse = dedup_rows_in_order(h.values[base])
+    labels = labels.copy()
+    labels[base] = table.shape[0] + inverse
+    return SimpleMap(h.domain, h.space, labels, np.vstack([table, rows]))
 
 
 def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float) -> Array:
@@ -257,7 +269,8 @@ def almost_simple_approx(
     altered values, growing the ball prefix until the discarded error is
     under eps/3.  Step 3 assigns each surviving atom the center of the
     first ball covering it, spending at most R per atom, hence under eps/3
-    in total.  Atoms reverted at any step carry the base label.
+    in total.  Atoms reverted at any step take h's value, from table rows
+    after the centers.
 
     The searches compare sums of w * (d / (eps/3))**p with 1; the report
     gives each step's error as D_p over that step's atoms.
@@ -297,15 +310,12 @@ def almost_simple_approx(
     mu_altered = measure(f.domain, altered)
 
     if mu_altered == 0.0:
-        labels = np.full(n_atoms, BASE_LABEL, dtype=np.int64)
-        out = SimpleMap(
-            f.domain, f.space, labels, np.zeros((0, f.space.dim)), base_flag=BASE_LABEL
-        )
+        out = _with_base_rows(h, np.full(n_atoms, -1), np.zeros((0, f.space.dim)))
         report = ApproxReport(
             p=p,
             target_eps=eps,
             achieved_error=d_h,  # every atom takes h's value
-            range_size=0,
+            range_size=out.range_size,
             altered_measure=0.0,
             step_breakdown={"step1": step1, "step2": 0.0, "step3": 0.0},
             flags={"degenerate_altered_set": True},
@@ -326,14 +336,14 @@ def almost_simple_approx(
 
     # step 3: collapse each kept atom onto its first covering center
     kept = cover < n1
-    labels = np.full(n_atoms, BASE_LABEL, dtype=np.int64)
+    labels = np.full(n_atoms, -1)
     keep_set = AtomSet(altered.indices[kept], n_atoms)
     labels[keep_set.indices] = cover[kept]
-    out = SimpleMap(f.domain, f.space, labels, dense[:n1], base_flag=BASE_LABEL)
-    kept_mask = labels != BASE_LABEL
+    out = _with_base_rows(h, labels, dense[:n1])
+    kept_mask = labels >= 0
     step2 = step_error(altered_mask & ~kept_mask, d)
     # one ground-metric pass gives step 3's error and the achieved error
-    d_g = pointwise_distance(f, out.to_map(h))
+    d_g = pointwise_distance(f, out)
     step3 = step_error(kept_mask, d_g)
 
     report = ApproxReport(
@@ -368,10 +378,9 @@ def simple_approx_sup(
     if not is_member(f, h, math.inf):
         raise MetricLpError("f must lie at finite sup distance from h")
     live = f.domain.weights > 0
-    if not live.any():
-        labels = np.full(f.domain.atom_count, BASE_LABEL, dtype=np.int64)
-        out = SimpleMap(f.domain, f.space, labels, np.zeros((0, f.space.dim)), BASE_LABEL)
-        return out, ApproxReport(math.inf, eps, 0.0, 0, 0.0)
+    if not live.any():  # every atom is null: take h's values
+        out = _with_base_rows(h, np.full(f.domain.atom_count, -1), np.zeros((0, f.space.dim)))
+        return out, ApproxReport(math.inf, eps, 0.0, out.range_size, 0.0)
     center_idx = int(np.nonzero(live)[0][0])
     center = f.values[center_idx]
     radius = float(f.space.distance_many(f.values[live], center[None, :]).max())

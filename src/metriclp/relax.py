@@ -43,7 +43,6 @@ from .domain import (
 )
 from .errors import GeometryError, MetricLpError
 from .maps import (
-    BASE_LABEL,
     MeasurableMap,
     SimpleMap,
     check_eps,
@@ -160,13 +159,10 @@ def smooth_from_simple(
     domain = g.domain
     if domain.geometry is None:
         raise GeometryError("relaxation needs a grid domain")
-    if bool(np.any(g.labels == BASE_LABEL)):
-        raise MetricLpError("materialize base atoms before relaxing")
     z0 = g.space.check_point(background)
     n_atoms = domain.atom_count
 
-    # level sets of non-background values, in ascending label order (every
-    # label is >= 0 once base atoms are refused)
+    # level sets of non-background values, in ascending label order
     piece_labels = [
         lab
         for lab in np.flatnonzero(np.bincount(g.labels)).tolist()

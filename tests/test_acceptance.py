@@ -168,7 +168,7 @@ def test_criterion_03_almost_simple_density():
                 for step, err in rep.step_breakdown.items():
                     assert err < eps / 3.0, (name, p, eps, step)
                 # the reported error is the real distance, not an estimate
-                assert rep.achieved_error == dp_distance(g.to_map(h), f, p)
+                assert rep.achieved_error == dp_distance(g, f, p)
                 assert g.range_size < dom.atom_count
     assert time.perf_counter() - t0 < 60.0
 
@@ -189,7 +189,7 @@ def test_criterion_04_sup_density_and_refusal():
         for eps in (0.3, 0.1):
             g, rep = simple_approx_sup(f, h, eps)
             assert rep.achieved_error < eps, (name, eps)
-            assert rep.achieved_error == dp_distance(g.to_map(h), f, math.inf)
+            assert rep.achieved_error == dp_distance(g, f, math.inf)
             assert g.range_size <= rep.step_breakdown["net_size"]
     sp = make_space("histogram8")
     f = fields.smooth_field(dom, sp, np.random.default_rng(44))

@@ -18,6 +18,7 @@ from metriclp import (
     make_space,
 )
 from metriclp import fileio
+from metriclp.cli import main
 from metriclp.fileio import (
     jsonable,
     load_any_map,
@@ -117,11 +118,13 @@ def test_grid_domain_is_stored_as_its_geometry(tmp_path, rng):
 
 def test_legacy_grid_files_load_unchanged(tmp_path):
     """Files written before grid domains were stored as their geometry list
-    every weight; they load bit for bit and are re-saved without them."""
+    every weight, and older simple-map files carry a null base flag; they
+    load bit for bit and are re-saved without either."""
     raw_map = json.loads((DATA / "legacy_grid_map.json").read_text())
-    raw_simple = json.loads((DATA / "legacy_grid_simple_map.json").read_text())
+    raw_simple = json.loads((DATA / "legacy_grid_simple_map_no_base.json").read_text())
+    assert raw_simple["base_flag"] is None
     f = load_any_map(DATA / "legacy_grid_map.json")
-    g = load_any_map(DATA / "legacy_grid_simple_map.json")
+    g = load_any_map(DATA / "legacy_grid_simple_map_no_base.json")
     assert isinstance(f, MeasurableMap) and isinstance(g, SimpleMap)
     for back, raw in ((f, raw_map), (g, raw_simple)):
         legacy = np.array(raw["domain"]["weights"])
@@ -131,43 +134,51 @@ def test_legacy_grid_files_load_unchanged(tmp_path):
     assert f.values.tobytes() == np.array(raw_map["values"]).tobytes()
     assert np.array_equal(g.labels, raw_simple["labels"])
     assert g.value_table.tobytes() == np.array(raw_simple["values"]).tobytes()
-    assert g.base_flag == -1
 
     save_map(f, tmp_path / "f.json")
     save_simple_map(g, tmp_path / "g.json")
     for name in ("f.json", "g.json"):
         assert "weights" not in json.loads((tmp_path / name).read_text())["domain"]
+    assert "base_flag" not in json.loads((tmp_path / "g.json").read_text())
     f2, g2 = load_any_map(tmp_path / "f.json"), load_any_map(tmp_path / "g.json")
     assert f2.values.tobytes() == f.values.tobytes()
     assert f2.domain.weights.tobytes() == f.domain.weights.tobytes()
-    assert np.array_equal(g2.labels, g.labels) and g2.base_flag == g.base_flag
+    assert np.array_equal(g2.labels, g.labels)
     assert g2.value_table.tobytes() == g.value_table.tobytes()
+
+
+def test_simple_map_with_base_labels_is_refused(tmp_path):
+    """An almost-simple output written before base values went into the
+    table labels atoms -1, "take the base's value", but holds no base:
+    it is refused with a DataError that says to quantize again, and the
+    CLI exits 2 on it."""
+    path = DATA / "legacy_grid_simple_map.json"
+    assert -1 in json.loads(path.read_text())["labels"]
+    with pytest.raises(DataError, match="quantize again"):
+        load_any_map(path)
+    assert main(["distance", str(path), str(path), "--out", str(tmp_path / "d.json")]) == 2
 
 
 def test_simple_map_round_trip(tmp_path):
     sp = make_space("euclidean1")
     dom = Domain(np.ones(6))
-    g = SimpleMap(
-        dom,
-        sp,
-        np.array([0, -1, 1, 1, -1, 0]),
-        np.array([[2.0], [5.0]]),
-        base_flag=-1,
-    )
+    g = SimpleMap(dom, sp, np.array([0, 2, 1, 1, 2, 0]), np.array([[2.0], [5.0], [9.0]]))
     save_simple_map(g, tmp_path / "g.json")
+    assert list(json.loads((tmp_path / "g.json").read_text())) == [
+        "kind", "space", "labels", "values", "domain"]
     back = load_any_map(tmp_path / "g.json")
     assert np.array_equal(back.labels, g.labels)
     assert np.array_equal(back.value_table, g.value_table)
-    assert back.base_flag == -1
-    assert back.range_size == g.range_size == 2
+    assert back.range_size == g.range_size == 3
 
 
 def _all_inline_simple_map_text(g: SimpleMap) -> str:
-    """The simple-map file as written before its table went through the
-    values codec: every member inline, in this order."""
+    """The simple-map file with every member inline, in this order, as
+    written before its table went through the values codec (which also
+    wrote a null base flag before the domain)."""
     return json.dumps({"kind": "simple_map", "space": g.space.descriptor(),
                        "labels": g.labels.tolist(), "values": g.value_table.tolist(),
-                       "base_flag": g.base_flag, "domain": fileio._domain_payload(g.domain)})
+                       "domain": fileio._domain_payload(g.domain)})
 
 
 def test_simple_map_table_past_the_threshold_goes_to_a_sidecar(tmp_path, rng):
@@ -181,17 +192,15 @@ def test_simple_map_table_past_the_threshold_goes_to_a_sidecar(tmp_path, rng):
     table[0, 0] = table[0, 3] = 2.0
     dom = Domain.grid(2, 34)  # 1,156 atoms
     labels = np.arange(dom.atom_count) % 1100
-    labels[:3] = -1
-    g = SimpleMap(dom, sp, labels, table, base_flag=-1)
+    g = SimpleMap(dom, sp, labels, table)
     save_simple_map(g, tmp_path / "g.json")
     raw = json.loads((tmp_path / "g.json").read_text())
-    assert list(raw) == ["kind", "space", "labels", "values_file", "values_shape", "base_flag",
-                         "domain"]
+    assert list(raw) == ["kind", "space", "labels", "values_file", "values_shape", "domain"]
     assert raw["values_file"] == "g.json.values.bin" and raw["values_shape"] == [1100, 4]
     assert raw["labels"] == labels.tolist()
     assert (tmp_path / "g.json.values.bin").read_bytes() == table.astype("<f8").tobytes()
     back = load_any_map(tmp_path / "g.json")
-    assert isinstance(back, SimpleMap) and back.base_flag == -1
+    assert isinstance(back, SimpleMap)
     assert back.labels.tobytes() == g.labels.tobytes()
     assert back.value_table.tobytes() == table.tobytes()
     assert back.domain.geometry == dom.geometry
@@ -214,16 +223,18 @@ def test_simple_map_table_at_the_threshold_stays_inline_as_before(tmp_path, rng)
 
 def test_large_simple_map_with_an_inline_table_still_loads(tmp_path, rng):
     """Files written before the shared codec list every table row inline,
-    however many; they load bit for bit, and a save moves the table to a
-    sidecar."""
+    however many, and a null base flag; they load bit for bit, and a save
+    moves the table to a sidecar."""
     sp = make_space("spd2")
     dom = Domain.grid(2, 34)
     g = SimpleMap(dom, sp, np.arange(dom.atom_count) % 1100, sp.random_payloads(rng, 1100))
-    (tmp_path / "old.json").write_text(_all_inline_simple_map_text(g))
+    old = json.loads(_all_inline_simple_map_text(g))
+    old["base_flag"] = None
+    (tmp_path / "old.json").write_text(json.dumps(old))
     back = load_any_map(tmp_path / "old.json")
     assert back.labels.tobytes() == g.labels.tobytes()
     assert back.value_table.tobytes() == g.value_table.tobytes()
-    assert back.base_flag is None and back.domain.geometry == dom.geometry
+    assert back.domain.geometry == dom.geometry
     save_simple_map(back, tmp_path / "new.json")
     assert "values" not in json.loads((tmp_path / "new.json").read_text())
     again = load_any_map(tmp_path / "new.json")
@@ -236,9 +247,9 @@ def test_simple_map_tables_without_floats_round_trip(tmp_path, space_name, rows)
     """A table of zero floats (a single-point space, or no rows) keeps its
     row count, whatever the number of rows."""
     sp = make_space(space_name)
-    dom = Domain(np.ones(3))
-    labels = np.zeros(3, dtype=np.int64) if rows else np.full(3, -1)
-    g = SimpleMap(dom, sp, labels, np.zeros((rows, sp.dim)), base_flag=None if rows else -1)
+    dom = Domain(np.ones(3 if rows else 0))  # no row to label an atom with
+    labels = np.zeros(dom.atom_count, dtype=np.int64)
+    g = SimpleMap(dom, sp, labels, np.zeros((rows, sp.dim)))
     save_simple_map(g, tmp_path / "g.json")
     back = load_any_map(tmp_path / "g.json")
     assert back.value_table.shape == (rows, sp.dim)
@@ -401,13 +412,13 @@ def test_writers_match_the_per_element_form_byte_for_byte(tmp_path, rng, name):
         want = {"kind": "map", "space": sp.descriptor(), "domain": _per_element_domain(dom),
                 "values": [[float(v) for v in row] for row in values]}
         assert (tmp_path / "f.json").read_text() == json.dumps(want)
-        labels = np.array([2, -1, 0, 0, 1, -1, 2])
-        g = SimpleMap(dom, sp, labels, table, base_flag=-1)
+        labels = np.array([2, 1, 0, 0, 1, 0, 2])
+        g = SimpleMap(dom, sp, labels, table)
         save_simple_map(g, tmp_path / "g.json")
         want = {"kind": "simple_map", "space": sp.descriptor(),
                 "labels": [int(v) for v in labels],
                 "values": [[float(v) for v in row] for row in table],
-                "base_flag": -1, "domain": _per_element_domain(dom)}
+                "domain": _per_element_domain(dom)}
         assert (tmp_path / "g.json").read_text() == json.dumps(want)
     text = (tmp_path / "f.json").read_text()
     assert sp.dim == 0 or "-0.0" in text

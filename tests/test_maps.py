@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from metriclp import (
-    BASE_LABEL,
     AtomSet,
     DimensionMismatchError,
     Domain,
@@ -466,18 +465,6 @@ def test_trivial_spaces():
 # ---------------------------------------------------------------------------
 
 
-def test_simple_map_expansion_and_base_flag():
-    dom = Domain(np.ones(4))
-    table = np.array([[1.0], [2.0]])
-    g = SimpleMap(dom, E1, np.array([0, 1, BASE_LABEL, 0]), table, base_flag=BASE_LABEL)
-    assert g.range_size == 2
-    h = line_map(dom, [9.0, 9.0, 9.0, 9.0])
-    out = g.to_map(h)
-    assert np.array_equal(out.values.ravel(), [1.0, 2.0, 9.0, 1.0])
-    with pytest.raises(MetricLpError):
-        g.to_map()  # base atoms present but no base mapping given
-
-
 @pytest.mark.parametrize("name", ["euclidean2", "spd2", "simplex3"])
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_simple_map_is_measured_as_its_expansion(rng, name, p):
@@ -492,22 +479,12 @@ def test_simple_map_is_measured_as_its_expansion(rng, name, p):
     assert is_member(g, f, p) and equivalent(g, g.to_map())
 
 
-def test_simple_map_values_are_a_fresh_gather_and_refuse_base_atoms():
+def test_simple_map_values_are_a_fresh_gather():
     dom = Domain(np.ones(3))
     g = SimpleMap(dom, E1, np.array([0, 1, 0]), np.array([[1.0], [2.0]]))
     g.values[:] = 7.0
     assert np.array_equal(g.values.ravel(), [1.0, 2.0, 1.0])
-    flagged = SimpleMap(dom, E1, np.array([0, BASE_LABEL, 0]), np.array([[1.0]]), BASE_LABEL)
-    with pytest.raises(MetricLpError) as from_map:
-        flagged.to_map()
-    with pytest.raises(MetricLpError) as from_values:
-        flagged.values
-    assert str(from_values.value) == str(from_map.value)
-    with pytest.raises(MetricLpError):
-        dp_distance(flagged, g, 1.0)
-    circle = SimpleMap(dom, make_space("circle"), flagged.labels, [[1.0]], BASE_LABEL)
-    with pytest.raises(DimensionMismatchError):  # a base from another space
-        circle.to_map(line_map(dom, [2.0, 2.0, 2.0]))
+    assert np.array_equal(g.to_map().values.ravel(), [1.0, 2.0, 1.0])
 
 
 def test_simple_map_validation():
@@ -515,7 +492,7 @@ def test_simple_map_validation():
     with pytest.raises(MetricLpError):
         SimpleMap(dom, E1, np.array([0, 5]), np.array([[0.0]]))  # label out of range
     with pytest.raises(MetricLpError):
-        SimpleMap(dom, E1, np.array([0, -1]), np.array([[0.0]]))  # no base flag
+        SimpleMap(dom, E1, np.array([0, -1]), np.array([[0.0]]))  # a negative label
 
 
 # ---------------------------------------------------------------------------

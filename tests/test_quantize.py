@@ -26,7 +26,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metriclp import (
-    BASE_LABEL,
     AtomSet,
     CapabilityError,
     Domain,
@@ -212,6 +211,20 @@ def oracle_countable_quantize(f, eps, pieces=None, p=None):
     return out, report
 
 
+def oracle_fold_base(h, labels, table):
+    """Label -1 takes h's value: each distinct value of h on those atoms, in
+    atom order, becomes one more table row holding its first occurrence."""
+    labels = labels.copy()
+    index, rows = {}, []
+    for i in np.flatnonzero(labels < 0).tolist():
+        key = tuple(h.values[i].tolist())  # -0.0 and 0.0 are one key
+        if key not in index:
+            index[key] = len(rows)
+            rows.append(h.values[i][None, :])
+        labels[i] = table.shape[0] + index[key]
+    return SimpleMap(h.domain, h.space, labels, np.vstack([table, *rows]))
+
+
 def oracle_almost_simple_approx(f, h, p, eps):
     """The four-pass construction: membership, deviations, step 3 and the
     achieved error each run the ground metric, and step 2 sums each ball
@@ -245,10 +258,9 @@ def oracle_almost_simple_approx(f, h, p, eps):
     altered = AtomSet.from_mask(altered_mask)
     mu_altered = measure(f.domain, altered)
     if mu_altered == 0.0:
-        labels = np.full(n_atoms, BASE_LABEL, dtype=np.int64)
-        out = SimpleMap(f.domain, f.space, labels, np.zeros((0, f.space.dim)), base_flag=BASE_LABEL)
+        out = oracle_fold_base(h, np.full(n_atoms, -1), np.zeros((0, f.space.dim)))
         return out, quantize.ApproxReport(
-            p=p, target_eps=eps, achieved_error=dp_distance(f, h, p), range_size=0,
+            p=p, target_eps=eps, achieved_error=dp_distance(f, h, p), range_size=out.range_size,
             altered_measure=0.0, step_breakdown={"step1": step1, "step2": 0.0, "step3": 0.0},
             flags={"degenerate_altered_set": True},
         )
@@ -261,19 +273,19 @@ def oracle_almost_simple_approx(f, h, p, eps):
         1, dense.shape[0], lambda n: float(alt_contrib[cover >= n].sum()) < 1.0
     )
     kept = cover < n1
-    labels = np.full(n_atoms, BASE_LABEL, dtype=np.int64)
+    labels = np.full(n_atoms, -1)
     alt_idx = altered.indices
     labels[alt_idx[kept]] = cover[kept]
-    out = SimpleMap(f.domain, f.space, labels, dense[:n1], base_flag=BASE_LABEL)
-    g = out.to_map(h)
+    out = oracle_fold_base(h, labels, dense[:n1])
+    g = out.to_map()
     keep_set = AtomSet(alt_idx[kept], n_atoms)
     dist_kept = np.zeros(n_atoms)
     dist_kept[keep_set.indices] = f.space.distance_many(
         f.values[keep_set.indices], g.values[keep_set.indices]
     )
-    kept_mask = labels != BASE_LABEL
+    kept_mask = labels >= 0
     return out, quantize.ApproxReport(
-        p=p, target_eps=eps, achieved_error=dp_distance(f, g, p), range_size=out.range_size,
+        p=p, target_eps=eps, achieved_error=dp_distance(f, out, p), range_size=out.range_size,
         altered_measure=float(measure(f.domain, keep_set)),
         step_breakdown={"step1": step1, "step2": step_error(altered_mask & ~kept_mask, d),
                         "step3": step_error(kept_mask, dist_kept)},
@@ -285,7 +297,6 @@ def assert_same_quantization(got, want):
     assert np.array_equal(out.labels, ref.labels)
     assert out.value_table.shape == ref.value_table.shape
     assert out.value_table.tobytes() == ref.value_table.tobytes()
-    assert out.base_flag == ref.base_flag
     # repr tells every float apart, -0.0 from 0.0 included
     assert repr(dataclasses.asdict(report)) == repr(dataclasses.asdict(ref_report))
 
@@ -376,11 +387,11 @@ def test_almost_simple_frozen_trace():
     assert report.step_breakdown["step2"] == 0.0
     assert report.step_breakdown["step3"] == 0.0
     assert all(v < 0.3 for v in report.step_breakdown.values())
-    assert simple.labels[0] == BASE_LABEL
-    assert simple.range_size == 2
+    # the centers 2 and 3, then the base value 0 of the reverted atom
+    assert simple.labels.tolist() == [2, 0, 1]
+    assert simple.range_size == 3
     assert report.altered_measure == 2.0
-    g = simple.to_map(h)
-    assert np.array_equal(g.values.ravel(), [0.0, 2.0, 3.0])
+    assert np.array_equal(simple.values.ravel(), [0.0, 2.0, 3.0])
 
 
 def test_almost_simple_degenerate_when_already_base():
@@ -388,8 +399,9 @@ def test_almost_simple_degenerate_when_already_base():
     f = line_map(dom, [0.0, 0.0, 0.0, 0.0])
     simple, report = almost_simple_approx(f, f, 2.0, 0.5)
     assert report.flags.get("degenerate_altered_set")
-    assert simple.range_size == 0
-    assert np.all(simple.labels == BASE_LABEL)
+    # every atom takes the base's one value
+    assert simple.range_size == report.range_size == 1
+    assert np.all(simple.labels == 0) and simple.value_table.tolist() == [[0.0]]
     assert report.achieved_error == 0.0
 
 
@@ -406,9 +418,7 @@ def test_almost_simple_respects_budgets_on_random_fields(rng):
                 simple, report = almost_simple_approx(f, h, p, eps)
                 assert report.achieved_error < eps
                 assert all(v < eps / 3 for v in report.step_breakdown.values())
-                assert dp_distance(simple.to_map(h), f, p) == pytest.approx(
-                    report.achieved_error
-                )
+                assert dp_distance(f, simple, p) == report.achieved_error
 
 
 def test_almost_simple_rejects_infinite_p(rng):
@@ -537,9 +547,11 @@ def test_quantizers_on_repeated_values_match_brute_force(rng):
     eps = 1.2
     simple, _ = almost_simple_approx(f, h, 2.0, eps)
     ref = brute_first_cover(spd, values, table, eps / 3.0)
-    n1 = simple.value_table.shape[0]
-    assert np.array_equal(simple.value_table, table[:n1])
-    assert np.array_equal(simple.labels, np.where((ref >= 0) & (ref < n1), ref, BASE_LABEL))
+    # the centers, then one row for the base's value if an atom takes it
+    n1 = int((simple.value_table != h.values[0]).any(axis=1).sum())
+    base = (ref < 0) | (ref >= n1)
+    assert np.array_equal(simple.value_table, np.vstack([table[:n1], h.values[: int(base.any())]]))
+    assert np.array_equal(simple.labels, np.where(base, n1, ref))
 
     plane = make_space("euclidean2")
     values = plane.random_payloads(rng, 9)[rng.integers(0, 9, 60)]
@@ -603,7 +615,7 @@ def test_sup_quantize_euclidean(rng):
     for eps in (0.5, 0.2):
         simple, report = simple_approx_sup(f, h, eps)
         assert report.achieved_error < eps
-        assert dp_distance(simple.to_map(h), f, math.inf) == report.achieved_error
+        assert dp_distance(simple, f, math.inf) == report.achieved_error
 
 
 def test_sup_quantize_circle(rng):

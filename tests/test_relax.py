@@ -370,12 +370,3 @@ def test_relax_requires_grid_geometry():
     g = SimpleMap(dom, E1, np.zeros(4, dtype=np.int64), np.array([[0.0]]))
     with pytest.raises(GeometryError):
         smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)
-
-
-def test_relax_rejects_base_flagged_atoms():
-    dom = Domain.grid(1, 8)
-    g = SimpleMap(
-        dom, E1, np.array([0, 0, -1, 0, 0, 0, 0, 0]), np.array([[0.0]]), base_flag=-1
-    )
-    with pytest.raises(MetricLpError):
-        smooth_from_simple(g, ORIGIN1, 1.0, 0.2, order=0)
