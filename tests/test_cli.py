@@ -7,6 +7,7 @@ import importlib.metadata
 import json
 import math
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -1323,6 +1324,36 @@ def test_console_script_smoke(pair_files):
     assert json.loads(proc.stdout)["distances"]["2"] == 5.0
     missing = run("distance", str(a.parent / "missing.json"), str(b))
     assert missing.returncode == EXIT_DATA, missing.stderr
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The commands of the `sh` block under the README's "## CLI" heading:
+    lines ending in a backslash joined to the next, comments and blank
+    lines dropped, each split as the shell would."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    """Every command of the README's CLI block exits 0, run in order in an
+    empty directory, and the distance from the input to the almost-simple
+    output is the report's achieved error, bit for bit."""
+    commands = readme_cli_commands()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("METRICLP_OUT", raising=False)
+    for argv in commands:
+        assert argv[0] == "metriclp"
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+    report = json.loads((tmp_path / "report.json").read_text())
+    f, g = load_any_map(tmp_path / "other.json"), load_any_map(tmp_path / "quantized.json")
+    assert g.labels.min() >= 0 and report["range_size"] == g.range_size
+    # some atoms revert to the base [1, 0, 0, 1] and read its value
+    assert (g.values == [1.0, 0.0, 0.0, 1.0]).all(axis=1).any()
+    assert dp_distance(f, g, 2.0) == report["achieved_error"]
 
 
 # ---------------------------------------------------------------------------
