@@ -89,15 +89,16 @@ def dedup_rows_in_order(values: Array) -> tuple[Array, Array]:
     return values[first[by_first]], labels
 
 
-def _with_base_rows(h: MeasurableMap, labels: Array, table: Array) -> SimpleMap:
-    """The simple map whose atoms take `table[labels]`, except that label -1
-    takes h's value: h's distinct values on those atoms are appended to the
-    table in first-occurrence order, and the atoms point at them."""
+def _with_base_rows(f: MeasurableMap, h: MeasurableMap, labels: Array, table: Array) -> SimpleMap:
+    """The simple map on f's domain whose atoms take `table[labels]`, except
+    that label -1 takes h's value: h's distinct values on those atoms are
+    appended to the table in first-occurrence order, and the atoms point
+    at them."""
     base = labels < 0
     rows, inverse = dedup_rows_in_order(h.values[base])
     labels = labels.copy()
     labels[base] = table.shape[0] + inverse
-    return SimpleMap(h.domain, h.space, labels, np.vstack([table, rows]))
+    return SimpleMap(f.domain, f.space, labels, np.vstack([table, rows]))
 
 
 def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float) -> Array:
@@ -310,7 +311,7 @@ def almost_simple_approx(
     mu_altered = measure(f.domain, altered)
 
     if mu_altered == 0.0:
-        out = _with_base_rows(h, np.full(n_atoms, -1), np.zeros((0, f.space.dim)))
+        out = _with_base_rows(f, h, np.full(n_atoms, -1), np.zeros((0, f.space.dim)))
         report = ApproxReport(
             p=p,
             target_eps=eps,
@@ -339,7 +340,7 @@ def almost_simple_approx(
     labels = np.full(n_atoms, -1)
     keep_set = AtomSet(altered.indices[kept], n_atoms)
     labels[keep_set.indices] = cover[kept]
-    out = _with_base_rows(h, labels, dense[:n1])
+    out = _with_base_rows(f, h, labels, dense[:n1])
     kept_mask = labels >= 0
     step2 = step_error(altered_mask & ~kept_mask, d)
     # one ground-metric pass gives step 3's error and the achieved error
@@ -379,7 +380,7 @@ def simple_approx_sup(
         raise MetricLpError("f must lie at finite sup distance from h")
     live = f.domain.weights > 0
     if not live.any():  # every atom is null: take h's values
-        out = _with_base_rows(h, np.full(f.domain.atom_count, -1), np.zeros((0, f.space.dim)))
+        out = _with_base_rows(f, h, np.full(f.domain.atom_count, -1), np.zeros((0, f.space.dim)))
         return out, ApproxReport(math.inf, eps, 0.0, out.range_size, 0.0)
     center_idx = int(np.nonzero(live)[0][0])
     center = f.values[center_idx]

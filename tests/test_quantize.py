@@ -211,7 +211,7 @@ def oracle_countable_quantize(f, eps, pieces=None, p=None):
     return out, report
 
 
-def oracle_fold_base(h, labels, table):
+def oracle_fold_base(f, h, labels, table):
     """Label -1 takes h's value: each distinct value of h on those atoms, in
     atom order, becomes one more table row holding its first occurrence."""
     labels = labels.copy()
@@ -222,7 +222,7 @@ def oracle_fold_base(h, labels, table):
             index[key] = len(rows)
             rows.append(h.values[i][None, :])
         labels[i] = table.shape[0] + index[key]
-    return SimpleMap(h.domain, h.space, labels, np.vstack([table, *rows]))
+    return SimpleMap(f.domain, f.space, labels, np.vstack([table, *rows]))
 
 
 def oracle_almost_simple_approx(f, h, p, eps):
@@ -258,7 +258,7 @@ def oracle_almost_simple_approx(f, h, p, eps):
     altered = AtomSet.from_mask(altered_mask)
     mu_altered = measure(f.domain, altered)
     if mu_altered == 0.0:
-        out = oracle_fold_base(h, np.full(n_atoms, -1), np.zeros((0, f.space.dim)))
+        out = oracle_fold_base(f, h, np.full(n_atoms, -1), np.zeros((0, f.space.dim)))
         return out, quantize.ApproxReport(
             p=p, target_eps=eps, achieved_error=dp_distance(f, h, p), range_size=out.range_size,
             altered_measure=0.0, step_breakdown={"step1": step1, "step2": 0.0, "step3": 0.0},
@@ -276,7 +276,7 @@ def oracle_almost_simple_approx(f, h, p, eps):
     labels = np.full(n_atoms, -1)
     alt_idx = altered.indices
     labels[alt_idx[kept]] = cover[kept]
-    out = oracle_fold_base(h, labels, dense[:n1])
+    out = oracle_fold_base(f, h, labels, dense[:n1])
     g = out.to_map()
     keep_set = AtomSet(alt_idx[kept], n_atoms)
     dist_kept = np.zeros(n_atoms)
@@ -419,6 +419,21 @@ def test_almost_simple_respects_budgets_on_random_fields(rng):
                 assert report.achieved_error < eps
                 assert all(v < eps / 3 for v in report.step_breakdown.values())
                 assert dp_distance(f, simple, p) == report.achieved_error
+
+
+def test_base_rows_keep_the_inputs_grid(rng):
+    """A base whose domain has the grid's weights but no geometry (as read
+    from an older file) gives a result on the input's grid, which the
+    relaxation needs."""
+    sp = make_space("euclidean2")
+    grid = Domain.grid(2, 4)
+    f = MeasurableMap(grid, sp, sp.random_payloads(rng, 16))
+    h = MeasurableMap(Domain(grid.weights.copy()), sp, f.values.copy())
+    h.values[:8] = 0.0
+    on_base = MeasurableMap(grid, sp, h.values.copy())  # the degenerate case
+    for g in (f, on_base):
+        simple, _ = almost_simple_approx(g, h, 2.0, 0.5)
+        assert simple.domain.geometry == grid.geometry
 
 
 def test_almost_simple_rejects_infinite_p(rng):
