@@ -24,6 +24,23 @@ Conventions
   relies on this to skip such rows).  The
   euclidean, circle, simplex and histogram kernels meet this by
   construction; the SPD kernel canonicalizes its argument order itself.
+- Blocks: `distance_many` hands a row-aligned request (equal leading
+  shapes, or one row against many) of more than _BLOCK_ROWS pairs to the
+  kernel one block of _BLOCK_ROWS rows at a time, so that the kernels'
+  temporaries stay in cache.  A pair's distance does not depend on the
+  shape it is asked in, so the blocks give the bits of one whole call; a
+  refused stack is refused either way, with the message of the first block
+  that holds a fault.  A (c, r) table goes to the kernel whole: its callers
+  (`quantize`, `verify`) already bound it by `COVER_BLOCK_PAIRS`.
+- Folds: a kernel's row sums and row norms over a payload axis narrower
+  than eight columns, on stacks of 64 rows or more, are folds over the
+  columns (`_fold_rows`), one numpy pass per column, instead of a numpy
+  reduction along the short axis, which costs about 20 ns per row.  numpy
+  sums fewer than eight terms left to right from +0.0, so the fold has its
+  bits; from eight terms on numpy switches to a tree of eight
+  accumulators, and its reduction is kept.
+  `tests/test_spaces.py::test_fold_rows_has_the_bits_of_numpy_reductions`
+  fails if a numpy release reorders these sums.
 - Geodesics are constant speed: d(gamma(s), gamma(t)) = |s-t| * d(a, b).
   Endpoint stacks and times broadcast against each other in the same way
   (times carry no payload axis), so one endpoint pair serves any number of
@@ -77,6 +94,31 @@ PRUNE_SLACK_REL = 1e-6
 # Absolute slack on the squared chord bound that prunes the simplex probe
 # grid (`SimplexSpace.probe_ball`), about 1e6 times the rounding it covers.
 PROBE_PRUNE_SLACK = 1e-9
+# Rows per kernel pass of a large row-aligned `distance_many` request and of
+# the SPD payload check, so that their temporaries stay in L2.  Of 4,096 to
+# 16,384 rows, 8,192 was fastest over the six benchmark targets on a 2 MB
+# L2; at 16,384, two histogram8 stacks of 64-byte rows fill it.
+_BLOCK_ROWS = 8192
+
+
+def _fold_rows(x: Array, norm: bool = False) -> Array:
+    """Sums over the last axis of x, or with `norm` the Euclidean norms,
+    with the bits of `np.add.reduce(x, axis=-1)` (`np.linalg.norm(x,
+    axis=-1)`, the root of the reduced squares).
+
+    Below eight columns each row is summed left to right from +0.0, which is
+    numpy's order there, one numpy pass per column; from eight columns on
+    numpy's reduction runs, since numpy then sums in another order.  So it
+    does on stacks of fewer than 64 rows, where the per-column passes cost
+    more calls than the reduction's cost per row saves (same bits).
+    """
+    if x.shape[-1] >= 8 or x.size < 64 * x.shape[-1]:
+        return np.linalg.norm(x, axis=-1) if norm else np.add.reduce(x, axis=-1)
+    out = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        col = x[..., j]
+        out += col * col if norm else col
+    return np.sqrt(out, out=out) if norm else out
 
 
 def _lex_greater(a: Array, b: Array) -> Array:
@@ -286,8 +328,22 @@ class MetricSpace:
         """
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        self._leading_shape(a, b)
-        return self._distance_many(a, b)
+        shape = self._leading_shape(a, b)
+        rows = math.prod(shape)
+        if rows <= _BLOCK_ROWS:
+            return self._distance_many(a, b)
+        rows_a, rows_b = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
+        if a.shape != b.shape and 1 not in (rows_a, rows_b):
+            return self._distance_many(a, b)  # a table: the caller sized it
+        # one row against many keeps its one row in every block
+        a, b = a.reshape(rows_a, self.dim), b.reshape(rows_b, self.dim)
+        out = np.empty(rows)
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            out[block] = self._distance_many(
+                a if rows_a == 1 else a[block], b if rows_b == 1 else b[block]
+            )
+        return out.reshape(shape)
 
     def _distance_many(self, a: Array, b: Array) -> Array:
         """Kernel on two validated stacks with broadcasting leading axes."""
@@ -419,7 +475,7 @@ def _scaled_norms(a: Array, b: Array) -> Array:
         halved = ~np.isfinite(diff).all(axis=-1)
         diff[halved] = 0.5 * a[halved] - 0.5 * b[halved]
         _, exp = np.frexp(np.abs(diff).max(axis=-1, initial=0.0))
-        norms = np.linalg.norm(np.ldexp(diff, -exp[:, None]), axis=-1)
+        norms = _fold_rows(np.ldexp(diff, -exp[:, None]), norm=True)
         return np.ldexp(norms, exp + halved)
 
 
@@ -457,10 +513,14 @@ class EuclideanSpace(MetricSpace):
         # The plain norm squares the differences: below sqrt(tiny) a square
         # underflows (1e-170 apart would read 0.0) and past sqrt(max) it
         # overflows (1e170 apart would read inf).  Only those rows are
-        # redone, so every other row keeps its bits.
+        # redone, so every other row keeps its bits.  The min and max settle
+        # the usual call, every norm in range, without a mask (a NaN fails
+        # both tests and sends the call to the mask, which leaves it as is).
         with np.errstate(over="ignore"):
             diff = a - b
-            out = np.linalg.norm(diff, axis=-1)
+            out = _fold_rows(diff, norm=True)
+        if not out.size or (out.min() >= _SQRT_TINY and out.max() < math.inf):
+            return out
         redo = (out < _SQRT_TINY) | (out == math.inf)
         if redo.any():
             # rows that differ by exactly zero are exactly 0.0 already
@@ -498,7 +558,7 @@ class EuclideanSpace(MetricSpace):
             )
         axes = [np.linspace(ci - radius, ci + radius, n_axis) for ci in center]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        keep = np.linalg.norm(grid - center, axis=1) <= radius
+        keep = _fold_rows(grid - center, norm=True) <= radius
         return grid[keep]
 
     def unit_probe(self):
@@ -530,8 +590,6 @@ EIG_CLAMP_REL = 1e-9
 # Shift of the payload check's Cholesky certificate, relative to n times the
 # largest diagonal entry: about 1e6 times the rounding it must outweigh.
 _CHOL_SHIFT_REL = 1e-8
-# Rows per pass of that certificate, so that its temporaries stay in cache.
-_CHOL_BLOCK_ROWS = 8192
 
 
 def _least_pivots(cols: Array, n: int) -> Array:
@@ -680,9 +738,9 @@ class SpdSpace(MetricSpace):
         n = self.n
         sym_gap = 0.0
         failed = []
-        for start in range(0, flat.shape[0], _CHOL_BLOCK_ROWS):
+        for start in range(0, flat.shape[0], _BLOCK_ROWS):
             # cols[i * n + j] holds entry (i, j) of every matrix in the block
-            cols = flat[start : start + _CHOL_BLOCK_ROWS].T.copy()
+            cols = flat[start : start + _BLOCK_ROWS].T.copy()
             # entries of opposite sign near the float limit overflow to a gap of inf
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(n):
@@ -753,7 +811,7 @@ class SpdSpace(MetricSpace):
         moved = (clamped - nu) / np.maximum(np.abs(1.0 + nu), EIG_CLAMP)
         if moved.max(initial=0.0) > EIG_CLAMP_REL:
             raise InvalidPointError("spd distance: eigenvalue clamp exceeded tolerance")
-        out = np.linalg.norm(np.log1p(clamped), axis=-1)
+        out = _fold_rows(np.log1p(clamped), norm=True)
         return out.reshape(shape)
 
     def _geodesic_many(self, a, b, t):
@@ -860,7 +918,7 @@ class ProbabilityVectorSpace(MetricSpace):
     def _check_valid(self, flat):
         if flat.min(initial=0.0) < -1e-12:
             raise InvalidPointError(f"{self.tag} payload has a negative weight")
-        gap = np.abs(flat.sum(axis=-1) - 1.0).max(initial=0.0)
+        gap = np.abs(_fold_rows(flat) - 1.0).max(initial=0.0)
         if gap > 1e-9:
             raise InvalidPointError(f"{self.tag} payload does not sum to 1 (gap {gap:.2e})")
 
@@ -905,7 +963,7 @@ class SimplexSpace(ProbabilityVectorSpace):
         self.tag = f"simplex{self.dim}"
 
     def _distance_many(self, a, b):
-        chord = np.linalg.norm(np.sqrt(np.maximum(a, 0.0)) - np.sqrt(np.maximum(b, 0.0)), axis=-1)
+        chord = _fold_rows(np.sqrt(np.maximum(a, 0.0)) - np.sqrt(np.maximum(b, 0.0)), norm=True)
         return 4.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
 
     def _geodesic_many(self, a, b, t):
@@ -1068,8 +1126,10 @@ class HistogramSpace(ProbabilityVectorSpace):
         # One running CDF gap per column, summed left to right, with the
         # pairs broadcast column by column.  Up to eight nodes these are the
         # bits of (|cumsum(a - b)|[:, :-1] * diff(grid)).sum(-1), since
-        # numpy sums fewer than eight terms left to right, at under half its
-        # cost.
+        # numpy sums fewer than eight terms left to right (the fact
+        # `_fold_rows` rests on, pinned by
+        # tests/test_spaces.py::test_fold_rows_has_the_bits_of_numpy_reductions),
+        # at under half its cost.
         gap = a[..., 0] - b[..., 0]
         out = np.abs(gap) * self._spacing[0]
         for j in range(1, self.dim - 1):

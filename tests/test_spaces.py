@@ -27,8 +27,9 @@ from metriclp import (
     smooth_from_simple,
 )
 from metriclp.spaces import (
-    _CHOL_BLOCK_ROWS,
+    _BLOCK_ROWS,
     EIG_CLAMP,
+    HistogramSpace,
     NET_PROBE_CAP,
     NET_PROBE_FRACTION,
     PRUNE_SLACK_REL,
@@ -351,7 +352,7 @@ def test_spd_check_verdicts_span_certificate_blocks(rng):
     """A fault in any block of rows is found, and a symmetry gap anywhere
     is reported before a nonpositive eigenvalue anywhere else."""
     sp = make_space("spd2")
-    flat = sp.random_payloads(rng, 3 * _CHOL_BLOCK_ROWS + 5)
+    flat = sp.random_payloads(rng, 3 * _BLOCK_ROWS + 5)
     indefinite = np.array([1.0, 2.0, 2.0, 1.0])
     skew = np.array([1.0, 1e-9, 0.0, 1.0])
     for rows in ({-1: indefinite}, {3: indefinite, -2: skew}, {-2: indefinite, 5: skew}):
@@ -1043,6 +1044,134 @@ def test_distance_tables_equal_row_wise_calls(name, rng):
     got = sp.distance_many(pairs, rows[:, None])
     assert got.shape == (7, 33, 2)
     assert np.array_equal(got[..., 0], want) and np.array_equal(got[..., 1], want[::-1]), name
+
+
+# Spaces for the blocked-wrapper test: every bundled kind, payload widths on
+# both sides of the fold limit of eight, and a histogram on a non-uniform grid.
+BLOCK_SPACES = {
+    **{name: make_space(name) for name in (
+        "euclidean0", "euclidean1", "euclidean3", "euclidean7", "euclidean8", "spd2", "spd3",
+        "simplex1", "simplex3", "simplex7", "simplex8", "histogram1", "histogram8", "circle",
+    )},
+    "histogram9-uneven": HistogramSpace(np.array([0.0, 0.1, 0.15, 0.4, 0.45, 0.7, 1.0, 1.3, 2.0])),
+}
+BLOCK_COUNTS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+
+
+def _numpy_fold_rows(x, norm=False):
+    """The numpy reductions `_fold_rows` replaces: the oracle's forms."""
+    return np.linalg.norm(x, axis=-1) if norm else np.add.reduce(x, axis=-1)
+
+
+def _reference_euclidean(a, b):
+    """The euclidean kernel in plain numpy form, the oracle: numpy's norm,
+    then always a mask of the rows to redo (no min/max shortcut)."""
+    with np.errstate(over="ignore"):
+        diff = a - b
+        out = np.linalg.norm(diff, axis=-1)
+    redo = (out < spaces_module._SQRT_TINY) | (out == math.inf)
+    if redo.any():
+        redo[redo] = diff[redo].any(axis=-1)
+    if redo.any():
+        a, b = np.broadcast_arrays(a, b)
+        out[redo] = spaces_module._scaled_norms(a[redo], b[redo])
+    return out
+
+
+def _reference_distances(sp, a, b, monkeypatch):
+    """One whole kernel call with numpy's reductions in place of the folds."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spaces_module, "_fold_rows", _numpy_fold_rows)
+        if isinstance(sp, spaces_module.EuclideanSpace):
+            return _reference_euclidean(a, b)
+        return sp._distance_many(a, b)
+
+
+def _block_test_stacks(sp, n, rng):
+    """n random pairs; some rows equal up to the signs of their zeros (from
+    the dense sequence, whose points hold exact zeros), at block edges among
+    them, and for euclidean targets pairs 1e-170 and 2e170 apart."""
+    a, b = sp.random_payloads(rng, n, 0.7), sp.random_payloads(rng, n, 0.7)
+    equal = sorted({i for i in (0, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1) if 0 <= i < n})
+    if equal:
+        z = sp.dense_payloads(len(equal))
+        a[equal] = z
+        b[equal] = np.where(z == 0.0, -z, z)
+    if isinstance(sp, spaces_module.EuclideanSpace) and sp.dim and n > 6:
+        a[5], b[5] = 0.0, 1e-170
+        a[6], b[6] = 1e170, -1e170
+    return a, b, equal
+
+
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+@pytest.mark.parametrize("name", list(BLOCK_SPACES))
+def test_blocked_distance_many_has_the_bits_of_one_kernel_call(name, n, rng, monkeypatch):
+    """Differential test of the row blocks and the column folds.
+
+    Equal stacks, one row against many (either side) and a (c, r) table,
+    on both sides of each block edge, give through `distance_many` the
+    bits of one whole kernel call with numpy's reductions (the forms the
+    folds replaced); rows equal up to signed zeros give exactly 0.0.  A
+    sample of rows, the block edges among them, is checked against
+    one-row `_distance_many` calls too.
+    """
+    sp = BLOCK_SPACES[name]
+    a, b, equal = _block_test_stacks(sp, n, rng)
+    want = _reference_distances(sp, a, b, monkeypatch)
+    got = sp.distance_many(a, b)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes(), name
+    assert np.all(got[equal] == 0.0), name
+    sample = {*equal, *rng.integers(0, max(n, 1), 12).tolist(), _BLOCK_ROWS - 2, _BLOCK_ROWS + 1}
+    for i in sorted(i for i in sample if 0 <= i < n):
+        assert sp._distance_many(a[i:i + 1], b[i:i + 1]).tobytes() == want[i:i + 1].tobytes(), (name, i)
+    if n == 0:
+        return
+    one = b[:1]
+    want_one = _reference_distances(sp, a, one, monkeypatch)
+    assert sp.distance_many(a, one).tobytes() == want_one.tobytes(), name
+    assert sp.distance_many(one[0], a).tobytes() == want_one.tobytes(), name
+    centers = a[:3]
+    want_table = _reference_distances(sp, centers[:, None], b[None], monkeypatch)
+    got_table = sp.distance_many(centers[:, None], b[None])
+    assert got_table.shape == (len(centers), n), name
+    assert got_table.tobytes() == want_table.tobytes(), name
+
+
+def _order_sensitive_rows(rng, m, width):
+    """Rows of mixed magnitude (1e-300 to 1e300, with runs of near-equal
+    magnitudes that cancel), subnormals and signed zeros."""
+    exponents = rng.choice([-300.0, -150.0, -16.0, 0.0, 16.0, 150.0, 300.0], (m, width))
+    exponents += rng.uniform(-2.0, 2.0, (m, width)) * (rng.random((m, width)) < 0.5)
+    x = rng.choice([-1.0, 1.0], (m, width)) * rng.uniform(1.0, 10.0, (m, width)) * 10.0**exponents
+    x[rng.random((m, width)) < 0.05] = 5e-324 * rng.integers(1, 1 << 20)
+    zeros = rng.random((m, width)) < 0.1
+    x[zeros] = rng.choice([-0.0, 0.0], np.count_nonzero(zeros))
+    x[:3] = [-0.0] * width, [0.0] * width, [5e-324] * width
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+def test_fold_rows_has_the_bits_of_numpy_reductions(width, rng):
+    """The numpy fact the column folds rest on: below eight terms numpy sums
+    a row left to right from +0.0, so `_fold_rows` has the bits of
+    `np.add.reduce(x, axis=-1)` and `np.linalg.norm(x, axis=-1)`.
+
+    The rows are drawn so that the order of a sum shows: for widths 3 to 7
+    another order (right to left) gives other bits on some of them, so a
+    numpy release that reorders its short sums fails here.  Widths 8 and 9
+    take numpy's own reduction, as stacks of fewer than 64 rows do.  One-row,
+    (m, w) and (c, r, w) stacks.
+    """
+    x = _order_sensitive_rows(rng, 4000, width)
+    for stack in (x, x[:64], x[:1], x.reshape(40, 100, width)):
+        for norm, want in ((False, np.add.reduce(stack, axis=-1)),
+                           (True, np.linalg.norm(stack, axis=-1))):
+            got = spaces_module._fold_rows(stack, norm)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (width, norm)
+    if 3 <= width < 8:
+        backwards = functools.reduce(np.add, x[:, ::-1].T, np.zeros(x.shape[0]))
+        assert backwards.tobytes() != np.add.reduce(x, axis=-1).tobytes()
 
 
 BAD_STACKS = [
