@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the layers under `distance`, one bundled target per row.
 
-For each target of the benchmark's distance workload, writes two
-`gen --kind random` maps on an N x N grid (spd3 on N/2 x N/2) into a
-temporary directory, then times each layer on them, best of --repeat:
+For each target of the benchmark's distance workload
+(`perfbench/workloads.py` `Distance.TARGETS`), writes two
+`gen --kind random` maps on that target's grid, scaled by N/256 (so
+256 x 256, spd3 128 x 128, at N = 256), into a temporary directory,
+then times each layer on them, best of --repeat:
 
     load     fileio.load_any_map of one map file (its payload check included)
     check    space.check_payload of one map's values
@@ -30,7 +32,9 @@ import numpy as np
 
 from metriclp import cli, fileio
 
-TARGETS = ["euclidean3", "spd2", "simplex3", "histogram8", "circle", "spd3"]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import Distance  # noqa: E402
+
 LAYERS = ["load", "check", "kernel", "wrapper"]
 
 
@@ -53,18 +57,18 @@ def gen(target: str, side: int, seed: int, out: Path) -> None:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--grid", type=int, default=256, help="grid side N (spd3 gets N // 2)")
+    ap.add_argument("--grid", type=int, default=256,
+                    help="grid side N; each benchmark grid is scaled by N/256 (spd3 gets N // 2)")
     ap.add_argument("--repeat", type=int, default=5, help="timed runs per layer; the best is shown")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     print(f"{'target':<12}{'grid':>10}" + "".join(f"{name + ' ms':>12}" for name in LAYERS))
     with tempfile.TemporaryDirectory() as tmp:
-        for i, target in enumerate(TARGETS):
-            side = args.grid // 2 if target == "spd3" else args.grid
+        for i, (target, n) in enumerate(Distance.TARGETS):
+            side = n * args.grid // 256
             paths = [Path(tmp, f"{side_name}-{target}.json") for side_name in "ab"]
             for j, path in enumerate(paths):
-                gen(target, side, args.seed + 2 * i + j, path)
+                gen(target, side, 2 * i + j, path)
             f, g = (fileio.load_any_map(path) for path in paths)
             space, a, b = f.space, f.values, g.values
             if not np.array_equal(space._distance_many(a, b), space.distance_many(a, b)):

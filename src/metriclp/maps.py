@@ -123,14 +123,10 @@ def pointwise_distance(f: MeasurableMap | SimpleMap, g: MeasurableMap | SimpleMa
     # an (atoms, dim) comparison
     if a.shape[1] and (a[:, 0] != b[:, 0]).all():
         return f.space.distance_many(a, b)
-    if a.shape[1] < 8:
-        # a column-wise |= of != is the row-wise any without its cost per
-        # row; on wider rows the column passes cost more than they save
-        differ = np.zeros(a.shape[0], dtype=bool)
-        for j in range(a.shape[1]):
-            differ |= a[:, j] != b[:, j]
-    else:
-        differ = (a != b).any(axis=1)
+    # a column-wise |= of != is the row-wise any without its cost per row
+    differ = np.zeros(a.shape[0], dtype=bool)
+    for j in range(a.shape[1]):
+        differ |= a[:, j] != b[:, j]
     if differ.all():
         return f.space.distance_many(a, b)
     d = np.zeros(a.shape[0])
