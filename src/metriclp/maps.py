@@ -34,9 +34,12 @@ the kernel contract in the `spaces` module gives exactly 0.0 on rows that
 compare equal, so the vector has the bits of one `distance_many` call over
 every atom.  When every atom differs, as for unrelated maps, the payloads
 go to `distance_many` whole and nothing is gathered; a first-entry
-comparison settles the usual case without comparing whole rows.  Rows
-narrower than eight entries are compared one column at a time (`|=` of
-`!=`, exact at any width), which costs less than numpy's `any` along them.
+comparison settles the usual case without comparing whole rows; otherwise
+rows are compared one column at a time (a `|=` of `!=`, exact at any width).
+
+A construction that spends a budget compares sums of w(x) * (d(x) / unit)**p
+with 1, each term formed by one rule (`_budget_terms`) that no overflow,
+underflow or infinite weight can carry across 1.
 
 The D_p helpers (`pointwise_distance`, `dp_distance`, `is_member`, `equivalent`)
 read only `domain`, `space` and `values`, which `SimpleMap` carries too.
@@ -236,6 +239,19 @@ def _scaled_dp(d: Array, w: Array, p: float) -> float:
     before the power."""
     scale = float(d.max())
     return scale * float(np.sum(w * (d / scale) ** p)) ** (1.0 / p)
+
+
+def _budget_terms(d: Array, w: Array, unit: float, p: float) -> Array:
+    """The terms w(x) * (d(x) / unit)**p of a sum compared with 1, with d
+    broadcast against w: 0 where d or w is 0, and capped at 2, which an
+    infinite weight with d > 0 gives too."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        terms = np.where((d != 0) & (w != 0), w * (d / unit) ** p, 0.0)
+    # one term of 1 or more fails the budget alone, so the cap changes no
+    # verdict and no sum overflows; fmin also takes the cap over a NaN: an
+    # infinite weight times a power that underflowed to 0, or a distance
+    # that is not a number, which no budget admits
+    return np.fmin(terms, 2.0)
 
 
 def is_member(f: MeasurableMap | SimpleMap, h: MeasurableMap | SimpleMap, p: float) -> bool:

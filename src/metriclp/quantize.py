@@ -34,6 +34,7 @@ from .errors import MetricLpError, SearchBudgetError
 from .maps import (
     MeasurableMap,
     SimpleMap,
+    _budget_terms,
     check_eps,
     check_finite_p,
     check_p,
@@ -285,12 +286,8 @@ def almost_simple_approx(
         raise MetricLpError("f must lie at finite D_p distance from h")
     n_atoms = f.domain.atom_count
     weights = f.domain.weights
-    # the step sums in units of (eps/3)**p, so each step's budget is 1: a
-    # term that overflows or underflows cannot move its sum across 1
-    live = (weights > 0) & np.isfinite(weights) & (d > 0)
-    contrib = np.zeros(n_atoms)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        contrib[live] = weights[live] * (d[live] / (eps / 3.0)) ** p
+    # the step sums in units of (eps/3)**p, so each step's budget is 1
+    contrib = _budget_terms(d, weights, eps / 3.0, p)
 
     def step_error(mask: Array, dist: Array) -> float:
         return dp_from_pointwise(np.where(mask, dist, 0.0), weights, p)

@@ -182,17 +182,16 @@ def smooth_from_simple(
         except OverflowError:
             delta = math.inf
 
-    foreground = np.isin(g.labels, piece_labels)
-    claimed = np.zeros(n_atoms, dtype=bool)
+    # background cells that no piece has grabbed yet
+    free = ~np.isin(g.labels, piece_labels)
     pieces: list[RelaxPiece] = []
     for lab, lip in zip(piece_labels, lips):
         b_mask = g.labels == lab
         b = AtomSet.from_mask(b_mask)
         inner = inner_closed_approx(domain, b, delta)
         outer = outer_open_approx(domain, b, delta)
-        ring = outer.atoms.mask() & ~b_mask
-        grabbed = ring & ~foreground & ~claimed
-        claimed |= grabbed
+        grabbed = outer.atoms.mask() & free  # b lies in the foreground
+        free &= ~grabbed
         region = AtomSet.from_mask(b_mask | grabbed)
         trans = urysohn(domain, inner.atoms, region)
         t_raw = trans.values[region.indices]

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .maps import (
     MeasurableMap,
+    _budget_terms,
     _check_pair,
     check_eps,
     check_finite_p,
@@ -120,12 +121,15 @@ def _pull(spec: CauchySequenceSpec, ns: range) -> Array:
     return ref.space.check_payload(block)
 
 
-def _prefix_values(spec: CauchySequenceSpec) -> Array:
-    """The stored terms as one (n, atoms, dim) value stack; refused unless
-    every term shares the first one's domain and target."""
+def _prefix_values(spec: CauchySequenceSpec) -> tuple[Array, bool]:
+    """The stored terms as one (n, atoms, dim) value stack, and whether
+    their gaps keep the 2**-n schedule; refused unless every term shares
+    the first one's domain and target."""
     for f in spec.prefix:
         _check_pair(spec.prefix[0], f)
-    return np.stack([f.values for f in spec.prefix])
+    values = np.stack([f.values for f in spec.prefix])
+    gaps = _dp_pairs(spec.prefix[0], values[:-1], values[1:], spec.p)
+    return values, not any(gap > 2.0 ** (-(i + 1)) + FAST_GAP_SLACK for i, gap in enumerate(gaps))
 
 
 def _dp_pairs(ref: MeasurableMap, a: Array, b: Array, p: float) -> Array:
@@ -139,11 +143,7 @@ def _dp_pairs(ref: MeasurableMap, a: Array, b: Array, p: float) -> Array:
 
 def is_fast_cauchy(spec: CauchySequenceSpec) -> bool:
     """Check the 2**-n gap schedule on the stored prefix."""
-    if not spec.prefix:
-        return True
-    values = _prefix_values(spec)
-    gaps = _dp_pairs(spec.prefix[0], values[:-1], values[1:], spec.p)
-    return not any(gap > 2.0 ** (-(i + 1)) + FAST_GAP_SLACK for i, gap in enumerate(gaps))
+    return not spec.prefix or _prefix_values(spec)[1]
 
 
 def fast_subsequence(maps: list[MeasurableMap], p: float) -> list[int]:
@@ -206,10 +206,10 @@ def riesz_fischer_limit(spec: CauchySequenceSpec, tol: float = 1e-10) -> RieszFi
         raise MetricLpError(f"tol must be positive, got {tol!r}")
     if not spec.prefix:
         raise MetricLpError("need at least one stored term")
-    if not is_fast_cauchy(spec):
+    values, fast = _prefix_values(spec)
+    if not fast:
         raise MetricLpError("stored prefix violates the fast gap schedule")
     ref = spec.prefix[0]
-    values = _prefix_values(spec)
     held = values.shape[0]
     # tol = inf asks for nothing past the stored prefix
     target_m = held if math.isinf(tol) else max(held, int(math.ceil(-math.log2(tol))) + 1)
@@ -393,87 +393,68 @@ class ProbeReport:
     scanned: int | None = None
 
 
-def _value_costs(f: MeasurableMap, family: DenseFamily, w: Array, p: float) -> Array:
-    """The (cells, values) table of sum over cell c of w(x) * d(f(x), v)**p.
-
-    Each cell takes one contiguous (values, atoms) table, row v holding
-    d(f(x), v) on the cell, and one row-wise sum: numpy sums each row of a
-    C-contiguous stack as it sums the row alone, so an entry has the bits of
-    its own `np.sum` over the cell.
-    """
-    cost = np.zeros((family.n_cells, family.n_values))
-    for ci, c in enumerate(family.cells):
-        idx = c.indices
-        table = family.space.distance_many(f.values[idx][None], family.values[:, None])
-        cost[ci] = (w[idx] * np.ascontiguousarray(table) ** p).sum(axis=1)
-    return cost
-
-
 def separability_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float) -> ProbeReport:
     """First family member at D_p distance strictly below eps from f.
 
-    Computes per-cell alteration costs and walks cell combinations / value
-    tuples with an exact best-completion bound, visiting candidates in the
-    same order as the enumeration and returning the same first solution as
-    its oracle, `exhaustive_probe`.
+    One (cells, 1 + values) table holds the costs in units of eps**p, each
+    a sum of the budget terms of `maps`: column 0 is a cell's cost when it
+    keeps the base, column 1 + v its cost when set to value v.  A member is
+    within eps when the `math.fsum` of its cells' entries, plus the cost of
+    the atoms in no cell, is below 1.  An fsum is the exact sum rounded
+    once, so a verdict depends only on the multiset of entries summed.
+
+    A cell's gain is what its cheapest value saves over the base.  For
+    k = 0, 1, ... the walk tests the k cells of largest gain, then picks
+    cell by cell the first one that the largest-gain cells after it still
+    complete within eps, all at their cheapest values, then each cell's
+    first value that keeps the others at theirs within eps.  The set that
+    admitted a step is among that step's candidates, so every step finds
+    its pick.  Members are visited in the enumeration order of the oracle,
+    `exhaustive_probe`, and the walk stops at the oracle's member unless
+    some D_p lies within rounding of eps.
     """
     p = check_finite_p(p)
     check_eps(eps)
-    w = np.where(np.isinf(family.domain.weights), 0.0, family.domain.weights)
-    d_base = pointwise_distance(f, family.base)
-    eps_pow = eps**p
+    w = family.domain.weights
+    base_terms = _budget_terms(pointwise_distance(f, family.base), w, eps, p)
     n_cells, n_vals = family.n_cells, family.n_values
-    cost_base = np.array(
-        [float(np.sum(w[c.indices] * d_base[c.indices] ** p)) for c in family.cells]
-    )
-    cost_val = _value_costs(f, family, w, p)
-    total_base = float(cost_base.sum())
-    gains = cost_base - cost_val.min(axis=1)
-    need = total_base - eps_pow  # feasible iff selected gains sum > need
+    costs = []
+    outside = np.ones(w.shape[0], dtype=bool)
+    for c in family.cells:
+        idx = c.indices
+        outside[idx] = False
+        table = family.space.distance_many(f.values[idx][None], family.values[:, None])
+        row = _budget_terms(table, w[idx], eps, p).sum(axis=1).tolist()
+        costs.append([float(base_terms[idx].sum()), *row])
+    rest = [float(base_terms[outside].sum())]
+    keep = [row[0] for row in costs]
+    best = [min(row[1:]) for row in costs]
+    # cells by the gain of their cheapest value, largest first
+    by_gain = sorted(range(n_cells), key=lambda c: best[c] - keep[c])
 
-    def first_feasible_cells(k: int) -> list[int] | None:
-        chosen: list[int] = []
-        acc = 0.0
-        last = -1
-        for slot in range(k):
-            r = k - slot - 1
-            found = None
-            for c in range(last + 1, n_cells - r):
-                rest = gains[c + 1 :]
-                top = float(np.sort(rest)[::-1][:r].sum()) if r else 0.0
-                if acc + gains[c] + top > need:
-                    found = c
-                    break
-            if found is None:
-                return None
-            chosen.append(found)
-            acc += gains[found]
-            last = found
-        return chosen
+    def within(altered: dict[int, float]) -> bool:
+        return math.fsum(rest + [altered.get(c, keep[c]) for c in range(n_cells)]) < 1.0
 
-    if total_base < eps_pow:
-        dist = dp_from_pointwise(d_base, f.domain.weights, p)
-        return ProbeReport(True, (), dist, p, eps)
-    for k in range(1, n_cells + 1):
-        cells = first_feasible_cells(k)
-        if cells is None:
+    def cheapest(cells: list[int], r: int) -> dict[int, float]:
+        """The cells at their cheapest values, completed by the r cells
+        after them with the largest gains."""
+        after = cells[-1] if cells else -1
+        return {c: best[c] for c in cells + [j for j in by_gain if j > after][:r]}
+
+    for k in range(n_cells + 1):
+        if not within(cheapest([], k)):
             continue
-        base_rest = total_base - float(cost_base[cells].sum())
-        min_rest = [float(cost_val[c].min()) for c in cells]
-        chosen_vals: list[int] = []
-        fixed = 0.0
-        for i, c in enumerate(cells):
-            tail = sum(min_rest[i + 1 :])
-            pick = None
-            for v in range(n_vals):
-                if base_rest + fixed + cost_val[c, v] + tail < eps_pow:
-                    pick = v
-                    break
-            if pick is None:
-                raise MetricLpError("internal probe inconsistency")
-            chosen_vals.append(pick)
-            fixed += float(cost_val[c, pick])
-        pairs = tuple(zip(cells, chosen_vals))
+        cells: list[int] = []
+        for r in reversed(range(k)):
+            start = cells[-1] + 1 if cells else 0
+            cells.append(next(c for c in range(start, n_cells) if within(cheapest(cells + [c], r))))
+        picked = cheapest(cells, 0)
+        values = []
+        for c in cells:
+            v = next(v for v in range(n_vals) if within({**picked, c: costs[c][1 + v]}))
+            picked[c] = costs[c][1 + v]
+            values.append(v)
+        pairs = tuple(zip(cells, values))
         dist = dp_distance(f, member_from_pairs(family, pairs), p)
         return ProbeReport(True, pairs, dist, p, eps)
     return ProbeReport(False, (), None, p, eps)

@@ -303,7 +303,6 @@ def test_a_sidecar_shape_past_the_integers_is_a_data_error(tmp_path, capsys, sha
     assert err.startswith("error: ") and "shape" in err and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("error")
 def test_distance_refuses_a_pointwise_distance_that_overflowed(tmp_path, capsys):
     """Maps 1e308 and -1e308 on one atom are 2e308 apart, past the float
     range: the euclidean kernel gives inf there, without a warning, and
@@ -319,7 +318,6 @@ def test_distance_refuses_a_pointwise_distance_that_overflowed(tmp_path, capsys)
         assert err.startswith("error: D_p is undefined") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("error")
 def test_distance_refuses_an_spd3_pencil_past_the_float_range(tmp_path, capsys):
     """diag(1e-11) against diag(1e300) in spd3: the congruence overflows,
     and eigvalsh does not converge on the infinite entries.  That pair is
@@ -463,7 +461,6 @@ def test_quantize_almost_simple_requires_base(tmp_path, capsys, rng):
     assert code == 1 and "base" in err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fixture,p,eps,base", [
     # values 1e200 apart: a difference of sums lost the step-2 residual
     ("far", "1", "0.5", "[0]"),

