@@ -10,10 +10,13 @@ then times each layer on them, best of --repeat:
     load     fileio.load_any_map of one map file (its payload check included)
     check    space.check_payload of one map's values
     kernel   space._distance_many on the two value stacks, whole
-    wrapper  space.distance_many on the same stacks (row blocks)
+    wrapper  space.distance_many on the same stacks (cut into blocks)
+    tkernel  space._distance_many on a (c, r) table request, whole: the
+             first 64 rows of one map against the first 1,024 of the other
+    twrapper space.distance_many on the same table request (cut into blocks)
 
-and prints one table, in milliseconds.  The kernel and wrapper results
-are compared bit for bit, and a mismatch ends the script with exit 1.
+and prints one table, in milliseconds.  Each kernel and wrapper result
+pair is compared bit for bit, and a mismatch ends the script with exit 1.
 
     PYTHONPATH=src python3 scripts/kernel_timings.py --grid 256 --repeat 5
 """
@@ -35,7 +38,7 @@ from metriclp import cli, fileio
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import Distance  # noqa: E402
 
-LAYERS = ["load", "check", "kernel", "wrapper"]
+LAYERS = ["load", "check", "kernel", "wrapper", "tkernel", "twrapper"]
 
 
 def best_ms(fn, repeat: int) -> float:
@@ -71,14 +74,18 @@ def main() -> int:
                 gen(target, side, 2 * i + j, path)
             f, g = (fileio.load_any_map(path) for path in paths)
             space, a, b = f.space, f.values, g.values
-            if not np.array_equal(space._distance_many(a, b), space.distance_many(a, b)):
-                print(f"{target}: wrapper and kernel disagree", file=sys.stderr)
-                return 1
+            centers, rows = a[:64, None], b[None, :1024]
+            for x, y in ((a, b), (centers, rows)):
+                if not np.array_equal(space._distance_many(x, y), space.distance_many(x, y)):
+                    print(f"{target}: wrapper and kernel disagree", file=sys.stderr)
+                    return 1
             times = [
                 best_ms(lambda: fileio.load_any_map(paths[0]), args.repeat),
                 best_ms(lambda: space.check_payload(a), args.repeat),
                 best_ms(lambda: space._distance_many(a, b), args.repeat),
                 best_ms(lambda: space.distance_many(a, b), args.repeat),
+                best_ms(lambda: space._distance_many(centers, rows), args.repeat),
+                best_ms(lambda: space.distance_many(centers, rows), args.repeat),
             ]
             grid = f"{side}x{side}"
             print(f"{target:<12}{grid:>10}" + "".join(f"{t:>12.2f}" for t in times))

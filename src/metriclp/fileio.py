@@ -209,9 +209,13 @@ def load_any_map(path: str | os.PathLike) -> MeasurableMap | SimpleMap:
         raise DataError(f"{path}: bad space descriptor ({exc})") from exc
     if not simple:
         return MeasurableMap(domain, space, values)
+    # the empty inline table [] is the one table not written as (rows, dim)
+    table = values.reshape(0, space.dim) if values.shape == (0,) else values
+    if table.ndim != 2 or table.shape[1] != space.dim:
+        raise DataError(
+            f"{path}: simple-map table of shape {values.shape}, expected (rows, {space.dim})"
+        )
     try:
-        # reshape(-1, 0) is ambiguous: a single-point space keeps the row count
-        table = values.reshape(-1, space.dim) if space.dim else values.reshape(len(values), 0)
         labels = np.asarray(raw, dtype=np.int64)
         if (labels == -1).any():
             raise DataError(

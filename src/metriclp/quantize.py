@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spaces
 from .domain import AtomSet, Domain, measure
 from .errors import MetricLpError, SearchBudgetError
 from .maps import (
@@ -48,9 +49,6 @@ from .spaces import PRUNE_SLACK_REL, EuclideanSpace, MetricSpace
 Array = np.ndarray
 
 STEP_SEARCH_CAP = 10**6
-
-# First-cover scan: pairs per `distance_many` call.
-COVER_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass
@@ -118,9 +116,9 @@ def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float)
     far above the kernels' rounding, so no pair that would test `< radius` is pruned;
     every accept is decided by an exact `distance_many` call, and the
     result is the one of a full scan.  Rows go in blocks of doubling
-    length, each block one call of at most COVER_BLOCK_PAIRS pairs unless
-    a single row's band is larger; covered values leave the scan, which
-    stops once none is left.
+    length, each block one call of at most `spaces.BLOCK_PAIRS` pairs
+    unless a single row's band is larger; covered values leave the scan,
+    which stops once none is left.
     """
     m, k = values.shape[0], table.shape[0]
     out = np.full(m, -1, dtype=np.int64)
@@ -145,7 +143,7 @@ def _first_cover(space: MetricSpace, values: Array, table: Array, radius: float)
         hi = np.searchsorted(keys, d_tab[rows] + reach, side="right")
         counts = hi - lo
         # the longest prefix of rows within the pair budget, at least one row
-        n_rows = max(1, int(np.searchsorted(np.cumsum(counts), COVER_BLOCK_PAIRS, side="right")))
+        n_rows = max(1, int(np.searchsorted(np.cumsum(counts), spaces.BLOCK_PAIRS, side="right")))
         rows, lo, counts = rows[:n_rows], lo[:n_rows], counts[:n_rows]
         j, block = j + n_rows, 2 * n_rows
         total = int(counts.sum())
@@ -510,7 +508,7 @@ def _best_errors(w: Array, h: Array, p: float, k: int) -> Array:
     """Best D_p error of a map with at most 1, 2, ..., k values, for p in {1, 2}.
 
     Sorted-point DP over segment ends j (Wang & Song, *Ckmeans.1d.dp*, R
-    Journal 2011), taken in blocks of COVER_BLOCK_PAIRS // n ends.  Each
+    Journal 2011), taken in blocks of `spaces.BLOCK_PAIRS // n` ends.  Each
     block's (ends, starts) table of segment costs (starts i < j onto one
     value, the weighted mean for p = 2 and the weighted median for p = 1,
     from prefix sums built once) serves every layer; cells with i >= j are
@@ -527,7 +525,7 @@ def _best_errors(w: Array, h: Array, p: float, k: int) -> Array:
     # err[l, j]: best cost of sorted points 0..j-1 with at most l values
     err = np.full((k + 1, n + 1), np.inf)
     err[:, 0] = 0.0
-    rows = max(1, COVER_BLOCK_PAIRS // n)
+    rows = max(1, spaces.BLOCK_PAIRS // n)
     for lo in range(1, n + 1, rows):
         hi = min(lo + rows, n + 1)
         j = np.arange(lo, hi)[:, None]

@@ -174,12 +174,13 @@ def smooth_from_simple(
     # The per-piece budget; with no piece it is never spent.  The morphology
     # compares it only with 0 and with positive multiples of the cell
     # measure, so a budget below the smallest positive float decides as
-    # that float, and one above the largest float as inf.
+    # that float, and one above the largest float as inf.  Pieces all at
+    # distance 0 spend no error mass: their budget is inf too.
     delta = 0.0
     if k:
         try:
             delta = max((eps / (2.0 * k ** (1.0 / p) * max(lips))) ** p, math.ulp(0.0))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             delta = math.inf
 
     # background cells that no piece has grabbed yet

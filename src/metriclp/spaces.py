@@ -24,14 +24,14 @@ Conventions
   relies on this to skip such rows).  The
   euclidean, circle, simplex and histogram kernels meet this by
   construction; the SPD kernel canonicalizes its argument order itself.
-- Blocks: `distance_many` hands a row-aligned request (equal leading
-  shapes, or one row against many) of more than _BLOCK_ROWS pairs to the
-  kernel one block of _BLOCK_ROWS rows at a time, so that the kernels'
-  temporaries stay in cache.  A pair's distance does not depend on the
-  shape it is asked in, so the blocks give the bits of one whole call; a
-  refused stack is refused either way, with the message of the first block
-  that holds a fault.  A (c, r) table goes to the kernel whole: its callers
-  (`quantize`, `verify`) already bound it by `COVER_BLOCK_PAIRS`.
+- Blocks: `distance_many` hands a request of more than BLOCK_PAIRS pairs
+  to the kernel in slices along its first leading axis longer than one,
+  each of at most BLOCK_PAIRS pairs and at least one entry of that axis,
+  so that the kernels' temporaries stay in cache; an operand of extent 1
+  on that axis goes whole into every slice.  A pair's distance does not
+  depend on the shape it is asked in, so the slices give the bits of one
+  whole call; a refused stack is refused either way, with the message of
+  the first slice that holds a fault.
 - Folds: a kernel's row sums and row norms over a payload axis narrower
   than eight columns, on stacks of 64 rows or more, are folds over the
   columns (`_fold_rows`), one numpy pass per column, instead of a numpy
@@ -94,11 +94,12 @@ PRUNE_SLACK_REL = 1e-6
 # Absolute slack on the squared chord bound that prunes the simplex probe
 # grid (`SimplexSpace.probe_ball`), about 1e6 times the rounding it covers.
 PROBE_PRUNE_SLACK = 1e-9
-# Rows per kernel pass of a large row-aligned `distance_many` request and of
-# the SPD payload check, so that their temporaries stay in L2.  Of 4,096 to
+# Pairs per kernel pass of a large `distance_many` request, and rows per pass
+# of the SPD payload check, so that their temporaries stay in L2; every
+# blocked scan of the library takes its block size from here.  Of 4,096 to
 # 16,384 rows, 8,192 was fastest over the six benchmark targets on a 2 MB
 # L2; at 16,384, two histogram8 stacks of 64-byte rows fill it.
-_BLOCK_ROWS = 8192
+BLOCK_PAIRS = 8192
 
 
 def _fold_rows(x: Array, norm: bool = False) -> Array:
@@ -329,21 +330,21 @@ class MetricSpace:
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))
         shape = self._leading_shape(a, b)
-        rows = math.prod(shape)
-        if rows <= _BLOCK_ROWS:
+        pairs = math.prod(shape)
+        if pairs <= BLOCK_PAIRS:
             return self._distance_many(a, b)
-        rows_a, rows_b = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
-        if a.shape != b.shape and 1 not in (rows_a, rows_b):
-            return self._distance_many(a, b)  # a table: the caller sized it
-        # one row against many keeps its one row in every block
-        a, b = a.reshape(rows_a, self.dim), b.reshape(rows_b, self.dim)
-        out = np.empty(rows)
-        for start in range(0, rows, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            out[block] = self._distance_many(
-                a if rows_a == 1 else a[block], b if rows_b == 1 else b[block]
+        # cut the first leading axis longer than one, `back` axes before the
+        # payload axis; the axes in front of it all have extent 1
+        axis = next(i for i, n in enumerate(shape) if n > 1)
+        back = len(shape) - axis
+        step = max(1, BLOCK_PAIRS // (pairs // shape[axis]))
+        out = np.empty(shape)
+        for start in range(0, shape[axis], step):
+            at = (..., slice(start, start + step)) + (slice(None),) * back
+            out[at[:-1]] = self._distance_many(
+                *(x if x.ndim <= back or x.shape[-1 - back] == 1 else x[at] for x in (a, b))
             )
-        return out.reshape(shape)
+        return out
 
     def _distance_many(self, a: Array, b: Array) -> Array:
         """Kernel on two validated stacks with broadcasting leading axes."""
@@ -738,9 +739,9 @@ class SpdSpace(MetricSpace):
         n = self.n
         sym_gap = 0.0
         failed = []
-        for start in range(0, flat.shape[0], _BLOCK_ROWS):
+        for start in range(0, flat.shape[0], BLOCK_PAIRS):
             # cols[i * n + j] holds entry (i, j) of every matrix in the block
-            cols = flat[start : start + _BLOCK_ROWS].T.copy()
+            cols = flat[start : start + BLOCK_PAIRS].T.copy()
             # entries of opposite sign near the float limit overflow to a gap of inf
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(n):

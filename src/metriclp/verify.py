@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fields, quantize, relax
+from . import fields, quantize, relax, spaces
 from .domain import (
     AtomSet,
     Domain,
@@ -305,17 +305,15 @@ def geodesic_cauchy_fixture(
 @dataclass
 class DenseFamily:
     """Countable family: base mapping altered on Venn cells of generator
-    sets, with altered values drawn from a dense-sequence prefix.
+    sets, with altered values drawn from a dense-sequence prefix; the
+    domain and the space are the base's.
 
     Members are enumerated by (number of altered cells ascending, cell
     index combinations lexicographic, value index tuples lexicographic);
     member 0 is the unaltered base.
     """
 
-    domain: Domain
-    space: object
     base: MeasurableMap
-    generators: list[AtomSet]
     cells: list[AtomSet]
     values: Array
 
@@ -351,7 +349,7 @@ def build_dense_family(
     distinct, cell_ids = quantize.dedup_rows_in_order(signature)
     cells = [AtomSet.from_mask(cell_ids == c) for c in range(distinct.shape[0])]
     values = base.space.dense_payloads(val_budget)
-    return DenseFamily(domain, base.space, base, generators, cells, values)
+    return DenseFamily(base, cells, values)
 
 
 def member_from_pairs(
@@ -361,7 +359,7 @@ def member_from_pairs(
     vals = family.base.values.copy()
     for c, v in pairs:
         vals[family.cells[c].indices] = family.values[v]
-    return MeasurableMap(family.domain, family.space, vals)
+    return MeasurableMap(family.base.domain, family.base.space, vals)
 
 
 def _member_pairs(family: DenseFamily, cap: int):
@@ -415,7 +413,7 @@ def separability_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: flo
     """
     p = check_finite_p(p)
     check_eps(eps)
-    w = family.domain.weights
+    w = family.base.domain.weights
     base_terms = _budget_terms(pointwise_distance(f, family.base), w, eps, p)
     n_cells, n_vals = family.n_cells, family.n_values
     costs = []
@@ -423,7 +421,7 @@ def separability_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: flo
     for c in family.cells:
         idx = c.indices
         outside[idx] = False
-        table = family.space.distance_many(f.values[idx][None], family.values[:, None])
+        table = family.base.space.distance_many(f.values[idx][None], family.values[:, None])
         row = _budget_terms(table, w[idx], eps, p).sum(axis=1).tolist()
         costs.append([float(base_terms[idx].sum()), *row])
     rest = [float(base_terms[outside].sum())]
@@ -464,25 +462,26 @@ def exhaustive_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float
     """The first member, in enumeration order, at D_p distance below eps:
     the oracle of `separability_probe`, walking at most MEMBER_CAP members.
 
-    Members are measured in blocks of COVER_BLOCK_PAIRS // atoms: a block is
-    one (members, atoms, dim) value stack, the base values with each altered
-    cell's atoms copied from the family values (checked once; the cells are
-    disjoint Venn atoms, so the order of a member's pairs does not matter),
-    then one `distance_many` and one `dp_from_pointwise` call.  Each row's
-    distance has the bits of `dp_distance(f, member)`, so the first row
-    below eps is the member the one-by-one walk stops at.
+    Members are measured in blocks of `spaces.BLOCK_PAIRS // atoms` (at
+    least one): a block is one (members, atoms, dim) value stack, the base
+    values with each altered cell's atoms copied from the family values
+    (checked once; the cells are disjoint Venn atoms, so the order of a
+    member's pairs does not matter), then one `distance_many` and one
+    `dp_from_pointwise` call.  Each row's distance has the bits of
+    `dp_distance(f, member)`, so the first row below eps is the member the
+    one-by-one walk stops at.
     """
     p = check_finite_p(p)
     check_eps(eps)
     _check_pair(f, family.base)
-    values = family.space.check_payload(family.values)
+    values = family.base.space.check_payload(family.values)
     base = family.base.values
     n_cells = family.n_cells
     # the cell of each atom; atoms in no cell read column n_cells, never altered
     cell_of = np.full(base.shape[0], n_cells)
     for ci, c in enumerate(family.cells):
         cell_of[c.indices] = ci
-    size = max(1, quantize.COVER_BLOCK_PAIRS // max(1, base.shape[0]))
+    size = max(1, spaces.BLOCK_PAIRS // max(1, base.shape[0]))
     members = _member_pairs(family, MEMBER_CAP)
     scanned = 0
     while block := list(itertools.islice(members, size)):
@@ -495,7 +494,7 @@ def exhaustive_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: float
         altered = pick >= 0
         stack = np.repeat(base[None], len(block), axis=0)
         stack[altered] = values[pick[altered]]
-        d = family.space.distance_many(f.values[None], stack)
+        d = family.base.space.distance_many(f.values[None], stack)
         dists = dp_from_pointwise(d, f.domain.weights, p)
         hits = np.flatnonzero(dists < eps)
         if hits.size:
@@ -589,15 +588,14 @@ def _covering_radius(space, probe: Array, centers: Array) -> float:
     (ValueError): the directed Hausdorff distance max_x min_c d(x, c).
 
     A strided sample of the probe, probe[::step] with at most
-    quantize.COVER_BLOCK_PAIRS // len(centers) rows (at least one), is
-    measured against the centers in one call.  When the sample is the
-    whole probe its largest minimum is the radius.  Otherwise one pass
-    goes over the probe, in blocks of COVER_BLOCK_PAIRS rows.  The pass
-    takes the m centers in chunks of its visit order ending at every power
-    of two below m and at m; a chunk of w centers is one `distance_many`
-    call per slice of COVER_BLOCK_PAIRS // w rows (at least one), so no
-    call holds more than COVER_BLOCK_PAIRS pairs unless a single row's
-    chunk does.
+    `spaces.BLOCK_PAIRS // len(centers)` rows (at least one), is measured
+    against the centers in one call.  When the sample is the whole probe
+    its largest minimum is the radius.  Otherwise one pass goes over the
+    probe, in blocks of BLOCK_PAIRS rows.  The pass takes the m centers in
+    chunks of its visit order ending at every power of two below m and at
+    m; a chunk is one `distance_many` table against the block's remaining
+    rows, which `distance_many` cuts into kernel calls of at most
+    BLOCK_PAIRS pairs.
 
     - The pass starts from a lower bound: the largest minimum among the
       sample rows.  The sample rows are probe rows, and every kernel is
@@ -627,7 +625,7 @@ def _covering_radius(space, probe: Array, centers: Array) -> float:
     if m == 0:
         raise ValueError("the covering radius needs at least one center")
     n = probe.shape[0]
-    budget = quantize.COVER_BLOCK_PAIRS
+    budget = spaces.BLOCK_PAIRS
     step = max(1, -(-n // max(1, budget // m)))
     sample = space.distance_many(probe[None, ::step], centers[:, None])  # (m, sample rows)
     bound = sample.min(axis=0).max(initial=-np.inf)
@@ -642,11 +640,7 @@ def _covering_radius(space, probe: Array, centers: Array) -> float:
         lo = 0
         for hi in ends:
             chunk = centers[order[lo:hi], None]
-            size = max(1, budget // (hi - lo))
-            run = np.minimum(run, np.concatenate([
-                space.distance_many(rows[None, i : i + size], chunk).min(axis=0)
-                for i in range(0, rows.shape[0], size)
-            ]))
+            run = np.minimum(run, space.distance_many(rows[None], chunk).min(axis=0))
             lo = hi
             keep = ~(run <= bound)
             if not keep.all():

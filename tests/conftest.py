@@ -79,6 +79,11 @@ BAD_MAP_TEXTS = [
     f' "values": [[{10**400}]]}}',
     '{"kind": "simple_map", "space": {"space": "euclidean1"}, "domain": {"weights": [1.0]},'
     f' "labels": [0], "values": [[{10**400}]]}}',
+    # simple-map tables that are not (rows, dim): never reshaped into rows
+    '{"kind": "simple_map", "space": {"space": "spd2"}, "domain": {"weights": [1.0, 1.0]},'
+    ' "labels": [0, 0], "values": [[1.0, 0.0], [0.0, 1.0]]}',
+    '{"kind": "simple_map", "space": {"space": "euclidean1"}, "domain": {"weights": [1.0]},'
+    ' "labels": [0], "values_file": "side.bin", "values_shape": [1]}',
 ]
 
 

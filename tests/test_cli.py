@@ -793,6 +793,24 @@ def test_continuify_one_region_has_no_piece_and_holds_its_guarantee(tmp_path, ca
     assert json.loads(report.read_text())["pieces"] == []
 
 
+def test_continuify_pieces_at_distance_zero_from_the_background(tmp_path, capsys):
+    """A piece whose value differs from the background only within the
+    payload tolerance (the last histogram weight, by 1e-10) lies at ground
+    distance 0 from it: it spends no error mass, so its budget is inf, and
+    the run exits 0 with achieved error 0.0 instead of dividing by zero."""
+    sp = make_space("histogram2")
+    labels = np.arange(16) // 8
+    g = SimpleMap(Domain.grid(2, 4), sp, labels, np.array([[0.5, 0.5], [0.5, 0.5000000001]]))
+    save_simple_map(g, tmp_path / "g.json")
+    code, stdout, err = run_cli(capsys, "continuify", str(tmp_path / "g.json"),
+                                "--background", "[0.5,0.5]", "--p", "1", "--eps", "0.1",
+                                "--out", str(tmp_path / "c.json"))
+    assert code == 0, err
+    summary = last_json(stdout)
+    assert summary["pieces"] == 1 and summary["achieved_error"] == 0.0
+    assert summary["flags"]["guarantee_holds"]
+
+
 def test_relax_pipeline_checks_two_full_grids(tmp_path, capsys, monkeypatch):
     """gen piecewise -> continuify -> distance checks the relaxed field's
     rows twice (built, then loaded); the simple map is measured through its

@@ -259,3 +259,25 @@ def test_undecodable_and_deeply_nested_files_are_data_errors(inputs, tmp_path):
             (work / name).write_bytes(data)
             assert check(argv, f"{name}: {what}") == EXIT_DATA, f"{name}: {what}"
         (work / name).write_bytes(pristine)
+
+
+def test_simple_map_tables_of_the_wrong_width_are_data_errors(inputs, tmp_path):
+    """The spd2 simple maps with their table reshaped to width 2 or to one
+    flat list, inline or as a sidecar's declared shape, exit 2 with one
+    error line from both commands; the pristine files exit 0."""
+    work = tmp_path / "work"
+    shutil.copytree(inputs, work)
+    out = str(tmp_path / "out.json")
+    for name, key in (("simple.json", "values"), ("bigsimple.json", "values_shape")):
+        raw = json.loads((inputs / name).read_text())
+        table = np.asarray(raw["values"]) if key == "values" else np.empty(raw["values_shape"])
+        calls = [["continuify", str(work / name), "--p", "1", "--eps", "0.3", "--out", out],
+                 ["distance", str(work / name), str(inputs / name)]]
+        for argv in calls:
+            assert check(argv, f"{name}: pristine") == EXIT_OK
+        for shape in ((-1, 2), (-1,)):
+            wrong = table.reshape(shape)
+            value = wrong.tolist() if key == "values" else list(wrong.shape)
+            (work / name).write_text(json.dumps(dict(raw, **{key: value})))
+            for argv in calls:
+                assert check(argv, f"{name}: table {wrong.shape}") == EXIT_DATA, (name, shape)

@@ -44,7 +44,7 @@ from metriclp import (
     restrict,
     simple_approx_sup,
 )
-from metriclp import quantize
+from metriclp import quantize, spaces
 from metriclp.maps import check_p, dp_from_pointwise
 from metriclp.quantize import _best_errors, _divergence_grid, _first_cover, dedup_rows_in_order
 
@@ -488,7 +488,7 @@ def test_first_cover_matches_brute_force(name, rng):
 @pytest.mark.parametrize("name", ["euclidean2", "spd2", "simplex3", "circle"])
 def test_first_cover_matches_brute_force_in_small_blocks(name, budget, rng, monkeypatch):
     """Pair budgets below one row's band (1) or spanning a few rows (7)."""
-    monkeypatch.setattr(quantize, "COVER_BLOCK_PAIRS", budget)
+    monkeypatch.setattr(spaces, "BLOCK_PAIRS", budget)
     check_first_cover_cases(make_space(name), rng)
 
 
@@ -899,13 +899,13 @@ def dp_cases(rng, sizes):
         yield w, np.full(n, h[0])
 
 
-@pytest.mark.parametrize("budget", [1, 7, quantize.COVER_BLOCK_PAIRS])
+@pytest.mark.parametrize("budget", [1, 7, spaces.BLOCK_PAIRS])
 def test_best_errors_in_blocks_match_the_per_end_dp_bit_for_bit(budget, rng, monkeypatch):
     """Blocks of one end (1), a few ends (7) and the default, with n from 1
-    past several blocks: 600 ends are 6 default blocks of 109."""
-    monkeypatch.setattr(quantize, "COVER_BLOCK_PAIRS", budget)
+    past several blocks: 600 ends are 47 default blocks of 13."""
+    monkeypatch.setattr(spaces, "BLOCK_PAIRS", budget)
     sizes = [1, 2, 3, 7, 8, 29, *rng.integers(1, 120, 4)]
-    if budget == quantize.COVER_BLOCK_PAIRS:
+    if budget == spaces.BLOCK_PAIRS:
         sizes.append(600)
     with np.errstate(all="raise"):
         for w, h in dp_cases(rng, sizes):
@@ -919,7 +919,7 @@ def test_best_errors_in_blocks_match_the_per_end_dp_bit_for_bit(budget, rng, mon
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_best_errors_memory_stays_in_blocks(p, rng):
     """At n = 4096 a full ends-by-starts table would take 128 MB; the blocks
-    of COVER_BLOCK_PAIRS cells keep the peak under 8 MB."""
+    of BLOCK_PAIRS cells keep the peak under 8 MB."""
     w, h = rng.uniform(0.1, 2.0, 4096), rng.normal(0.0, 1.0, 4096)
     tracemalloc.start()
     try:

@@ -44,9 +44,9 @@ def test_kernel_timings_prints_one_row_per_target(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["target", "grid", "load", "ms", "check", "ms", "kernel", "ms",
-                                "wrapper", "ms"]
+                                "wrapper", "ms", "tkernel", "ms", "twrapper", "ms"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
     assert list(rows) == ["euclidean3", "spd2", "simplex3", "histogram8", "circle", "spd3"]
     assert rows["euclidean3"][0] == "16x16" and rows["spd3"][0] == "8x8"
-    assert all(len(times) == 5 and all(float(t) >= 0.0 for t in times[1:]) for times in rows.values())
+    assert all(len(times) == 7 and all(float(t) >= 0.0 for t in times[1:]) for times in rows.values())
     assert list(tmp_path.iterdir()) == []

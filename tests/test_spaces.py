@@ -27,7 +27,7 @@ from metriclp import (
     smooth_from_simple,
 )
 from metriclp.spaces import (
-    _BLOCK_ROWS,
+    BLOCK_PAIRS,
     EIG_CLAMP,
     HistogramSpace,
     NET_PROBE_CAP,
@@ -346,7 +346,7 @@ def test_spd_check_verdicts_span_certificate_blocks(rng):
     """A fault in any block of rows is found, and a symmetry gap anywhere
     is reported before a nonpositive eigenvalue anywhere else."""
     sp = make_space("spd2")
-    flat = sp.random_payloads(rng, 3 * _BLOCK_ROWS + 5)
+    flat = sp.random_payloads(rng, 3 * BLOCK_PAIRS + 5)
     indefinite = np.array([1.0, 2.0, 2.0, 1.0])
     skew = np.array([1.0, 1e-9, 0.0, 1.0])
     for rows in ({-1: indefinite}, {3: indefinite, -2: skew}, {-2: indefinite, 5: skew}):
@@ -1047,7 +1047,7 @@ BLOCK_SPACES = {
     )},
     "histogram9-uneven": HistogramSpace(np.array([0.0, 0.1, 0.15, 0.4, 0.45, 0.7, 1.0, 1.3, 2.0])),
 }
-BLOCK_COUNTS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+BLOCK_COUNTS = [0, 1, BLOCK_PAIRS - 1, BLOCK_PAIRS, BLOCK_PAIRS + 1, 2 * BLOCK_PAIRS + 3]
 
 
 def _numpy_fold_rows(x, norm=False):
@@ -1084,7 +1084,7 @@ def _block_test_stacks(sp, n, rng):
     the dense sequence, whose points hold exact zeros), at block edges among
     them, and for euclidean targets pairs 1e-170 and 2e170 apart."""
     a, b = sp.random_payloads(rng, n, 0.7), sp.random_payloads(rng, n, 0.7)
-    equal = sorted({i for i in (0, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1) if 0 <= i < n})
+    equal = sorted({i for i in (0, 3, BLOCK_PAIRS - 1, BLOCK_PAIRS, n - 1) if 0 <= i < n})
     if equal:
         z = sp.dense_payloads(len(equal))
         a[equal] = z
@@ -1095,38 +1095,68 @@ def _block_test_stacks(sp, n, rng):
     return a, b, equal
 
 
+def _check_blocked_request(sp, a, b, monkeypatch):
+    """One request through `distance_many`: the bits of one whole kernel call
+    on its pairs, flattened to rows, with numpy's reductions; kernel calls,
+    seen by a spy, that hold every pair once, each of at most BLOCK_PAIRS
+    pairs unless it is one entry of the first leading axis longer than one."""
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    pairs = math.prod(shape)
+    flat = [np.broadcast_to(x, (*shape, sp.dim)).reshape(pairs, sp.dim) for x in (a, b)]
+    want = _reference_distances(sp, *flat, monkeypatch)
+    calls = []
+    kernel = type(sp)._distance_many
+
+    def spy(self, x, y):
+        calls.append(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+        return kernel(self, x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(sp), "_distance_many", spy)
+        got = sp.distance_many(a, b)
+    assert got.shape == shape and got.tobytes() == want.tobytes(), (sp.tag, shape)
+    axis = next((i for i, n in enumerate(shape) if n > 1), 0)
+    entry = math.prod(shape[axis + 1:])
+    sizes = [math.prod(c) for c in calls]
+    assert sum(sizes) == pairs, (sp.tag, shape, calls)
+    assert all(n <= BLOCK_PAIRS or n == entry for n in sizes), (sp.tag, shape, calls)
+    assert len(calls) == 1 or pairs > BLOCK_PAIRS, (sp.tag, shape, calls)
+    return got
+
+
 @pytest.mark.parametrize("n", BLOCK_COUNTS)
 @pytest.mark.parametrize("name", list(BLOCK_SPACES))
 def test_blocked_distance_many_has_the_bits_of_one_kernel_call(name, n, rng, monkeypatch):
-    """Differential test of the row blocks and the column folds.
+    """Differential test of the one blocking rule and the column folds.
 
-    Equal stacks, one row against many (either side) and a (c, r) table,
-    on both sides of each block edge, give through `distance_many` the
-    bits of one whole kernel call with numpy's reductions (the forms the
-    folds replaced); rows equal up to signed zeros give exactly 0.0.  A
-    sample of rows, the block edges among them, is checked against
-    one-row `_distance_many` calls too.
+    Rows against rows, one row against many (either side), a (c, r) table
+    of three centers against n rows (an entry wider than BLOCK_PAIRS past
+    it), a (1, atoms) stack against (members, atoms) with three atoms, and
+    one against two members of n atoms, on both sides of each block edge,
+    give through `distance_many` the bits of one whole kernel call on their
+    pairs with numpy's reductions (the forms the folds replaced), in kernel
+    calls of at most BLOCK_PAIRS pairs or of one entry of the cut axis;
+    rows equal up to signed zeros give exactly 0.0.  A sample of rows, the
+    block edges among them, is checked against one-pair `_distance_many`
+    calls too.
     """
     sp = BLOCK_SPACES[name]
     a, b, equal = _block_test_stacks(sp, n, rng)
-    want = _reference_distances(sp, a, b, monkeypatch)
-    got = sp.distance_many(a, b)
-    assert got.shape == (n,) and got.tobytes() == want.tobytes(), name
+    got = _check_blocked_request(sp, a, b, monkeypatch)
     assert np.all(got[equal] == 0.0), name
-    sample = {*equal, *rng.integers(0, max(n, 1), 12).tolist(), _BLOCK_ROWS - 2, _BLOCK_ROWS + 1}
+    sample = {*equal, *rng.integers(0, max(n, 1), 12).tolist(), BLOCK_PAIRS - 2, BLOCK_PAIRS + 1}
     for i in sorted(i for i in sample if 0 <= i < n):
-        assert sp._distance_many(a[i:i + 1], b[i:i + 1]).tobytes() == want[i:i + 1].tobytes(), (name, i)
+        assert sp._distance_many(a[i:i + 1], b[i:i + 1]).tobytes() == got[i:i + 1].tobytes(), (name, i)
     if n == 0:
         return
     one = b[:1]
-    want_one = _reference_distances(sp, a, one, monkeypatch)
-    assert sp.distance_many(a, one).tobytes() == want_one.tobytes(), name
-    assert sp.distance_many(one[0], a).tobytes() == want_one.tobytes(), name
-    centers = a[:3]
-    want_table = _reference_distances(sp, centers[:, None], b[None], monkeypatch)
-    got_table = sp.distance_many(centers[:, None], b[None])
-    assert got_table.shape == (len(centers), n), name
-    assert got_table.tobytes() == want_table.tobytes(), name
+    assert _check_blocked_request(sp, a, one, monkeypatch).shape == (n,)
+    assert _check_blocked_request(sp, one[0], a, monkeypatch).shape == (n,)
+    assert _check_blocked_request(sp, a[:3, None], b[None], monkeypatch).shape == (min(n, 3), n)
+    members = n // 3
+    stack = a[: 3 * members].reshape(members, 3, sp.dim)
+    assert _check_blocked_request(sp, b[None, :3], stack, monkeypatch).shape == (members, 3)
+    assert _check_blocked_request(sp, a[None], np.stack([b, a]), monkeypatch).shape == (2, n)
 
 
 def _order_sensitive_rows(rng, m, width):

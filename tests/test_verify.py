@@ -366,7 +366,7 @@ def test_probe_optimized_equals_exhaustive(rng):
     fam = make_family(rng, cells=4, val_budget=3)
     for trial in range(4):
         f = MeasurableMap(
-            fam.domain, E1, rng.uniform(-1.0, 1.0, (fam.domain.atom_count, 1))
+            fam.base.domain, E1, rng.uniform(-1.0, 1.0, (fam.base.domain.atom_count, 1))
         )
         eps = float(rng.uniform(0.2, 1.2))
         fast = separability_probe(f, fam, 2.0, eps)
@@ -410,11 +410,12 @@ def test_exhaustive_probe_matches_the_member_walk(name, budget, rng, monkeypatch
     The eps range puts first hits before and past block boundaries, and
     misses."""
     if budget is not None:
-        monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", budget)
+        monkeypatch.setattr(verify.spaces, "BLOCK_PAIRS", budget)
     fam = random_family(rng, name)
+    sp = fam.base.space
     results = []
     for _ in range(12):
-        f = MeasurableMap(fam.domain, fam.space, fam.space.random_payloads(rng, 4))
+        f = MeasurableMap(fam.base.domain, sp, sp.random_payloads(rng, 4))
         d_base = dp_distance(f, fam.base, 2.0)
         eps = float(d_base * rng.uniform(0.3, 1.05))
         want = walk_members_one_by_one(f, fam, 2.0, eps)
@@ -427,7 +428,7 @@ def test_exhaustive_probe_matches_the_member_walk(name, budget, rng, monkeypatch
 def test_exhaustive_probe_first_hit_past_a_block_boundary(rng, monkeypatch):
     """Blocks of 2 members (8 pairs over 4 atoms): the target is member 41,
     so the walk reads 20 whole blocks before the hit."""
-    monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", 8)
+    monkeypatch.setattr(verify.spaces, "BLOCK_PAIRS", 8)
     fam = random_family(rng, "euclidean2")
     pairs, member = list(enumerate_members(fam, 41))[-1]
     report = exhaustive_probe(member, fam, 2.0, 1e-9)
@@ -438,7 +439,7 @@ def test_exhaustive_probe_first_hit_past_a_block_boundary(rng, monkeypatch):
 
 def test_exhaustive_probe_miss_scans_the_whole_family(rng):
     fam = make_family(rng, cells=4, val_budget=2)  # values {0, 1}: coarse
-    f = MeasurableMap(fam.domain, E1, np.full((4, 1), 0.43))
+    f = MeasurableMap(fam.base.domain, E1, np.full((4, 1), 0.43))
     report = exhaustive_probe(f, fam, 1.0, 1e-6)
     assert walk_result(report) == (False, (), None, 3**4)
     assert walk_result(report) == walk_members_one_by_one(f, fam, 1.0, 1e-6)
@@ -449,7 +450,7 @@ def test_exhaustive_probe_respects_member_cap(cap, rng, monkeypatch):
     """A cap below the family's 256 members: a hit past the cap is a miss
     after exactly cap members, with blocks of 3 members."""
     monkeypatch.setattr(verify, "MEMBER_CAP", cap)
-    monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", 12)
+    monkeypatch.setattr(verify.spaces, "BLOCK_PAIRS", 12)
     fam = random_family(rng, "euclidean2")
     for target in (3, 120):
         _, member = list(enumerate_members(fam, target))[-1]
@@ -465,14 +466,14 @@ def test_exhaustive_probe_refuses_a_target_of_another_domain_or_space(rng):
     other_domain = MeasurableMap(Domain(np.ones(4)), E1, np.zeros((4, 1)))
     with pytest.raises(DomainMismatchError):
         exhaustive_probe(other_domain, fam, 2.0, 0.1)
-    other_space = MeasurableMap(fam.domain, make_space("circle"), np.zeros((4, 1)))
+    other_space = MeasurableMap(fam.base.domain, make_space("circle"), np.zeros((4, 1)))
     with pytest.raises(DimensionMismatchError):
         exhaustive_probe(other_space, fam, 2.0, 0.1)
 
 
 def test_probe_reports_miss_below_reachable_accuracy(rng):
     fam = make_family(rng, cells=4, val_budget=2)  # values {0, 1}: coarse
-    f = MeasurableMap(fam.domain, E1, np.full((4, 1), 0.43))
+    f = MeasurableMap(fam.base.domain, E1, np.full((4, 1), 0.43))
     report = separability_probe(f, fam, 1.0, 1e-6)
     assert not report.found
 
@@ -543,7 +544,7 @@ def test_probe_counts_the_atoms_in_no_cell():
     dom = Domain(np.full(4, 0.25))
     base = MeasurableMap(dom, E1, np.zeros((4, 1)))
     cells = [AtomSet(np.array([i]), 4) for i in range(3)]
-    fam = verify.DenseFamily(dom, E1, base, cells, cells, np.array([[0.0], [1.0]]))
+    fam = verify.DenseFamily(base, cells, np.array([[0.0], [1.0]]))
     f = MeasurableMap(dom, E1, np.array([[0.0], [0.0], [0.0], [1.0]]))
     for eps, want in ((0.2, (False, (), None)), (0.3, (True, (), 0.25))):
         assert probe_result(exhaustive_probe(f, fam, 1.0, eps)) == want
@@ -556,7 +557,7 @@ def test_probe_finds_a_member_holding_a_huge_value():
     dom = Domain(np.full(4, 0.25))
     base = MeasurableMap(dom, E1, np.zeros((4, 1)))
     cells = [AtomSet(np.array([i]), 4) for i in range(4)]
-    fam = verify.DenseFamily(dom, E1, base, cells, cells, np.array([[0.5], [1e200]]))
+    fam = verify.DenseFamily(base, cells, np.array([[0.5], [1e200]]))
     f = member_from_pairs(fam, ((3, 1),))
     for p in (1.0, 2.0, 7.5):
         for eps in (1e-200, 0.1, 1e100):
@@ -657,14 +658,15 @@ def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
         (with_kernel(hist, nan_at(probe[-1], centers[0])), probe, centers),
     ]
     cases += [(space, probe, centers, (5, 40)) for space, probe, centers in hard]
+    # the oracle runs at the default block size: at a budget of one pair it
+    # would make one kernel call per pair
+    wants = [running_min_radii(*case) for case in cases]
+    assert np.isnan(wants[-3:]).tolist() == [[True, True], [False, True], [True, True]]
     if budget is not None:
-        monkeypatch.setattr(verify.quantize, "COVER_BLOCK_PAIRS", budget)
-    for space, probe, centers, counts in cases:
+        monkeypatch.setattr(verify.spaces, "BLOCK_PAIRS", budget)
+    for (space, probe, centers, counts), want in zip(cases, wants):
         got = [verify._covering_radius(space, probe, centers[:m]) for m in counts]
-        want = running_min_radii(space, probe, centers, counts)
         np.testing.assert_array_equal(got, want, err_msg=f"{space.tag} {counts}")
-    nan_radii = [running_min_radii(space, p, c, (5, 40)) for space, p, c in hard[3:]]
-    assert np.isnan(nan_radii).tolist() == [[True, True], [False, True], [True, True]]
 
 
 def test_covering_radius_refuses_an_empty_center_set():
