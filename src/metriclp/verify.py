@@ -449,7 +449,9 @@ def separability_probe(f: MeasurableMap, family: DenseFamily, p: float, eps: flo
         picked = cheapest(cells, 0)
         values = []
         for c in cells:
-            v = next(v for v in range(n_vals) if within({**picked, c: costs[c][1 + v]}))
+            # the other cells' entries, shared by all of c's value tests
+            others = rest + [picked.get(j, keep[j]) for j in range(n_cells) if j != c]
+            v = next(v for v in range(n_vals) if math.fsum(others + [costs[c][1 + v]]) < 1.0)
             picked[c] = costs[c][1 + v]
             values.append(v)
         pairs = tuple(zip(cells, values))
@@ -583,11 +585,16 @@ def _check_space_geodesics(ctx: SuiteContext) -> dict:
     return {"worst_speed_rel": worst}
 
 
-def _covering_radius(space, probe: Array, centers: Array) -> float:
-    """Covering radius of `probe` by `centers`, which must not be empty
-    (ValueError): the directed Hausdorff distance max_x min_c d(x, c).
+def _covering_radius(space, probe: tuple[Array, float], centers: Array) -> float:
+    """Covering radius of a `(coords, scale)` probe, as `unit_probe`
+    returns it, by `centers`, which must not be empty (ValueError): the
+    directed Hausdorff distance max_x min_c d(x, c) over the probe rows
+    x = coords * scale.
 
-    A strided sample of the probe, probe[::step] with at most
+    Float rows are formed only for the sample and for one block at a time,
+    so a probe held as small integers is never widened whole; `scale` is a
+    power of two, so each row has the bits of the full `coords * scale`.
+    A strided sample of the probe, rows [::step] with at most
     `spaces.BLOCK_PAIRS // len(centers)` rows (at least one), is measured
     against the centers in one call.  When the sample is the whole probe
     its largest minimum is the radius.  Otherwise one pass goes over the
@@ -624,10 +631,11 @@ def _covering_radius(space, probe: Array, centers: Array) -> float:
     m = len(centers)
     if m == 0:
         raise ValueError("the covering radius needs at least one center")
-    n = probe.shape[0]
+    coords, scale = probe
+    n = coords.shape[0]
     budget = spaces.BLOCK_PAIRS
     step = max(1, -(-n // max(1, budget // m)))
-    sample = space.distance_many(probe[None, ::step], centers[:, None])  # (m, sample rows)
+    sample = space.distance_many((coords[::step] * scale)[None], centers[:, None])  # (m, rows)
     bound = sample.min(axis=0).max(initial=-np.inf)
     if step == 1:
         return float(bound)
@@ -635,7 +643,7 @@ def _covering_radius(space, probe: Array, centers: Array) -> float:
     order = np.concatenate(([0], 1 + np.argsort(-nearest[1:], kind="stable")))
     ends = [1 << i for i in range(m.bit_length()) if 1 << i < m] + [m]
     for start in range(0, n, budget):
-        rows = probe[start : start + budget]
+        rows = coords[start : start + budget] * scale
         run = np.full(rows.shape[0], np.inf)
         lo = 0
         for hi in ends:
@@ -671,7 +679,7 @@ def _check_space_nets(ctx: SuiteContext) -> dict:
     center = np.zeros(2)
     net = space.epsilon_net(center, 1.0, 0.4)
     probes = space.probe_ball(center, 1.0, 0.05)
-    radius = _covering_radius(space, probes, net)
+    radius = _covering_radius(space, (probes, 1.0), net)
     require(radius < 0.4, "euclidean net fails its covering")
     # Greedy farthest-first on the full circle: {0, pi} covers at radius
     # pi/2, so eps above pi/2 stops at 2 points; below it the third insert

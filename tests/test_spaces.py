@@ -34,7 +34,9 @@ from metriclp.spaces import (
     NET_PROBE_FRACTION,
     PRUNE_SLACK_REL,
     _compositions,
+    _dyadic_grid,
     _least_pivots,
+    _level_key,
     _lex_greater,
     dyadic_simplex,
     dyadic_tuples,
@@ -527,12 +529,22 @@ def test_dyadic_enumeration_order_frozen():
 
 def test_compositions_match_stars_and_bars():
     """Reference: the index tuples summing to `total`, filtered from the
-    full product, which itertools lists in lexicographic order."""
+    full product, which itertools lists in lexicographic order; in int64
+    and in the small types the dyadic grids use, up to int8's limit."""
     for total in range(6):
         for dim in range(1, 5):
             want = [t for t in itertools.product(range(total + 1), repeat=dim) if sum(t) == total]
             got = _compositions(total, dim)
             assert got.dtype == np.int64 and got.tolist() == [list(t) for t in want], (total, dim)
+            for dtype in (np.int8, np.int16):
+                assert _compositions(total, dim, dtype).tolist() == got.tolist(), (total, dim, dtype)
+    for total, dim in ((127, 2), (127, 3), (64, 4)):
+        got = _compositions(total, dim, np.int8)
+        want = _compositions(total, dim)
+        assert got.dtype == np.int8 and got.tolist() == want.tolist(), (total, dim)
+        assert (got.sum(axis=1, dtype=np.int64) == total).all() and (got >= 0).all()
+        assert got.shape == (math.comb(total + dim - 1, dim - 1), dim)
+        assert np.all(np.diff(got.astype(np.int64) @ (total + 1) ** np.arange(dim - 1, -1, -1)) > 0)
 
 
 def _level_size(dim, level):
@@ -577,6 +589,50 @@ def test_dyadic_simplex_small_int_grid_equals_the_int64_build(monkeypatch, dim, 
     assert built == [small]
     assert got.dtype == np.float64 and got.flags.c_contiguous and got.shape == (k, dim)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("total, dim", [(16, 8), (32, 3), (1024, 3), (8, 8)])
+def test_dyadic_grid_lists_levels_in_stable_argsort_order(total, dim):
+    """Taking the tuples level by level, each level in grid order, is the
+    stable argsort of `_level_key` over the whole level-L grid."""
+    grid = _compositions(total, dim, np.int16)
+    want = grid[np.argsort(_level_key(grid), kind="stable")]
+    coords, level = _dyadic_grid(dim, grid.shape[0])
+    assert 2**level == total
+    assert coords.tolist() == want.tolist()
+
+
+# sha256 of each unit probe's float64 payload bytes, as `unit_probe`
+# returned them when a probe was one float64 array
+UNIT_PROBE_DIGESTS = {
+    "euclidean0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "euclidean2": "bbe5390364f8bb87d822c9ce2fea03b2523330f154c95827d4559b87f4ffeaa3",
+    "euclidean3": "0d39d9426ebda0882181c2407ae875d2e8c3d88aa2c8c785fe9a7c8e4746ea82",
+    "spd2": "c19547d1ab49d56d636a12b8be2ab34889e7d790cb2cb45d7b2c84163c3ee636",
+    "simplex2": "6ba5505ad6686e8ceb0a5c2ec209e6539ea3f456c064e627d47d3627c3d9453c",
+    "simplex3": "dbe734642cb75da68c68887e25f65e155928e8cf609011830cc36d090067f471",
+    "histogram3": "188e75899af437c13b292bae3ba8012d92107562f6ec6b2494c47e4d176ae3e6",
+    "histogram8": "3653a0148b00a4d20900030495f8f6f4804a9b0733698d5307e0b4ee4315eaa2",
+    "circle": "96586c6301a2d096cc7ef07713620777bed9947fdbefa8821afc8ea42d0946e1",
+}
+
+
+@pytest.mark.parametrize("name", list(UNIT_PROBE_DIGESTS))
+def test_unit_probe_payloads_keep_their_bytes(name):
+    """`coords * scale` has the bytes of the float64 probe, and scale is a
+    power of two: 1 where coords are floats, 2**-level on the dyadic
+    grids, whose coords are the int8 tuples."""
+    sp = make_space(name)
+    coords, scale = sp.unit_probe()
+    assert scale > 0 and math.frexp(scale)[0] == 0.5
+    if name.startswith(("simplex", "histogram")):
+        assert coords.dtype == np.int8 and scale == 2.0**-sp.probe_level
+    else:
+        assert coords.dtype == np.float64 and scale == 1.0
+    payloads = coords * scale
+    assert payloads.dtype == np.float64 and payloads.flags.c_contiguous
+    assert payloads.shape == (coords.shape[0], sp.dim)
+    assert hashlib.sha256(payloads.tobytes()).hexdigest() == UNIT_PROBE_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

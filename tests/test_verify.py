@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -572,11 +573,15 @@ def test_probe_finds_a_member_holding_a_huge_value():
 
 
 def running_min_radii(space, probe, centers, counts):
-    nearest = np.full(probe.shape[0], np.inf)
+    """The oracle: a running minimum over the whole `(coords, scale)`
+    probe's payload rows, one center at a time."""
+    coords, scale = probe
+    rows = coords * scale
+    nearest = np.full(rows.shape[0], np.inf)
     radii = []
     for j in range(counts[-1]):
-        row = np.broadcast_to(centers[j], probe.shape)
-        nearest = np.minimum(nearest, space.distance_many(probe, row))
+        row = np.broadcast_to(centers[j], rows.shape)
+        nearest = np.minimum(nearest, space.distance_many(rows, row))
         if j + 1 in counts:
             radii.append(float(nearest.max()))
     return radii
@@ -608,54 +613,59 @@ def test_blocked_covering_radii_equal_the_running_minimum(monkeypatch, budget):
     also on tied radii, a shuffled probe, negated distances, a NaN
     injected early, late or in the last block, one-row and few-row probes,
     counts (1,) and (2, 3, 40) on random probes, and a probe whose radius
-    its first row, always in the sample, attains."""
+    its first row, always in the sample, attains.  Probes are `(coords,
+    scale)` pairs, as `unit_probe` returns them: histogram8's and
+    simplex3's keep their small-integer coords, the others scale 1."""
     cases = []
     for name in SPACE_NAMES:
         space = make_space(name)
-        probe = space.unit_probe()
+        coords, scale = space.unit_probe()
         if budget is not None:
             # small budgets make one call per few rows: thin histogram8's
             # 245,157-row probe to about 600 rows
-            probe = probe[:: max(1, probe.shape[0] // 600)]
+            coords = coords[:: max(1, coords.shape[0] // 600)]
         centers = space.dense_payloads(40)
-        cases += [(space, probe, centers, counts) for counts in ((5, 40), (1,), (3, 7))]
+        cases += [(space, (coords, scale), centers, counts) for counts in ((5, 40), (1,), (3, 7))]
     plane = make_space("euclidean2")
     net = plane.epsilon_net(np.zeros(2), 1.0, 0.4)
-    cases.append((plane, plane.probe_ball(np.zeros(2), 1.0, 0.05), net, (len(net),)))
+    cases.append((plane, (plane.probe_ball(np.zeros(2), 1.0, 0.05), 1.0), net, (len(net),)))
     rng = np.random.default_rng(7)
     for name in ("euclidean3", "circle"):
         space = make_space(name)
         centers = space.dense_payloads(40)
         probe = space.random_payloads(rng, 300)
-        cases += [(space, probe, centers, counts) for counts in ((1,), (2, 3, 40))]
+        cases += [(space, (probe, 1.0), centers, counts) for counts in ((1,), (2, 3, 40))]
         # one row; and three rows, which at budgets 1 and 7 the sample
         # stride steps past, leaving a one-row sample
-        cases += [(space, probe[:1], centers, (5, 40)), (space, probe[:3], centers, (5, 40))]
+        cases += [(space, (probe[:n], 1.0), centers, (5, 40)) for n in (1, 3)]
     # the circle probe with the row farthest from centers[:40] moved first:
     # the sample's bound is already the radius, and at budgets 1 and 7,
     # where the sample is that one row, the pass drops every other row
     circle = make_space("circle")
-    probe, centers = circle.unit_probe(), circle.dense_payloads(40)
+    coords, scale = circle.unit_probe()
+    probe, centers = coords * scale, circle.dense_payloads(40)
     far = np.argmax(np.min(circle.distance_many(probe[None], centers[:, None]), axis=0))
     probe = np.concatenate([probe[far : far + 1], np.delete(probe, far, axis=0)])
-    assert running_min_radii(circle, probe[:1], centers, (40,)) == running_min_radii(
-        circle, probe, centers, (40,)
+    assert running_min_radii(circle, (probe[:1], 1.0), centers, (40,)) == running_min_radii(
+        circle, (probe, 1.0), centers, (40,)
     )
-    cases += [(circle, probe, centers, (40,)), (circle, probe, centers, (5, 40))]
+    cases += [(circle, (probe, 1.0), centers, (40,)), (circle, (probe, 1.0), centers, (5, 40))]
     # the head of histogram8's dyadic probe: r5 = 0.5 once, r40 = 0.25 on
     # six rows, and several default-budget blocks to prune across
     hist = make_space("histogram8")
-    probe = hist.unit_probe()[: 400 if budget is not None else 5000]
+    coords, scale = hist.unit_probe()
+    coords = coords[: 400 if budget is not None else 5000]
+    probe = coords * scale
     centers = hist.dense_payloads(40)
-    assert running_min_radii(hist, probe, centers, (5, 40)) == [0.5, 0.25]
-    shuffled = probe[np.random.default_rng(0).permutation(probe.shape[0])]
+    assert running_min_radii(hist, (coords, scale), centers, (5, 40)) == [0.5, 0.25]
+    shuffled = coords[np.random.default_rng(0).permutation(coords.shape[0])]
     hard = [
-        (hist, probe, centers),
-        (hist, shuffled, centers),
-        (with_kernel(hist, lambda a, b, d: -d), probe, centers),
-        (with_kernel(hist, nan_at(probe[0], centers[0])), probe, centers),
-        (with_kernel(hist, nan_at(probe[0], centers[38])), probe, centers),
-        (with_kernel(hist, nan_at(probe[-1], centers[0])), probe, centers),
+        (hist, (coords, scale), centers),
+        (hist, (shuffled, scale), centers),
+        (with_kernel(hist, lambda a, b, d: -d), (coords, scale), centers),
+        (with_kernel(hist, nan_at(probe[0], centers[0])), (coords, scale), centers),
+        (with_kernel(hist, nan_at(probe[0], centers[38])), (coords, scale), centers),
+        (with_kernel(hist, nan_at(probe[-1], centers[0])), (coords, scale), centers),
     ]
     cases += [(space, probe, centers, (5, 40)) for space, probe, centers in hard]
     # the oracle runs at the default block size: at a budget of one pair it
@@ -675,13 +685,15 @@ def test_covering_radius_refuses_an_empty_center_set():
     circle = make_space("circle")
     with pytest.raises(ValueError, match="at least one center"):
         verify._covering_radius(circle, circle.unit_probe(), np.zeros((0, 1)))
+    hist = make_space("histogram8")
+    with pytest.raises(ValueError, match="at least one center"):
+        verify._covering_radius(hist, hist.unit_probe(), np.zeros((0, 8)))
 
 
-def test_dense_sequence_check_prunes_the_covering_pass(monkeypatch):
-    """The dense-sequence check evaluates under 3M distance pairs at seed 0
-    (the full probe x 40 centers table is about 9.84M).  Pairs are counted
-    by the size of each result, since a call returns a (centers, rows)
-    table."""
+def dense_check_pair_counts(monkeypatch):
+    """The size of each `distance_many` result the dense-sequence check
+    makes at seed 0: one entry per call, a (centers, rows) table counting
+    as its size in pairs."""
     pairs = []
     inner = MetricSpace.distance_many
 
@@ -692,26 +704,46 @@ def test_dense_sequence_check_prunes_the_covering_pass(monkeypatch):
 
     monkeypatch.setattr(MetricSpace, "distance_many", counting)
     verify._check_space_dense(verify.SuiteContext(0))
+    return pairs
+
+
+def test_dense_sequence_check_prunes_the_covering_pass(monkeypatch):
+    """The dense-sequence check evaluates under 3M distance pairs at seed 0
+    (the full probe x 40 centers table is about 9.84M)."""
+    pairs = dense_check_pair_counts(monkeypatch)
     assert 0 < sum(pairs) < 3_000_000
 
 
 def test_dense_sequence_check_visits_near_centers_first(monkeypatch):
     """With the sample's bound and the nearest-first visit order, the
     dense-sequence check at seed 0 makes under 1.5M pairs in under 300
-    calls; index order made 2,703,305 pairs in 423 calls.  Pairs are the
-    size of each result, as above."""
-    pairs = []
-    inner = MetricSpace.distance_many
-
-    def counting(self, a, b):
-        d = inner(self, a, b)
-        pairs.append(d.size)
-        return d
-
-    monkeypatch.setattr(MetricSpace, "distance_many", counting)
-    verify._check_space_dense(verify.SuiteContext(0))
+    calls; index order made 2,703,305 pairs in 423 calls."""
+    pairs = dense_check_pair_counts(monkeypatch)
     assert 0 < sum(pairs) < 1_500_000
     assert len(pairs) < 300
+
+
+def test_dense_sequence_check_measures_what_the_float_probe_measured(monkeypatch):
+    """The `(coords, scale)` probes are sampled, visited, cut into blocks
+    and pruned as the float64 probes they replace were: at seed 0 the check
+    makes the same 211 calls over 1,013,306 pairs."""
+    pairs = dense_check_pair_counts(monkeypatch)
+    assert (len(pairs), sum(pairs)) == (211, 1_013_306)
+
+
+def test_dense_sequence_check_memory_stays_under_8_mb():
+    """histogram8's 245,157-row unit probe is held as int8 tuples (2 MB)
+    and widened to float64 a block at a time, so the check's traced peak
+    (numpy reports its buffers to tracemalloc) stays under 8 MB; as one
+    15.7 MB float64 array it was 16.9 MB.  What remains, about 6 MB, is
+    the int8 grid and the index that lists it level by level."""
+    tracemalloc.start()
+    try:
+        verify._check_space_dense(verify.SuiteContext(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("seed", range(10))
